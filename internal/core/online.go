@@ -18,7 +18,10 @@ package core
 //     alive across the whole stream: each Submit advances the live
 //     simulation to the job's arrival, reads the backlog in place, places,
 //     and admits the new coflow into the same session. Total simulator work
-//     is O(J) over J jobs with zero per-arrival cloning.
+//     is O(J) over J jobs with zero per-arrival cloning, on the event-horizon
+//     loop, and the engine holds only the coflows still in flight: finished
+//     ones are released by the session and the engine keeps a job count, so
+//     a long-lived engine costs what is live, not what it has served.
 //   - RunOnlineReference (the frozen reference) re-simulates the entire
 //     admitted history from t=0 with a horizon for every arrival — O(J²)
 //     simulator work and a deep clone per arrival. It exists to pin the
@@ -31,6 +34,7 @@ package core
 // order.
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -140,7 +144,7 @@ type OnlineEngine struct {
 	n        int
 	sim      *netsim.Simulator
 	ses      *netsim.Session
-	jobs     []*coflow.Coflow // one per submitted job, in submission order
+	jobs     int // jobs admitted; job i is coflow ID i in the session
 	lastArr  float64
 	egB, inB []int64 // reusable backlog buffers
 	batch    *Batch  // reusable batch handle (BeginBatch)
@@ -149,6 +153,18 @@ type OnlineEngine struct {
 
 // NewOnlineEngine builds an engine over a fresh fabric of `nodes` ports.
 func NewOnlineEngine(nodes int, opts OnlineOptions) (*OnlineEngine, error) {
+	e, err := newOnlineEngine(nodes, opts)
+	if err != nil {
+		return nil, err
+	}
+	if e.ses, err = e.sim.Session(); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// newOnlineEngine builds the engine and its simulator, without a session.
+func newOnlineEngine(nodes int, opts OnlineOptions) (*OnlineEngine, error) {
 	fabric, err := netsim.NewFabric(nodes, opts.Bandwidth)
 	if err != nil {
 		return nil, err
@@ -160,14 +176,54 @@ func NewOnlineEngine(nodes int, opts OnlineOptions) (*OnlineEngine, error) {
 	sim := netsim.NewSimulator(fabric, netSched)
 	sim.Failures = opts.Failures
 	sim.Retransmit = opts.Retransmit
-	ses, err := sim.Session()
+	sim.EventHorizon = true
+	// Recovery accounting needs every coflow at the end of the run, so a
+	// stream with scheduled failures keeps them all.
+	sim.ReleaseCompleted = len(opts.Failures) == 0
+	return &OnlineEngine{
+		opts: opts, n: nodes, sim: sim,
+		egB: make([]int64, nodes), inB: make([]int64, nodes),
+	}, nil
+}
+
+// engineImageBytes is the engine's own part of an image: two words, clock
+// and job count.
+const engineImageBytes = 16
+
+// AppendImage appends the engine's state image to b: the engine clock, the
+// job count and the live session's image (netsim.Session.AppendImage). Only
+// an engine without scheduled failures can be imaged.
+func (e *OnlineEngine) AppendImage(b []byte) ([]byte, error) {
+	if e.finished {
+		return nil, errors.New("core: online engine already finished")
+	}
+	b = binary.BigEndian.AppendUint64(b, math.Float64bits(e.lastArr))
+	b = binary.BigEndian.AppendUint64(b, uint64(e.jobs))
+	return e.ses.AppendImage(b)
+}
+
+// RestoreOnlineEngine rebuilds an engine from an image written by
+// AppendImage on an engine with the same nodes and options. The restored
+// engine's StateDigest equals the imaged one's and it decides every later
+// job identically. A bad image is a netsim.ErrImage.
+func RestoreOnlineEngine(nodes int, opts OnlineOptions, img []byte) (*OnlineEngine, error) {
+	e, err := newOnlineEngine(nodes, opts)
 	if err != nil {
 		return nil, err
 	}
-	return &OnlineEngine{
-		opts: opts, n: nodes, sim: sim, ses: ses,
-		egB: make([]int64, nodes), inB: make([]int64, nodes),
-	}, nil
+	if len(img) < engineImageBytes {
+		return nil, fmt.Errorf("%w: %d bytes is shorter than the engine header", netsim.ErrImage, len(img))
+	}
+	e.lastArr = math.Float64frombits(binary.BigEndian.Uint64(img))
+	jobs := binary.BigEndian.Uint64(img[8:])
+	if jobs > math.MaxInt {
+		return nil, fmt.Errorf("%w: job count %d", netsim.ErrImage, jobs)
+	}
+	e.jobs = int(jobs)
+	if e.ses, err = e.sim.RestoreSession(img[engineImageBytes:]); err != nil {
+		return nil, err
+	}
+	return e, nil
 }
 
 // Submit places one arriving job and admits its coflow into the live
@@ -260,7 +316,7 @@ func (e *OnlineEngine) submit(job OnlineJob, bp *Batch) (*OnlineDecision, error)
 	if e.finished {
 		return nil, errors.New("core: online engine already finished")
 	}
-	ji := len(e.jobs)
+	ji := e.jobs
 	if job.Workload == nil {
 		return nil, fmt.Errorf("core: online job %d has no workload", ji)
 	}
@@ -294,7 +350,7 @@ func (e *OnlineEngine) submit(job OnlineJob, bp *Batch) (*OnlineDecision, error)
 	}
 
 	dec := &OnlineDecision{Job: ji}
-	if e.opts.CoOptimize && !job.PlacementOnly && len(e.jobs) > 0 {
+	if e.opts.CoOptimize && !job.PlacementOnly && e.jobs > 0 {
 		// What does the network look like when this job arrives? Advance
 		// the one live simulation from the previous arrival and read the
 		// outstanding bytes per port in place. The advance always runs —
@@ -353,7 +409,7 @@ func (e *OnlineEngine) submit(job OnlineJob, bp *Batch) (*OnlineDecision, error)
 	if bp != nil {
 		bp.noteAdmitted(cf, job.Arrival)
 	}
-	e.jobs = append(e.jobs, cf)
+	e.jobs++
 	dec.Placement = pl
 	return dec, nil
 }
@@ -369,21 +425,17 @@ func (e *OnlineEngine) Finish() (*OnlineReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &OnlineReport{CCTs: make([]float64, len(e.jobs)), Makespan: rep.Makespan}
-	for ji, cf := range e.jobs {
-		cct, ok := rep.CCTs[cf.ID]
-		if !ok {
-			// A job with no remote bytes completes instantly.
-			cct = 0
-		}
+	out := &OnlineReport{CCTs: make([]float64, e.jobs), Makespan: rep.Makespan}
+	for ji := range out.CCTs {
+		cct := rep.CCTs[ji] // job ji is coflow ID ji
 		out.CCTs[ji] = cct
 		out.AvgCCT += cct
 		if cct > out.MaxCCT {
 			out.MaxCCT = cct
 		}
 	}
-	if len(e.jobs) > 0 {
-		out.AvgCCT /= float64(len(e.jobs))
+	if e.jobs > 0 {
+		out.AvgCCT /= float64(e.jobs)
 	}
 	return out, nil
 }
@@ -394,13 +446,17 @@ func (e *OnlineEngine) Finish() (*OnlineReport, error) {
 func (e *OnlineEngine) Clock() float64 { return e.lastArr }
 
 // JobCount returns the number of jobs admitted so far.
-func (e *OnlineEngine) JobCount() int { return len(e.jobs) }
+func (e *OnlineEngine) JobCount() int { return e.jobs }
 
 // CompletedJobs returns how many admitted jobs had finished their transfers
 // the last time the live session advanced (only the co-optimized path moves
 // the session between submissions, so a placement-oblivious engine reports 0
 // until Finish).
 func (e *OnlineEngine) CompletedJobs() int { return len(e.ses.Report().CCTs) }
+
+// ResidentCoflows returns how many coflows the live session still holds:
+// those in flight plus the completed ones it has not yet released.
+func (e *OnlineEngine) ResidentCoflows() int { return e.ses.AdmittedCount() }
 
 // BacklogInto writes the live session's per-port in-flight bytes into the
 // caller's slices (len n each) — the observability mirror of the backlog
@@ -417,7 +473,7 @@ func (e *OnlineEngine) BacklogInto(egress, ingress []int64) error {
 // byte-identical to the one that wrote the snapshot.
 func (e *OnlineEngine) StateDigest() uint64 {
 	d := e.ses.Digest()
-	d ^= 0x9e3779b97f4a7c15 * uint64(len(e.jobs))
+	d ^= 0x9e3779b97f4a7c15 * uint64(e.jobs)
 	d = (d << 7) | (d >> 57)
 	d ^= math.Float64bits(e.lastArr)
 	return d

@@ -357,3 +357,75 @@ func TestOnlineZeroRemoteBytesJob(t *testing.T) {
 		comparePlacedOnline(t, fmt.Sprintf("coopt=%v", coopt), got, ref)
 	}
 }
+
+// TestOnlineEngineMatchesReferenceLongStream holds the equivalence through
+// what a long-lived engine does and a four-job stream never reaches: the
+// event-horizon loop (Varys, Aalo) or the dense one (FIFO, SCF, NCF), both
+// releasing completed coflows to tombstones while later jobs still arrive —
+// some onto an idle network, some onto a backlog. The reference retains
+// everything and re-simulates history per arrival.
+func TestOnlineEngineMatchesReferenceLongStream(t *testing.T) {
+	const n, jobCount = 4, 90
+	nets := []struct {
+		name string
+		mk   func() coflow.Scheduler
+	}{
+		{"varys", coflow.NewVarys},
+		{"aalo", func() coflow.Scheduler { return coflow.NewAalo() }},
+		{"fifo", coflow.NewFIFO},
+		{"scf", coflow.NewSCF},
+		{"ncf", coflow.NewNCF},
+	}
+	for _, nt := range nets {
+		for _, coopt := range []bool{false, true} {
+			nt, coopt := nt, coopt
+			t.Run(fmt.Sprintf("%s/coopt=%v", nt.name, coopt), func(t *testing.T) {
+				for seed := int64(0); seed < 3; seed++ {
+					jobs := make([]OnlineJob, jobCount)
+					probe := equivWorkload(t, n, 0.5, 1)
+					solo, err := RunOnline([]OnlineJob{{Workload: probe}}, OnlineOptions{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					at := 0.0
+					for i := range jobs {
+						// Bursts of three a fifth of a job apart, then a gap
+						// long enough to drain.
+						if i%3 == 0 {
+							at += 4 * solo.AvgCCT
+						} else {
+							at += solo.AvgCCT / 5
+						}
+						jobs[i] = OnlineJob{
+							Name: fmt.Sprintf("job%02d", i), Arrival: at,
+							Workload: equivWorkload(t, n, float64(i%4)/2, uint64(seed)*1000+uint64(i)),
+						}
+					}
+					ref, err := RunOnlineReference(jobs, OnlineOptions{CoOptimize: coopt, NetworkScheduler: nt.mk()})
+					if err != nil {
+						t.Fatal(err)
+					}
+					eng, err := NewOnlineEngine(n, OnlineOptions{CoOptimize: coopt, NetworkScheduler: nt.mk()})
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, job := range jobs {
+						if _, err := eng.Submit(job); err != nil {
+							t.Fatal(err)
+						}
+					}
+					// Only the co-optimizing engine advances its session
+					// between jobs, so only it can have released by now.
+					if held := eng.ResidentCoflows(); coopt && held > jobCount/2 {
+						t.Errorf("seed=%d: session still holds %d of %d coflows", seed, held, jobCount)
+					}
+					got, err := eng.Finish()
+					if err != nil {
+						t.Fatal(err)
+					}
+					comparePlacedOnline(t, fmt.Sprintf("seed=%d", seed), got, ref)
+				}
+			})
+		}
+	}
+}

@@ -80,7 +80,10 @@ func (s *series) write(bw *bufio.Writer, f *family) error {
 		if err := sample(bw, f.name+"_sum", s.key, formatFloat(h.Sum())); err != nil {
 			return err
 		}
-		return sample(bw, f.name+"_count", s.key, formatUint(h.Count()))
+		// _count is the +Inf bucket's value, not h.Count(): that is a separate
+		// atomic, and an Observe between the two loads would print a count the
+		// buckets above do not add up to.
+		return sample(bw, f.name+"_count", s.key, formatUint(cum))
 	}
 	return nil
 }

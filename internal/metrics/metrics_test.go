@@ -189,6 +189,39 @@ func TestConcurrentObserve(t *testing.T) {
 	}
 }
 
+// TestExpositionConsistentUnderObserve scrapes while observers run: every
+// page must validate, in particular _count must equal the le="+Inf" bucket
+// on the same page. Printing h.Count() there (a second atomic, loaded after
+// the buckets) failed this within a few hundred scrapes.
+func TestExpositionConsistentUnderObserve(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("v", "v", []float64{1, 2, 4})
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+					h.Observe(float64(i % 5))
+				}
+			}
+		}()
+	}
+	for i := 0; i < 2000; i++ {
+		if err := ValidateExposition(render(t, r)); err != nil {
+			t.Errorf("scrape %d: %v", i, err)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
+}
+
 func render(t *testing.T, r *Registry) string {
 	t.Helper()
 	var sb strings.Builder

@@ -223,7 +223,7 @@ func (ss *Session) loopSparse(stop float64) error {
 						}
 						rep.CCTs[c.ID] = cct
 						if ss.release {
-							ss.relWeights[c.ID] = c.EffectiveWeight()
+							ss.keepWeight(c)
 						}
 						if s.Probe != nil {
 							s.Probe.CoflowCompleted(now, c)
@@ -461,30 +461,4 @@ func (ss *Session) loopSparse(stop float64) error {
 	}
 	save()
 	return nil
-}
-
-// releaseCompleted compacts the session's admitted list under
-// ReleaseCompleted, dropping completed coflows once they make up more than
-// half of it (amortized O(1) per coflow). Their CCTs stay in rep.CCTs and
-// their weights in relWeights; BacklogInto and Digest thereafter cover only
-// the retained coflows.
-func (ss *Session) releaseCompleted() {
-	done := len(ss.rep.CCTs) - ss.released
-	if done <= 32 || done <= len(ss.all)/2 {
-		return
-	}
-	w := 0
-	for _, c := range ss.all {
-		if !c.Completed {
-			ss.all[w] = c
-			w++
-		}
-	}
-	ss.released += len(ss.all) - w
-	// Nil out the released tail so the session does not pin completed
-	// coflows (and their flow slices) in memory.
-	for i := w; i < len(ss.all); i++ {
-		ss.all[i] = nil
-	}
-	ss.all = ss.all[:w]
 }

@@ -231,12 +231,10 @@ func TestEventHorizonReleaseCompleted(t *testing.T) {
 			if err := ss.Advance(math.Inf(1)); err != nil {
 				t.Fatal(err)
 			}
-			// Release happens inside the sparse loop; schedulers without
-			// sparse support fall back to the dense loop and retain all.
-			if _, sparseCapable := pair.prod().(coflow.SparseAllocator); sparseCapable {
-				if got := ss.AdmittedCount(); got >= n {
-					t.Errorf("AdmittedCount=%d: completed coflows were never released", got)
-				}
+			// Both loops release: schedulers without sparse support run the
+			// dense one.
+			if got := ss.AdmittedCount(); got >= n {
+				t.Errorf("AdmittedCount=%d: completed coflows were never released", got)
 			}
 			relRep, err := ss.Finish()
 			if err != nil {

@@ -187,13 +187,13 @@ type Simulator struct {
 	// coflow.SparseAllocator and for runs without Deps (anything else falls
 	// back to the dense loop). See DESIGN.md §16.
 	EventHorizon bool
-	// ReleaseCompleted lets an event-horizon session drop completed coflows
-	// from its admitted list so streamed replays run in bounded memory:
-	// after release, BacklogInto and Digest cover only retained coflows and
-	// the CCT aggregates are summed in coflow-ID order (per-coflow results
-	// stay in Report.CCTs either way). Only takes effect in sparse sessions;
-	// incompatible with Failures (recovery accounting needs the full coflow
-	// population at the end of the run).
+	// ReleaseCompleted lets a session reduce completed coflows to four-word
+	// tombstones (release.go) so a long-lived stream runs in memory bounded
+	// by what is in flight: BacklogInto and Digest read the same either way,
+	// AdmittedCount counts the coflows still held, and the CCT aggregates are
+	// summed in coflow-ID order (per-coflow results stay in Report.CCTs).
+	// Incompatible with Failures (recovery accounting needs the full coflow
+	// population at the end of the run) and with negative flow sizes.
 	ReleaseCompleted bool
 
 	// scratch holds the per-run buffers so repeated Runs (parameter sweeps,

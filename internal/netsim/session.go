@@ -81,13 +81,17 @@ type Session struct {
 	// Deps. The loop then dispatches to loopSparse (horizon.go).
 	sparse bool
 	sa     coflow.SparseAllocator
-	// release mirrors Simulator.ReleaseCompleted for this session; released
-	// counts coflows dropped from `all`, and relWeights retains completed
-	// coflows' weights for the finalize aggregates (their CCTs live on in
-	// rep.CCTs). relWeights storage is reused across sessions; the flag, not
-	// the map, gates releasing.
+	// release mirrors Simulator.ReleaseCompleted for this session. Released
+	// coflows leave `all` for `tombs` (release.go); rank[i] counts the
+	// tombstones that precede all[i] in admission order, which is what lets
+	// Digest walk both lists as the one admission sequence a never-releasing
+	// session holds. relWeights keeps the non-default weights of completed
+	// coflows for the finalize aggregates (their CCTs live on in rep.CCTs).
+	// Storage is reused across sessions; the flag gates releasing.
 	release    bool
-	released   int
+	rank       []int
+	tombs      []tombstone
+	leaving    []leavingTomb
 	relWeights map[int]float64
 }
 
@@ -123,6 +127,9 @@ func (ss *Session) begin(s *Simulator, rep *Report) error {
 		active:     ss.active[:0],
 		live:       ss.live[:0],
 		all:        ss.all[:0],
+		rank:       ss.rank[:0],
+		tombs:      ss.tombs[:0],
+		leaving:    ss.leaving[:0],
 		relWeights: ss.relWeights,
 		begun:      true,
 	}
@@ -287,6 +294,12 @@ func (ss *Session) validateAdmit(c *coflow.Coflow) error {
 		if f.Src == f.Dst {
 			return fmt.Errorf("netsim: flow %d of coflow %d is a self-loop at port %d", f.ID, c.ID, f.Src)
 		}
+		// A tombstone stands for flows that all ended at +0 remaining bytes;
+		// a negative (or -0) size is born done with that size left over.
+		if ss.release && math.Signbit(f.Size) {
+			return fmt.Errorf("netsim: flow %d of coflow %d has negative size %g, which a ReleaseCompleted session cannot retire",
+				f.ID, c.ID, f.Size)
+		}
 	}
 	return nil
 }
@@ -303,9 +316,14 @@ func (ss *Session) stage(c *coflow.Coflow) {
 	c.SentBytes = 0
 	c.BeginSim(ss.s.fabric.Ports)
 	ss.all = append(ss.all, c)
-	// Insert into the arrival-sorted admission queue; per-item insertion of a
-	// stable sort is itself stable, so batch admission (RunInto) and
-	// streaming admission order ties identically.
+	ss.rank = append(ss.rank, len(ss.tombs))
+	ss.enqueue(c)
+}
+
+// enqueue inserts a coflow into the arrival-sorted admission queue; per-item
+// insertion of a stable sort is itself stable, so batch admission (RunInto)
+// and streaming admission order ties identically.
+func (ss *Session) enqueue(c *coflow.Coflow) {
 	p := append(ss.pending, c)
 	for i := len(p) - 1; i > 0 && p[i].Arrival < p[i-1].Arrival; i-- {
 		p[i], p[i-1] = p[i-1], p[i]
@@ -374,8 +392,9 @@ func (ss *Session) Finish() (*Report, error) {
 // Now returns the session's current simulation time.
 func (ss *Session) Now() float64 { return ss.now }
 
-// AdmittedCount returns how many coflows have been admitted to the session
-// (pending, active, or completed).
+// AdmittedCount returns how many admitted coflows the session holds —
+// pending, active, or completed: every coflow ever admitted, less those a
+// ReleaseCompleted session has already reduced to tombstones.
 func (ss *Session) AdmittedCount() int { return len(ss.all) }
 
 // CompletedCount returns how many admitted coflows have completed so far.
@@ -388,44 +407,42 @@ func (ss *Session) CompletedCount() int {
 
 // Digest fingerprints the session's deterministic simulation state with
 // FNV-1a over the clock and every admitted coflow's flow progress (remaining
-// bytes, done flags, completion state). Two sessions that took the same
-// admissions and boundary stops digest identically; the service layer uses
-// this to prove a snapshot-restored engine resumed byte-identical state.
+// bytes, done flags, completion state), in admission order. Two sessions that
+// took the same admissions and boundary stops digest identically — whether or
+// not either released completed coflows, since a tombstone keeps exactly what
+// a completed coflow contributes; the service layer uses this to prove a
+// snapshot-restored engine resumed byte-identical state.
 func (ss *Session) Digest() uint64 {
-	const (
-		offset64 = 0xcbf29ce484222325
-		prime64  = 0x100000001b3
-	)
-	h := uint64(offset64)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= prime64
-			v >>= 8
+	h := fnv1a(fnvOffset64)
+	h.mix(math.Float64bits(ss.now))
+	h.mix(uint64(len(ss.all) + len(ss.tombs)))
+	ti := 0
+	for i, c := range ss.all {
+		for ; ti < ss.rank[i]; ti++ {
+			h.tomb(&ss.tombs[ti])
 		}
-	}
-	mix(math.Float64bits(ss.now))
-	mix(uint64(len(ss.all)))
-	for _, c := range ss.all {
-		mix(uint64(c.ID))
-		mix(math.Float64bits(c.Arrival))
+		h.mix(uint64(c.ID))
+		h.mix(math.Float64bits(c.Arrival))
 		if c.Completed {
-			mix(1)
-			mix(math.Float64bits(c.Completion))
+			h.mix(1)
+			h.mix(math.Float64bits(c.Completion))
 		} else {
-			mix(0)
+			h.mix(0)
 		}
-		mix(uint64(len(c.Flows)))
+		h.mix(uint64(len(c.Flows)))
 		for _, f := range c.Flows {
-			mix(math.Float64bits(f.Remaining))
+			h.mix(math.Float64bits(f.Remaining))
 			if f.Done {
-				mix(1)
+				h.mix(1)
 			} else {
-				mix(0)
+				h.mix(0)
 			}
 		}
 	}
-	return h
+	for ; ti < len(ss.tombs); ti++ {
+		h.tomb(&ss.tombs[ti])
+	}
+	return uint64(h)
 }
 
 // Report exposes the session's running report: CCTs of coflows completed so
@@ -434,7 +451,7 @@ func (ss *Session) Digest() uint64 {
 func (ss *Session) Report() *Report { return ss.rep }
 
 // BacklogInto writes the per-port remaining bytes of every unfinished flow
-// the session knows about — admitted, in flight, or still queued — into the
+// the session knows about — in flight or still queued — into the
 // caller's slices (len == fabric ports), the in-place equivalent of
 // PortBacklog. This is the network state the online co-optimizer feeds to
 // placement as the initial-load term v⁰.
@@ -452,14 +469,16 @@ func (ss *Session) BacklogInto(egress, ingress []int64) error {
 	for p := 0; p < ports; p++ {
 		egress[p], ingress[p] = 0, 0
 	}
-	for _, c := range ss.all {
-		for _, f := range c.Flows {
-			if f.Done {
-				continue
+	// Unfinished flows live only in pending and active coflows (a completed
+	// coflow has none, and nothing resurrects one), so the probe costs what is
+	// in flight, not what was ever admitted. Integer sums: order-free, exact.
+	for _, cs := range [2][]*coflow.Coflow{ss.pending, ss.active} {
+		for _, c := range cs {
+			for _, f := range c.LiveFlows() {
+				r := int64(f.Remaining + 0.5)
+				egress[f.Src] += r
+				ingress[f.Dst] += r
 			}
-			r := int64(f.Remaining + 0.5)
-			egress[f.Src] += r
-			ingress[f.Dst] += r
 		}
 	}
 	return nil
@@ -566,13 +585,18 @@ func (ss *Session) loop(stop float64) error {
 				if !c.Completed {
 					c.Completed = true
 					c.Completion = now
-					completed[c.ID] = true
+					if len(s.Deps) > 0 {
+						completed[c.ID] = true
+					}
 					cct, err := c.CCT()
 					if err != nil {
 						save()
 						return err
 					}
 					rep.CCTs[c.ID] = cct
+					if ss.release {
+						ss.keepWeight(c)
+					}
 					if s.Probe != nil {
 						s.Probe.CoflowCompleted(now, c)
 					}
@@ -582,6 +606,9 @@ func (ss *Session) loop(stop float64) error {
 			liveCF = append(liveCF, c)
 		}
 		active = liveCF
+		if ss.release {
+			ss.releaseCompleted()
+		}
 
 		if hz >= 0 && now >= hz-1e-12 {
 			now = hz
@@ -771,7 +798,7 @@ func (ss *Session) loop(stop float64) error {
 func (ss *Session) finalize(coflows []*coflow.Coflow) {
 	rep := ss.rep
 	rep.Makespan = ss.now
-	if ss.released > 0 {
+	if len(ss.tombs) > 0 {
 		ss.finalizeReleased()
 		return
 	}
@@ -804,12 +831,12 @@ func (ss *Session) finalize(coflows []*coflow.Coflow) {
 	ss.finished = true
 }
 
-// finalizeReleased aggregates a session that dropped completed coflows under
-// ReleaseCompleted: the coflow objects are gone, so the CCT sums run over
-// rep.CCTs in ascending coflow-ID order (deterministic, and equal to the
-// input-order sum whenever IDs are assigned in arrival order — the trace
-// replay convention) with the weights retained at release time. Failures are
-// excluded from released sessions at begin, so no recovery pass runs.
+// finalizeReleased aggregates a session that released completed coflows: the
+// coflow objects are gone, so the CCT sums run over rep.CCTs in ascending
+// coflow-ID order (deterministic, and equal to the input-order sum whenever
+// IDs are assigned in arrival order — the trace replay and online engine
+// convention) with the non-default weights kept at completion. Failures are
+// excluded from releasing sessions at begin, so no recovery pass runs.
 func (ss *Session) finalizeReleased() {
 	rep := ss.rep
 	ids := make([]int, 0, len(rep.CCTs))

@@ -2,9 +2,10 @@ package service
 
 // FuzzSnapshotRestore pins the robustness half of the crash-safety contract:
 // whatever bytes a crash, a bad disk or an attacker leaves in the state
-// directory, the restore path reports a typed error — it never panics, and a
-// snapshot that decodes must re-encode to an image that decodes to the same
-// state.
+// directory, the restore path — frame, payload header, engine image — reports
+// a typed error. It never panics, never sizes an allocation from a count the
+// bytes cannot back, and a snapshot that restores must re-encode to one that
+// restores to the same state.
 
 import (
 	"encoding/binary"
@@ -17,12 +18,8 @@ import (
 func FuzzSnapshotRestore(f *testing.F) {
 	// Seed corpus: one valid image plus every damage class the unit tests
 	// cover, so the fuzzer starts at the interesting boundaries.
-	a := 0.5
-	valid, err := EncodeSnapshot(&Snapshot{
-		Shard: 0, Nodes: 2, Seq: 1, Clock: 0.5, Digest: 42,
-		Engine: EngineConfig{CoOptimize: true},
-		Jobs:   []JobSpec{{Name: "j", Arrival: &a, Chunks: [][]int64{{1, 2}, {3, 4}}}},
-	})
+	base := testSnapshot(f)
+	valid, err := EncodeSnapshot(base)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -43,32 +40,65 @@ func FuzzSnapshotRestore(f *testing.F) {
 	huge := append([]byte(nil), valid...)
 	binary.BigEndian.PutUint64(huge[8:16], 1<<62)
 	f.Add(huge)
-	f.Add([]byte(snapMagic))
-	f.Add([]byte(`{"seq":1,"crc":0,"job":{}}`))
+	// The bare payload and the bare engine image: the fuzz body frames them
+	// itself, so mutations of these reach the decoders behind the checksum.
+	f.Add(valid[16 : len(valid)-4])
+	f.Add(base.Image)
 
-	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := DecodeSnapshot(data)
+	typed := func(t *testing.T, what string, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrSnapshotFormat) && !errors.Is(err, ErrSnapshotVersion) &&
+			!errors.Is(err, ErrSnapshotChecksum) && !errors.Is(err, ErrSnapshotMismatch) {
+			t.Fatalf("%s: untyped error: %v", what, err)
+		}
+	}
+	// restore runs a file image through decode and engine restore.
+	restore := func(t *testing.T, what string, file []byte) {
+		t.Helper()
+		s, err := DecodeSnapshot(file)
 		if err != nil {
 			if s != nil {
-				t.Fatalf("error %v returned alongside a snapshot", err)
+				t.Fatalf("%s: error %v returned alongside a snapshot", what, err)
 			}
-			if !errors.Is(err, ErrSnapshotFormat) && !errors.Is(err, ErrSnapshotVersion) &&
-				!errors.Is(err, ErrSnapshotChecksum) {
-				t.Fatalf("untyped decode error: %v", err)
-			}
+			typed(t, what, err)
 			return
 		}
-		// Anything that decodes must round-trip to the same image state.
-		re, err := EncodeSnapshot(s)
+		eng, err := s.restoreEngine(base.Shard, base.Nodes, base.Engine)
 		if err != nil {
-			t.Fatalf("re-encode of decoded snapshot: %v", err)
+			typed(t, what, err)
+			return
+		}
+		// Anything that restores must round-trip to the same state.
+		img, err := eng.AppendImage(nil)
+		if err != nil {
+			t.Fatalf("%s: re-image of restored engine: %v", what, err)
+		}
+		re, err := EncodeSnapshot(&Snapshot{Shard: s.Shard, Nodes: s.Nodes, Engine: s.Engine, Seq: s.Seq, Digest: s.Digest, Image: img})
+		if err != nil {
+			t.Fatalf("%s: re-encode: %v", what, err)
 		}
 		s2, err := DecodeSnapshot(re)
 		if err != nil {
-			t.Fatalf("re-decode: %v", err)
+			t.Fatalf("%s: re-decode: %v", what, err)
 		}
-		if s2.Shard != s.Shard || s2.Seq != s.Seq || s2.Digest != s.Digest || len(s2.Jobs) != len(s.Jobs) {
-			t.Fatalf("round-trip drift: %+v vs %+v", s, s2)
+		eng2, err := s2.restoreEngine(base.Shard, base.Nodes, base.Engine)
+		if err != nil {
+			t.Fatalf("%s: re-restore: %v", what, err)
+		}
+		if eng2.StateDigest() != eng.StateDigest() || eng2.JobCount() != eng.JobCount() {
+			t.Fatalf("%s: round-trip drift: digest %016x vs %016x", what, eng2.StateDigest(), eng.StateDigest())
+		}
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		restore(t, "file", data)
+		restore(t, "payload", reframe(data))
+		asImage := *base
+		asImage.Image = data
+		if file, err := EncodeSnapshot(&asImage); err != nil {
+			t.Fatal(err)
+		} else {
+			restore(t, "image", file)
 		}
 
 		// The same bytes interpreted as a WAL must also fail closed: replay

@@ -22,11 +22,12 @@
 //
 // Determinism contract: every admitted job's *effective* record — arrival
 // after any lifting, degraded flag after any shedding decision — is appended
-// to the shard's write-ahead log before the client sees the decision, and
-// snapshots are just compacted prefixes of that log plus a state digest.
-// Because the engine is deterministic, replaying snapshot + WAL rebuilds
+// to the shard's write-ahead log before the client sees the decision, and a
+// snapshot replaces a prefix of that log with an image of the engine state
+// it produced, plus that state's digest. Because the engine is
+// deterministic, loading the image and replaying the WAL behind it rebuilds
 // bit-identical engine state, which the digest verifies at restore and
-// TestKillRestartDeterminism pins end to end.
+// TestKillRestartDeterminism and TestImageRestoreEquivalence pin end to end.
 package service
 
 import (
@@ -42,7 +43,7 @@ import (
 
 // JobSpec is the wire format of one job submission, and — with Arrival
 // resolved and PlacementOnly reflecting the shedding decision actually
-// taken — the record format of the write-ahead log and snapshots. Exactly
+// taken — the record format of the write-ahead log. Exactly
 // one of Gen or Chunks describes the data to redistribute.
 type JobSpec struct {
 	// Key routes the job to a shard (hashed); empty means Name.

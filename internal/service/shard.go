@@ -2,7 +2,7 @@ package service
 
 // One shard = one core.OnlineEngine owned by one goroutine, fed by a bounded
 // queue. Single ownership is the concurrency story: the engine, the WAL
-// writer and the admitted-spec history are touched only by the run loop, so
+// writer and the batch scratch are touched only by the run loop, so
 // there is no lock around the simulator at all. Everything the HTTP layer
 // reads concurrently (/stats, /readyz) is published through atomics; the
 // only cross-goroutine handshakes are the queue itself, a small control
@@ -99,9 +99,11 @@ type shard struct {
 	// seq counts admitted jobs (1-based WAL sequence); snapSeq is seq at
 	// the last committed snapshot. Run-loop-owned.
 	seq, snapSeq uint64
-	// specs is the effective record of every admitted job, in admission
-	// order — the snapshot payload. Run-loop-owned.
-	specs []JobSpec
+	// specs holds the effective records of the jobs the current batch
+	// admitted, in admission order — what its group commit journals; imgBuf
+	// is the reusable engine-image buffer of snapshot(). Run-loop-owned.
+	specs  []JobSpec
+	imgBuf []byte
 
 	// mu serialises queue sends against the close in drain/kill: senders
 	// hold RLock, the closer holds Lock, so no send can hit a closed
@@ -189,39 +191,32 @@ func newShard(id int, cfg *Config) *shard {
 	}
 }
 
-// restore rebuilds the engine from disk: snapshot (if any) replayed and
-// digest-verified, then the WAL suffix. Called once, before the run loop
-// starts, from Pool.Start.
+// restore rebuilds the engine from disk: the snapshot's state image (if
+// any) loaded and digest-verified, then the WAL suffix replayed. Called
+// once, before the run loop starts, from Pool.Start.
 func (sh *shard) restore() error {
-	eng, err := sh.cfg.Engine.newEngine(sh.cfg.Nodes)
-	if err != nil {
+	if sh.cfg.Dir == "" {
+		eng, err := sh.cfg.Engine.newEngine(sh.cfg.Nodes)
+		sh.eng = eng
 		return err
 	}
-	sh.eng = eng
-	if sh.cfg.Dir == "" {
-		return nil
-	}
 
-	snap, err := readSnapshotFile(snapshotPath(sh.cfg.Dir, sh.id))
+	snapPath := snapshotPath(sh.cfg.Dir, sh.id)
+	if err := sweepSnapshotTemps(snapPath); err != nil {
+		return fmt.Errorf("shard %d: snapshot: %w", sh.id, err)
+	}
+	snap, err := readSnapshotFile(snapPath)
 	if err != nil {
 		return fmt.Errorf("shard %d: snapshot: %w", sh.id, err)
 	}
 	if snap != nil {
-		if snap.Shard != sh.id || snap.Nodes != sh.cfg.Nodes || snap.Engine != sh.cfg.Engine {
-			return fmt.Errorf("%w: shard %d: snapshot is for shard=%d nodes=%d engine=%+v",
-				ErrSnapshotMismatch, sh.id, snap.Shard, snap.Nodes, snap.Engine)
+		if sh.eng, err = snap.restoreEngine(sh.id, sh.cfg.Nodes, sh.cfg.Engine); err != nil {
+			return fmt.Errorf("shard %d: snapshot: %w", sh.id, err)
 		}
-		for i := range snap.Jobs {
-			if err := sh.replayJob(&snap.Jobs[i]); err != nil {
-				return fmt.Errorf("shard %d: snapshot job %d: %w", sh.id, i, err)
-			}
-		}
-		if got := sh.eng.StateDigest(); got != snap.Digest {
-			return fmt.Errorf("%w: shard %d: replayed digest %016x, snapshot recorded %016x",
-				ErrSnapshotMismatch, sh.id, got, snap.Digest)
-		}
-		sh.snapSeq = snap.Seq
+		sh.seq, sh.snapSeq = snap.Seq, snap.Seq
 		sh.snapSeqPub.Store(snap.Seq)
+	} else if sh.eng, err = sh.cfg.Engine.newEngine(sh.cfg.Nodes); err != nil {
+		return err
 	}
 
 	_, torn, err := replayWAL(walPath(sh.cfg.Dir, sh.id), sh.seq, func(seq uint64, spec *JobSpec) error {
@@ -266,7 +261,6 @@ func (sh *shard) replayJob(spec *JobSpec) error {
 		return err
 	}
 	sh.seq++
-	sh.specs = append(sh.specs, *spec)
 	return nil
 }
 
@@ -414,6 +408,7 @@ func (sh *shard) processBatch(batch []*request) {
 	obs := sh.obs
 	eb := sh.eng.BeginBatch()
 	entries := sh.entriesBuf[:0]
+	sh.specs = sh.specs[:0]
 	for _, req := range batch {
 		var tStart time.Time
 		if obs != nil {
@@ -516,7 +511,7 @@ func (sh *shard) processBatch(batch []*request) {
 	}
 	if sh.wal != nil && len(entries) > 0 {
 		firstSeq := sh.seq - uint64(len(entries)) + 1
-		werr := sh.wal.AppendBatch(firstSeq, sh.specs[len(sh.specs)-len(entries):])
+		werr := sh.wal.AppendBatch(firstSeq, sh.specs)
 		if obs != nil {
 			obs.walAppend.Observe(time.Since(tGroup).Seconds())
 			obs.walGroupRecords.Observe(float64(len(entries)))
@@ -570,8 +565,7 @@ func (sh *shard) processBatch(batch []*request) {
 			if e.lifted {
 				obs.lifted.Inc()
 			}
-			spec := &sh.specs[len(sh.specs)-int(sh.seq-e.seq)-1]
-			obs.jobAdmitted(spec, sh.id, e.seq, e.req.enq, e.tStart, e.tDecide, tJournal, tDone, e.lifted, len(batch))
+			obs.jobAdmitted(&sh.specs[i], sh.id, e.seq, e.req.enq, e.tStart, e.tDecide, tJournal, tDone, e.lifted, len(batch))
 		}
 		e.req.reply <- reply{dec: e.dec}
 	}
@@ -607,26 +601,31 @@ func (sh *shard) publish() {
 	}
 }
 
-// snapshot compacts the journal: write the full state atomically, then
-// truncate the WAL (snapshot rename is the commit point — see snapshot.go).
+// snapshot compacts the journal: write the engine's state image atomically,
+// then truncate the WAL (snapshot rename is the commit point, made durable
+// first when the WAL is synchronous — see snapshot.go).
 func (sh *shard) snapshot() error {
 	if sh.cfg.Dir == "" {
 		return nil
-	}
-	snap := &Snapshot{
-		Shard:  sh.id,
-		Nodes:  sh.cfg.Nodes,
-		Engine: sh.cfg.Engine,
-		Seq:    sh.seq,
-		Clock:  sh.eng.Clock(),
-		Digest: sh.eng.StateDigest(),
-		Jobs:   sh.specs,
 	}
 	var begin time.Time
 	if sh.obs != nil {
 		begin = time.Now()
 	}
-	if err := writeSnapshotFile(snapshotPath(sh.cfg.Dir, sh.id), snap); err != nil {
+	img, err := sh.eng.AppendImage(sh.imgBuf[:0])
+	if err != nil {
+		return err
+	}
+	sh.imgBuf = img
+	snap := &Snapshot{
+		Shard:  sh.id,
+		Nodes:  sh.cfg.Nodes,
+		Engine: sh.cfg.Engine,
+		Seq:    sh.seq,
+		Digest: sh.eng.StateDigest(),
+		Image:  img,
+	}
+	if err := writeSnapshotFile(snapshotPath(sh.cfg.Dir, sh.id), snap, sh.cfg.WALSync); err != nil {
 		return err
 	}
 	if sh.obs != nil {

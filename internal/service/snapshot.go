@@ -1,21 +1,36 @@
 package service
 
 // Crash-safe persistence: a per-shard write-ahead log of admitted jobs plus
-// periodic snapshots that compact the log prefix.
+// periodic snapshots that replace the log prefix with an image of the
+// engine's state.
 //
-// Snapshot file layout (binary header around a JSON payload):
+// Snapshot file layout (binary frame around a binary payload):
 //
 //	offset  size  field
 //	0       7     magic "CCFSNAP"
-//	7       1     version (0x01)
+//	7       1     version (0x02)
 //	8       8     payload length, big-endian
-//	16      n     payload (JSON-encoded Snapshot)
+//	16      n     payload
 //	16+n    4     CRC-32 (IEEE) of the payload, big-endian
 //
-// Writes are atomic: temp file in the same directory, fsync, rename. The
-// decoder rejects truncation, trailing garbage, checksum mismatches and
-// unknown versions with typed errors — never a panic, never a partial load
-// (FuzzSnapshotRestore pins this).
+// Payload, big-endian: u32 shard, u32 nodes, u64 seq, u64 engine state
+// digest, u64 bandwidth bits, u8 co-optimize, u8 scheduler-name length and
+// the name, then the engine's state image to the end of the payload
+// (core.OnlineEngine.AppendImage: engine clock, job count, and the session
+// image documented in netsim/image.go). The image holds the coflows in
+// flight plus a 32-byte tombstone per finished job, so a snapshot is written
+// and restored in time proportional to live work; restore loads it, checks
+// the job count and the recorded digest, and replays only the WAL suffix.
+// Version 1 files (a JSON history of every job spec, restored by replaying
+// all of them) are refused with ErrSnapshotVersion.
+//
+// Writes are atomic: temp file in the same directory, fsync, rename — and,
+// when the WAL is synchronous, an fsync of the directory so the rename is on
+// disk before the WAL it supersedes is cut. The decoder rejects truncation,
+// trailing garbage, checksum mismatches and unknown versions with typed
+// errors — never a panic, never a partial load (FuzzSnapshotRestore pins
+// this). A crash mid-write leaves a shard-NNN.snap.tmp-* file; restore
+// sweeps them.
 //
 // WAL layout: one JSON object per line, {"seq":N,"crc":C,"job":{...}} with
 // the CRC taken over the raw job bytes. A torn final line (the crash wrote
@@ -25,10 +40,12 @@ package service
 // prove what the dead daemon decided.
 //
 // Recovery ordering: the snapshot rename is the commit point of compaction,
-// and the WAL is truncated only after it. A crash between the two leaves
-// WAL entries with seq <= Snapshot.Seq, which replay skips; a crash during
-// the snapshot write leaves the previous snapshot plus the full WAL. Both
-// paths rebuild the same engine.
+// and the WAL is truncated only after it (and, with a synchronous WAL, only
+// after the directory entry is durable: otherwise a power loss could keep
+// the truncate and lose the rename). A crash between the two leaves WAL
+// entries with seq <= Snapshot.Seq, which replay skips; a crash during the
+// snapshot write leaves the previous snapshot plus the full WAL. Both paths
+// rebuild the same engine.
 
 import (
 	"bufio"
@@ -38,10 +55,12 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 
 	"ccf/internal/core"
+	"ccf/internal/netsim"
 )
 
 // Typed snapshot decode failures, matchable with errors.Is.
@@ -62,7 +81,7 @@ var (
 
 const (
 	snapMagic   = "CCFSNAP"
-	snapVersion = 0x01
+	snapVersion = 0x02
 	// snapMaxPayload bounds the decoded payload (a length-prefix of a
 	// corrupted header must not drive a giant allocation).
 	snapMaxPayload = 1 << 30
@@ -81,51 +100,77 @@ type EngineConfig struct {
 	NetworkScheduler string `json:"network_scheduler"`
 }
 
-// newEngine constructs a shard engine from the pinned identity.
-func (c EngineConfig) newEngine(nodes int) (*core.OnlineEngine, error) {
+// options resolves the pinned identity into engine options.
+func (c EngineConfig) options() (core.OnlineOptions, error) {
 	sched, err := netSchedByName(c.NetworkScheduler)
 	if err != nil {
-		return nil, err
+		return core.OnlineOptions{}, err
 	}
-	return core.NewOnlineEngine(nodes, core.OnlineOptions{
+	return core.OnlineOptions{
 		Bandwidth:        c.Bandwidth,
 		CoOptimize:       c.CoOptimize,
 		NetworkScheduler: sched,
-	})
+	}, nil
 }
 
-// Snapshot is one shard's durable state: the engine identity, the effective
-// records of every job admitted up to Seq, and a digest of the engine state
-// those jobs produce. Restore replays Jobs through a fresh engine and
-// verifies the digest, then replays the WAL suffix (seq > Seq).
-type Snapshot struct {
-	Shard  int          `json:"shard"`
-	Nodes  int          `json:"nodes"`
-	Engine EngineConfig `json:"engine"`
-	Seq    uint64       `json:"seq"`
-	Clock  float64      `json:"clock"`
-	Digest uint64       `json:"digest"`
-	Jobs   []JobSpec    `json:"jobs"`
+// newEngine constructs a fresh shard engine from the pinned identity.
+func (c EngineConfig) newEngine(nodes int) (*core.OnlineEngine, error) {
+	opts, err := c.options()
+	if err != nil {
+		return nil, err
+	}
+	return core.NewOnlineEngine(nodes, opts)
 }
+
+// Snapshot is one shard's durable state: the engine identity, how many jobs
+// were admitted, an image of the engine after the last of them and the
+// digest of that engine's state. Restore loads the image, verifies the
+// digest, then replays the WAL suffix (seq > Seq).
+type Snapshot struct {
+	Shard  int
+	Nodes  int
+	Engine EngineConfig
+	Seq    uint64
+	Digest uint64
+	Image  []byte
+}
+
+// snapHeaderBytes is the fixed part of the payload, before the scheduler
+// name: shard, nodes, seq, digest, bandwidth, co-optimize, name length.
+const snapHeaderBytes = 4 + 4 + 8 + 8 + 8 + 1 + 1
 
 // EncodeSnapshot serialises a snapshot into the versioned, checksummed file
 // format.
 func EncodeSnapshot(s *Snapshot) ([]byte, error) {
-	payload, err := json.Marshal(s)
-	if err != nil {
-		return nil, err
+	name := s.Engine.NetworkScheduler
+	if uint64(s.Shard) > math.MaxUint32 || s.Nodes <= 0 || uint64(s.Nodes) > math.MaxUint32 || len(name) > math.MaxUint8 {
+		return nil, fmt.Errorf("service: snapshot of shard %d, %d nodes, scheduler %q does not fit the format", s.Shard, s.Nodes, name)
 	}
-	buf := make([]byte, 0, 16+len(payload)+4)
+	n := snapHeaderBytes + len(name) + len(s.Image)
+	be := binary.BigEndian
+	buf := make([]byte, 0, 16+n+4)
 	buf = append(buf, snapMagic...)
 	buf = append(buf, snapVersion)
-	buf = binary.BigEndian.AppendUint64(buf, uint64(len(payload)))
-	buf = append(buf, payload...)
-	buf = binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
-	return buf, nil
+	buf = be.AppendUint64(buf, uint64(n))
+	buf = be.AppendUint32(buf, uint32(s.Shard))
+	buf = be.AppendUint32(buf, uint32(s.Nodes))
+	buf = be.AppendUint64(buf, s.Seq)
+	buf = be.AppendUint64(buf, s.Digest)
+	buf = be.AppendUint64(buf, math.Float64bits(s.Engine.Bandwidth))
+	if s.Engine.CoOptimize {
+		buf = append(buf, 1)
+	} else {
+		buf = append(buf, 0)
+	}
+	buf = append(buf, byte(len(name)))
+	buf = append(buf, name...)
+	buf = append(buf, s.Image...)
+	return be.AppendUint32(buf, crc32.ChecksumIEEE(buf[16:])), nil
 }
 
 // DecodeSnapshot parses and verifies a snapshot file image. Every failure
-// is a typed error; no partially-decoded state ever escapes.
+// is a typed error; no partially-decoded state ever escapes. The returned
+// Image aliases b.
 func DecodeSnapshot(b []byte) (*Snapshot, error) {
 	if len(b) < 16+4 {
 		return nil, fmt.Errorf("%w: %d bytes is shorter than the fixed header", ErrSnapshotFormat, len(b))
@@ -136,7 +181,8 @@ func DecodeSnapshot(b []byte) (*Snapshot, error) {
 	if b[7] != snapVersion {
 		return nil, fmt.Errorf("%w: version %d, this build reads %d", ErrSnapshotVersion, b[7], snapVersion)
 	}
-	n := binary.BigEndian.Uint64(b[8:16])
+	be := binary.BigEndian
+	n := be.Uint64(b[8:16])
 	if n > snapMaxPayload {
 		return nil, fmt.Errorf("%w: payload length %d exceeds limit", ErrSnapshotFormat, n)
 	}
@@ -145,24 +191,57 @@ func DecodeSnapshot(b []byte) (*Snapshot, error) {
 			ErrSnapshotFormat, len(b), n)
 	}
 	payload := b[16 : 16+n]
-	want := binary.BigEndian.Uint32(b[16+n:])
+	want := be.Uint32(b[16+n:])
 	if got := crc32.ChecksumIEEE(payload); got != want {
 		return nil, fmt.Errorf("%w: crc %08x, header says %08x", ErrSnapshotChecksum, got, want)
 	}
-	var s Snapshot
-	if err := json.Unmarshal(payload, &s); err != nil {
-		return nil, fmt.Errorf("%w: payload: %v", ErrSnapshotFormat, err)
+	if len(payload) < snapHeaderBytes {
+		return nil, fmt.Errorf("%w: %d-byte payload is shorter than its header", ErrSnapshotFormat, len(payload))
 	}
-	if s.Nodes <= 0 || s.Shard < 0 || uint64(len(s.Jobs)) != s.Seq {
-		return nil, fmt.Errorf("%w: inconsistent payload (nodes=%d shard=%d seq=%d jobs=%d)",
-			ErrSnapshotFormat, s.Nodes, s.Shard, s.Seq, len(s.Jobs))
+	s := &Snapshot{
+		Shard:  int(be.Uint32(payload)),
+		Nodes:  int(be.Uint32(payload[4:])),
+		Seq:    be.Uint64(payload[8:]),
+		Digest: be.Uint64(payload[16:]),
+		Engine: EngineConfig{Bandwidth: math.Float64frombits(be.Uint64(payload[24:])), CoOptimize: payload[32] == 1},
 	}
-	for i := range s.Jobs {
-		if s.Jobs[i].Arrival == nil {
-			return nil, fmt.Errorf("%w: job %d has no resolved arrival", ErrSnapshotFormat, i)
-		}
+	nameLen := int(payload[33])
+	if s.Nodes <= 0 || payload[32] > 1 || len(payload) < snapHeaderBytes+nameLen {
+		return nil, fmt.Errorf("%w: inconsistent payload (nodes=%d co-optimize=%d scheduler name %d bytes of %d left)",
+			ErrSnapshotFormat, s.Nodes, payload[32], nameLen, len(payload)-snapHeaderBytes)
 	}
-	return &s, nil
+	s.Engine.NetworkScheduler = string(payload[snapHeaderBytes : snapHeaderBytes+nameLen])
+	s.Image = payload[snapHeaderBytes+nameLen:]
+	return s, nil
+}
+
+// restoreEngine rebuilds the engine the snapshot images, for a shard of the
+// given identity, and proves it is the one that was imaged: it has admitted
+// Seq jobs and digests as recorded. A snapshot of another identity is
+// refused before anything is sized from its fields.
+func (s *Snapshot) restoreEngine(shard, nodes int, engine EngineConfig) (*core.OnlineEngine, error) {
+	if s.Shard != shard || s.Nodes != nodes || s.Engine != engine {
+		return nil, fmt.Errorf("%w: shard %d: snapshot is for shard=%d nodes=%d engine=%+v",
+			ErrSnapshotMismatch, shard, s.Shard, s.Nodes, s.Engine)
+	}
+	opts, err := engine.options()
+	if err != nil {
+		return nil, err
+	}
+	eng, err := core.RestoreOnlineEngine(s.Nodes, opts, s.Image)
+	if errors.Is(err, netsim.ErrImage) {
+		return nil, fmt.Errorf("%w: %v", ErrSnapshotFormat, err)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if uint64(eng.JobCount()) != s.Seq {
+		return nil, fmt.Errorf("%w: image holds %d jobs, snapshot is at seq %d", ErrSnapshotFormat, eng.JobCount(), s.Seq)
+	}
+	if got := eng.StateDigest(); got != s.Digest {
+		return nil, fmt.Errorf("%w: restored digest %016x, snapshot recorded %016x", ErrSnapshotMismatch, got, s.Digest)
+	}
+	return eng, nil
 }
 
 // snapshotPath / walPath name a shard's files inside the state directory.
@@ -175,13 +254,15 @@ func walPath(dir string, shard int) string {
 }
 
 // writeSnapshotFile writes atomically: temp file in the same directory,
-// fsync, rename over the target.
-func writeSnapshotFile(path string, s *Snapshot) error {
+// fsync, rename over the target. With syncDir the directory is fsynced too,
+// so the rename itself survives a power loss.
+func writeSnapshotFile(path string, s *Snapshot, syncDir bool) error {
 	b, err := EncodeSnapshot(s)
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-")
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, filepath.Base(path)+snapTempInfix)
 	if err != nil {
 		return err
 	}
@@ -197,7 +278,34 @@ func writeSnapshotFile(path string, s *Snapshot) error {
 	if err := tmp.Close(); err != nil {
 		return err
 	}
-	return os.Rename(tmp.Name(), path)
+	if err := os.Rename(tmp.Name(), path); err != nil || !syncDir {
+		return err
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
+}
+
+// snapTempInfix separates a snapshot's name from the random suffix of its
+// in-progress temp files.
+const snapTempInfix = ".tmp-"
+
+// sweepSnapshotTemps removes the temp files of snapshot writes a crash
+// interrupted; nothing ever reads them.
+func sweepSnapshotTemps(path string) error {
+	stale, err := filepath.Glob(path + snapTempInfix + "*")
+	if err != nil {
+		return err
+	}
+	for _, f := range stale {
+		if err := os.Remove(f); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // readSnapshotFile loads and verifies a snapshot; a missing file returns

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -11,28 +12,39 @@ import (
 	"ccf/internal/workload"
 )
 
-func testSnapshot(t *testing.T) *Snapshot {
+// testSnapshot images a real engine that has decided three jobs: one long
+// gone (a tombstone in the image), one in flight, one still queued behind
+// the session clock.
+func testSnapshot(t testing.TB) *Snapshot {
 	t.Helper()
-	a0, a1 := 0.0, 0.25
-	return &Snapshot{
-		Shard:  2,
-		Nodes:  4,
-		Engine: EngineConfig{CoOptimize: true, NetworkScheduler: "varys"},
-		Seq:    2,
-		Clock:  0.25,
-		Digest: 0xdeadbeefcafe,
-		Jobs: []JobSpec{
-			{Name: "a", Arrival: &a0, Gen: &workload.Config{
-				Nodes:          4,
-				CustomerTuples: 50,
-				OrderTuples:    500,
-				PayloadBytes:   1000,
-				Zipf:           0.8,
-				Seed:           7,
-			}},
-			{Name: "b", Arrival: &a1, Chunks: [][]int64{{1, 2}, {3, 4}, {5, 6}, {7, 8}}},
-		},
+	cfg := EngineConfig{CoOptimize: true, NetworkScheduler: "varys"}
+	eng, err := cfg.newEngine(4)
+	if err != nil {
+		t.Fatal(err)
 	}
+	arrivals := []float64{0, 100, 100.25}
+	for i, a := range arrivals {
+		spec := &JobSpec{Name: string(rune('a' + i)), Arrival: &arrivals[i], PlacementOnly: i == 2, Gen: &workload.Config{
+			Nodes:          4,
+			CustomerTuples: 50,
+			OrderTuples:    500,
+			PayloadBytes:   1000,
+			Zipf:           0.8,
+			Seed:           uint64(7 + i),
+		}}
+		job, err := materialize(spec, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.Submit(job); err != nil {
+			t.Fatalf("submit at %g: %v", a, err)
+		}
+	}
+	img, err := eng.AppendImage(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &Snapshot{Shard: 2, Nodes: 4, Engine: cfg, Seq: 3, Digest: eng.StateDigest(), Image: img}
 }
 
 func TestSnapshotRoundTrip(t *testing.T) {
@@ -46,11 +58,16 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("decode: %v", err)
 	}
 	if got.Shard != s.Shard || got.Nodes != s.Nodes || got.Seq != s.Seq ||
-		got.Digest != s.Digest || got.Engine != s.Engine || len(got.Jobs) != len(s.Jobs) {
+		got.Digest != s.Digest || got.Engine != s.Engine || !bytes.Equal(got.Image, s.Image) {
 		t.Fatalf("roundtrip mismatch: got %+v want %+v", got, s)
 	}
-	if got.Jobs[1].Chunks[3][1] != 8 {
-		t.Fatalf("chunk matrix did not survive: %v", got.Jobs[1].Chunks)
+	eng, err := got.restoreEngine(2, 4, s.Engine)
+	if err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	if eng.JobCount() != 3 || eng.Clock() != 100.25 || eng.StateDigest() != s.Digest {
+		t.Fatalf("restored engine: jobs=%d clock=%g digest=%016x, want 3 / 100.25 / %016x",
+			eng.JobCount(), eng.Clock(), eng.StateDigest(), s.Digest)
 	}
 }
 
@@ -71,6 +88,8 @@ func TestSnapshotDecodeRejectsDamage(t *testing.T) {
 		{"trailing garbage", func(b []byte) []byte { return append(b, 0xAA) }, ErrSnapshotFormat},
 		{"bad magic", func(b []byte) []byte { b[0] = 'X'; return b }, ErrSnapshotFormat},
 		{"future version", func(b []byte) []byte { b[7] = 0x7F; return b }, ErrSnapshotVersion},
+		// The spec-history format this one replaced: refused, not migrated.
+		{"version 1", func(b []byte) []byte { b[7] = 0x01; return b }, ErrSnapshotVersion},
 		{"flipped payload byte", func(b []byte) []byte { b[20] ^= 0x40; return b }, ErrSnapshotChecksum},
 		{"flipped crc byte", func(b []byte) []byte { b[len(b)-1] ^= 0x01; return b }, ErrSnapshotChecksum},
 		{"huge length header", func(b []byte) []byte {
@@ -92,25 +111,59 @@ func TestSnapshotDecodeRejectsDamage(t *testing.T) {
 	}
 }
 
+// reframe wraps a payload in a valid frame, so damage inside it gets past
+// the checksum to the decoders behind it.
+func reframe(payload []byte) []byte {
+	b := append([]byte(snapMagic), snapVersion)
+	b = binary.BigEndian.AppendUint64(b, uint64(len(payload)))
+	b = append(b, payload...)
+	return binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(payload))
+}
+
 func TestSnapshotDecodeRejectsInconsistentPayload(t *testing.T) {
-	s := testSnapshot(t)
-	s.Seq = 5 // five claimed, two recorded
-	b, err := EncodeSnapshot(s)
+	good, err := EncodeSnapshot(testSnapshot(t))
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	if _, err := DecodeSnapshot(b); !errors.Is(err, ErrSnapshotFormat) {
-		t.Fatalf("seq/jobs mismatch: error = %v, want ErrSnapshotFormat", err)
+	payload := func() []byte { return append([]byte(nil), good[16:len(good)-4]...) }
+
+	// Header-level inconsistencies fail in DecodeSnapshot.
+	header := map[string]func(p []byte) []byte{
+		"short payload":       func(p []byte) []byte { return p[:snapHeaderBytes-1] },
+		"zero nodes":          func(p []byte) []byte { binary.BigEndian.PutUint32(p[4:], 0); return p },
+		"co-optimize flag 7":  func(p []byte) []byte { p[32] = 7; return p },
+		"scheduler name long": func(p []byte) []byte { return append(p[:33], 200) },
+	}
+	for name, mutate := range header {
+		if s, err := DecodeSnapshot(reframe(mutate(payload()))); s != nil || !errors.Is(err, ErrSnapshotFormat) {
+			t.Errorf("%s: got %+v, %v; want ErrSnapshotFormat", name, s, err)
+		}
 	}
 
-	s = testSnapshot(t)
-	s.Jobs[0].Arrival = nil
-	b, err = EncodeSnapshot(s)
-	if err != nil {
-		t.Fatalf("encode: %v", err)
+	// Image-level ones decode and fail the restore, typed.
+	image := map[string]struct {
+		mutate func(s *Snapshot)
+		want   error
+	}{
+		"seq beyond the image's jobs": {func(s *Snapshot) { s.Seq = 5 }, ErrSnapshotFormat},
+		"image cut short":             {func(s *Snapshot) { s.Image = s.Image[:len(s.Image)-9] }, ErrSnapshotFormat},
+		"image with a tail":           {func(s *Snapshot) { s.Image = append(s.Image[:len(s.Image):len(s.Image)], 0) }, ErrSnapshotFormat},
+		"image without engine header": {func(s *Snapshot) { s.Image = s.Image[:5] }, ErrSnapshotFormat},
+		"another state's digest":      {func(s *Snapshot) { s.Digest++ }, ErrSnapshotMismatch},
+		"another scheduler's":         {func(s *Snapshot) { s.Engine.NetworkScheduler = "aalo" }, ErrSnapshotMismatch},
+		"another fabric's":            {func(s *Snapshot) { s.Nodes = 3 }, ErrSnapshotMismatch},
+		"another shard's":             {func(s *Snapshot) { s.Shard = 0 }, ErrSnapshotMismatch},
 	}
-	if _, err := DecodeSnapshot(b); !errors.Is(err, ErrSnapshotFormat) {
-		t.Fatalf("unresolved arrival: error = %v, want ErrSnapshotFormat", err)
+	for name, tc := range image {
+		s, err := DecodeSnapshot(reframe(payload()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := *s
+		tc.mutate(s)
+		if eng, err := s.restoreEngine(want.Shard, want.Nodes, want.Engine); eng != nil || !errors.Is(err, tc.want) {
+			t.Errorf("%s: got engine %v, error %v; want %v", name, eng != nil, err, tc.want)
+		}
 	}
 }
 
@@ -118,22 +171,21 @@ func TestSnapshotFileAtomicWrite(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "shard-000.snap")
 	s := testSnapshot(t)
-	if err := writeSnapshotFile(path, s); err != nil {
+	if err := writeSnapshotFile(path, s, false); err != nil {
 		t.Fatalf("write: %v", err)
 	}
 	// Overwrite with different state: the rename must replace, and no temp
-	// files may linger.
+	// files may linger. The second write also fsyncs the directory.
 	s.Seq = 1
-	s.Jobs = s.Jobs[:1]
-	if err := writeSnapshotFile(path, s); err != nil {
+	if err := writeSnapshotFile(path, s, true); err != nil {
 		t.Fatalf("rewrite: %v", err)
 	}
 	got, err := readSnapshotFile(path)
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
-	if got.Seq != 1 || len(got.Jobs) != 1 {
-		t.Fatalf("rewrite not visible: seq=%d jobs=%d", got.Seq, len(got.Jobs))
+	if got.Seq != 1 {
+		t.Fatalf("rewrite not visible: seq=%d", got.Seq)
 	}
 	ents, err := os.ReadDir(dir)
 	if err != nil {
