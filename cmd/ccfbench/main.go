@@ -19,6 +19,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"time"
 
 	"ccf/internal/bound"
@@ -33,27 +34,29 @@ import (
 	"ccf/internal/workload"
 )
 
+// experiment is one -exp value. The table in main is the only list of them:
+// the -exp help text, the unknown-name rejection and the dispatch all read it.
+type experiment struct {
+	name string
+	// inAll marks the paper's figures and ablations, which `-exp all` runs in
+	// table order; the rest (failure model, telemetry, service drivers) run
+	// only when named.
+	inAll bool
+	run   func() error
+}
+
 func main() {
 	var (
-		exp = flag.String("exp", "all", "experiment: all, fig5, fig6, fig7, motivating, "+
-			"ablation-rank, ablation-pmult, ablation-sort, ablation-exact, "+
-			"ablation-hetero, ablation-topo, ablation-bound, netsim-bench, online-bench, "+
-			"chaos, recovery, telemetry, service-load, service-smoke, service-burst, trace-scale")
-		scale      = flag.Float64("scale", 1.0, "dataset scale factor (1.0 = paper's ≈1 TB)")
-		bandwidth  = flag.Float64("bw", 0, "port bandwidth in bytes/sec (0 = CoflowSim default 128 MB/s)")
-		csvDir     = flag.String("csv", "", "directory to write per-panel CSV files (empty = none)")
-		eventSim   = flag.Bool("eventsim", false, "use the flow-level event simulator instead of the closed form (slow at full node counts)")
-		chart      = flag.Bool("chart", false, "also render each figure panel as an ASCII chart (time panels on a log scale)")
-		benchJSON  = flag.String("benchjson", "BENCH_netsim.json", "output path for the netsim-bench experiment's JSON")
-		onlineJSON = flag.String("onlinejson", "BENCH_online.json", "output path for the online-bench experiment's JSON")
-		onlineJobs = flag.Int("onlinejobs", 256, "largest job-stream size for the online-bench experiment")
-		seeds      = flag.Int("seeds", 32, "fault schedules for the chaos experiment")
-		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "worker goroutines for sweep-style experiments "+
+		scale     = flag.Float64("scale", 1.0, "dataset scale factor (1.0 = paper's ≈1 TB)")
+		bandwidth = flag.Float64("bw", 0, "port bandwidth in bytes/sec (0 = CoflowSim default 128 MB/s)")
+		csvDir    = flag.String("csv", "", "directory to write per-panel CSV files (empty = none)")
+		eventSim  = flag.Bool("eventsim", false, "use the flow-level event simulator instead of the closed form (slow at full node counts)")
+		chart     = flag.Bool("chart", false, "also render each figure panel as an ASCII chart (time panels on a log scale)")
+		seeds     = flag.Int("seeds", 32, "fault schedules for the chaos experiment")
+		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "worker goroutines for sweep-style experiments "+
 			"(1 = serial; results are identical at any value, figure sweeps may hold ~120 MB per worker at paper scale)")
-		benchPorts   = flag.Int("benchports", 1024, "fabric ports for the netsim-bench sharded-run rows")
-		benchCoflows = flag.Int("benchcoflows", 64, "coflows for the netsim-bench sharded-run rows (each carries ports/2 flows)")
-		cpuprofile   = flag.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
-		memprofile   = flag.String("memprofile", "", "write a heap profile to this file at exit (go tool pprof)")
+		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
+		memprofile = flag.String("memprofile", "", "write a heap profile to this file at exit (go tool pprof)")
 
 		serviceJSON   = flag.String("servicejson", "BENCH_service.json", "output path for the service-load experiment's JSON")
 		serviceDir    = flag.String("servicedir", "", "state directory for the service-load pool (empty = fresh temp dir)")
@@ -66,26 +69,54 @@ func main() {
 
 		burstClients = flag.Int("burstclients", 32, "concurrent submitters for the service-burst experiment")
 		burstOut     = flag.String("burstout", "SMOKE_acked.jsonl", "acked {shard,seq} ledger the service-burst driver writes")
-
-		density       = flag.String("density", "1,10,100,1000", "comma-separated density multipliers for the trace-scale experiment")
-		traceJSON     = flag.String("tracejson", "BENCH_trace.json", "output path for the trace-scale experiment's JSON")
-		traceMachines = flag.Int("tracemachines", 16, "fabric width for the trace-scale experiment")
-		traceCoflows  = flag.Int("tracecoflows", 12, "base (×1) coflow count for the trace-scale experiment")
-		traceDense    = flag.Float64("tracedense", 100, "largest density also run through the dense batch path for the speedup/equality check")
 	)
+	// The closures read the flag values and opts when they run, after
+	// flag.Parse.
+	var opts core.SweepOptions
+	figure := func(name string, sweep func() (*core.FigureResult, error)) func() error {
+		return func() error {
+			fr, err := sweep()
+			if err != nil {
+				return err
+			}
+			return emit(fr, name, *csvDir)
+		}
+	}
+	exps := []experiment{
+		{"motivating", true, motivating},
+		{"fig5", true, figure("fig5", func() (*core.FigureResult, error) { return core.Fig5(nil, opts) })},
+		{"fig6", true, figure("fig6", func() (*core.FigureResult, error) { return core.Fig6(nil, 500, opts) })},
+		{"fig7", true, figure("fig7", func() (*core.FigureResult, error) { return core.Fig7(nil, 500, opts) })},
+		{"ablation-rank", true, func() error { return ablationRank(opts, *csvDir) }},
+		{"ablation-pmult", true, func() error { return ablationPmult(opts, *csvDir) }},
+		{"ablation-sort", true, func() error { return ablationSort(opts) }},
+		{"ablation-exact", true, ablationExact},
+		{"ablation-hetero", true, func() error { return ablationHetero(opts) }},
+		{"ablation-topo", true, func() error { return ablationTopo(opts) }},
+		{"ablation-bound", true, func() error { return ablationBound(opts) }},
+		{"chaos", false, func() error { return chaosExp(*seeds, *workers) }},
+		{"recovery", false, func() error { return recoveryExp(*bandwidth, *workers) }},
+		{"telemetry", false, func() error { return telemetryExp(1, *bandwidth, *workers) }},
+		{"service-load", false, func() error {
+			fmt.Println("service-load: daemon under steady load, overload, and kill+restart:")
+			return serviceLoadExp(*serviceJSON, *serviceDir)
+		}},
+		{"service-smoke", false, func() error {
+			return serviceSmokeExp(*serviceURL, *serviceJobs, *serviceOffset, *serviceNodes, *smokeOut, *serviceWait)
+		}},
+		{"service-burst", false, func() error {
+			return serviceBurstExp(*serviceURL, *serviceJobs, *serviceNodes, *burstClients, *burstOut, *serviceWait)
+		}},
+	}
+	names := make([]string, len(exps))
+	for i, e := range exps {
+		names[i] = e.name
+	}
+	exp := flag.String("exp", "all", "experiment: all, "+strings.Join(names, ", "))
 	flag.Parse()
 	chartPanels = *chart
 
-	if err := validateBenchFlags(*exp, *scale, *bandwidth, *seeds, *onlineJobs, *workers, *benchPorts, *benchCoflows); err != nil {
-		fmt.Fprintln(os.Stderr, "ccfbench:", err)
-		os.Exit(2)
-	}
-	densities, err := parseDensities(*density)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ccfbench:", err)
-		os.Exit(2)
-	}
-	if err := validateTraceFlags(*traceJSON, *traceMachines, *traceCoflows, *traceDense); err != nil {
+	if err := validateBenchFlags(exps, *exp, *scale, *bandwidth, *seeds, *workers); err != nil {
 		fmt.Fprintln(os.Stderr, "ccfbench:", err)
 		os.Exit(2)
 	}
@@ -118,140 +149,27 @@ func main() {
 		}()
 	}
 
-	opts := core.SweepOptions{Scale: *scale, Bandwidth: *bandwidth, UseEventSim: *eventSim, Workers: *workers}
-	run := func(name string, fn func() error) {
-		if *exp != "all" && *exp != name {
-			return
+	opts = core.SweepOptions{Scale: *scale, Bandwidth: *bandwidth, UseEventSim: *eventSim, Workers: *workers}
+	for _, e := range exps {
+		if *exp != e.name && !(*exp == "all" && e.inAll) {
+			continue
 		}
-		if err := fn(); err != nil {
-			fmt.Fprintf(os.Stderr, "ccfbench: %s: %v\n", name, err)
-			os.Exit(1)
-		}
-	}
-
-	run("motivating", func() error { return motivating() })
-	run("fig5", func() error {
-		fr, err := core.Fig5(nil, opts)
-		if err != nil {
-			return err
-		}
-		return emit(fr, "fig5", *csvDir)
-	})
-	run("fig6", func() error {
-		fr, err := core.Fig6(nil, 500, opts)
-		if err != nil {
-			return err
-		}
-		return emit(fr, "fig6", *csvDir)
-	})
-	run("fig7", func() error {
-		fr, err := core.Fig7(nil, 500, opts)
-		if err != nil {
-			return err
-		}
-		return emit(fr, "fig7", *csvDir)
-	})
-	run("ablation-rank", func() error { return ablationRank(opts, *csvDir) })
-	run("ablation-pmult", func() error { return ablationPmult(opts, *csvDir) })
-	run("ablation-sort", func() error { return ablationSort(opts) })
-	run("ablation-exact", func() error { return ablationExact() })
-	run("ablation-hetero", func() error { return ablationHetero(opts) })
-	run("ablation-topo", func() error { return ablationTopo(opts) })
-	run("ablation-bound", func() error { return ablationBound(opts) })
-	// netsim-bench, online-bench, chaos, and recovery are opt-in only (perf
-	// meter and failure-model experiments, not paper figures).
-	if *exp == "netsim-bench" {
-		fmt.Println("netsim steady-state benchmarks (simulator hot path):")
-		if err := netsimBench(*benchJSON, *workers, *benchPorts, *benchCoflows); err != nil {
-			fmt.Fprintf(os.Stderr, "ccfbench: netsim-bench: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if *exp == "online-bench" {
-		fmt.Println("online co-optimization benchmarks (probe reference vs resumable session):")
-		if err := onlineBench(*onlineJSON, *onlineJobs); err != nil {
-			fmt.Fprintf(os.Stderr, "ccfbench: online-bench: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if *exp == "chaos" {
-		if err := chaosExp(*seeds, *workers); err != nil {
-			fmt.Fprintf(os.Stderr, "ccfbench: chaos: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if *exp == "recovery" {
-		if err := recoveryExp(*bandwidth, *workers); err != nil {
-			fmt.Fprintf(os.Stderr, "ccfbench: recovery: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if *exp == "telemetry" {
-		if err := telemetryExp(1, *bandwidth, *workers); err != nil {
-			fmt.Fprintf(os.Stderr, "ccfbench: telemetry: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if *exp == "service-load" {
-		fmt.Println("service-load: daemon under steady load, overload, and kill+restart:")
-		if err := serviceLoadExp(*serviceJSON, *serviceDir); err != nil {
-			fmt.Fprintf(os.Stderr, "ccfbench: service-load: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if *exp == "service-smoke" {
-		if err := serviceSmokeExp(*serviceURL, *serviceJobs, *serviceOffset, *serviceNodes, *smokeOut, *serviceWait); err != nil {
-			fmt.Fprintf(os.Stderr, "ccfbench: service-smoke: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if *exp == "trace-scale" {
-		if err := traceScaleExp(*traceJSON, densities, *traceMachines, *traceCoflows, *traceDense); err != nil {
-			fmt.Fprintf(os.Stderr, "ccfbench: trace-scale: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if *exp == "service-burst" {
-		if err := serviceBurstExp(*serviceURL, *serviceJobs, *serviceNodes, *burstClients, *burstOut, *serviceWait); err != nil {
-			fmt.Fprintf(os.Stderr, "ccfbench: service-burst: %v\n", err)
+		if err := e.run(); err != nil {
+			fmt.Fprintf(os.Stderr, "ccfbench: %s: %v\n", e.name, err)
 			os.Exit(1)
 		}
 	}
 }
 
-// knownExperiments lists every value -exp accepts; anything else exits
-// non-zero instead of silently running nothing.
-var knownExperiments = map[string]bool{
-	"all": true, "fig5": true, "fig6": true, "fig7": true, "motivating": true,
-	"ablation-rank": true, "ablation-pmult": true, "ablation-sort": true,
-	"ablation-exact": true, "ablation-hetero": true, "ablation-topo": true,
-	"ablation-bound": true, "netsim-bench": true, "online-bench": true,
-	"chaos": true, "recovery": true, "telemetry": true,
-	"service-load": true, "service-smoke": true, "service-burst": true,
-	"trace-scale": true,
-}
-
-// validateTraceFlags rejects nonsensical trace-scale knob values.
-func validateTraceFlags(traceJSON string, machines, coflows int, denseMax float64) error {
-	if traceJSON == "" {
-		return fmt.Errorf("-tracejson must not be empty")
+// validateBenchFlags rejects an -exp value the table does not list and
+// nonsensical knob values with a one-line message before any experiment
+// starts.
+func validateBenchFlags(exps []experiment, exp string, scale, bw float64, seeds, workers int) error {
+	known := exp == "all"
+	for _, e := range exps {
+		known = known || e.name == exp
 	}
-	if machines < 2 {
-		return fmt.Errorf("-tracemachines must be at least 2, got %d", machines)
-	}
-	if coflows <= 0 {
-		return fmt.Errorf("-tracecoflows must be positive, got %d", coflows)
-	}
-	if denseMax <= 0 {
-		return fmt.Errorf("-tracedense must be positive, got %g", denseMax)
-	}
-	return nil
-}
-
-// validateBenchFlags rejects nonsensical knob values with a one-line message
-// before any experiment starts.
-func validateBenchFlags(exp string, scale, bw float64, seeds, onlineJobs, workers, benchPorts, benchCoflows int) error {
-	if !knownExperiments[exp] {
+	if !known {
 		return fmt.Errorf("unknown experiment %q (see -exp in -help)", exp)
 	}
 	if scale <= 0 {
@@ -263,17 +181,8 @@ func validateBenchFlags(exp string, scale, bw float64, seeds, onlineJobs, worker
 	if seeds <= 0 {
 		return fmt.Errorf("-seeds must be positive, got %d", seeds)
 	}
-	if onlineJobs <= 0 {
-		return fmt.Errorf("-onlinejobs must be positive, got %d", onlineJobs)
-	}
 	if workers < 1 {
 		return fmt.Errorf("-workers must be at least 1, got %d", workers)
-	}
-	if benchPorts < 2 {
-		return fmt.Errorf("-benchports must be at least 2, got %d", benchPorts)
-	}
-	if benchCoflows < 1 {
-		return fmt.Errorf("-benchcoflows must be positive, got %d", benchCoflows)
 	}
 	return nil
 }

@@ -640,13 +640,6 @@ type orderedMADD struct {
 
 	scratch allocScratch
 	ord     orderState
-	// shard configures the Tier-2 intra-epoch parallelism (see shard.go);
-	// the zero value keeps every pass on the serial code path.
-	shard ShardOptions
-	// keyScratch holds one allocScratch per shard worker for the parallel
-	// re-key pass (key functions need private demand buffers). Nil until
-	// sharded re-keying actually runs.
-	keyScratch []allocScratch
 	// sparse holds the event-horizon bookkeeping (see sparse.go); its zero
 	// value keeps Allocate on the dense path above.
 	sparse sparseState
@@ -663,17 +656,19 @@ func (o *orderedMADD) Allocate(_ float64, active []*Coflow, egCap, inCap []float
 		o.allocateSparse(active, egCap, inCap)
 		return
 	}
-	resetRatesSharded(active, o.shard)
+	resetRates(active)
 	o.scratch.ensure(len(egCap))
 	if o.ord.sync(active) || o.dynamic {
-		o.rekeyOrder(len(egCap))
+		for _, c := range o.ord.order {
+			c.schedKey = o.key(c, &o.scratch)
+		}
 		sortByKey(o.ord.order, false)
 	}
 	for _, c := range o.ord.order {
-		maddAllocateSharded(c, egCap, inCap, &o.scratch, o.shard)
+		maddAllocate(c, egCap, inCap, &o.scratch)
 	}
 	if o.backfill {
-		waterFillSharded(activeFlows(active, &o.scratch), egCap, inCap, &o.scratch, o.shard)
+		waterFill(activeFlows(active, &o.scratch), egCap, inCap, &o.scratch)
 	}
 }
 
@@ -739,7 +734,6 @@ type Aalo struct {
 
 	scratch allocScratch
 	ord     orderState
-	shard   ShardOptions
 	sparse  sparseState
 }
 
@@ -772,7 +766,7 @@ func (a *Aalo) Allocate(_ float64, active []*Coflow, egCap, inCap []float64) {
 		a.allocateSparse(active, egCap, inCap)
 		return
 	}
-	resetRatesSharded(active, a.shard)
+	resetRates(active)
 	a.scratch.ensure(len(egCap))
 	resort := a.ord.sync(active)
 	for _, c := range a.ord.order {
@@ -785,28 +779,25 @@ func (a *Aalo) Allocate(_ float64, active []*Coflow, egCap, inCap []float64) {
 		sortByKey(a.ord.order, true)
 	}
 	for _, c := range a.ord.order {
-		maddAllocateSharded(c, egCap, inCap, &a.scratch, a.shard)
+		maddAllocate(c, egCap, inCap, &a.scratch)
 	}
-	waterFillSharded(activeFlows(active, &a.scratch), egCap, inCap, &a.scratch, a.shard)
+	waterFill(activeFlows(active, &a.scratch), egCap, inCap, &a.scratch)
 }
 
 // PerFlowFair ignores coflow boundaries entirely and shares every port
 // max-min fairly across individual flows — the TCP-like baseline coflow
 // papers compare against.
-type PerFlowFair struct {
-	// Shard configures intra-epoch parallelism; zero value = serial.
-	Shard ShardOptions
-}
+type PerFlowFair struct{}
 
 // Name implements Scheduler.
 func (PerFlowFair) Name() string { return "per-flow-fair" }
 
 // Allocate implements Scheduler.
-func (p PerFlowFair) Allocate(_ float64, active []*Coflow, egCap, inCap []float64) {
-	resetRatesSharded(active, p.Shard)
+func (PerFlowFair) Allocate(_ float64, active []*Coflow, egCap, inCap []float64) {
+	resetRates(active)
 	s := scratchPool.Get().(*allocScratch)
 	s.ensure(len(egCap))
-	waterFillSharded(activeFlows(active, s), egCap, inCap, s, p.Shard)
+	waterFill(activeFlows(active, s), egCap, inCap, s)
 	scratchPool.Put(s)
 }
 
@@ -815,17 +806,14 @@ func (p PerFlowFair) Allocate(_ float64, active []*Coflow, egCap, inCap []float6
 // destination index order, so a single ingress link is contended while the
 // others idle. Only flows towards the lowest-indexed destination with
 // pending traffic receive bandwidth each epoch.
-type SequentialByDest struct {
-	// Shard configures intra-epoch parallelism; zero value = serial.
-	Shard ShardOptions
-}
+type SequentialByDest struct{}
 
 // Name implements Scheduler.
 func (SequentialByDest) Name() string { return "sequential-by-dest" }
 
 // Allocate implements Scheduler.
-func (sd SequentialByDest) Allocate(_ float64, active []*Coflow, egCap, inCap []float64) {
-	resetRatesSharded(active, sd.Shard)
+func (SequentialByDest) Allocate(_ float64, active []*Coflow, egCap, inCap []float64) {
+	resetRates(active)
 	s := scratchPool.Get().(*allocScratch)
 	s.ensure(len(egCap))
 	flows := activeFlows(active, s)
@@ -846,6 +834,6 @@ func (sd SequentialByDest) Allocate(_ float64, active []*Coflow, egCap, inCap []
 		}
 	}
 	s.subset = subset
-	waterFillSharded(subset, egCap, inCap, s, sd.Shard)
+	waterFill(subset, egCap, inCap, s)
 	scratchPool.Put(s)
 }

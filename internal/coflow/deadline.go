@@ -27,7 +27,6 @@ type Deadline struct {
 
 	scratch allocScratch
 	ord     orderState
-	shard   ShardOptions
 }
 
 // NewVarysDeadline returns a fresh deadline-mode scheduler.
@@ -49,7 +48,7 @@ func (d *Deadline) PriorityOrder() []*Coflow { return d.ord.order }
 // Allocate implements Scheduler. Arrival order is static per coflow, so the
 // serving order is re-sorted only when the active-set membership changes.
 func (d *Deadline) Allocate(now float64, active []*Coflow, egCap, inCap []float64) {
-	resetRatesSharded(active, d.shard)
+	resetRates(active)
 	d.scratch.ensure(len(egCap))
 	if d.ord.sync(active) {
 		for _, c := range d.ord.order {
@@ -99,7 +98,7 @@ func (d *Deadline) Allocate(now float64, active []*Coflow, egCap, inCap []float6
 	// Leftover capacity serves rejected and best-effort coflows — and
 	// opportunistically accelerates everyone (finishing early never breaks
 	// a deadline).
-	waterFillSharded(activeFlows(active, &d.scratch), egCap, inCap, &d.scratch, d.shard)
+	waterFill(activeFlows(active, &d.scratch), egCap, inCap, &d.scratch)
 }
 
 // CapacityChanged implements CapacityObserver. Losing (or regaining) port

@@ -32,14 +32,6 @@ type allocScratch struct {
 	// flows and subset are reusable flow-list buffers (activeFlows, and
 	// SequentialByDest's destination filter).
 	flows, subset []*Flow
-	// shards and rates back the Tier-2 sharded passes (see shard.go): one
-	// shardScratch per worker for the flow-sharded counting/tally loops, and
-	// a per-flow rate stash so maddAllocateSharded can split the parallel
-	// division pass from the serial (order-preserving) capacity deductions.
-	// Nil until a sharded pass actually runs; the serial path never touches
-	// them, which keeps the sub-threshold zero-alloc invariant intact.
-	shards []shardScratch
-	rates  []float64
 }
 
 // ensure sizes the per-port buffers for a fabric of n ports, growing (never

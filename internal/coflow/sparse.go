@@ -104,10 +104,10 @@ type sparseState struct {
 // coflows' live flows, or the dense reset when the backfill granted
 // everywhere. Identical to resetRates where observable — flows outside the
 // granted set already carry rate 0 (writing 0 over 0 is the identity).
-func (sp *sparseState) reset(active []*Coflow, shard ShardOptions) {
+func (sp *sparseState) reset(active []*Coflow) {
 	if sp.dense {
 		sp.dense = false
-		resetRatesSharded(active, shard)
+		resetRates(active)
 		for _, c := range sp.granted {
 			c.sim.granted = false
 		}
@@ -132,13 +132,13 @@ func (sp *sparseState) set(on bool) {
 // serve runs the MADD pass over the priority order with the blocked-coflow
 // skip, recording grants. Returns whether any coflow was blocked (which
 // makes the work-conserving backfill a guaranteed no-op; see file comment).
-func (sp *sparseState) serve(order []*Coflow, egCap, inCap []float64, s *allocScratch, shard ShardOptions) (anyBlocked bool) {
+func (sp *sparseState) serve(order []*Coflow, egCap, inCap []float64, s *allocScratch) (anyBlocked bool) {
 	for _, c := range order {
 		if c.blockedOn(egCap, inCap) {
 			anyBlocked = true
 			continue
 		}
-		maddAllocateSharded(c, egCap, inCap, s, shard)
+		maddAllocate(c, egCap, inCap, s)
 		c.sim.granted = true
 		sp.granted = append(sp.granted, c)
 	}
@@ -156,7 +156,7 @@ func (o *orderedMADD) LastGrantDense() bool { return o.sparse.dense }
 // sort to changed keys, the MADD pass skipping blocked coflows, and the
 // backfill skipped when provably a no-op.
 func (o *orderedMADD) allocateSparse(active []*Coflow, egCap, inCap []float64) {
-	o.sparse.reset(active, o.shard)
+	o.sparse.reset(active)
 	o.scratch.ensure(len(egCap))
 	memb := o.ord.sync(active)
 	if memb || o.dynamic {
@@ -176,9 +176,9 @@ func (o *orderedMADD) allocateSparse(active []*Coflow, egCap, inCap []float64) {
 			sortByKey(o.ord.order, false)
 		}
 	}
-	anyBlocked := o.sparse.serve(o.ord.order, egCap, inCap, &o.scratch, o.shard)
+	anyBlocked := o.sparse.serve(o.ord.order, egCap, inCap, &o.scratch)
 	if o.backfill && !anyBlocked {
-		waterFillSharded(activeFlows(active, &o.scratch), egCap, inCap, &o.scratch, o.shard)
+		waterFill(activeFlows(active, &o.scratch), egCap, inCap, &o.scratch)
 		o.sparse.dense = true
 	}
 }
@@ -193,7 +193,7 @@ func (a *Aalo) LastGrantDense() bool { return a.sparse.dense }
 // queue index of a coflow whose SentBytes did not change is recomputed from
 // its cached value, and the rest follows orderedMADD.allocateSparse.
 func (a *Aalo) allocateSparse(active []*Coflow, egCap, inCap []float64) {
-	a.sparse.reset(active, a.shard)
+	a.sparse.reset(active)
 	a.scratch.ensure(len(egCap))
 	resort := a.ord.sync(active)
 	for _, c := range a.ord.order {
@@ -210,9 +210,9 @@ func (a *Aalo) allocateSparse(active []*Coflow, egCap, inCap []float64) {
 	if resort {
 		sortByKey(a.ord.order, true)
 	}
-	anyBlocked := a.sparse.serve(a.ord.order, egCap, inCap, &a.scratch, a.shard)
+	anyBlocked := a.sparse.serve(a.ord.order, egCap, inCap, &a.scratch)
 	if !anyBlocked {
-		waterFillSharded(activeFlows(active, &a.scratch), egCap, inCap, &a.scratch, a.shard)
+		waterFill(activeFlows(active, &a.scratch), egCap, inCap, &a.scratch)
 		a.sparse.dense = true
 	}
 }

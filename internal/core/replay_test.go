@@ -27,10 +27,15 @@ func TestReplayStreamMatchesBatch(t *testing.T) {
 	for name, mk := range replaySchedulers() {
 		name, mk := name, mk
 		t.Run(name, func(t *testing.T) {
-			for seed := uint64(0); seed < 4; seed++ {
+			for seed := uint64(0); seed < 8; seed++ {
 				cfg := fbtrace.Config{
 					Machines: 10, Coflows: 60,
 					MeanInterarrivalSec: 0.2, Seed: seed,
+				}
+				if seed >= 4 {
+					// A short trace densified ×50: 200 coflows arriving fifty
+					// times as fast, so dozens are live at once.
+					cfg.Coflows, cfg.MeanInterarrivalSec, cfg.Density = 4, 1, 50
 				}
 				cfs, err := fbtrace.Generate(cfg)
 				if err != nil {
@@ -58,8 +63,8 @@ func TestReplayStreamMatchesBatch(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				if got.Coflows != cfg.Coflows {
-					t.Errorf("seed %d: replayed %d coflows, want %d", seed, got.Coflows, cfg.Coflows)
+				if got.Coflows != len(cfs) {
+					t.Errorf("seed %d: replayed %d coflows, want %d", seed, got.Coflows, len(cfs))
 				}
 				if got.Makespan != want.Makespan {
 					t.Errorf("seed %d: Makespan %v != %v", seed, got.Makespan, want.Makespan)
@@ -88,24 +93,29 @@ func TestReplayStreamMatchesBatch(t *testing.T) {
 // the session's high-water mark tracks trace *concurrency*, not length —
 // a long sparse trace must never hold every coflow at once.
 func TestReplayStreamBoundsResidency(t *testing.T) {
-	cfg := fbtrace.Config{
-		Machines: 12, Coflows: 400,
-		MeanInterarrivalSec: 2, Seed: 5,
-	}
-	st, err := fbtrace.Stream(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := ReplayStream(cfg.Machines, st, ReplayOptions{
-		Scheduler:        coflow.NewVarys(),
-		EventHorizon:     true,
-		ReleaseCompleted: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.PeakResident >= cfg.Coflows/2 {
-		t.Errorf("peak residency %d of %d coflows: release never bounded memory", rep.PeakResident, cfg.Coflows)
+	for name, cfg := range map[string]fbtrace.Config{
+		"sparse": {Machines: 12, Coflows: 400, MeanInterarrivalSec: 2, Seed: 5},
+		// The same arrival rate reached by densifying a 4-coflow trace
+		// ×1000: ten times the coflows, all replayed, as few resident.
+		"x1000": {Machines: 12, Coflows: 4, MeanInterarrivalSec: 2000, Seed: 5, Density: 1000},
+	} {
+		st, err := fbtrace.Stream(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total := st.Total()
+		rep, err := ReplayStream(cfg.Machines, st, ReplayOptions{
+			Scheduler:        coflow.NewVarys(),
+			EventHorizon:     true,
+			ReleaseCompleted: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Coflows != total || rep.PeakResident >= total/2 {
+			t.Errorf("%s: replayed %d of %d coflows at peak residency %d: release never bounded memory",
+				name, rep.Coflows, total, rep.PeakResident)
+		}
 	}
 }
 

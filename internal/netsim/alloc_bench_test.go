@@ -134,23 +134,6 @@ func TestSteadyStateRunZeroAllocs(t *testing.T) {
 			}); avg != 0 {
 				t.Fatalf("steady-state RunInto allocated %v allocs/op with nil probe", avg)
 			}
-
-			// Same contract with Tier-2 sharding *configured* but below the
-			// fabric-size threshold (16 ports < DefaultShardMinPorts): the
-			// sub-threshold path is the literal serial code, so the presence
-			// of the sharding machinery must not cost a single allocation.
-			shardSim := netsim.NewSimulator(fab, sc.mk())
-			shardSim.ShardWorkers = 4
-			if err := shardSim.RunInto(cfs, &rep); err != nil {
-				t.Fatal(err)
-			}
-			if avg := testing.AllocsPerRun(10, func() {
-				if err := shardSim.RunInto(cfs, &rep); err != nil {
-					t.Fatal(err)
-				}
-			}); avg != 0 {
-				t.Fatalf("sub-threshold sharded RunInto allocated %v allocs/op", avg)
-			}
 		})
 	}
 }

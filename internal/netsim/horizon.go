@@ -158,8 +158,9 @@ func (ss *Session) loopSparse(stop float64) error {
 	// iteration) and re-arms on the only transitions that can finish a
 	// coflow: advance completions and admissions.
 	scanRetire := true
+	limit := ss.epochLimit()
 	for {
-		if ss.iter >= s.MaxEpochs {
+		if ss.iter >= limit {
 			save()
 			return fmt.Errorf("netsim: exceeded %d epochs (scheduler %q livelock?)", s.MaxEpochs, s.sched.Name())
 		}

@@ -126,8 +126,9 @@ const completionEps = 1e-6
 type Simulator struct {
 	fabric Fabric
 	sched  coflow.Scheduler
-	// MaxEpochs bounds the event loop (default 10 million) so scheduler
-	// bugs surface as errors instead of livelocks.
+	// MaxEpochs bounds the event-loop iterations of one Run, Advance or
+	// Finish (default 10 million) so scheduler bugs surface as errors
+	// instead of livelocks.
 	MaxEpochs int
 	// Horizon, when >= 0, stops the simulation at that time instead of
 	// running to completion; flow state (Remaining, Done) is left at the
@@ -163,20 +164,6 @@ type Simulator struct {
 	// to internal/refsim. A non-nil probe must never mutate simulator state;
 	// the telemetry equivalence test pins that observing does not perturb.
 	Probe Probe
-	// ShardWorkers enables Tier-2 intra-epoch parallelism: when > 1 and the
-	// fabric has at least ShardMinPorts ports, the scheduler's MADD and
-	// water-filling passes shard across this many goroutines — bit-identical
-	// to serial (see internal/coflow/shard.go), pinned by the sharded
-	// equivalence suite. 0 or 1 keeps every pass on the serial code path.
-	ShardWorkers int
-	// ShardMinPorts is the fabric-size floor below which sharding stays off
-	// even with ShardWorkers > 1 (0 selects DefaultShardMinPorts). Small
-	// fabrics never leave the serial path, preserving 0 allocs/op.
-	ShardMinPorts int
-	// ShardMinFlows overrides the per-pass flow-count floor forwarded to the
-	// scheduler (0 selects coflow.DefaultShardMinFlows). Tests force 1 to
-	// exercise the sharded code on small workloads.
-	ShardMinFlows int
 	// EventHorizon opts the session loop into the sparse (event-horizon)
 	// engine: per-epoch cost scales with the coflows whose state changed —
 	// admission-queue prefix pops, retirement scans gated on completion
@@ -209,24 +196,6 @@ type Simulator struct {
 // NoHorizon disables the simulation horizon (the NewSimulator default):
 // runs proceed until every admitted coflow completes.
 const NoHorizon = -1
-
-// DefaultShardMinPorts is the fabric size below which intra-epoch sharding
-// stays off: under ~256 ports an epoch's O(flows) passes run in the low
-// microseconds, where goroutine fan-out costs more than it saves.
-const DefaultShardMinPorts = 256
-
-// shardOptions resolves the simulator's shard knobs into the configuration
-// handed to ShardTunable schedulers; the zero value means serial.
-func (s *Simulator) shardOptions() coflow.ShardOptions {
-	minPorts := s.ShardMinPorts
-	if minPorts <= 0 {
-		minPorts = DefaultShardMinPorts
-	}
-	if s.ShardWorkers > 1 && s.fabric.Ports >= minPorts {
-		return coflow.ShardOptions{Workers: s.ShardWorkers, MinFlows: s.ShardMinFlows}
-	}
-	return coflow.ShardOptions{}
-}
 
 // runScratch is the simulator's reusable per-run storage. Sized on first use
 // and only ever grown; the event loop itself allocates nothing at steady

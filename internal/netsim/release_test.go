@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"ccf/internal/coflow"
@@ -274,5 +275,80 @@ func TestImageRefusals(t *testing.T) {
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
 			t.Fatalf("word at %d forged: loading a %d-byte image allocated %d bytes", off, len(forged), grew)
 		}
+	}
+}
+
+// idleSched grants no flow a rate: the livelock MaxEpochs is there to catch.
+type idleSched struct{}
+
+func (idleSched) Name() string { return "idle" }
+func (idleSched) Allocate(_ float64, active []*coflow.Coflow, _, _ []float64) {
+	for _, c := range active {
+		for _, f := range c.Flows {
+			f.Rate = 0
+		}
+	}
+}
+
+// TestMaxEpochsBoundsOneCall: MaxEpochs is a budget per Advance or Finish,
+// not per session. A stream that spends ten budgets a few iterations at a
+// time is served — by both loops, and through an image, which carries the
+// spent count — while a single call that needs more than the budget fails.
+func TestMaxEpochsBoundsOneCall(t *testing.T) {
+	const ports, budget, jobs = 4, 64, 400
+	job := func(i int) *coflow.Coflow {
+		return coflow.New(i, "job", float64(i), []coflow.Flow{{Src: i % ports, Dst: (i + 1) % ports, Size: 50}})
+	}
+	for _, mode := range []struct {
+		name          string
+		sched         func() coflow.Scheduler
+		sparse, image bool
+	}{
+		{"dense", coflow.NewVarys, false, false},
+		{"sparse", coflow.NewVarys, true, false},
+		{"sparse-image", coflow.NewVarys, true, true},
+		{"idle", func() coflow.Scheduler { return idleSched{} }, false, false},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			newSim := func() *Simulator {
+				sim := newReleaseSim(t, ports, mode.sched(), mode.sparse)
+				sim.MaxEpochs = budget
+				return sim
+			}
+			ss, err := newSim().Session()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < jobs; i++ {
+				if err := ss.Advance(float64(i)); err != nil {
+					t.Fatalf("job %d, %d iterations in: %v", i, ss.iter, err)
+				}
+				if err := ss.Admit(job(i)); err != nil {
+					t.Fatal(err)
+				}
+				if mode.image && i == jobs/2 {
+					img, err := ss.AppendImage(nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if ss, err = newSim().RestoreSession(img); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if ss.iter < 10*budget {
+				t.Fatalf("the stream took %d iterations, under ten budgets of %d", ss.iter, budget)
+			}
+			// Arrivals queued ahead of the clock each end an epoch, so one
+			// Advance across 2×budget of them cannot fit.
+			for i := jobs; i < jobs+2*budget; i++ {
+				if err := ss.Admit(job(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := ss.Advance(float64(jobs + 2*budget)); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("exceeded %d epochs", budget)) {
+				t.Fatalf("one Advance over %d arrivals on a budget of %d: %v", 2*budget, budget, err)
+			}
+		})
 	}
 }

@@ -63,7 +63,7 @@ type Session struct {
 	ownRep Report
 
 	now      float64
-	iter     int // event-loop iterations consumed, bounded by MaxEpochs
+	iter     int // event-loop iterations consumed; see epochLimit
 	pending  []*coflow.Coflow
 	active   []*coflow.Coflow
 	live     []*coflow.Flow // flat non-done flows of the active coflows
@@ -189,16 +189,11 @@ func (ss *Session) begin(s *Simulator, rep *Report) error {
 	}
 	sc.failEv = failEv
 	ss.obs, _ = s.sched.(coflow.CapacityObserver)
-	// Propagate (or clear — a scheduler reused across differently-configured
-	// simulators must not keep stale sharding) the Tier-2 shard config.
-	if st, ok := s.sched.(coflow.ShardTunable); ok {
-		st.SetShard(s.shardOptions())
-	}
 	// Event-horizon mode: sparse only when the simulator opts in, the run
 	// has no dependency graph (admission must be a pure arrival-order prefix
-	// pop), and the scheduler upholds the sparse contract. Like the shard
-	// config, the toggle is propagated unconditionally so a scheduler reused
-	// on a dense simulator drops its sparse bookkeeping.
+	// pop), and the scheduler upholds the sparse contract. The toggle is
+	// propagated unconditionally so a scheduler reused on a dense simulator
+	// drops its sparse bookkeeping.
 	ss.sparse = s.EventHorizon && len(s.Deps) == 0
 	if sa, ok := s.sched.(coflow.SparseAllocator); ok {
 		ss.sa = sa
@@ -494,6 +489,18 @@ func (s *Simulator) depsDone(c *coflow.Coflow, completed map[int]bool) bool {
 	return true
 }
 
+// epochLimit is the iteration count at which the loop entry now starting
+// gives up. MaxEpochs is a budget per entry (one Run, Advance or Finish), not
+// per session: a long-lived session otherwise spends it on work it has served
+// and then fails every call, restarts included, since the image carries iter.
+// Saturates, because a restored iter may be anything up to MaxInt.
+func (ss *Session) epochLimit() int {
+	if ss.s.MaxEpochs > math.MaxInt-ss.iter {
+		return math.MaxInt
+	}
+	return ss.iter + ss.s.MaxEpochs
+}
+
 // loop is the event loop: fluid epochs between completions, arrivals,
 // capacity events and failure edges, stopping once `now` reaches `stop` (or
 // the legacy Simulator.Horizon) or the session drains. It is RunInto's former
@@ -527,8 +534,9 @@ func (ss *Session) loop(stop float64) error {
 		ss.events, ss.nextFail = events, nextFail
 	}
 
+	limit := ss.epochLimit()
 	for {
-		if ss.iter >= s.MaxEpochs {
+		if ss.iter >= limit {
 			save()
 			return fmt.Errorf("netsim: exceeded %d epochs (scheduler %q livelock?)", s.MaxEpochs, s.sched.Name())
 		}

@@ -1,16 +1,13 @@
 package parallel
 
-// Context-aware variants of the pool. The daemon (internal/service) runs
-// sweeps — restoring shards, draining queues, forcing snapshots — under
-// per-request deadlines, and a deadline must be able to abort the sweep
-// mid-flight: stop handing out new indices, let in-flight tasks observe the
-// cancellation through their own ctx, and return once every worker has
-// parked. Cancellation never leaks goroutines: the workers are joined before
-// the call returns, which the package tests pin with a goroutine count.
-//
-// The non-ctx entry points (Run/ForEach/RunWithState) are deliberately left
-// untouched: they back the byte-identical sweep equivalence suites and take
-// zero risk from the deadline machinery.
+// The pool itself. Run is RunCtx under context.Background(); the daemon
+// (internal/service) runs its sweeps — restoring shards, draining queues,
+// forcing snapshots — under per-request deadlines, and a deadline must be
+// able to abort the sweep mid-flight: stop handing out new indices, let
+// in-flight tasks observe the cancellation through their own ctx, and return
+// once every worker has parked. Cancellation never leaks goroutines: the
+// workers are joined before the call returns, which the package tests pin
+// with a goroutine count.
 
 import (
 	"context"
@@ -37,8 +34,12 @@ func ForEachCtx(ctx context.Context, workers, n int, task func(ctx context.Conte
 	return err
 }
 
-// RunWithStateCtx is RunWithState with cooperative cancellation (see RunCtx).
-// On cancellation or error the partial results are discarded (nil slice).
+// RunWithStateCtx is RunCtx with per-worker state: newState(w) is called once
+// for each of the workers actually started (w in [0, workers)), and every
+// task a worker draws receives that worker's state. On the serial path
+// newState(0) is called once and every task shares it — the same aliasing a
+// serial loop with hoisted locals has. On cancellation or error the partial
+// results are discarded (nil slice).
 func RunWithStateCtx[S, R any](ctx context.Context, workers, n int,
 	newState func(worker int) S, task func(ctx context.Context, state S, i int) (R, error)) ([]R, error) {
 	out := make([]R, n)
@@ -71,6 +72,9 @@ func RunWithStateCtx[S, R any](ctx context.Context, workers, n int,
 		outErr error
 		wg     sync.WaitGroup
 	)
+	// claim hands out indices in order; after a failure or cancellation it
+	// returns -1 so workers drain instead of starting work whose output
+	// would be thrown away anyway.
 	claim := func() int {
 		mu.Lock()
 		defer mu.Unlock()

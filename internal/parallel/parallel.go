@@ -15,15 +15,12 @@
 // byte-identical serial escape hatch (`ccfbench -workers 1`).
 //
 // Tasks must be independent: anything a task mutates must be task-local (or
-// per-worker, via RunWithState). The simulator scratch refactor made all
-// mutable netsim/coflow state explicit structs, so cloning per worker is
-// cheap — RunWithState exists precisely so each worker can keep one warm
-// Simulator + coflow clone across the tasks it happens to draw.
+// per-worker, via RunWithStateCtx).
 package parallel
 
 import (
+	"context"
 	"runtime"
-	"sync"
 )
 
 // Resolve maps a workers knob to an effective worker count: values <= 0
@@ -47,130 +44,6 @@ func Resolve(workers int) int {
 // deterministic in the input maps to a deterministic error. On error the
 // partial results are discarded (nil slice).
 func Run[R any](workers, n int, task func(i int) (R, error)) ([]R, error) {
-	return RunWithState(workers, n,
-		func(int) struct{} { return struct{}{} },
-		func(_ struct{}, i int) (R, error) { return task(i) })
-}
-
-// ForEach is Run for tasks with no result value.
-func ForEach(workers, n int, task func(i int) error) error {
-	_, err := Run(workers, n, func(i int) (struct{}, error) { return struct{}{}, task(i) })
-	return err
-}
-
-// RunWithState is Run with per-worker state: newState(w) is called once for
-// each of the workers actually started (w in [0, workers)), and every task a
-// worker draws receives that worker's state. This is how sweeps keep one warm
-// Simulator and one cloned coflow set per worker instead of reallocating per
-// task. On the serial path newState(0) is called once and every task shares
-// it — the same aliasing a serial loop with hoisted locals has.
-func RunWithState[S, R any](workers, n int, newState func(worker int) S, task func(state S, i int) (R, error)) ([]R, error) {
-	out := make([]R, n)
-	if n == 0 {
-		return out, nil
-	}
-	workers = Resolve(workers)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		state := newState(0)
-		for i := 0; i < n; i++ {
-			r, err := task(state, i)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = r
-		}
-		return out, nil
-	}
-
-	var (
-		mu     sync.Mutex
-		next   int // next unclaimed index
-		errIdx = n // lowest failing index so far
-		outErr error
-		wg     sync.WaitGroup
-	)
-	// claim hands out indices in order; after a failure it returns -1 so
-	// workers drain instead of starting work whose output would be thrown
-	// away anyway.
-	claim := func() int {
-		mu.Lock()
-		defer mu.Unlock()
-		if outErr != nil || next >= n {
-			return -1
-		}
-		i := next
-		next++
-		return i
-	}
-	fail := func(i int, err error) {
-		mu.Lock()
-		defer mu.Unlock()
-		if outErr == nil || i < errIdx {
-			errIdx, outErr = i, err
-		}
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			state := newState(w)
-			for {
-				i := claim()
-				if i < 0 {
-					return
-				}
-				r, err := task(state, i)
-				if err != nil {
-					fail(i, err)
-					continue
-				}
-				out[i] = r
-			}
-		}(w)
-	}
-	wg.Wait()
-	if outErr != nil {
-		return nil, outErr
-	}
-	return out, nil
-}
-
-// ForShards splits [0, n) into `workers` contiguous ranges and runs
-// fn(shard, lo, hi) for each — concurrently when workers > 1, inline (one
-// call covering the whole range) otherwise. Shard boundaries are a pure
-// function of (workers, n), so a computation that is exact under any split
-// (elementwise writes, integer accumulation, max/min reductions) produces
-// identical results at every worker count. fn must touch only state that is
-// disjoint across shards; the caller owns any merge.
-//
-// This is the engine of the Tier-2 intra-run parallelism: the port and flow
-// ranges of the MADD and water-filling passes are independent within an
-// epoch, so they shard here once the fabric crosses the size threshold.
-func ForShards(workers, n int, fn func(shard, lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		fn(0, 0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	for s := 0; s < workers; s++ {
-		lo, hi := s*n/workers, (s+1)*n/workers
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(s, lo, hi int) {
-			defer wg.Done()
-			fn(s, lo, hi)
-		}(s, lo, hi)
-	}
-	wg.Wait()
+	return RunCtx(context.Background(), workers, n,
+		func(_ context.Context, i int) (R, error) { return task(i) })
 }

@@ -1,6 +1,7 @@
 package parallel_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -148,12 +149,12 @@ func TestRunWithStatePerWorker(t *testing.T) {
 	const n, workers = 40, 4
 	var created atomic.Int64
 	type state struct{ worker int }
-	out, err := parallel.RunWithState(workers, n,
+	out, err := parallel.RunWithStateCtx(context.Background(), workers, n,
 		func(w int) *state {
 			created.Add(1)
 			return &state{worker: w}
 		},
-		func(s *state, i int) (int, error) {
+		func(_ context.Context, s *state, i int) (int, error) {
 			if s == nil {
 				return 0, errors.New("nil state")
 			}
@@ -181,43 +182,5 @@ func TestResolve(t *testing.T) {
 	}
 	if got := parallel.Resolve(-5); got != parallel.Resolve(0) {
 		t.Fatalf("Resolve(-5) = %d, want GOMAXPROCS", got)
-	}
-}
-
-// TestForShardsCoversExactly checks every index lands in exactly one shard,
-// shards are contiguous, and boundaries are deterministic in (workers, n).
-func TestForShardsCoversExactly(t *testing.T) {
-	for _, workers := range []int{1, 2, 3, 7, 16} {
-		for _, n := range []int{0, 1, 5, 16, 1000} {
-			hits := make([]atomic.Int64, n)
-			parallel.ForShards(workers, n, func(shard, lo, hi int) {
-				if lo < 0 || hi > n || lo >= hi {
-					t.Errorf("workers=%d n=%d: bad shard [%d,%d)", workers, n, lo, hi)
-				}
-				for i := lo; i < hi; i++ {
-					hits[i].Add(1)
-				}
-			})
-			for i := range hits {
-				if h := hits[i].Load(); h != 1 {
-					t.Fatalf("workers=%d n=%d: index %d covered %d times", workers, n, i, h)
-				}
-			}
-		}
-	}
-}
-
-// TestForShardsInlineWhenSerial pins that workers<=1 calls fn once, inline,
-// covering the full range — the zero-goroutine serial path.
-func TestForShardsInlineWhenSerial(t *testing.T) {
-	calls := 0
-	parallel.ForShards(1, 100, func(shard, lo, hi int) {
-		calls++
-		if shard != 0 || lo != 0 || hi != 100 {
-			t.Fatalf("inline shard = (%d,%d,%d), want (0,0,100)", shard, lo, hi)
-		}
-	})
-	if calls != 1 {
-		t.Fatalf("fn called %d times, want 1", calls)
 	}
 }
