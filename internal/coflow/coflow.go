@@ -172,7 +172,9 @@ func (c *Coflow) RefreshSim() {
 // cache: it re-appends the flow to the live list and restores the per-port
 // counts and port sets. Appending (rather than re-sorting into Flows order)
 // is deliberate — live-flow order never affects scheduler results, and the
-// equivalence-pinned fault-free paths never call Reactivate.
+// equivalence-pinned fault-free paths never call Reactivate. This list is
+// also the only place the engine's flow passes find a resurrected flow: it is
+// visited at the end of its coflow.
 func (c *Coflow) Reactivate(f *Flow) {
 	if !c.sim.valid {
 		return

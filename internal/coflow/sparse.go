@@ -1,8 +1,11 @@
 package coflow
 
-// Event-horizon (sparse) allocation: scheduler-side support for the engine
-// mode in which per-epoch cost scales with what *changed* since the last
-// epoch, not with everything active (DESIGN.md §16).
+// Event-horizon (sparse) allocation: the scheduler side of
+// netsim.Simulator.EventHorizon, under which an epoch costs what *changed*
+// since the last one, not everything active (DESIGN.md §16). The five ordered
+// schedulers implement it — Varys/SEBF, FIFO, SCF and NCF through orderedMADD,
+// and Aalo; the engine runs the same event loop either way and only restricts
+// its flow passes to the granted set reported here.
 //
 // The contract is the repository's standing one: bit-identical results to
 // the dense path. Every shortcut below is a proof-carrying no-op:
@@ -37,9 +40,9 @@ package coflow
 // whose progress state changes, and read SimGranted/LastGrantDense to
 // restrict its own flow passes to rate-carrying coflows.
 
-// SparseAllocator is implemented by schedulers that support the
-// event-horizon engine mode. netsim.Session enables it only for schedulers
-// that implement this interface; everything else keeps the dense loop.
+// SparseAllocator is implemented by schedulers that support sparse
+// allocation. netsim.Session turns it on (Simulator.EventHorizon) only for
+// schedulers that implement this interface; for the rest the flag is inert.
 type SparseAllocator interface {
 	Scheduler
 	// SetSparse toggles sparse allocation. While on, the engine must mark
@@ -56,7 +59,8 @@ type SparseAllocator interface {
 
 // MarkSimMoved records that the coflow's progress state (remaining bytes,
 // live-flow set, or sent bytes) changed, invalidating any cached priority
-// key. The event engine calls it in sparse mode; it is harmless elsewhere.
+// key. The event engine calls it on every coflow its advance pass visits;
+// only sparse allocation reads the mark.
 func (c *Coflow) MarkSimMoved() { c.sim.moved = true }
 
 // SimGranted reports whether the last sparse Allocate granted this coflow

@@ -324,8 +324,8 @@ func (e *OnlineEngine) submit(job OnlineJob, bp *Batch) (*OnlineDecision, error)
 		return nil, fmt.Errorf("core: online job %d spans %d nodes, engine spans %d",
 			ji, job.Workload.Chunks.N, e.n)
 	}
-	if job.Arrival < 0 {
-		return nil, fmt.Errorf("core: online job %d has negative arrival %g", ji, job.Arrival)
+	if badArrival(job.Arrival) {
+		return nil, fmt.Errorf("core: online job %d has negative or non-finite arrival %g", ji, job.Arrival)
 	}
 	if job.Arrival < e.lastArr {
 		return nil, &ArrivalOrderError{Job: ji, Arrival: job.Arrival, Clock: e.lastArr}
@@ -526,6 +526,10 @@ func RunOnline(jobs []OnlineJob, opts OnlineOptions) (*OnlineReport, error) {
 	return out, nil
 }
 
+// badArrival reports an arrival no simulation clock can reach or sort: a
+// negative one, +Inf, or NaN (which every ordering comparison lets through).
+func badArrival(a float64) bool { return !(a >= 0) || math.IsInf(a, 1) }
+
 // onlineOrder validates a job batch and returns the stable arrival order.
 // A nil order with a nil error signals an empty batch.
 func onlineOrder(jobs []OnlineJob) ([]int, int, error) {
@@ -543,8 +547,8 @@ func onlineOrder(jobs []OnlineJob) ([]int, int, error) {
 			return nil, 0, fmt.Errorf("core: online job %d spans %d nodes, first job spans %d",
 				i, j.Workload.Chunks.N, n)
 		}
-		if j.Arrival < 0 {
-			return nil, 0, fmt.Errorf("core: online job %d has negative arrival %g", i, j.Arrival)
+		if badArrival(j.Arrival) {
+			return nil, 0, fmt.Errorf("core: online job %d has negative or non-finite arrival %g", i, j.Arrival)
 		}
 	}
 	order := make([]int, len(jobs))

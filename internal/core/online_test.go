@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"ccf/internal/coflow"
@@ -43,6 +44,28 @@ func TestRunOnlineValidation(t *testing.T) {
 	}
 	if _, err := RunOnline([]OnlineJob{{Workload: w8, Arrival: -1}}, OnlineOptions{}); err == nil {
 		t.Error("accepted negative arrival")
+	}
+	// A NaN arrival passes every ordering comparison and used to spin the
+	// event loop to its epoch limit; +Inf used to report Makespan +Inf with a
+	// nil error. Both are refused before any state is touched.
+	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+		_, err := RunOnline([]OnlineJob{{Workload: w8}, {Workload: w8, Arrival: bad}}, OnlineOptions{CoOptimize: true})
+		if err == nil || !strings.Contains(err.Error(), "non-finite arrival") {
+			t.Errorf("RunOnline with arrival %v: %v, want a non-finite-arrival error", bad, err)
+		}
+		eng, err := NewOnlineEngine(8, OnlineOptions{CoOptimize: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.Submit(OnlineJob{Workload: w8, Arrival: bad}); err == nil || !strings.Contains(err.Error(), "non-finite arrival") {
+			t.Errorf("Submit with arrival %v: %v, want a non-finite-arrival error", bad, err)
+		}
+		if _, err := eng.Submit(OnlineJob{Workload: w8, Arrival: 1}); err != nil {
+			t.Errorf("engine unusable after refusing arrival %v: %v", bad, err)
+		}
+		if rep, err := eng.Finish(); err != nil || math.IsInf(rep.Makespan, 0) || math.IsNaN(rep.Makespan) {
+			t.Errorf("Finish after refusing arrival %v: %+v, %v", bad, rep, err)
+		}
 	}
 }
 

@@ -4,12 +4,12 @@ package core
 // source (e.g. fbtrace.Stream) without ever materialising the workload as a
 // slice. Each pulled coflow advances the session to its arrival and admits
 // it, so the resident set is the in-flight coflows plus at most one pending
-// arrival; with EventHorizon + ReleaseCompleted the session also drops
+// arrival; with ReleaseCompleted the session also drops
 // coflows as they finish, keeping memory bounded by the *concurrency* of the
 // trace rather than its length. That is what lets the Facebook trace replay
 // at 1000× density inside CI.
 //
-// Advancing to each arrival is exact: arrivals bound the dense loop's epochs
+// Advancing to each arrival is exact: arrivals bound the event loop's epochs
 // anyway, so the stepwise session visits the same epoch boundaries as a
 // batch RunInto over the fully materialised trace, and the reports agree bit
 // for bit (TestReplayStreamMatchesBatch).
@@ -34,10 +34,11 @@ type ReplayOptions struct {
 	Bandwidth float64
 	// Scheduler orders the concurrent coflows; nil = Varys.
 	Scheduler coflow.Scheduler
-	// EventHorizon runs the sparse session loop (netsim.Simulator).
+	// EventHorizon selects the scheduler's sparse allocation path
+	// (netsim.Simulator.EventHorizon); results are bit-identical either way.
 	EventHorizon bool
-	// ReleaseCompleted drops finished coflows from the live session; only
-	// effective with EventHorizon and a sparse-capable scheduler.
+	// ReleaseCompleted drops finished coflows from the live session
+	// (netsim.Simulator.ReleaseCompleted).
 	ReleaseCompleted bool
 }
 

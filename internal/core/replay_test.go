@@ -1,8 +1,8 @@
 package core
 
 // ReplayStream must be a pure re-packaging of the batch path: pulling the
-// fbtrace stream through one live session — with the sparse loop and
-// completed-coflow release on — yields the exact report a dense RunInto over
+// fbtrace stream through one live session — with sparse allocation and
+// completed-coflow release on — yields the exact report a plain RunInto over
 // the fully materialised trace produces. fbtrace assigns IDs in arrival
 // order, so ID-order aggregation (the released path) is input-order
 // aggregation and even the averaged fields match bit for bit.

@@ -122,17 +122,22 @@ func TestSteadyStateRunZeroAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sim := netsim.NewSimulator(fab, sc.mk())
-			var rep netsim.Report
-			if err := sim.RunInto(cfs, &rep); err != nil { // warm the scratch
-				t.Fatal(err)
-			}
-			if avg := testing.AllocsPerRun(10, func() {
-				if err := sim.RunInto(cfs, &rep); err != nil {
+			// Both settings of EventHorizon: ccfd and the trace replay run
+			// with it on, the figures and ccfsim with it off.
+			for _, horizon := range []bool{false, true} {
+				sim := netsim.NewSimulator(fab, sc.mk())
+				sim.EventHorizon = horizon
+				var rep netsim.Report
+				if err := sim.RunInto(cfs, &rep); err != nil { // warm the scratch
 					t.Fatal(err)
 				}
-			}); avg != 0 {
-				t.Fatalf("steady-state RunInto allocated %v allocs/op with nil probe", avg)
+				if avg := testing.AllocsPerRun(10, func() {
+					if err := sim.RunInto(cfs, &rep); err != nil {
+						t.Fatal(err)
+					}
+				}); avg != 0 {
+					t.Errorf("EventHorizon=%v: steady-state RunInto allocated %v allocs/op with nil probe", horizon, avg)
+				}
 			}
 		})
 	}
@@ -186,9 +191,12 @@ func TestSessionAdvanceZeroAllocs(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			cycle() // warm the scratch and the session buffers
-			if avg := testing.AllocsPerRun(10, cycle); avg != 0 {
-				t.Fatalf("steady-state session cycle allocated %v allocs/op", avg)
+			for _, horizon := range []bool{false, true} {
+				sim.EventHorizon = horizon
+				cycle() // warm the scratch and the session buffers
+				if avg := testing.AllocsPerRun(10, cycle); avg != 0 {
+					t.Errorf("EventHorizon=%v: steady-state session cycle allocated %v allocs/op", horizon, avg)
+				}
 			}
 		})
 	}

@@ -1,12 +1,11 @@
 package netsim_test
 
-// Edge cases for the event-horizon loop that the random matrices are
-// unlikely to hit exactly: completion and failure edges landing on the same
-// timestamp, coflows whose every flow carries zero rate (fully failed ports
-// — nothing enters the completion heap, the failure up-edge must bound the
-// epoch), Session.Advance stopping bit-identically at boundaries the sparse
-// loop would otherwise skip past, and ReleaseCompleted retiring coflows
-// mid-run without disturbing the report.
+// Edge cases for EventHorizon runs that the random matrices are unlikely to
+// hit exactly: completion and failure edges landing on the same timestamp,
+// coflows whose every flow carries zero rate (fully failed ports — no flow
+// bounds dt, the failure up-edge must bound the epoch), Session.Advance
+// stopping bit-identically at boundaries strictly inside a fluid interval, and
+// ReleaseCompleted retiring coflows mid-run without disturbing the report.
 
 import (
 	"fmt"
@@ -30,7 +29,7 @@ var retransmitPolicies = []struct {
 // TestEventHorizonCompletionMeetsFailureEdge pins the same-instant case: a
 // lone coflow drains a 400-byte flow over a 100-cap link, completing at
 // exactly t=4.0 — the instant one port fails transiently and another fails
-// permanently. A second coflow straddles the outage. Dense and sparse loops
+// permanently. A second coflow straddles the outage. Dense and sparse runs
 // must agree bit-for-bit on how the tie resolves, under every policy.
 func TestEventHorizonCompletionMeetsFailureEdge(t *testing.T) {
 	spec := workloadSpec{
@@ -62,11 +61,11 @@ func TestEventHorizonCompletionMeetsFailureEdge(t *testing.T) {
 	}
 }
 
-// TestEventHorizonZeroRateNeverBoundsEpoch pins the empty-heap case: the
+// TestEventHorizonZeroRateNeverBoundsEpoch pins the no-completion case: the
 // only admitted coflow sits on a port that is down for its entire early
-// life, so every flow has rate zero and nothing is pushed into the
-// completion heap. The epoch must be bounded by the failure up-edge alone —
-// identically in both loops — and the coflow completes only after repair.
+// life, so every flow has rate zero and none projects a completion. The
+// epoch must be bounded by the failure up-edge alone — identically with the
+// flag off and on — and the coflow completes only after repair.
 func TestEventHorizonZeroRateNeverBoundsEpoch(t *testing.T) {
 	spec := workloadSpec{
 		ports: 2,
@@ -104,7 +103,7 @@ func TestEventHorizonZeroRateNeverBoundsEpoch(t *testing.T) {
 
 // TestEventHorizonAdvanceBoundaries drives dense and sparse sessions through
 // an identical ladder of Advance stops — many landing mid-interval, where
-// the sparse loop would otherwise leap straight to the next completion — and
+// the loop would otherwise leap straight to the next completion — and
 // demands bit-identical state (Digest) at every rung plus identical final
 // reports.
 func TestEventHorizonAdvanceBoundaries(t *testing.T) {

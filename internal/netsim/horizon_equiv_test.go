@@ -1,14 +1,18 @@
 package netsim_test
 
-// Event-horizon equivalence: the sparse loop (Simulator.EventHorizon) must be
-// *bit-identical* to the dense loop. Every sparse shortcut is a proof-carrying
-// no-op (prefix admission pops the same coflows in the same order, skipped
-// retirement scans would have found nothing, ungranted flows contribute +0.0
-// to port sums and move no bytes, the completion heap recovers the exact
-// min(Remaining/Rate), cached priority keys are pure functions of unchanged
-// state), so the comparison is exact equality on every Report and per-flow
-// field — no epsilons — across the seed × scheduler matrix, with and without
-// failure schedules whose edges straddle the epochs the dense loop probes.
+// Event-horizon equivalence: a run with Simulator.EventHorizon set must be
+// *bit-identical* to the same run without it. The flag selects the
+// scheduler's sparse Allocate and lets the event loop visit only the coflows
+// it granted; every shortcut is a proof-carrying no-op (ungranted flows
+// contribute +0.0 to port sums, never bound dt and move no bytes; cached
+// priority keys are pure functions of unchanged state; a skipped blocked
+// coflow would have been granted nothing), so the comparison is exact equality
+// on every Report and per-flow field — no epsilons — across the seed ×
+// scheduler matrix, with dependency DAGs and with failure schedules whose
+// edges straddle the completion epochs. Both sides run the one event loop, so
+// what this pins is the scheduler's sparse path and the granted-set
+// restriction; the loop itself is pinned by refsim (equiv_test.go) and, under
+// Failures, by the golden in failure_golden_test.go.
 
 import (
 	"fmt"
@@ -53,10 +57,10 @@ func runPair(t *testing.T, tag string, spec *workloadSpec, prod func() *netsim.S
 	}
 }
 
-// TestEventHorizonMatchesDense is the golden sparse-vs-dense property test:
-// the full scheduler matrix over seeded random workloads (heterogeneous
-// fabrics, staggered arrivals, capacity events including full outages,
-// horizons, dependency DAGs — which exercise the documented dense fallback).
+// TestEventHorizonMatchesDense is the sparse-vs-dense property test: the full
+// scheduler matrix over seeded random workloads (heterogeneous fabrics,
+// staggered arrivals, capacity events including full outages, horizons, and
+// dependency DAGs, whose blocked coflows wait inside the arrived prefix).
 func TestEventHorizonMatchesDense(t *testing.T) {
 	const seeds = 32
 	for _, pair := range schedPairs {
@@ -80,11 +84,11 @@ func TestEventHorizonMatchesDense(t *testing.T) {
 	}
 }
 
-// TestEventHorizonMatchesDenseUnderFailures pins the sparse loop against
+// TestEventHorizonMatchesDenseUnderFailures pins the sparse path against
 // failure schedules under every retransmission policy: down/up edges land
-// between, and exactly on, the completion epochs the dense loop steps
-// through, voiding progress and (under restart-delivered) resurrecting
-// delivered flows into the live set mid-run.
+// between, and exactly on, the completion epochs, voiding progress — of
+// preempted, ungranted coflows too — and (under restart-delivered)
+// resurrecting delivered flows into their coflows' live sets mid-run.
 func TestEventHorizonMatchesDenseUnderFailures(t *testing.T) {
 	const seeds = 24
 	policies := []struct {
@@ -102,13 +106,13 @@ func TestEventHorizonMatchesDenseUnderFailures(t *testing.T) {
 				for seed := int64(0); seed < seeds; seed++ {
 					rng := rand.New(rand.NewSource(seed))
 					spec := randomSpec(rng, pair.deadlines)
-					spec.deps = nil // exercise the sparse loop, not the fallback
 					fails := withFailures(rng, &spec)
 					fab := spec.fabric(t)
 					tag := fmt.Sprintf("%s/%s/seed=%d", pair.name, pol.name, seed)
 					runPair(t, tag, &spec, func() *netsim.Simulator {
 						sim := netsim.NewSimulator(fab, pair.prod())
 						sim.Events = spec.events
+						sim.Deps = spec.deps
 						sim.Failures = fails
 						sim.Retransmit = pol.policy
 						if spec.horizon > 0 {

@@ -277,11 +277,6 @@ func (ss *Session) load(img []byte) error {
 		if c == nil {
 			return fmt.Errorf("active slot %d of %d empty", k+1, len(active))
 		}
-		// The dense loop's flat list is the active coflows' live flows in
-		// (coflow, flow) order; the sparse loop keeps none without Failures.
-		if !ss.sparse {
-			ss.live = append(ss.live, c.LiveFlows()...)
-		}
 	}
 	ss.active = active
 	return nil

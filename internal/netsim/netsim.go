@@ -164,15 +164,13 @@ type Simulator struct {
 	// to internal/refsim. A non-nil probe must never mutate simulator state;
 	// the telemetry equivalence test pins that observing does not perturb.
 	Probe Probe
-	// EventHorizon opts the session loop into the sparse (event-horizon)
-	// engine: per-epoch cost scales with the coflows whose state changed —
-	// admission-queue prefix pops, retirement scans gated on completion
-	// edges, flow passes over the rate-granted set only, and a min-heap of
-	// projected completion times — instead of with everything active.
-	// Bit-identical to the dense path (pinned by the horizon equivalence
-	// suite); engages only for schedulers implementing
-	// coflow.SparseAllocator and for runs without Deps (anything else falls
-	// back to the dense loop). See DESIGN.md §16.
+	// EventHorizon selects sparse allocation for schedulers implementing
+	// coflow.SparseAllocator (it does nothing for the others): the scheduler
+	// re-keys only the coflows that moved and skips blocked ones, and the
+	// event loop's flow passes visit only the coflows it granted rates, so an
+	// epoch costs what changed rather than everything active. Results are
+	// bit-identical either way (pinned by the horizon equivalence suite and
+	// the failure golden), with Deps and Failures included. See DESIGN.md §16.
 	EventHorizon bool
 	// ReleaseCompleted lets a session reduce completed coflows to four-word
 	// tombstones (release.go) so a long-lived stream runs in memory bounded
@@ -200,14 +198,13 @@ const NoHorizon = -1
 // runScratch is the simulator's reusable per-run storage. Sized on first use
 // and only ever grown; the event loop itself allocates nothing at steady
 // state (the per-run CCT map entries are the one unavoidable exception, and
-// RunInto lets callers recycle even those). The queue/active/live-flow lists
-// live on the Session, which is equally reused.
+// RunInto lets callers recycle even those). The queue and active lists live on
+// the Session, which is equally reused.
 type runScratch struct {
 	events       []CapacityEvent
 	egFac, inFac []float64
 	egCap, inCap []float64
-	egUse, inUse []float64        // fused rate-check accumulators
-	dirty        []*coflow.Coflow // coflows with completions this epoch
+	egUse, inUse []float64 // fused rate-check accumulators
 	completed    map[int]bool
 	known        map[int]bool
 	downCnt      []int            // per-port count of outages covering now
@@ -215,9 +212,6 @@ type runScratch struct {
 	// probeEg/probeIn snapshot the effective per-port capacities for the
 	// probe's EpochSample; filled only when a probe is attached.
 	probeEg, probeIn []float64
-	// horizon is the sparse loop's min-heap of projected flow-completion
-	// times (see horizon.go); untouched by the dense loop.
-	horizon completionHeap
 }
 
 // CapacityEvent rescales one port's capacities at a point in time. Factors
@@ -305,72 +299,62 @@ func (s *Simulator) RunInto(coflows []*coflow.Coflow, rep *Report) error {
 
 // applyPortDown handles the down edge of a failure: void progress per the
 // retransmission policy, account waste, and (under restart-delivered)
-// re-enter delivered flows of in-flight coflows into the live set. Returns
-// the (possibly extended) flat live-flow list.
-func (s *Simulator) applyPortDown(tr failTransition, now float64, active []*coflow.Coflow,
-	liveFlows []*coflow.Flow, rep *Report) []*coflow.Flow {
+// re-enter delivered flows of in-flight coflows into their coflows' live
+// sets. It visits every active coflow, granted or not: a preempted coflow
+// keeps the progress it made while it was served.
+func (s *Simulator) applyPortDown(tr failTransition, now float64, active []*coflow.Coflow, rep *Report) {
 	out := &rep.Failures[tr.out]
-	if s.Retransmit == RetransmitResume {
-		// Checkpointed transfers: nothing is lost, flows wait out the
-		// outage. Count them so the outcome still reflects the blast
-		// radius.
-		for _, f := range liveFlows {
-			if f.Src == tr.port || f.Dst == tr.port {
-				out.FlowsHit++
-				if s.Probe != nil {
-					s.Probe.FlowHit(now, f.Coflow, f, false)
-				}
+	for _, c := range active {
+		for _, f := range c.LiveFlows() {
+			if f.Src != tr.port && f.Dst != tr.port {
+				continue
 			}
-		}
-		return liveFlows
-	}
-	for _, f := range liveFlows {
-		if f.Src != tr.port && f.Dst != tr.port {
-			continue
-		}
-		out.FlowsHit++
-		restarted := false
-		if prog := f.Size - f.Remaining; prog > 0 {
-			out.WastedBytes += prog
-			rep.WastedBytes += prog
-			f.Remaining = f.Size
-			// Voided progress changes the coflow's remaining-byte state, so
-			// sparse-mode priority-key caches must be invalidated.
-			f.Coflow.MarkSimMoved()
-			bumpRestart(rep, f.Coflow.ID)
-			restarted = true
-		}
-		if s.Probe != nil {
-			s.Probe.FlowHit(now, f.Coflow, f, restarted)
-		}
-	}
-	if s.Retransmit == RetransmitRestartDelivered {
-		// Receiver storage loss: deliveries INTO the failed port are
-		// gone and must be re-sent. Flows sent FROM the port keep their
-		// delivery — the data lives at the destination. Only in-flight
-		// coflows are affected; completed ones are out of scope.
-		for _, c := range active {
-			for _, f := range c.Flows {
-				if !f.Done || f.Dst != tr.port || f.Size <= 0 {
-					continue
-				}
-				out.FlowsHit++
-				out.WastedBytes += f.Size
-				rep.WastedBytes += f.Size
-				f.Done = false
+			out.FlowsHit++
+			// Under RetransmitResume transfers are checkpointed: nothing is
+			// lost, flows wait out the outage, and the count alone records the
+			// blast radius.
+			restarted := false
+			if prog := f.Size - f.Remaining; prog > 0 && s.Retransmit != RetransmitResume {
+				out.WastedBytes += prog
+				rep.WastedBytes += prog
 				f.Remaining = f.Size
-				f.Rate = 0
-				f.EndTime = 0
-				c.Reactivate(f)
-				liveFlows = append(liveFlows, f)
+				// Voided progress changes the coflow's remaining-byte state, so
+				// sparse-mode priority-key caches must be invalidated.
+				c.MarkSimMoved()
 				bumpRestart(rep, c.ID)
-				if s.Probe != nil {
-					s.Probe.FlowHit(now, c, f, true)
-				}
+				restarted = true
+			}
+			if s.Probe != nil {
+				s.Probe.FlowHit(now, c, f, restarted)
 			}
 		}
 	}
-	return liveFlows
+	if s.Retransmit != RetransmitRestartDelivered {
+		return
+	}
+	// Receiver storage loss: deliveries INTO the failed port are gone and
+	// must be re-sent. Flows sent FROM the port keep their delivery — the
+	// data lives at the destination. Only in-flight coflows are affected;
+	// completed ones are out of scope.
+	for _, c := range active {
+		for _, f := range c.Flows {
+			if !f.Done || f.Dst != tr.port || f.Size <= 0 {
+				continue
+			}
+			out.FlowsHit++
+			out.WastedBytes += f.Size
+			rep.WastedBytes += f.Size
+			f.Done = false
+			f.Remaining = f.Size
+			f.Rate = 0
+			f.EndTime = 0
+			c.Reactivate(f)
+			bumpRestart(rep, c.ID)
+			if s.Probe != nil {
+				s.Probe.FlowHit(now, c, f, true)
+			}
+		}
+	}
 }
 
 // finalizeFailures fills the recovery fields of each outcome after the run:

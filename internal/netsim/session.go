@@ -66,7 +66,6 @@ type Session struct {
 	iter     int // event-loop iterations consumed; see epochLimit
 	pending  []*coflow.Coflow
 	active   []*coflow.Coflow
-	live     []*coflow.Flow // flat non-done flows of the active coflows
 	all      []*coflow.Coflow
 	events   []CapacityEvent // unapplied suffix of the sorted event schedule
 	nextFail int
@@ -76,9 +75,9 @@ type Session struct {
 	finished bool
 	err      error
 
-	// Event-horizon (sparse) mode: set at begin when the simulator opts in,
-	// the scheduler implements coflow.SparseAllocator, and the run has no
-	// Deps. The loop then dispatches to loopSparse (horizon.go).
+	// sparse is set at begin when the simulator opts in (EventHorizon) and the
+	// scheduler implements coflow.SparseAllocator: the scheduler then runs its
+	// sparse Allocate and the loop's flow passes trust its granted set.
 	sparse bool
 	sa     coflow.SparseAllocator
 	// release mirrors Simulator.ReleaseCompleted for this session. Released
@@ -125,7 +124,6 @@ func (ss *Session) begin(s *Simulator, rep *Report) error {
 		ownRep:     ss.ownRep,
 		pending:    ss.pending[:0],
 		active:     ss.active[:0],
-		live:       ss.live[:0],
 		all:        ss.all[:0],
 		rank:       ss.rank[:0],
 		tombs:      ss.tombs[:0],
@@ -189,18 +187,12 @@ func (ss *Session) begin(s *Simulator, rep *Report) error {
 	}
 	sc.failEv = failEv
 	ss.obs, _ = s.sched.(coflow.CapacityObserver)
-	// Event-horizon mode: sparse only when the simulator opts in, the run
-	// has no dependency graph (admission must be a pure arrival-order prefix
-	// pop), and the scheduler upholds the sparse contract. The toggle is
-	// propagated unconditionally so a scheduler reused on a dense simulator
-	// drops its sparse bookkeeping.
-	ss.sparse = s.EventHorizon && len(s.Deps) == 0
-	if sa, ok := s.sched.(coflow.SparseAllocator); ok {
-		ss.sa = sa
-		sa.SetSparse(ss.sparse)
-	} else {
-		ss.sa = nil
-		ss.sparse = false
+	// The toggle is propagated unconditionally so a scheduler reused on a
+	// simulator without EventHorizon drops its sparse bookkeeping.
+	ss.sa, _ = s.sched.(coflow.SparseAllocator)
+	ss.sparse = s.EventHorizon && ss.sa != nil
+	if ss.sa != nil {
+		ss.sa.SetSparse(ss.sparse)
 	}
 	ss.release = s.ReleaseCompleted
 	if ss.release {
@@ -503,14 +495,13 @@ func (ss *Session) epochLimit() int {
 
 // loop is the event loop: fluid epochs between completions, arrivals,
 // capacity events and failure edges, stopping once `now` reaches `stop` (or
-// the legacy Simulator.Horizon) or the session drains. It is RunInto's former
-// body with the run-local state lifted into the session so it can park and
-// resume; the float arithmetic is untouched and stays allocation-free at
-// steady state.
+// the legacy Simulator.Horizon) or the session drains. Run-local state lives
+// on the session so the loop can park and resume; it is allocation-free at
+// steady state. Three of its stanzas do less than a full scan, each exactly
+// (DESIGN.md §16): admission reads only the arrived prefix of the sorted
+// queue, the retirement scan runs only when a coflow can have finished, and
+// with a sparse allocator the flow passes visit only the coflows it granted.
 func (ss *Session) loop(stop float64) error {
-	if ss.sparse {
-		return ss.loopSparse(stop)
-	}
 	s := ss.s
 	sc := &s.scratch
 	rep := ss.rep
@@ -525,15 +516,21 @@ func (ss *Session) loop(stop float64) error {
 	haveFail := ss.haveFail
 
 	now := ss.now
-	pending, active, liveFlows := ss.pending, ss.active, ss.live
+	pending, active := ss.pending, ss.active
 	events, nextFail := ss.events, ss.nextFail
 	// save parks the loop state back in the session; called (not deferred —
 	// a deferred closure would allocate) before every exit.
 	save := func() {
-		ss.now, ss.pending, ss.active, ss.live = now, pending, active, liveFlows
+		ss.now, ss.pending, ss.active = now, pending, active
 		ss.events, ss.nextFail = events, nextFail
 	}
 
+	// scanRetire arms the retirement scan: at entry (a resumed loop re-checks
+	// once), and on the only transitions that can finish a coflow — an advance
+	// pass that completed a flow, and an admission (a coflow without live
+	// flows finishes on its admission epoch). Failure edges only un-finish
+	// flows, so a scan skipped is a scan that would have found nothing.
+	scanRetire := true
 	limit := ss.epochLimit()
 	for {
 		if ss.iter >= limit {
@@ -541,25 +538,36 @@ func (ss *Session) loop(stop float64) error {
 			return fmt.Errorf("netsim: exceeded %d epochs (scheduler %q livelock?)", s.MaxEpochs, s.sched.Name())
 		}
 		ss.iter++
-		// Admit arrivals (time reached and dependencies completed) and
-		// apply due capacity events. A dependency-gated coflow's Arrival is
-		// advanced to its release time so its CCT measures active transfer.
-		stillPending := pending[:0]
-		for _, c := range pending {
-			if c.Arrival <= now+1e-12 && s.depsDone(c, completed) {
-				if c.Arrival < now {
-					c.Arrival = now
-				}
-				active = append(active, c)
-				liveFlows = append(liveFlows, c.LiveFlows()...)
-				if s.Probe != nil {
-					s.Probe.CoflowAdmitted(now, c)
-				}
+		// Admit arrivals (time reached and dependencies completed) and apply
+		// due capacity events. The queue is sorted by arrival, so the coflows
+		// whose time has come are a prefix: walking it admits the coflows a
+		// scan of the whole queue would, in the same order. Coflows still
+		// blocked on a dependency stay, in order, and the gap closes in place —
+		// the queue keeps its base pointer, so enqueue never reallocates at
+		// steady state. A dependency-gated coflow's Arrival is advanced to its
+		// release time so its CCT measures active transfer.
+		w, i := 0, 0
+		for ; i < len(pending) && pending[i].Arrival <= now+1e-12; i++ {
+			c := pending[i]
+			if !s.depsDone(c, completed) {
+				pending[w] = c
+				w++
 				continue
 			}
-			stillPending = append(stillPending, c)
+			if c.Arrival < now {
+				c.Arrival = now
+			}
+			active = append(active, c)
+			scanRetire = true
+			if s.Probe != nil {
+				s.Probe.CoflowAdmitted(now, c)
+			}
 		}
-		pending = stillPending
+		if w < i {
+			n := w + copy(pending[w:], pending[i:])
+			clear(pending[n:]) // do not pin admitted coflows behind the queue's end
+			pending = pending[:n]
+		}
 		for len(events) > 0 && events[0].Time <= now+1e-12 {
 			ev := events[0]
 			events = events[1:]
@@ -567,9 +575,9 @@ func (ss *Session) loop(stop float64) error {
 			inFac[ev.Port] = ev.IngressFactor
 		}
 		// Apply due failure edges. Down edges void progress per the
-		// retransmission policy and may re-enter delivered flows into the
-		// live set; both edges invalidate capacity-dependent scheduler
-		// state (deadline admissions).
+		// retransmission policy and may re-enter delivered flows into their
+		// coflows' live sets; both edges invalidate capacity-dependent
+		// scheduler state (deadline admissions).
 		for nextFail < len(failEv) && failEv[nextFail].time <= now+1e-12 {
 			tr := failEv[nextFail]
 			nextFail++
@@ -577,7 +585,7 @@ func (ss *Session) loop(stop float64) error {
 				downCnt[tr.port]--
 			} else {
 				downCnt[tr.port]++
-				liveFlows = s.applyPortDown(tr, now, active, liveFlows, rep)
+				s.applyPortDown(tr, now, active, rep)
 			}
 			if s.Probe != nil {
 				s.Probe.FailureEdge(now, tr.port, tr.up)
@@ -587,35 +595,38 @@ func (ss *Session) loop(stop float64) error {
 			}
 		}
 		// Retire completed coflows (O(1) per coflow via the live-flow cache).
-		liveCF := active[:0]
-		for _, c := range active {
-			if c.Finished() {
-				if !c.Completed {
-					c.Completed = true
-					c.Completion = now
-					if len(s.Deps) > 0 {
-						completed[c.ID] = true
+		if scanRetire {
+			scanRetire = false
+			liveCF := active[:0]
+			for _, c := range active {
+				if c.Finished() {
+					if !c.Completed {
+						c.Completed = true
+						c.Completion = now
+						if len(s.Deps) > 0 {
+							completed[c.ID] = true
+						}
+						cct, err := c.CCT()
+						if err != nil {
+							save()
+							return err
+						}
+						rep.CCTs[c.ID] = cct
+						if ss.release {
+							ss.keepWeight(c)
+						}
+						if s.Probe != nil {
+							s.Probe.CoflowCompleted(now, c)
+						}
 					}
-					cct, err := c.CCT()
-					if err != nil {
-						save()
-						return err
-					}
-					rep.CCTs[c.ID] = cct
-					if ss.release {
-						ss.keepWeight(c)
-					}
-					if s.Probe != nil {
-						s.Probe.CoflowCompleted(now, c)
-					}
+					continue
 				}
-				continue
+				liveCF = append(liveCF, c)
 			}
-			liveCF = append(liveCF, c)
-		}
-		active = liveCF
-		if ss.release {
-			ss.releaseCompleted()
+			active = liveCF
+			if ss.release {
+				ss.releaseCompleted()
+			}
 		}
 
 		if hz >= 0 && now >= hz-1e-12 {
@@ -672,21 +683,31 @@ func (ss *Session) loop(stop float64) error {
 		}
 		s.sched.Allocate(now, active, egCap, inCap)
 
-		// One fused pass over the flat live-flow list: validate rates,
-		// accumulate per-port usage, and find the time to next completion.
-		// The flat list holds exactly the non-done flows in (coflow, flow)
-		// order, so the float accumulation matches the original nested scan.
+		// One fused pass over the live flows in (active coflow, live flow)
+		// order: validate rates, accumulate per-port usage, and find the time
+		// to the next completion. After a sparse Allocate only the granted
+		// coflows carry rates, so only they are visited: a flow left out has
+		// rate 0, which adds +0.0 to sums that start at +0 and never see a
+		// negative term (no bit changes), never bounds dt, and moves no bytes.
+		// The granted coflows are visited in the full pass's order, so every
+		// sum below rounds as the full pass rounds it.
+		every := !ss.sparse || ss.sa.LastGrantDense()
 		dt := math.Inf(1)
-		for _, f := range liveFlows {
-			if f.Rate < 0 {
-				save()
-				return fmt.Errorf("netsim: scheduler %q set negative rate %g on flow %d", s.sched.Name(), f.Rate, f.ID)
+		for _, c := range active {
+			if !every && !c.SimGranted() {
+				continue
 			}
-			egUse[f.Src] += f.Rate
-			inUse[f.Dst] += f.Rate
-			if f.Rate > 0 {
-				if t := f.Remaining / f.Rate; t < dt {
-					dt = t
+			for _, f := range c.LiveFlows() {
+				if f.Rate < 0 {
+					save()
+					return fmt.Errorf("netsim: scheduler %q set negative rate %g on flow %d", s.sched.Name(), f.Rate, f.ID)
+				}
+				egUse[f.Src] += f.Rate
+				inUse[f.Dst] += f.Rate
+				if f.Rate > 0 {
+					if t := f.Remaining / f.Rate; t < dt {
+						dt = t
+					}
 				}
 			}
 		}
@@ -755,44 +776,39 @@ func (ss *Session) loop(stop float64) error {
 			s.Probe.EpochSample(now, dt, active, egUse, inUse, probeEg, probeIn)
 		}
 
-		// Advance along the flat list; coflows that lost flows are marked
-		// dirty (the list is grouped by coflow, so last-element dedup is
-		// exact) and compacted in one batched pass afterwards.
+		// Advance over the same coflows. Each is marked moved for a sparse
+		// allocator's key cache (marking one that did not move only recomputes
+		// the key it already had); one that lost a flow compacts its live-flow
+		// cache once, after its flows, and arms the retirement scan.
 		now += dt
-		dirty := sc.dirty[:0]
-		for _, f := range liveFlows {
-			if f.Rate <= 0 {
+		for _, c := range active {
+			if !every && !c.SimGranted() {
 				continue
 			}
-			moved := f.Rate * dt
-			if moved > f.Remaining {
-				moved = f.Remaining
-			}
-			f.Remaining -= moved
-			f.Coflow.SentBytes += moved
-			rep.TotalBytes += moved
-			if f.Remaining <= completionEps {
-				f.Remaining = 0
-				f.Done = true
-				f.EndTime = now
-				if len(dirty) == 0 || dirty[len(dirty)-1] != f.Coflow {
-					dirty = append(dirty, f.Coflow)
+			c.MarkSimMoved()
+			lost := false
+			for _, f := range c.LiveFlows() {
+				if f.Rate <= 0 {
+					continue
+				}
+				moved := f.Rate * dt
+				if moved > f.Remaining {
+					moved = f.Remaining
+				}
+				f.Remaining -= moved
+				c.SentBytes += moved
+				rep.TotalBytes += moved
+				if f.Remaining <= completionEps {
+					f.Remaining = 0
+					f.Done = true
+					f.EndTime = now
+					lost = true
 				}
 			}
-		}
-		sc.dirty = dirty
-		if len(dirty) > 0 {
-			for _, c := range dirty {
+			if lost {
 				c.RefreshSim()
+				scanRetire = true
 			}
-			w := 0
-			for _, f := range liveFlows {
-				if !f.Done {
-					liveFlows[w] = f
-					w++
-				}
-			}
-			liveFlows = liveFlows[:w]
 		}
 	}
 	save()

@@ -271,8 +271,10 @@ func (e *Executor) run(node Node, res *Result) (*Table, error) {
 
 // shuffle redistributes the given per-node fragments by key partition using
 // the configured placement scheduler, simulates the coflow, and returns the
-// post-shuffle fragments plus the stage report.
-func (e *Executor) shuffle(label string, frags [][]Row, payload int64) ([][]Row, StageReport, error) {
+// post-shuffle fragments plus the stage report. It is generic over the element
+// so that the join's side-tagged rows and plain rows take the one path; key
+// extracts the shuffle key.
+func shuffle[T any](e *Executor, label string, frags [][]T, key func(T) int64, payload int64) ([][]T, StageReport, error) {
 	n, p := e.cfg.Nodes, e.cfg.Partitions
 	rep := StageReport{Operator: label}
 	m, err := partition.NewChunkMatrix(n, p)
@@ -282,7 +284,7 @@ func (e *Executor) shuffle(label string, frags [][]Row, payload int64) ([][]Row,
 	for i, f := range frags {
 		rep.RowsIn += int64(len(f))
 		for _, row := range f {
-			m.Add(i, e.part.Partition(row.Key), payload)
+			m.Add(i, e.part.Partition(key(row)), payload)
 		}
 	}
 	pl, err := e.cfg.Scheduler.Place(m, nil)
@@ -320,16 +322,17 @@ func (e *Executor) shuffle(label string, frags [][]Row, payload int64) ([][]Row,
 		rep.TimeSec = simRep.MaxCCT
 	}
 
-	out := make([][]Row, n)
-	for i, f := range frags {
-		_ = i
+	out := make([][]T, n)
+	for _, f := range frags {
 		for _, row := range f {
-			d := pl.Dest[e.part.Partition(row.Key)]
+			d := pl.Dest[e.part.Partition(key(row))]
 			out[d] = append(out[d], row)
 		}
 	}
 	return out, rep, nil
 }
+
+func rowKey(r Row) int64 { return r.Key }
 
 // taggedRow carries a join input row plus its side.
 type taggedRow struct {
@@ -355,7 +358,7 @@ func (e *Executor) join(op *JoinOp, l, r *Table, res *Result) (*Table, error) {
 			trFrags[i] = append(trFrags[i], taggedRow{row, true})
 		}
 	}
-	shuffled, rep, err := e.shuffleTagged(op.label(), trFrags, payload)
+	shuffled, rep, err := shuffle(e, op.label(), trFrags, func(tr taggedRow) int64 { return tr.row.Key }, payload)
 	if err != nil {
 		return nil, err
 	}
@@ -382,60 +385,6 @@ func (e *Executor) join(op *JoinOp, l, r *Table, res *Result) (*Table, error) {
 	return out, nil
 }
 
-// shuffleTagged is the join's variant of shuffle carrying a side marker.
-func (e *Executor) shuffleTagged(label string, frags [][]taggedRow, payload int64) ([][]taggedRow, StageReport, error) {
-	n, p := e.cfg.Nodes, e.cfg.Partitions
-	rep := StageReport{Operator: label}
-	m, err := partition.NewChunkMatrix(n, p)
-	if err != nil {
-		return nil, rep, fmt.Errorf("query: %s: %w", label, err)
-	}
-	for i, f := range frags {
-		rep.RowsIn += int64(len(f))
-		for _, tr := range f {
-			m.Add(i, e.part.Partition(tr.row.Key), payload)
-		}
-	}
-	pl, err := e.cfg.Scheduler.Place(m, nil)
-	if err != nil {
-		return nil, rep, fmt.Errorf("query: %s: placement: %w", label, err)
-	}
-	loads, err := partition.ComputeLoads(m, pl, nil)
-	if err != nil {
-		return nil, rep, err
-	}
-	rep.TrafficBytes = loads.Traffic()
-	rep.BottleneckBytes = loads.Max()
-	vol, err := partition.FlowVolumes(m, pl)
-	if err != nil {
-		return nil, rep, err
-	}
-	rep.FlowVolumes = vol
-	cf, err := coflow.FromVolumes(0, label, 0, n, vol)
-	if err != nil {
-		return nil, rep, err
-	}
-	if len(cf.Flows) > 0 {
-		fabric, err := netsim.NewFabric(n, e.cfg.Bandwidth)
-		if err != nil {
-			return nil, rep, err
-		}
-		simRep, err := netsim.NewSimulator(fabric, coflow.NewVarys()).Run([]*coflow.Coflow{cf})
-		if err != nil {
-			return nil, rep, err
-		}
-		rep.TimeSec = simRep.MaxCCT
-	}
-	out := make([][]taggedRow, n)
-	for _, f := range frags {
-		for _, tr := range f {
-			d := pl.Dest[e.part.Partition(tr.row.Key)]
-			out[d] = append(out[d], tr)
-		}
-	}
-	return out, rep, nil
-}
-
 func (e *Executor) aggregate(op *AggOp, in *Table, res *Result) (*Table, error) {
 	n := e.cfg.Nodes
 	frags := in.Frags
@@ -452,7 +401,7 @@ func (e *Executor) aggregate(op *AggOp, in *Table, res *Result) (*Table, error) 
 		}
 		frags = pre
 	}
-	shuffled, rep, err := e.shuffle(op.label(), frags, in.PayloadBytes)
+	shuffled, rep, err := shuffle(e, op.label(), frags, rowKey, in.PayloadBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -482,7 +431,7 @@ func (e *Executor) distinct(op *DistinctOp, in *Table, res *Result) (*Table, err
 			}
 		}
 	}
-	shuffled, rep, err := e.shuffle(op.label(), pre, in.PayloadBytes)
+	shuffled, rep, err := shuffle(e, op.label(), pre, rowKey, in.PayloadBytes)
 	if err != nil {
 		return nil, err
 	}

@@ -12,7 +12,9 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -186,6 +188,62 @@ func TestRestartResumesSeq(t *testing.T) {
 	}
 	if dec.Seq != 11 {
 		t.Fatalf("post-restart seq = %d, want 11", dec.Seq)
+	}
+	if err := p2.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRestartReplaysWhatIntakeNowRefuses pins that generator validation is an
+// intake rule only: a journal written by a daemon from before the rule holds
+// records it acknowledged, and a restart must replay every one of them (and
+// keep doing so) even though the same spec submitted today is a 400.
+func TestRestartReplaysWhatIntakeNowRefuses(t *testing.T) {
+	dir := t.TempDir()
+	cfg := detConfig(dir)
+	cfg.Shards = 1
+	w, err := openWAL(walPath(dir, 0), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := badGenConfigs[1:] // the first one killed the daemon that took it
+	for i := range old {
+		gen := old[i]
+		gen.Nodes = cfg.Nodes
+		arrival := float64(i)
+		if err := w.Append(uint64(i+1), &JobSpec{Name: "old", Arrival: &arrival, Gen: &gen}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	p := startPool(t, cfg)
+	if _, err := p.Submit(context.Background(), JobSpec{Name: "x", Gen: &old[0]}); !errors.Is(err, ErrBadJob) {
+		t.Fatalf("resubmitting a replayed spec: %v, want ErrBadJob", err)
+	}
+	// A NaN arrival cannot come over HTTP (JSON has none) but can through the
+	// API; the engine refuses it and the shard answers ErrBadJob, unjournaled.
+	nan := math.NaN()
+	if _, err := p.Submit(context.Background(), JobSpec{Name: "x", Arrival: &nan, Gen: &workload.Config{}}); !errors.Is(err, ErrBadJob) {
+		t.Fatalf("NaN arrival: %v, want ErrBadJob", err)
+	}
+	dec, err := p.Submit(context.Background(), genSpec("new", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := uint64(len(old) + 1); dec.Seq != want {
+		t.Fatalf("seq after replay = %d, want %d", dec.Seq, want)
+	}
+	before := poolStates(t, p)[0]
+	p.Kill()
+
+	// The post-restore snapshot compacted the old records into an image; a
+	// second restart loads it and replays only the new record behind it.
+	p2 := startPool(t, cfg)
+	if after := poolStates(t, p2)[0]; after != before {
+		t.Fatalf("second restart: state %+v, want %+v", after, before)
 	}
 	if err := p2.Drain(context.Background()); err != nil {
 		t.Fatal(err)

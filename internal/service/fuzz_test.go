@@ -5,10 +5,12 @@ package service
 // directory, the restore path — frame, payload header, engine image — reports
 // a typed error. It never panics, never sizes an allocation from a count the
 // bytes cannot back, and a snapshot that restores must re-encode to one that
-// restores to the same state.
+// restores to the same state. The same bytes are also offered as a submission
+// body: a spec intake accepts must materialize without a panic.
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -44,6 +46,14 @@ func FuzzSnapshotRestore(f *testing.F) {
 	// itself, so mutations of these reach the decoders behind the checksum.
 	f.Add(valid[16 : len(valid)-4])
 	f.Add(base.Image)
+	// Submission bodies intake must refuse (TestHTTPBadJobIs400).
+	for _, gen := range badGenConfigs {
+		body, err := json.Marshal(JobSpec{Name: "x", Gen: &gen})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
 
 	typed := func(t *testing.T, what string, err error) {
 		t.Helper()
@@ -111,6 +121,20 @@ func FuzzSnapshotRestore(f *testing.F) {
 		_, _, werr := replayWAL(path, 0, func(seq uint64, spec *JobSpec) error { return nil })
 		if werr != nil && !errors.Is(werr, ErrWALCorrupt) {
 			t.Fatalf("untyped wal error: %v", werr)
+		}
+
+		// And as a submission body: whatever intake validation lets through,
+		// the shard goroutine must be able to materialize — an ErrBadJob at
+		// worst, never a panic or an allocation the body could not have paid
+		// for itself.
+		var spec JobSpec
+		if json.Unmarshal(data, &spec) == nil && spec.validate(base.Nodes) == nil {
+			if spec.Arrival == nil {
+				spec.Arrival = new(float64)
+			}
+			if _, err := materialize(&spec, base.Nodes); err != nil && !errors.Is(err, ErrBadJob) {
+				t.Fatalf("materialize of a validated spec: untyped error: %v", err)
+			}
 		}
 	})
 }

@@ -119,13 +119,29 @@ func TestHTTPSubmitAndIntrospection(t *testing.T) {
 	}
 }
 
+// badGenConfigs are generator configs intake refuses (JobSpec.validate);
+// journal replay still accepts all but the first, which no daemon survived.
+var badGenConfigs = []workload.Config{
+	{Partitions: 4_000_000_000_000_000_000},
+	{CustomerTuples: -5, OrderTuples: -5},
+	{JitterFrac: 5},
+	{PayloadBytes: 9_000_000_000_000},
+}
+
 func TestHTTPBadJobIs400(t *testing.T) {
-	_, srv := httpTestPool(t, detConfig(t.TempDir()))
+	p, srv := httpTestPool(t, detConfig(t.TempDir()))
 	cases := []JobSpec{
 		{},                                  // no name, no data
 		{Name: "x"},                         // neither gen nor chunks
 		{Name: "x", Chunks: [][]int64{{1}}}, // wrong row count
 		{Name: "x", Placer: "nope", Gen: &workload.Config{}}, // unknown placer
+	}
+	// Generator configs that must be refused before they reach a shard: the
+	// first asks makeslice for 4e18 × nodes cells (a panic on the shard
+	// goroutine ends the process), the rest generate nonsense that would be
+	// acknowledged and journaled.
+	for _, gen := range badGenConfigs {
+		cases = append(cases, JobSpec{Name: "x", Gen: &gen})
 	}
 	for i, spec := range cases {
 		resp, body := postJob(t, srv.URL, spec)
@@ -133,8 +149,19 @@ func TestHTTPBadJobIs400(t *testing.T) {
 			t.Fatalf("case %d: %d %s", i, resp.StatusCode, body)
 		}
 	}
+	resp, err := http.Get(srv.URL + "/healthz")
+	if err != nil {
+		t.Fatalf("healthz after bad jobs: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after bad jobs: %d", resp.StatusCode)
+	}
+	if st := p.Stats(); st.Admitted != 0 {
+		t.Fatalf("%d bad jobs admitted", st.Admitted)
+	}
 	// Malformed JSON body.
-	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", bytes.NewReader([]byte("{not json")))
+	resp, err = http.Post(srv.URL+"/v1/jobs", "application/json", bytes.NewReader([]byte("{not json")))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,6 +88,7 @@ var ErrBadJob = errors.New("service: invalid job")
 
 // validate checks a spec against the pool's fabric size and normalises the
 // generator config (fills Nodes) so the journaled record is self-contained.
+// It runs at intake only: a journaled record is replayed as it was accepted.
 func (s *JobSpec) validate(nodes int) error {
 	if s.Name == "" {
 		return fmt.Errorf("%w: missing name", ErrBadJob)
@@ -107,6 +108,19 @@ func (s *JobSpec) validate(nodes int) error {
 		}
 		if s.Gen.Nodes != nodes {
 			return fmt.Errorf("%w: gen spans %d nodes, pool spans %d", ErrBadJob, s.Gen.Nodes, nodes)
+		}
+		if err := s.Gen.Validate(); err != nil {
+			return fmt.Errorf("%w: gen: %v", ErrBadJob, err)
+		}
+		// A generated matrix may be no larger than one a client could have
+		// sent as chunks: a cell costs at least two body bytes ("0,").
+		p := s.Gen.Partitions
+		if p == 0 {
+			p = workload.DefaultPartitionMultiplier * nodes
+		}
+		if p > maxJobBody/2/nodes {
+			return fmt.Errorf("%w: gen asks for %d×%d chunks, more than the %d a request body can carry",
+				ErrBadJob, nodes, p, maxJobBody/2)
 		}
 		return nil
 	}

@@ -97,6 +97,36 @@ func (c Config) withDefaults() (Config, error) {
 	return c, nil
 }
 
+// Validate rejects what Generate would turn into nonsense rather than an
+// error: negative tuple counts or payloads, a non-finite Zipf or Skew, a
+// JitterFrac outside [0, 1] (a share scaled by 1 ± JitterFrac must stay
+// non-negative), and a total of (|C| + |O|) × payload bytes beyond half of
+// int64 (jitter may give a chunk up to twice its share). It is the check for configs arriving from outside the program.
+// Generate does not call it: a journal replays configs an earlier daemon
+// accepted, and must keep producing what that daemon produced.
+func (c Config) Validate() error {
+	c, err := c.withDefaults()
+	if err != nil {
+		return err
+	}
+	if c.CustomerTuples < 0 || c.OrderTuples < 0 || c.PayloadBytes < 0 {
+		return fmt.Errorf("workload: negative size (CustomerTuples %d, OrderTuples %d, PayloadBytes %d)",
+			c.CustomerTuples, c.OrderTuples, c.PayloadBytes)
+	}
+	if math.IsNaN(c.Zipf) || math.IsInf(c.Zipf, 0) || math.IsNaN(c.Skew) {
+		return fmt.Errorf("workload: Zipf and Skew must be finite, got %g and %g", c.Zipf, c.Skew)
+	}
+	if !(c.JitterFrac >= 0 && c.JitterFrac <= 1) {
+		return fmt.Errorf("workload: JitterFrac must be in [0,1], got %g", c.JitterFrac)
+	}
+	if c.CustomerTuples > math.MaxInt64-c.OrderTuples ||
+		c.CustomerTuples+c.OrderTuples > math.MaxInt64/2/c.PayloadBytes {
+		return fmt.Errorf("workload: (%d + %d) tuples of %d bytes overflow int64",
+			c.CustomerTuples, c.OrderTuples, c.PayloadBytes)
+	}
+	return nil
+}
+
 // Workload is a generated instance: the chunk matrix of non-skewed data, the
 // extra bytes of the hot key per node, and bookkeeping needed by the skew
 // handler and the experiment harness.

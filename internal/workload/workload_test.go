@@ -41,6 +41,33 @@ func TestConfigValidation(t *testing.T) {
 		if _, err := Generate(c); err == nil {
 			t.Errorf("Generate(%+v) accepted invalid config", c)
 		}
+		if err := c.Validate(); err == nil {
+			t.Errorf("Validate(%+v) accepted what Generate refuses", c)
+		}
+	}
+	// What Generate builds nonsense from and only Validate refuses.
+	strict := []Config{
+		{Nodes: 3, CustomerTuples: -1},
+		{Nodes: 3, OrderTuples: -1},
+		{Nodes: 3, PayloadBytes: -1},
+		{Nodes: 3, Zipf: math.NaN()},
+		{Nodes: 3, Zipf: math.Inf(1)},
+		{Nodes: 3, Skew: math.NaN()},
+		{Nodes: 3, JitterFrac: math.NaN()},
+		{Nodes: 3, JitterFrac: -0.1},
+		{Nodes: 3, JitterFrac: 1.5},
+		{Nodes: 3, CustomerTuples: math.MaxInt64, OrderTuples: 1},
+		{Nodes: 3, PayloadBytes: 9_000_000_000_000},
+	}
+	for _, c := range strict {
+		if err := c.Validate(); err == nil {
+			t.Errorf("Validate(%+v) accepted invalid config", c)
+		}
+	}
+	for _, c := range []Config{{Nodes: 4}, {Nodes: 4, JitterFrac: 1, Zipf: 3, Skew: 0.99, PayloadBytes: 1 << 30}} {
+		if err := c.Validate(); err != nil {
+			t.Errorf("Validate(%+v): %v", c, err)
+		}
 	}
 }
 
