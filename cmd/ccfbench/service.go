@@ -39,8 +39,11 @@ import (
 
 // smokeSpec is job i of the deterministic smoke/load stream: same bytes for
 // any run, so crash-interrupted and uninterrupted passes are comparable.
+// Every third job carries a hot key and asks for partial duplication, so a
+// kill -9 and restart also crosses the skew plan the engine builds in reused
+// storage, between jobs that do not touch it.
 func smokeSpec(i int, nodes int) service.JobSpec {
-	return service.JobSpec{
+	spec := service.JobSpec{
 		Name: fmt.Sprintf("smoke-%06d", i),
 		Key:  fmt.Sprintf("key-%d", i%17),
 		Gen: &workload.Config{
@@ -53,6 +56,11 @@ func smokeSpec(i int, nodes int) service.JobSpec {
 			JitterFrac:     0.05,
 		},
 	}
+	if i%3 == 2 {
+		spec.Gen.Skew = workload.DefaultSkew
+		spec.HandleSkew = true
+	}
+	return spec
 }
 
 // ---------------------------------------------------------------------------

@@ -265,23 +265,35 @@ func New(id int, name string, arrival float64, flows []Flow) *Coflow {
 }
 
 // FromVolumes builds a coflow from an n×n volume matrix (bytes from i to j,
-// row-major), skipping the diagonal and zero entries.
+// row-major), skipping the diagonal and zero entries. The flows are counted
+// first and carved from one allocation.
 func FromVolumes(id int, name string, arrival float64, n int, vol []int64) (*Coflow, error) {
 	if len(vol) != n*n {
 		return nil, fmt.Errorf("coflow: volume matrix has %d entries, want %d", len(vol), n*n)
 	}
 	c := &Coflow{ID: id, Name: name, Arrival: arrival}
+	count := 0
+	for i := 0; i < n; i++ {
+		for j, v := range vol[i*n : (i+1)*n] {
+			if i != j && v > 0 {
+				count++
+			}
+		}
+	}
+	if count == 0 {
+		return c, nil
+	}
+	flows := make([]Flow, count)
+	c.Flows = make([]*Flow, count)
 	fid := 0
 	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			v := vol[i*n+j]
+		for j, v := range vol[i*n : (i+1)*n] {
 			if i == j || v <= 0 {
 				continue
 			}
-			c.Flows = append(c.Flows, &Flow{
-				ID: fid, Coflow: c, Src: i, Dst: j,
-				Size: float64(v), Remaining: float64(v),
-			})
+			f := &flows[fid]
+			*f = Flow{ID: fid, Coflow: c, Src: i, Dst: j, Size: float64(v), Remaining: float64(v)}
+			c.Flows[fid] = f
 			fid++
 		}
 	}

@@ -58,6 +58,50 @@ func TestFromVolumes(t *testing.T) {
 	}
 }
 
+// TestFromVolumesFlowsAndAllocations: flows come out in row-major order with
+// consecutive IDs, each linked to its coflow, negative and diagonal entries
+// dropped — and a coflow costs three allocations however many flows it has
+// (the Coflow, the flows, the pointers to them).
+func TestFromVolumesFlowsAndAllocations(t *testing.T) {
+	const n = 16
+	vol := make([]int64, n*n)
+	type edge struct{ src, dst int }
+	var want []edge
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			switch v := int64((i*7+j*3)%5) - 1; { // −1 … 3
+			case i == j:
+				vol[i*n+j] = 9
+			default:
+				vol[i*n+j] = v
+				if v > 0 {
+					want = append(want, edge{i, j})
+				}
+			}
+		}
+	}
+	c, err := FromVolumes(4, "job", 2, n, vol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(c.Flows) != len(want) {
+		t.Fatalf("got %d flows, want %d", len(c.Flows), len(want))
+	}
+	for id, f := range c.Flows {
+		v := float64(vol[want[id].src*n+want[id].dst])
+		if f.ID != id || f.Coflow != c || f.Src != want[id].src || f.Dst != want[id].dst ||
+			f.Size != v || f.Remaining != v || f.Done || f.Rate != 0 {
+			t.Fatalf("flow %d = %+v, want %d→%d of %g bytes", id, *f, want[id].src, want[id].dst, v)
+		}
+	}
+	if empty, err := FromVolumes(0, "idle", 0, n, make([]int64, n*n)); err != nil || empty.Flows != nil {
+		t.Errorf("all-zero volumes: flows %v, err %v; want none", empty.Flows, err)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { FromVolumes(4, "job", 2, n, vol) }); allocs > 3 {
+		t.Errorf("FromVolumes made %g allocations for %d flows, want at most 3", allocs, len(want))
+	}
+}
+
 func TestFromVolumesRejectsBadMatrix(t *testing.T) {
 	if _, err := FromVolumes(0, "x", 0, 3, make([]int64, 8)); err == nil {
 		t.Error("FromVolumes accepted 8 entries for n=3")

@@ -149,6 +149,15 @@ type OnlineEngine struct {
 	egB, inB []int64 // reusable backlog buffers
 	batch    *Batch  // reusable batch handle (BeginBatch)
 	finished bool
+
+	// Decide-path storage, overwritten by every submit and never handed out:
+	// the skew plan (with its adjusted copy of the job's matrix), the initial
+	// loads the placer sees, and the n×n flow volumes. Nothing of a job's
+	// workload is referenced once submit returns; what a decision carries
+	// (Placement, Backlog) is allocated per decision.
+	plan    skew.Plan
+	initial partition.Loads
+	vol     []int64
 }
 
 // NewOnlineEngine builds an engine over a fresh fabric of `nodes` ports.
@@ -183,6 +192,7 @@ func newOnlineEngine(nodes int, opts OnlineOptions) (*OnlineEngine, error) {
 	return &OnlineEngine{
 		opts: opts, n: nodes, sim: sim,
 		egB: make([]int64, nodes), inB: make([]int64, nodes),
+		initial: partition.Loads{Egress: make([]int64, nodes), Ingress: make([]int64, nodes)},
 	}, nil
 }
 
@@ -337,16 +347,19 @@ func (e *OnlineEngine) submit(job OnlineJob, bp *Batch) (*OnlineDecision, error)
 		sched = placement.CCF{}
 	}
 	matrix := job.Workload.Chunks
-	initial := &partition.Loads{Egress: make([]int64, e.n), Ingress: make([]int64, e.n)}
+	initial := &e.initial
 	var plan *skew.Plan
 	if job.HandleSkew && job.Workload.SkewPartition >= 0 {
-		plan = skew.PartialDuplication(job.Workload)
+		plan = skew.PartialDuplicationInto(&e.plan, job.Workload)
 		if err := plan.Validate(job.Workload.Chunks); err != nil {
 			return nil, fmt.Errorf("core: online job %d: %w", ji, err)
 		}
 		matrix = plan.Adjusted
 		copy(initial.Egress, plan.Initial.Egress)
 		copy(initial.Ingress, plan.Initial.Ingress)
+	} else {
+		clear(initial.Egress)
+		clear(initial.Ingress)
 	}
 
 	dec := &OnlineDecision{Job: ji}
@@ -390,13 +403,16 @@ func (e *OnlineEngine) submit(job OnlineJob, bp *Batch) (*OnlineDecision, error)
 	if err != nil {
 		return nil, fmt.Errorf("core: online job %d: %w", ji, err)
 	}
-	vol, err := partition.FlowVolumes(matrix, pl)
+	vol, err := partition.FlowVolumesInto(e.vol, matrix, pl)
 	if err != nil {
 		return nil, err
 	}
+	e.vol = vol
 	if plan != nil {
-		for i, b := range plan.BroadcastVolumes {
-			vol[i] += b
+		// Only the hot key's owner broadcasts: its row holds the n − 1 cells.
+		row := job.Workload.SkewOwner * e.n
+		for j, b := range plan.BroadcastVolumes[row : row+e.n] {
+			vol[row+j] += b
 		}
 	}
 	cf, err := coflow.FromVolumes(ji, job.Name, job.Arrival, e.n, vol)

@@ -12,6 +12,7 @@ package partition
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // ChunkMatrix holds h_ik: the number of bytes of partition k stored on node
@@ -244,22 +245,25 @@ func ComputeLoads(m *ChunkMatrix, pl *Placement, initial *Loads) (*Loads, error)
 // placement: volumes[i*n+j] is the bytes node i sends to node j (i != j).
 // Chunks whose destination equals their holder generate no flow.
 func FlowVolumes(m *ChunkMatrix, pl *Placement) ([]int64, error) {
+	return FlowVolumesInto(nil, m, pl)
+}
+
+// FlowVolumesInto is FlowVolumes writing into vol's storage when it holds
+// n×n entries (it allocates otherwise); whatever vol held is overwritten.
+func FlowVolumesInto(vol []int64, m *ChunkMatrix, pl *Placement) ([]int64, error) {
 	if err := pl.Validate(m.N, m.P); err != nil {
 		return nil, err
 	}
-	vol := make([]int64, m.N*m.N)
-	for i := 0; i < m.N; i++ {
-		row := m.Row(i)
-		for k, v := range row {
-			if v == 0 {
-				continue
-			}
-			d := pl.Dest[k]
-			if d == i {
-				continue
-			}
-			vol[i*m.N+d] += v
+	n := m.N
+	vol = slices.Grow(vol[:0], n*n)[:n*n]
+	clear(vol)
+	dest := pl.Dest[:m.P]
+	for i := 0; i < n; i++ {
+		out := vol[i*n : (i+1)*n]
+		for k, v := range m.Row(i) {
+			out[dest[k]] += v
 		}
+		out[i] = 0 // chunks already at their destination do not move
 	}
 	return vol, nil
 }

@@ -3,6 +3,7 @@ package partition
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -208,6 +209,52 @@ func TestFlowVolumes(t *testing.T) {
 		if vol[i] != want[i] {
 			t.Fatalf("FlowVolumes = %v, want %v", vol, want)
 		}
+	}
+}
+
+// TestFlowVolumesIntoReusesStorage: one buffer carried across matrices of
+// different sizes gives the textbook v_ij each time — nothing of the previous
+// job, or of what the caller left in the buffer, shows through — and a buffer
+// that is large enough is not reallocated.
+func TestFlowVolumesIntoReusesStorage(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var vol []int64
+	for _, n := range []int{6, 3, 6, 1} {
+		p := n + rng.Intn(10)
+		m := MustChunkMatrix(n, p)
+		for i := range m.H {
+			m.H[i] = int64(rng.Intn(100)) - 10 // a few negative and zero cells too
+		}
+		pl := NewPlacement(p)
+		for k := range pl.Dest {
+			pl.Dest[k] = rng.Intn(n)
+		}
+		want := make([]int64, n*n)
+		for i := 0; i < n; i++ {
+			for k := 0; k < p; k++ {
+				if d := pl.Dest[k]; d != i {
+					want[i*n+d] += m.At(i, k)
+				}
+			}
+		}
+		for i := range vol[:cap(vol)] {
+			vol[:cap(vol)][i] = -1
+		}
+		before := cap(vol)
+		got, err := FlowVolumesInto(vol, m, pl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("n=%d: FlowVolumesInto = %v, want %v", n, got, want)
+		}
+		if before >= n*n && &got[0] != &vol[:1][0] {
+			t.Errorf("n=%d: buffer of %d entries was reallocated", n, before)
+		}
+		vol = got
+	}
+	if _, err := FlowVolumesInto(vol, MustChunkMatrix(2, 2), NewPlacement(2)); err == nil {
+		t.Error("FlowVolumesInto accepted an unassigned placement")
 	}
 }
 

@@ -2,6 +2,7 @@ package placement
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -105,7 +106,11 @@ func ccfReference(m *partition.ChunkMatrix, initial *partition.Loads, noSort boo
 		bestD := -1
 		var bestT int64
 		for d := 0; d < n; d++ {
-			var T int64
+			// −1, not 0, is the load of "no port": the two agree wherever some
+			// load is non-negative, and on matrices with negative cells — which
+			// Place has never rejected and a journal may hold — this is what
+			// Place's top-2 sentinels have always computed.
+			T := int64(-1)
 			for i := 0; i < n; i++ {
 				eg := egress[i]
 				if i != d {
@@ -164,6 +169,143 @@ func TestCCFMatchesReferenceImplementation(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestCCFMatchesReferenceOnHardRegimes is the property above on the instance
+// families where Place's shortcuts do their work, which chunks < 100 against
+// loads < 30 on n ≤ 7 almost never reach: the candidate scan's early exit
+// (some port already carries far more than the job adds), the ingress top-2
+// carried across partitions (rescanned when a negative chunk shrinks a port),
+// and ties at every comparison. Each family is checked against the textbook
+// loop with the sort on and off.
+func TestCCFMatchesReferenceOnHardRegimes(t *testing.T) {
+	loads := func(n int, f func(i int) (eg, in int64)) *partition.Loads {
+		l := &partition.Loads{Egress: make([]int64, n), Ingress: make([]int64, n)}
+		for i := 0; i < n; i++ {
+			l.Egress[i], l.Ingress[i] = f(i)
+		}
+		return l
+	}
+	families := []struct {
+		name string
+		gen  func(rng *rand.Rand) (*partition.ChunkMatrix, *partition.Loads)
+	}{
+		{"wide", func(rng *rand.Rand) (*partition.ChunkMatrix, *partition.Loads) {
+			n, p := 1+rng.Intn(16), 1+rng.Intn(64)
+			return randomMatrix(rng, n, p, 100), loads(n, func(int) (int64, int64) {
+				return int64(rng.Intn(30)), int64(rng.Intn(30))
+			})
+		}},
+		{"standing backlog", func(rng *rand.Rand) (*partition.ChunkMatrix, *partition.Loads) {
+			// Every port carries ≈ 10⁶ against chunks < 100: the scan stops at
+			// the first ordinary port on every partition.
+			n, p := 1+rng.Intn(16), 1+rng.Intn(64)
+			return randomMatrix(rng, n, p, 100), loads(n, func(int) (int64, int64) {
+				return 1e6 + int64(rng.Intn(30)), 1e6 + int64(rng.Intn(30))
+			})
+		}},
+		{"stop index against the special ports", func(rng *rand.Rand) (*partition.ChunkMatrix, *partition.Loads) {
+			// Port a holds the egress maximum and port b the ingress maximum,
+			// a little below, at or above it; ports before s sit just under
+			// the ingress maximum, so receiving anything lifts them over the
+			// floor and the scan first stops at s. a and b fall before, at
+			// and after s, coincide, and tie with their runners-up.
+			n, p := 3+rng.Intn(14), 1+rng.Intn(40)
+			a, b, stop := rng.Intn(n), rng.Intn(n), rng.Intn(n)
+			top := int64(1e6 + 50*(rng.Intn(3)-1))
+			return randomMatrix(rng, n, p, 100), loads(n, func(i int) (eg, in int64) {
+				eg, in = int64(rng.Intn(30)), int64(rng.Intn(30))
+				if i == a {
+					eg = 1e6 + int64(rng.Intn(5))
+				}
+				if i == b {
+					in = top
+				} else if i < stop {
+					in = top - int64(rng.Intn(40))
+				}
+				return eg, in
+			})
+		}},
+		{"ties everywhere", func(rng *rand.Rand) (*partition.ChunkMatrix, *partition.Loads) {
+			// One chunk size and one initial load: e1 = e2, in1 = in2 and equal
+			// T on every candidate, so only the tie rules decide.
+			n, p := 1+rng.Intn(16), 1+rng.Intn(64)
+			m := partition.MustChunkMatrix(n, p)
+			chunk, load := int64(rng.Intn(3)), int64(rng.Intn(2)*1000)
+			for i := range m.H {
+				m.H[i] = chunk
+			}
+			return m, loads(n, func(int) (int64, int64) { return load, load })
+		}},
+		{"zero rows and columns", func(rng *rand.Rand) (*partition.ChunkMatrix, *partition.Loads) {
+			n, p := 1+rng.Intn(16), 1+rng.Intn(64)
+			m := randomMatrix(rng, n, p, 100)
+			for i := 0; i < n; i++ {
+				if rng.Intn(3) == 0 {
+					clear(m.Row(i))
+				}
+			}
+			for k := 0; k < p; k++ {
+				if rng.Intn(3) == 0 {
+					for i := 0; i < n; i++ {
+						m.Set(i, k, 0)
+					}
+				}
+			}
+			var init *partition.Loads
+			if rng.Intn(2) == 0 {
+				init = loads(n, func(int) (int64, int64) { return int64(rng.Intn(2) * 500), int64(rng.Intn(2) * 500) })
+			}
+			return m, init
+		}},
+		{"one node", func(rng *rand.Rand) (*partition.ChunkMatrix, *partition.Loads) {
+			return randomMatrix(rng, 1, 1+rng.Intn(64), 100), loads(1, func(int) (int64, int64) {
+				return int64(rng.Intn(1000)), int64(rng.Intn(1000))
+			})
+		}},
+		{"negative chunks", func(rng *rand.Rand) (*partition.ChunkMatrix, *partition.Loads) {
+			// Not a workload, but Place does not validate its matrix and must
+			// not drift on one: ingress ports shrink (the carried top-2 is
+			// rescanned) and every load can sit below the −1 sentinel.
+			n, p := 1+rng.Intn(16), 1+rng.Intn(64)
+			m := randomMatrix(rng, n, p, 100)
+			shift := int64(rng.Intn(120))
+			for i := range m.H {
+				if rng.Intn(4) == 0 {
+					m.H[i] -= shift
+				}
+			}
+			base := int64(rng.Intn(3)-1) * 2000
+			return m, loads(n, func(int) (int64, int64) { return base + int64(rng.Intn(30)), base + int64(rng.Intn(30)) })
+		}},
+		{"mixed scales", func(rng *rand.Rand) (*partition.ChunkMatrix, *partition.Loads) {
+			// Chunks and loads of comparable size: the floor is reached late
+			// in the run, after the loads have built up.
+			n, p := 2+rng.Intn(15), 1+rng.Intn(64)
+			m := partition.MustChunkMatrix(n, p)
+			for i := range m.H {
+				m.H[i] = rng.Int63n(1 << uint(1+rng.Intn(30)))
+			}
+			return m, loads(n, func(int) (int64, int64) { return rng.Int63n(1 << 28), rng.Int63n(1 << 28) })
+		}},
+	}
+	for _, fam := range families {
+		t.Run(fam.name, func(t *testing.T) {
+			for seed := int64(0); seed < 400; seed++ {
+				m, init := fam.gen(rand.New(rand.NewSource(seed)))
+				for _, noSort := range []bool{false, true} {
+					got, err := CCF{NoSort: noSort}.Place(m, init)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := ccfReference(m, init, noSort); !slices.Equal(got.Dest, want.Dest) {
+						t.Fatalf("seed %d, noSort %v, %d×%d: Place = %v, textbook = %v\nh = %v\ninitial = %+v",
+							seed, noSort, m.N, m.P, got.Dest, want.Dest, m.H, init)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -268,11 +410,21 @@ func TestCCFAccountsForInitialLoads(t *testing.T) {
 	}
 }
 
-func TestCCFRejectsBadInitial(t *testing.T) {
+// TestPlacersRejectBadInitial covers the three placers that read initial:
+// loads sized for another fabric are an error, not an idle network.
+func TestPlacersRejectBadInitial(t *testing.T) {
 	m := partition.MustChunkMatrix(2, 1)
-	_, err := CCF{}.Place(m, &partition.Loads{Egress: []int64{1}, Ingress: []int64{1, 2}})
-	if err == nil {
-		t.Error("CCF accepted mis-sized initial loads")
+	unit := []float64{1, 1}
+	for _, s := range []Scheduler{CCF{}, WeightedCCF{EgressCap: unit, IngressCap: unit}, LPT{}} {
+		for _, bad := range []*partition.Loads{
+			{Egress: []int64{1}, Ingress: []int64{1, 2}},
+			{Egress: []int64{1, 2}, Ingress: []int64{1}},
+			{Egress: []int64{1, 2, 3}, Ingress: []int64{1, 2, 3}},
+		} {
+			if _, err := s.Place(m, bad); err == nil {
+				t.Errorf("%s accepted initial loads sized %d/%d for 2 nodes", s.Name(), len(bad.Egress), len(bad.Ingress))
+			}
+		}
 	}
 }
 

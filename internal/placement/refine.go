@@ -49,15 +49,9 @@ func Refine(m *partition.ChunkMatrix, pl *partition.Placement, initial *partitio
 	}
 
 	dest := append([]int(nil), pl.Dest...)
-	egress := make([]int64, n)
-	ingress := make([]int64, n)
-	if initial != nil {
-		if len(initial.Egress) != n || len(initial.Ingress) != n {
-			return nil, fmt.Errorf("placement: initial loads sized %d/%d, want %d",
-				len(initial.Egress), len(initial.Ingress), n)
-		}
-		copy(egress, initial.Egress)
-		copy(ingress, initial.Ingress)
+	egress, ingress, err := loadsFrom(initial, n)
+	if err != nil {
+		return nil, err
 	}
 	tot := m.PartitionTotals()
 	for k := 0; k < p; k++ {

@@ -12,7 +12,6 @@ package placement
 
 import (
 	"fmt"
-	"sort"
 
 	"ccf/internal/partition"
 )
@@ -40,27 +39,12 @@ func (c WeightedCCF) Place(m *partition.ChunkMatrix, initial *partition.Loads) (
 			return nil, fmt.Errorf("placement: WeightedCCF port %d has non-positive capacity", i)
 		}
 	}
-	egress := make([]int64, n)
-	ingress := make([]int64, n)
-	if initial != nil {
-		if len(initial.Egress) != n || len(initial.Ingress) != n {
-			return nil, fmt.Errorf("placement: initial loads sized %d/%d, want %d",
-				len(initial.Egress), len(initial.Ingress), n)
-		}
-		copy(egress, initial.Egress)
-		copy(ingress, initial.Ingress)
+	egress, ingress, err := loadsFrom(initial, n)
+	if err != nil {
+		return nil, err
 	}
+	tot, order := visitOrder(m, true)
 
-	order := make([]int, p)
-	for k := range order {
-		order[k] = k
-	}
-	maxChunk, _ := m.MaxChunk()
-	sort.SliceStable(order, func(a, b int) bool {
-		return maxChunk[order[a]] > maxChunk[order[b]]
-	})
-
-	tot := m.PartitionTotals()
 	pl := partition.NewPlacement(p)
 	col := make([]int64, n)
 

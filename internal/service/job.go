@@ -179,8 +179,10 @@ func netSchedByName(name string) (coflow.Scheduler, error) {
 
 // materialize expands a resolved spec (Arrival non-nil) into the engine's
 // job form. Generation is deterministic in the spec, so journal replay
-// reproduces the exact job the live path admitted.
-func materialize(spec *JobSpec, nodes int) (core.OnlineJob, error) {
+// reproduces the exact job the live path admitted. A generated workload is
+// built in gen's storage: it is valid until gen's next job, which is all the
+// engine needs — Submit keeps nothing of a job's matrix.
+func materialize(spec *JobSpec, nodes int, gen *workload.Generator) (core.OnlineJob, error) {
 	if spec.Arrival == nil {
 		return core.OnlineJob{}, fmt.Errorf("service: internal: materialize before arrival resolution")
 	}
@@ -190,7 +192,7 @@ func materialize(spec *JobSpec, nodes int) (core.OnlineJob, error) {
 	}
 	var w *workload.Workload
 	if spec.Gen != nil {
-		w, err = workload.Generate(*spec.Gen)
+		w, err = gen.Generate(*spec.Gen)
 		if err != nil {
 			return core.OnlineJob{}, fmt.Errorf("%w: gen: %v", ErrBadJob, err)
 		}

@@ -32,7 +32,7 @@ func testSnapshot(t testing.TB) *Snapshot {
 			Zipf:           0.8,
 			Seed:           uint64(7 + i),
 		}}
-		job, err := materialize(spec, 4)
+		job, err := materialize(spec, 4, new(workload.Generator))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,6 +8,7 @@ package skew
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"ccf/internal/partition"
@@ -28,22 +29,40 @@ type Plan struct {
 	LocalBytes int64
 	// BroadcastBytes counts total bytes the broadcast injects.
 	BroadcastBytes int64
+
+	// own is the plan's own storage for Adjusted, kept across
+	// PartialDuplicationInto calls (Adjusted aliases the workload's matrix
+	// when there is no skew).
+	own partition.ChunkMatrix
 }
 
 // PartialDuplication derives the skew-handling plan for a generated
 // workload. When the workload has no skew the plan is a no-op that shares
 // the original matrix.
 func PartialDuplication(w *workload.Workload) *Plan {
+	return PartialDuplicationInto(new(Plan), w)
+}
+
+// PartialDuplicationInto is PartialDuplication building the plan in p's
+// storage — the adjusted matrix, the initial loads and the broadcast volumes
+// are reused when large enough — and returning p. Everything p held is
+// overwritten; nothing of w is retained except, for a workload without skew,
+// its matrix as Adjusted.
+func PartialDuplicationInto(p *Plan, w *workload.Workload) *Plan {
 	n := w.Chunks.N
-	p := &Plan{
-		Initial:          &partition.Loads{Egress: make([]int64, n), Ingress: make([]int64, n)},
-		BroadcastVolumes: make([]int64, n*n),
+	if p.Initial == nil {
+		p.Initial = &partition.Loads{}
 	}
+	p.Initial.Egress = zeroed(p.Initial.Egress, n)
+	p.Initial.Ingress = zeroed(p.Initial.Ingress, n)
+	p.BroadcastVolumes = zeroed(p.BroadcastVolumes, n*n)
+	p.LocalBytes, p.BroadcastBytes = 0, 0
 	if w.SkewPartition < 0 {
 		p.Adjusted = w.Chunks
 		return p
 	}
-	p.Adjusted = w.Chunks.Clone()
+	p.own = partition.ChunkMatrix{N: n, P: w.Chunks.P, H: append(p.own.H[:0], w.Chunks.H...)}
+	p.Adjusted = &p.own
 	for i := 0; i < n; i++ {
 		b := w.SkewBytesPerNode[i]
 		if b == 0 {
@@ -65,6 +84,13 @@ func PartialDuplication(w *workload.Workload) *Plan {
 		p.BroadcastBytes += w.BroadcastBytes
 	}
 	return p
+}
+
+// zeroed returns s resized to n zero entries, reallocating only when it must.
+func zeroed(s []int64, n int) []int64 {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
 }
 
 // HeavyKey describes one detected heavy hitter.
@@ -139,10 +165,24 @@ func (s *Sampler) Seen() int64 { return s.seen }
 
 // Validate checks plan invariants: no negative adjusted chunk, broadcast
 // diagonal empty, and byte conservation (original = adjusted + local bytes
-// at the skewed partition).
+// at the skewed partition). It reads the two matrices once, side by side.
 func (p *Plan) Validate(orig *partition.ChunkMatrix) error {
-	if err := p.Adjusted.Validate(); err != nil {
-		return fmt.Errorf("skew: adjusted matrix invalid: %w", err)
+	adj := p.Adjusted
+	if adj.N <= 0 || adj.P <= 0 || len(adj.H) != adj.N*adj.P || len(adj.H) != len(orig.H) {
+		if err := adj.Validate(); err != nil {
+			return fmt.Errorf("skew: adjusted matrix invalid: %w", err)
+		}
+		return fmt.Errorf("skew: adjusted matrix is %d×%d, original is %d×%d", adj.N, adj.P, orig.N, orig.P)
+	}
+	var origSum, adjSum, signs int64
+	for idx, v := range adj.H {
+		signs |= v
+		adjSum += v
+		origSum += orig.H[idx]
+	}
+	if signs < 0 {
+		// Some cell is negative; the matrix's own check names the first.
+		return fmt.Errorf("skew: adjusted matrix invalid: %w", adj.Validate())
 	}
 	n := orig.N
 	for i := 0; i < n; i++ {
@@ -150,7 +190,7 @@ func (p *Plan) Validate(orig *partition.ChunkMatrix) error {
 			return fmt.Errorf("skew: broadcast self-loop at node %d", i)
 		}
 	}
-	if got, want := orig.TotalBytes(), p.Adjusted.TotalBytes()+p.LocalBytes; got != want {
+	if got, want := origSum, adjSum+p.LocalBytes; got != want {
 		return fmt.Errorf("skew: byte conservation violated: orig=%d adjusted+local=%d", got, want)
 	}
 	return nil

@@ -1,10 +1,13 @@
 package skew
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"ccf/internal/partition"
 	"ccf/internal/workload"
 )
 
@@ -114,6 +117,81 @@ func TestPlanConservationProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestPartialDuplicationIntoReuse carries one Plan across workloads of
+// different sizes, with and without skew, scribbling over its buffers between
+// calls: every plan must equal a fresh PartialDuplication and validate.
+func TestPartialDuplicationIntoReuse(t *testing.T) {
+	plan := new(Plan)
+	for step, c := range []struct {
+		n    int
+		skew float64
+	}{{8, 0.25}, {4, 0.1}, {8, 0}, {8, 0.25}, {12, 0.3}} {
+		w := genWorkload(t, c.n, c.skew)
+		want := PartialDuplication(w)
+		got := PartialDuplicationInto(plan, w)
+		if got != plan {
+			t.Fatalf("step %d: PartialDuplicationInto returned another plan", step)
+		}
+		if (got.Adjusted == w.Chunks) != (c.skew == 0) {
+			t.Errorf("step %d: Adjusted shares the workload's matrix: %v, want %v", step, got.Adjusted == w.Chunks, c.skew == 0)
+		}
+		if got.Adjusted.N != want.Adjusted.N || got.Adjusted.P != want.Adjusted.P ||
+			!slices.Equal(got.Adjusted.H, want.Adjusted.H) ||
+			!slices.Equal(got.Initial.Egress, want.Initial.Egress) ||
+			!slices.Equal(got.Initial.Ingress, want.Initial.Ingress) ||
+			!slices.Equal(got.BroadcastVolumes, want.BroadcastVolumes) ||
+			got.LocalBytes != want.LocalBytes || got.BroadcastBytes != want.BroadcastBytes {
+			t.Errorf("step %d (n=%d, skew=%g): reused plan differs from a fresh one", step, c.n, c.skew)
+		}
+		if err := got.Validate(w.Chunks); err != nil {
+			t.Errorf("step %d: %v", step, err)
+		}
+		// What the next call must not see.
+		for _, buf := range [][]int64{plan.own.H, plan.Initial.Egress, plan.Initial.Ingress, plan.BroadcastVolumes} {
+			for i := range buf {
+				buf[i] = -1
+			}
+		}
+		plan.LocalBytes, plan.BroadcastBytes = -1, -1
+	}
+}
+
+// TestPlanValidateErrors pins which violation Validate reports, and how: a
+// negative adjusted cell (named by the matrix's own check) before a broadcast
+// self-loop before a conservation failure.
+func TestPlanValidateErrors(t *testing.T) {
+	w := genWorkload(t, 5, 0.2)
+	n, p := w.Chunks.N, w.Chunks.P
+	negative := func(pl *Plan) { pl.Adjusted.Set(3, 7, -4) }
+	selfLoop := func(pl *Plan) { pl.BroadcastVolumes[2*n+2] = 9 }
+	leak := func(pl *Plan) { pl.LocalBytes++ }
+	for _, c := range []struct {
+		name    string
+		corrupt []func(*Plan)
+		want    string
+	}{
+		{"negative cell", []func(*Plan){negative}, "skew: adjusted matrix invalid: partition: negative chunk -4 at (3,7)"},
+		{"self-loop", []func(*Plan){selfLoop}, "skew: broadcast self-loop at node 2"},
+		{"conservation", []func(*Plan){leak}, fmt.Sprintf("skew: byte conservation violated: orig=%d adjusted+local=%d",
+			w.Chunks.TotalBytes(), w.Chunks.TotalBytes()+1)},
+		{"negative cell wins", []func(*Plan){leak, selfLoop, negative}, "skew: adjusted matrix invalid: partition: negative chunk -4 at (3,7)"},
+		{"self-loop before conservation", []func(*Plan){leak, selfLoop}, "skew: broadcast self-loop at node 2"},
+		{"storage length", []func(*Plan){func(pl *Plan) { pl.Adjusted.H = pl.Adjusted.H[:n*p-1] }},
+			fmt.Sprintf("skew: adjusted matrix invalid: partition: storage length %d != n*p = %d", n*p-1, n*p)},
+		{"shape", []func(*Plan){func(pl *Plan) { pl.Adjusted = partition.MustChunkMatrix(n, p+1) }},
+			fmt.Sprintf("skew: adjusted matrix is %d×%d, original is %d×%d", n, p+1, n, p)},
+	} {
+		plan := PartialDuplication(w)
+		for _, f := range c.corrupt {
+			f(plan)
+		}
+		err := plan.Validate(w.Chunks)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%s: Validate = %v, want %q", c.name, err, c.want)
+		}
 	}
 }
 

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 
 	"ccf/internal/partition"
@@ -180,6 +181,36 @@ func unitUniform(x uint64) float64 {
 	return float64(x>>11) / float64(1<<53)
 }
 
+// parallelCells is the matrix size from which a fill is fanned out over
+// GOMAXPROCS goroutines. Measured on two cores: at 64×1024 the fan-out loses
+// (0.41 ms inline, 0.50 ms on two goroutines), at 128×2048 it starts to pay
+// (2.0 → 1.6 ms) and at 512×7680 it is 1.8×. A daemon shard generating one
+// 64×960 matrix per job stays inline; the paper-scale figures (1 000 ×
+// 15 000) are far above the line.
+const parallelCells = 1 << 18
+
+// Generator builds workloads into storage it keeps between calls: the chunk
+// matrix, SkewBytesPerNode, the Zipf weights and the per-partition fill
+// state. The Workload a call returns, with its Chunks and SkewBytesPerNode,
+// belongs to the generator and is valid until the next call. The zero value
+// is ready to use; a Generator is not safe for concurrent use.
+type Generator struct {
+	w       Workload
+	m       partition.ChunkMatrix
+	weights []float64 // zipfWeights(n, theta)
+	theta   float64
+	// Per partition: the sum of the cells written so far, the largest of them
+	// and the first node holding it, and (ShuffleRanks) the rank rotation.
+	sum, peak []int64
+	arg, off  []int
+}
+
+// Generate builds a workload instance per the paper's §IV.A recipe, in fresh
+// storage (see Generator.Generate).
+func Generate(cfg Config) (*Workload, error) {
+	return new(Generator).Generate(cfg)
+}
+
 // Generate builds a workload instance per the paper's §IV.A recipe:
 //
 //  1. Total bytes = (|C| + |O|) × payload, split evenly over p partitions
@@ -190,15 +221,17 @@ func unitUniform(x uint64) float64 {
 //     in the hot key's partition, distributed over nodes proportionally to
 //     the Zipf weights (the paper picks the re-keyed tuples uniformly at
 //     random, so they sit where the data sits).
-func Generate(cfg Config) (*Workload, error) {
+func (g *Generator) Generate(cfg Config) (*Workload, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
 	n, p := cfg.Nodes, cfg.Partitions
-	m, err := partition.NewChunkMatrix(n, p)
-	if err != nil {
-		return nil, err
+	g.m = partition.ChunkMatrix{N: n, P: p, H: grow(g.m.H, n*p)} // every cell is written below
+	g.sum, g.peak = grow(g.sum, p), grow(g.peak, p)
+	g.arg, g.off = grow(g.arg, p), grow(g.off, p)
+	if len(g.weights) != n || g.theta != cfg.Zipf {
+		g.weights, g.theta = zipfWeights(n, cfg.Zipf), cfg.Zipf
 	}
 
 	totalTuples := cfg.CustomerTuples + cfg.OrderTuples
@@ -207,44 +240,38 @@ func Generate(cfg Config) (*Workload, error) {
 	normalBytes := normalTuples * cfg.PayloadBytes
 	skewBytes := skewOrderTuples * cfg.PayloadBytes
 
-	weights := zipfWeights(n, cfg.Zipf)
-
 	// Spread the non-skewed bytes: partition totals are equal up to
 	// integer remainders; within a partition, node shares follow the
-	// (possibly rotated) Zipf weights with optional jitter. Partitions
-	// write disjoint matrix columns, so they fill in parallel; the jitter
-	// is hashed per (node, partition), keeping the result deterministic
-	// regardless of worker count.
-	perPartition := normalBytes / int64(p)
-	remainder := normalBytes % int64(p)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > p {
-		workers = p
+	// (possibly rotated) Zipf weights with optional jitter. Ranges of
+	// partitions write disjoint matrix columns, so a large matrix fills in
+	// parallel; the jitter is hashed per (node, partition), keeping the
+	// result deterministic regardless of worker count.
+	workers := 1
+	if n*p >= parallelCells {
+		workers = min(runtime.GOMAXPROCS(0), p)
 	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := p * w / workers
-		hi := p * (w + 1) / workers
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for k := lo; k < hi; k++ {
-				tot := perPartition
-				if int64(k) < remainder {
-					tot++
-				}
-				assignPartition(m, k, tot, weights, cfg)
-			}
-		}(lo, hi)
+	if workers == 1 {
+		g.fill(&cfg, normalBytes, 0, p)
+	} else {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(lo, hi int) {
+				defer wg.Done()
+				g.fill(&cfg, normalBytes, lo, hi)
+			}(p*w/workers, p*(w+1)/workers)
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 
-	w := &Workload{
+	g.w = Workload{
 		Config:           cfg,
-		Chunks:           m,
+		Chunks:           &g.m,
 		SkewPartition:    -1,
-		SkewBytesPerNode: make([]int64, n),
+		SkewBytesPerNode: grow(g.w.SkewBytesPerNode, n),
 	}
+	w := &g.w
+	clear(w.SkewBytesPerNode)
 
 	if skewOrderTuples > 0 {
 		part := partition.ModPartitioner{NumPartitions: p}
@@ -252,16 +279,17 @@ func Generate(cfg Config) (*Workload, error) {
 		w.SkewPartition = ks
 		// Distribute hot-key bytes over nodes by the same weights, since
 		// the re-keyed tuples are sampled uniformly from the relation.
+		off := rankOffset(&cfg, ks)
 		var assigned int64
 		for i := 0; i < n; i++ {
-			b := int64(weights[rankOf(i, ks, cfg)] * float64(skewBytes))
+			b := int64(g.weights[(i+off)%n] * float64(skewBytes))
 			w.SkewBytesPerNode[i] = b
 			assigned += b
 		}
 		// Put rounding remainder on the largest-share node.
 		w.SkewBytesPerNode[largestIdx(w.SkewBytesPerNode)] += skewBytes - assigned
 		for i := 0; i < n; i++ {
-			m.Add(i, ks, w.SkewBytesPerNode[i])
+			g.m.Add(i, ks, w.SkewBytesPerNode[i])
 		}
 		// The CUSTOMER side of the hot key is a single tuple; it lives on
 		// the node owning the largest chunk of the hot partition (where a
@@ -273,63 +301,103 @@ func Generate(cfg Config) (*Workload, error) {
 	return w, nil
 }
 
-// assignPartition splits tot bytes of partition k over the nodes.
-func assignPartition(m *partition.ChunkMatrix, k int, tot int64, weights []float64, cfg Config) {
-	n := len(weights)
-	var sum int64
-	maxI := 0
-	var maxV int64 = -1
+// grow returns s resized to n elements, reallocating only when it must; the
+// contents are unspecified.
+func grow[T any](s []T, n int) []T {
+	return slices.Grow(s[:0], n)[:n]
+}
+
+// fill splits normalBytes/p bytes (the first normalBytes%p partitions get one
+// more) of each partition in [lo, hi) over the nodes. It walks the matrix
+// row by row — node outer, partition inner, so the writes are sequential —
+// and carries each partition's running sum, largest cell and its first holder
+// in g.sum, g.peak and g.arg.
+func (g *Generator) fill(cfg *Config, normalBytes int64, lo, hi int) {
+	n, p := g.m.N, g.m.P
+	perPartition := normalBytes / int64(p)
+	remainder := int(normalBytes % int64(p)) // partitions below it hold one byte more
+	totHi, totLo := float64(perPartition+1), float64(perPartition)
+	weights, jitter, shuffle := g.weights, cfg.JitterFrac, cfg.ShuffleRanks
+	sum, peak, arg, off := g.sum[lo:hi], g.peak[lo:hi], g.arg[lo:hi], g.off[lo:hi]
+	for j := range sum {
+		sum[j], peak[j], arg[j] = 0, -1, 0
+		if shuffle {
+			off[j] = rankOffset(cfg, lo+j)
+		}
+	}
 	for i := 0; i < n; i++ {
-		f := weights[rankOf(i, k, cfg)]
-		if cfg.JitterFrac > 0 {
-			h := splitmix64(cfg.Seed ^ uint64(k)*0x9E3779B97F4A7C15 ^ uint64(i)<<32)
-			f *= 1 + cfg.JitterFrac*(2*unitUniform(h)-1)
-		}
-		v := int64(f * float64(tot))
-		m.Set(i, k, v)
-		sum += v
-		if v > maxV {
-			maxV = v
-			maxI = i
-		}
-	}
-	// Rounding remainder goes to the largest chunk, preserving the argmax.
-	// With jitter the shares need not sum to 1, so the remainder can be
-	// negative; drain it from the largest chunks without going below zero.
-	rem := tot - sum
-	if rem >= -maxV {
-		m.Add(maxI, k, rem)
-		return
-	}
-	for rem < 0 {
-		big, bigV := 0, int64(-1)
-		for i := 0; i < n; i++ {
-			if v := m.At(i, k); v > bigV {
-				big, bigV = i, v
+		row := g.m.H[i*p+lo : i*p+hi]
+		// Resliced to row's length so the compiler drops the bounds checks below.
+		sum, peak, arg, off := sum[:len(row)], peak[:len(row)], arg[:len(row)], off[:len(row)]
+		f0 := weights[i]
+		rowKey := cfg.Seed ^ uint64(i)<<32
+		for j := range row {
+			k := lo + j
+			f := f0
+			if shuffle {
+				r := i + off[j]
+				if r >= n {
+					r -= n
+				}
+				f = weights[r]
+			}
+			if jitter > 0 {
+				h := splitmix64(rowKey ^ uint64(k)*0x9E3779B97F4A7C15)
+				f *= 1 + jitter*(2*unitUniform(h)-1)
+			}
+			tot := totLo
+			if k < remainder {
+				tot = totHi
+			}
+			v := int64(f * tot)
+			row[j] = v
+			sum[j] += v
+			if v > peak[j] {
+				peak[j], arg[j] = v, i
 			}
 		}
-		take := -rem
-		if take > bigV {
-			take = bigV
+	}
+	for k := lo; k < hi; k++ {
+		tot := perPartition
+		if k < remainder {
+			tot++
 		}
-		if take == 0 {
-			break // tot was 0; nothing to drain
+		// Rounding remainder goes to the largest chunk, preserving the argmax.
+		// With jitter the shares need not sum to 1, so the remainder can be
+		// negative; drain it from the largest chunks without going below zero.
+		rem := tot - g.sum[k]
+		if rem >= -g.peak[k] {
+			g.m.Add(g.arg[k], k, rem)
+			continue
 		}
-		m.Add(big, k, -take)
-		rem += take
+		for rem < 0 {
+			big, bigV := 0, int64(-1)
+			for i := 0; i < n; i++ {
+				if v := g.m.At(i, k); v > bigV {
+					big, bigV = i, v
+				}
+			}
+			take := -rem
+			if take > bigV {
+				take = bigV
+			}
+			if take == 0 {
+				break // tot was 0; nothing to drain
+			}
+			g.m.Add(big, k, -take)
+			rem += take
+		}
 	}
 }
 
-// rankOf returns the Zipf rank of node i for partition k: identity when
-// ranks are aligned (paper default), rotated by a per-partition offset when
-// ShuffleRanks is set.
-func rankOf(i, k int, cfg Config) int {
+// rankOffset returns the rotation of partition k's Zipf ranks: node i holds
+// rank (i + offset) mod n. Zero when ranks are aligned (the paper's default),
+// a per-partition hash when ShuffleRanks is set.
+func rankOffset(cfg *Config, k int) int {
 	if !cfg.ShuffleRanks {
-		return i
+		return 0
 	}
-	n := cfg.Nodes
-	off := int(splitmix64(cfg.Seed^uint64(k)) % uint64(n))
-	return (i + off) % n
+	return int(splitmix64(cfg.Seed^uint64(k)) % uint64(cfg.Nodes))
 }
 
 func largestIdx(v []int64) int {

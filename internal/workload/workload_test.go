@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -287,11 +288,15 @@ func TestSplitmixAvalanche(t *testing.T) {
 }
 
 func TestGenerateParallelDeterminism(t *testing.T) {
-	// Generation fans partitions out over GOMAXPROCS workers; the output
-	// must be identical at any worker count.
+	// Generation fans the partitions of a large matrix (parallelCells) out
+	// over GOMAXPROCS workers; the output must be identical at any worker
+	// count.
 	cfg := Config{
-		Nodes: 16, CustomerTuples: 2000, OrderTuples: 20_000,
+		Nodes: 128, Partitions: 2048, CustomerTuples: 2000, OrderTuples: 20_000,
 		PayloadBytes: 50, Zipf: 0.7, Skew: 0.15, JitterFrac: 0.03, Seed: 99,
+	}
+	if cfg.Nodes*cfg.Partitions < parallelCells {
+		t.Fatalf("%d×%d fills inline; pick a shape of at least %d cells", cfg.Nodes, cfg.Partitions, parallelCells)
 	}
 	prev := runtime.GOMAXPROCS(1)
 	serial, err := Generate(cfg)
@@ -306,6 +311,40 @@ func TestGenerateParallelDeterminism(t *testing.T) {
 	for i := range serial.Chunks.H {
 		if serial.Chunks.H[i] != parallel.Chunks.H[i] {
 			t.Fatal("parallel generation diverges from serial")
+		}
+	}
+}
+
+// TestGeneratorReuse drives one generator across shapes and skew settings:
+// each result must equal a fresh Generate — no cell, SkewBytesPerNode entry or
+// SkewPartition left over from the previous, larger or skewed, instance.
+func TestGeneratorReuse(t *testing.T) {
+	big := Config{Nodes: 64, Partitions: 960, CustomerTuples: 20_000, OrderTuples: 200_000, PayloadBytes: 1000,
+		Zipf: DefaultZipf, Skew: DefaultSkew, JitterFrac: 0.05, Seed: 3}
+	small := Config{Nodes: 8, Partitions: 8, CustomerTuples: 500, OrderTuples: 5000, PayloadBytes: 10,
+		Zipf: 0.3, Skew: 0.1, ShuffleRanks: true, JitterFrac: 0.9, Seed: 4}
+	noSkew := big
+	noSkew.Skew, noSkew.Seed = 0, 5
+	var g Generator
+	for step, cfg := range []Config{big, small, big, noSkew, big} {
+		got, err := g.Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Chunks.N != want.Chunks.N || got.Chunks.P != want.Chunks.P || !slices.Equal(got.Chunks.H, want.Chunks.H) {
+			t.Errorf("step %d: reused generator's matrix differs from a fresh Generate", step)
+		}
+		if !slices.Equal(got.SkewBytesPerNode, want.SkewBytesPerNode) {
+			t.Errorf("step %d: SkewBytesPerNode = %v, fresh Generate has %v", step, got.SkewBytesPerNode, want.SkewBytesPerNode)
+		}
+		if got.SkewPartition != want.SkewPartition || got.SkewOwner != want.SkewOwner ||
+			got.BroadcastBytes != want.BroadcastBytes || got.Config != want.Config {
+			t.Errorf("step %d: skew bookkeeping %d/%d/%d, fresh Generate has %d/%d/%d", step,
+				got.SkewPartition, got.SkewOwner, got.BroadcastBytes, want.SkewPartition, want.SkewOwner, want.BroadcastBytes)
 		}
 	}
 }
