@@ -26,7 +26,6 @@ import (
 	"ccf/internal/core"
 	"ccf/internal/milp"
 	"ccf/internal/netsim"
-	"ccf/internal/partition"
 	"ccf/internal/placement"
 	"ccf/internal/skew"
 	"ccf/internal/stats"
@@ -335,7 +334,7 @@ func ablationExact() error {
 		if err != nil {
 			return err
 		}
-		ev, err := placement.Evaluate(placement.CCF{}, w.Chunks, nil)
+		ev, err := placement.Evaluate(placement.CCF{}, w.Chunks, nil, nil)
 		if err != nil {
 			return err
 		}
@@ -374,7 +373,7 @@ func ablationBound(opts core.SweepOptions) error {
 	}
 	plan := skew.PartialDuplication(w)
 	for _, s := range []placement.Scheduler{placement.CCF{}, placement.CCFRefined{}} {
-		ev, err := placement.Evaluate(s, plan.Adjusted, plan.Initial)
+		ev, err := placement.Evaluate(s, plan.Adjusted, plan.Initial, nil)
 		if err != nil {
 			return err
 		}
@@ -417,15 +416,11 @@ func ablationHetero(opts core.SweepOptions) error {
 		placement.Hash{}, placement.Mini{}, placement.CCF{},
 		placement.WeightedCCF{EgressCap: eg, IngressCap: in},
 	} {
-		pl, err := s.Place(plan.Adjusted, plan.Initial)
+		ev, err := placement.Evaluate(s, plan.Adjusted, plan.Initial, nil)
 		if err != nil {
 			return err
 		}
-		loads, err := partition.ComputeLoads(plan.Adjusted, pl, plan.Initial)
-		if err != nil {
-			return err
-		}
-		t, err := placement.WeightedBottleneck(loads, eg, in)
+		t, err := placement.WeightedBottleneck(ev.Loads, eg, in)
 		if err != nil {
 			return err
 		}
@@ -458,11 +453,7 @@ func ablationTopo(opts core.SweepOptions) error {
 	for _, s := range []placement.Scheduler{
 		placement.Hash{}, placement.Mini{}, placement.CCF{}, topology.RackAwareCCF{Topo: topo},
 	} {
-		pl, err := s.Place(plan.Adjusted, plan.Initial)
-		if err != nil {
-			return err
-		}
-		cct, err := topo.PlacementCCT(plan.Adjusted, pl)
+		cct, err := topo.PlacementCCT(s, plan.Adjusted, plan.Initial)
 		if err != nil {
 			return err
 		}

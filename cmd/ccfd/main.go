@@ -43,7 +43,6 @@ func main() {
 		shards    = flag.Int("shards", 4, "independent engine shards (jobs are hashed to shards by key)")
 		queue     = flag.Int("queue", 64, "per-shard admission queue depth (full queue sheds with 429)")
 		batchMax  = flag.Int("batch-max", 16, "max queued jobs decided per shard loop iteration under one group-committed WAL append (1 = sequential; decisions are identical either way)")
-		batchWait = flag.Duration("batch-wait", 0, "how long a shard lingers for batch followers once one job is pending (0 = adaptive batching only, no added latency)")
 		dir       = flag.String("dir", "", "state directory for snapshots and WALs (empty = no persistence)")
 		snapEvery = flag.Int("snapshot-every", 64, "snapshot (compact the WAL) every this many jobs per shard")
 		deadline  = flag.Duration("deadline", 5*time.Second, "per-request processing deadline")
@@ -82,7 +81,6 @@ func main() {
 		Nodes:         *nodes,
 		QueueDepth:    *queue,
 		BatchMax:      *batchMax,
-		BatchWait:     *batchWait,
 		Dir:           *dir,
 		SnapshotEvery: *snapEvery,
 		DegradeAfter:  *degrade,

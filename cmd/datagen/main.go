@@ -74,19 +74,12 @@ func run(nodes, parts int, zipfF, skewFrac, scale float64, placer, out string, s
 		}
 		matrix, initial, broadcast = plan.Adjusted, plan.Initial, plan.BroadcastVolumes
 	}
-	pl, err := sched.Place(matrix, initial)
+	ev, err := placement.Evaluate(sched, matrix, initial, broadcast)
 	if err != nil {
 		return err
-	}
-	vol, err := partition.FlowVolumes(matrix, pl)
-	if err != nil {
-		return err
-	}
-	for i, b := range broadcast {
-		vol[i] += b
 	}
 
-	tr, err := trace.FromVolumes(nodes, vol, 0)
+	tr, err := trace.FromVolumes(nodes, ev.Volumes, 0)
 	if err != nil {
 		return err
 	}
@@ -104,14 +97,6 @@ func run(nodes, parts int, zipfF, skewFrac, scale float64, placer, out string, s
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "datagen: %d jobs over %d racks (%s placement, %.2f GB shuffle)\n",
-		len(tr.Jobs), nodes, sched.Name(), float64(sum(vol))/1e9)
+		len(tr.Jobs), nodes, sched.Name(), float64(ev.TrafficBytes)/1e9)
 	return nil
-}
-
-func sum(v []int64) int64 {
-	var s int64
-	for _, x := range v {
-		s += x
-	}
-	return s
 }

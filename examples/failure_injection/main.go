@@ -19,7 +19,6 @@ import (
 
 	"ccf/internal/coflow"
 	"ccf/internal/netsim"
-	"ccf/internal/partition"
 	"ccf/internal/placement"
 	"ccf/internal/workload"
 )
@@ -38,11 +37,7 @@ func main() {
 	fmt.Printf("workload: %d nodes, %.2f GB; port bandwidth 128 MB/s\n\n", n, float64(w.TotalBytes())/1e9)
 
 	// --- Part 1: a transient outage hits a running shuffle. -------------
-	pl, err := placement.CCF{}.Place(w.Chunks, nil)
-	if err != nil {
-		log.Fatal(err)
-	}
-	vol, err := partition.FlowVolumes(w.Chunks, pl)
+	ev, err := placement.Evaluate(placement.CCF{}, w.Chunks, nil, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -51,7 +46,7 @@ func main() {
 		log.Fatal(err)
 	}
 	runWith := func(events []netsim.CapacityEvent) float64 {
-		cf, err := coflow.FromVolumes(0, "shuffle", 0, n, vol)
+		cf, err := coflow.FromVolumes(0, "shuffle", 0, n, ev.Volumes)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -89,15 +84,11 @@ func main() {
 		placement.CCF{},
 		placement.WeightedCCF{EgressCap: eg, IngressCap: in},
 	} {
-		pl, err := s.Place(w.Chunks, nil)
+		ev, err := placement.Evaluate(s, w.Chunks, nil, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
-		v, err := partition.FlowVolumes(w.Chunks, pl)
-		if err != nil {
-			log.Fatal(err)
-		}
-		cf, err := coflow.FromVolumes(0, s.Name(), 0, n, v)
+		cf, err := coflow.FromVolumes(0, s.Name(), 0, n, ev.Volumes)
 		if err != nil {
 			log.Fatal(err)
 		}

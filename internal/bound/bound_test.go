@@ -130,7 +130,7 @@ func TestGapBracketsHeuristicAtPaperShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := placement.Evaluate(placement.CCF{}, w.Chunks, nil)
+	ev, err := placement.Evaluate(placement.CCF{}, w.Chunks, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestBoundTightWithoutSkewHandling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := placement.Evaluate(placement.CCF{}, w.Chunks, nil)
+	ev, err := placement.Evaluate(placement.CCF{}, w.Chunks, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

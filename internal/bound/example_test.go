@@ -22,7 +22,7 @@ func ExampleGap() {
 	m.Set(1, 3, 1)
 	m.Set(2, 3, 2)
 
-	ev, err := placement.Evaluate(placement.CCF{}, m, nil)
+	ev, err := placement.Evaluate(placement.CCF{}, m, nil, nil)
 	if err != nil {
 		fmt.Println("error:", err)
 		return

@@ -102,17 +102,16 @@ func Run(w *workload.Workload, a Approach, opts Options) (*Result, error) {
 func RunScheduler(w *workload.Workload, sched placement.Scheduler, handleSkew bool, opts Options) (*Result, error) {
 	matrix := w.Chunks
 	var initial *partition.Loads
-	var plan *skew.Plan
+	var broadcast []int64
 	if handleSkew && w.SkewPartition >= 0 {
-		plan = skew.PartialDuplication(w)
+		plan := skew.PartialDuplication(w)
 		if err := plan.Validate(w.Chunks); err != nil {
 			return nil, err
 		}
-		matrix = plan.Adjusted
-		initial = plan.Initial
+		matrix, initial, broadcast = plan.Adjusted, plan.Initial, plan.BroadcastVolumes
 	}
 
-	eval, err := placement.Evaluate(sched, matrix, initial)
+	eval, err := placement.Evaluate(sched, matrix, initial, broadcast)
 	if err != nil {
 		return nil, err
 	}
@@ -121,43 +120,17 @@ func RunScheduler(w *workload.Workload, sched placement.Scheduler, handleSkew bo
 		Approach:        sched.Name(),
 		TrafficBytes:    eval.TrafficBytes,
 		BottleneckBytes: eval.BottleneckBytes,
-		SkewHandled:     plan != nil,
+		SkewHandled:     broadcast != nil,
 		Placement:       eval.Placement,
 	}
-
-	if opts.UseEventSim {
-		vol, err := partition.FlowVolumes(matrix, eval.Placement)
-		if err != nil {
-			return nil, err
-		}
-		if plan != nil {
-			for i, b := range plan.BroadcastVolumes {
-				vol[i] += b
-			}
-		}
-		cf, err := coflow.FromVolumes(0, string(res.Approach), 0, matrix.N, vol)
-		if err != nil {
-			return nil, err
-		}
-		fabric, err := netsim.NewFabric(matrix.N, opts.bandwidth())
-		if err != nil {
-			return nil, err
-		}
-		if len(cf.Flows) == 0 {
-			res.TimeSec = 0
-			return res, nil
-		}
-		sim := netsim.NewSimulator(fabric, coflow.NewVarys())
-		sim.Probe = opts.Probe
-		rep, err := sim.Run([]*coflow.Coflow{cf})
-		if err != nil {
-			return nil, err
-		}
-		res.TimeSec = rep.MaxCCT
+	if !opts.UseEventSim {
+		res.TimeSec = netsim.BandwidthModelCCT(eval.Loads.Egress, eval.Loads.Ingress, opts.bandwidth())
 		return res, nil
 	}
-
-	res.TimeSec = netsim.BandwidthModelCCT(eval.Loads.Egress, eval.Loads.Ingress, opts.bandwidth())
+	res.TimeSec, _, err = netsim.RunAlone(res.Approach, matrix.N, eval.Volumes, opts.bandwidth(), coflow.NewVarys(), opts.Probe)
+	if err != nil {
+		return nil, err
+	}
 	return res, nil
 }
 

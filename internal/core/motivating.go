@@ -70,59 +70,39 @@ type MotivatingResult struct {
 	OptimalT int64
 }
 
-// motivatingPlacements returns the paper's three plans over partition order
-// (key 0, key 1, key 2, key 5).
-func motivatingPlacements() (sp0, sp1, sp2 *partition.Placement) {
-	// SP0 hash: key mod 3 → node.
-	sp0 = &partition.Placement{Dest: []int{0, 1, 2, 2}}
-	// SP1: key0→n0, key1→n1, key2→n0, key5→n2 (traffic 7, CCT 3).
-	sp1 = &partition.Placement{Dest: []int{0, 1, 0, 2}}
-	// SP2: key0→n0, key1→n1, key2→n1, key5→n2 (traffic 6, CCT 4).
-	sp2 = &partition.Placement{Dest: []int{0, 1, 1, 2}}
-	return sp0, sp1, sp2
+// paperPlan is one of the paper's hand-written schedule plans, over partition
+// order (key 0, key 1, key 2, key 5), as a scheduler: it is then evaluated
+// the way CCF's own plan is.
+type paperPlan struct {
+	name string
+	dest []int
 }
 
-// evalMotivatingPlan computes traffic and both CCTs of a plan over the
-// example matrix with unit ("one tuple per time unit") port capacity.
-func evalMotivatingPlan(name string, m *partition.ChunkMatrix, pl *partition.Placement) (MotivatingPlan, error) {
-	loads, err := partition.ComputeLoads(m, pl, nil)
+func (p paperPlan) Name() string { return p.name }
+
+func (p paperPlan) Place(*partition.ChunkMatrix, *partition.Loads) (*partition.Placement, error) {
+	return &partition.Placement{Dest: p.dest}, nil
+}
+
+// evalMotivatingPlan computes traffic and both CCTs of a scheduler's plan over
+// the example matrix with unit ("one tuple per time unit") port capacity.
+func evalMotivatingPlan(m *partition.ChunkMatrix, s placement.Scheduler) (MotivatingPlan, error) {
+	ev, err := placement.Evaluate(s, m, nil, nil)
 	if err != nil {
-		return MotivatingPlan{}, fmt.Errorf("core: motivating plan %s: %w", name, err)
+		return MotivatingPlan{}, fmt.Errorf("core: motivating plan %s: %w", s.Name(), err)
 	}
-	vol, err := partition.FlowVolumes(m, pl)
-	if err != nil {
-		return MotivatingPlan{}, err
-	}
-	fabric, err := netsim.NewFabric(m.N, 1) // 1 tuple per time unit
-	if err != nil {
-		return MotivatingPlan{}, err
-	}
-	run := func(s coflow.Scheduler) (float64, error) {
-		cf, err := coflow.FromVolumes(0, name, 0, m.N, vol)
-		if err != nil {
-			return 0, err
-		}
-		if len(cf.Flows) == 0 {
-			return 0, nil
-		}
-		rep, err := netsim.NewSimulator(fabric, s).Run([]*coflow.Coflow{cf})
-		if err != nil {
-			return 0, err
-		}
-		return rep.MaxCCT, nil
-	}
-	opt, err := run(coflow.NewVarys())
+	opt, _, err := netsim.RunAlone(s.Name(), m.N, ev.Volumes, 1, coflow.NewVarys(), nil)
 	if err != nil {
 		return MotivatingPlan{}, err
 	}
-	worst, err := run(coflow.SequentialByDest{})
+	worst, _, err := netsim.RunAlone(s.Name(), m.N, ev.Volumes, 1, coflow.SequentialByDest{}, nil)
 	if err != nil {
 		return MotivatingPlan{}, err
 	}
 	return MotivatingPlan{
-		Name:       name,
-		Placement:  pl,
-		Traffic:    loads.Traffic(),
+		Name:       s.Name(),
+		Placement:  ev.Placement,
+		Traffic:    ev.TrafficBytes,
 		OptimalCCT: opt,
 		WorstCCT:   worst,
 	}, nil
@@ -132,24 +112,20 @@ func evalMotivatingPlan(name string, m *partition.ChunkMatrix, pl *partition.Pla
 // heuristic and the exact solver on the instance.
 func MotivatingExample() (*MotivatingResult, error) {
 	m := MotivatingMatrix()
-	sp0, sp1, sp2 := motivatingPlacements()
 	res := &MotivatingResult{Matrix: m}
-	var err error
-	if res.SP0, err = evalMotivatingPlan("SP0", m, sp0); err != nil {
-		return nil, err
-	}
-	if res.SP1, err = evalMotivatingPlan("SP1", m, sp1); err != nil {
-		return nil, err
-	}
-	if res.SP2, err = evalMotivatingPlan("SP2", m, sp2); err != nil {
-		return nil, err
-	}
-	ccfPl, err := placement.CCF{}.Place(m, nil)
-	if err != nil {
-		return nil, err
-	}
-	if res.CCF, err = evalMotivatingPlan("CCF", m, ccfPl); err != nil {
-		return nil, err
+	for _, p := range []struct {
+		into *MotivatingPlan
+		s    placement.Scheduler
+	}{
+		{&res.SP0, paperPlan{"SP0", []int{0, 1, 2, 2}}}, // hash: key mod 3 → node
+		{&res.SP1, paperPlan{"SP1", []int{0, 1, 0, 2}}}, // traffic 7, CCT 3
+		{&res.SP2, paperPlan{"SP2", []int{0, 1, 1, 2}}}, // traffic 6, CCT 4
+		{&res.CCF, placement.CCF{}},
+	} {
+		var err error
+		if *p.into, err = evalMotivatingPlan(m, p.s); err != nil {
+			return nil, err
+		}
 	}
 	exact, err := milp.Solve(m, nil, milp.Options{})
 	if err != nil {

@@ -399,13 +399,9 @@ func (e *OnlineEngine) submit(job OnlineJob, bp *Batch) (*OnlineDecision, error)
 		dec.Completed = len(e.ses.Report().CCTs)
 	}
 
-	pl, err := sched.Place(matrix, initial)
+	pl, vol, err := placement.EvaluateInto(e.vol, sched, matrix, initial)
 	if err != nil {
 		return nil, fmt.Errorf("core: online job %d: %w", ji, err)
-	}
-	vol, err := partition.FlowVolumesInto(e.vol, matrix, pl)
-	if err != nil {
-		return nil, err
 	}
 	e.vol = vol
 	if plan != nil {

@@ -94,15 +94,22 @@ func RunWithNodeLoss(w *workload.Workload, sched placement.Scheduler, spec NodeL
 	}
 	dead := spec.FailNode
 
-	pl, err := sched.Place(matrix, nil)
+	eval, err := placement.Evaluate(sched, matrix, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	vol, err := partition.FlowVolumes(matrix, pl)
+	pl := eval.Placement
+	rpt := &NodeLossReport{Policy: policy, FailNode: dead, FailTime: spec.FailTime}
+
+	// Fault-free reference run.
+	rpt.CleanMakespan, _, err = netsim.RunAlone("primary", n, eval.Volumes, opts.bandwidth(), coflow.NewVarys(), nil)
 	if err != nil {
 		return nil, err
 	}
-	primary, err := coflow.FromVolumes(0, "primary", 0, n, vol)
+
+	// Phase 1: run the primary transfer up to the failure instant and read
+	// the in-flight state off the flows.
+	primary, err := coflow.FromVolumes(0, "primary", 0, n, eval.Volumes)
 	if err != nil {
 		return nil, err
 	}
@@ -110,22 +117,9 @@ func RunWithNodeLoss(w *workload.Workload, sched placement.Scheduler, spec NodeL
 	if err != nil {
 		return nil, err
 	}
-
-	rpt := &NodeLossReport{Policy: policy, FailNode: dead, FailTime: spec.FailTime}
-
-	// Fault-free reference run (on a clone: simulation mutates flow state).
-	cleanRep, err := netsim.NewSimulator(fabric, coflow.NewVarys()).Run(cloneCoflows([]*coflow.Coflow{primary}))
-	if err != nil {
-		return nil, err
-	}
-	rpt.CleanMakespan = cleanRep.Makespan
-
-	// Phase 1: run the primary transfer up to the failure instant and read
-	// the in-flight state off the flows.
 	sim := netsim.NewSimulator(fabric, coflow.NewVarys())
 	sim.Horizon = spec.FailTime
-	phase1 := cloneCoflows([]*coflow.Coflow{primary})
-	if _, err := sim.Run(phase1); err != nil {
+	if _, err := sim.Run([]*coflow.Coflow{primary}); err != nil {
 		return nil, err
 	}
 
@@ -133,7 +127,7 @@ func RunWithNodeLoss(w *workload.Workload, sched placement.Scheduler, spec NodeL
 	// wasted, bytes still on the dead node are lost, survivor↔survivor
 	// remainders continue in phase 2.
 	contVol := make([]int64, n*n)
-	for _, f := range phase1[0].Flows {
+	for _, f := range primary.Flows {
 		moved := f.Size - f.Remaining
 		switch {
 		case f.Dst == dead:

@@ -1,9 +1,9 @@
 // Package join is the tuple-level distributed join engine: it materialises
 // actual relations, hash-partitions them across a cluster, redistributes the
-// partitions according to an application-level placement, measures the
-// shuffle on the simulated fabric, and executes the local hash joins in
-// parallel — the full execution path of the paper's Figure 3 at a scale a
-// test machine can hold in memory.
+// partitions through query.Exchange (application-level placement, the shuffle
+// as one coflow on the simulated fabric, routing), and executes the local
+// hash joins in parallel — the full execution path of the paper's Figure 3 at
+// a scale a test machine can hold in memory.
 //
 // The figure-scale experiments never materialise tuples (they work on the
 // chunk matrix directly); this engine exists to prove end-to-end correctness:
@@ -13,14 +13,13 @@ package join
 
 import (
 	"fmt"
-	"runtime"
-	"sort"
-	"sync"
+	"slices"
 
-	"ccf/internal/coflow"
-	"ccf/internal/netsim"
+	"ccf/internal/parallel"
 	"ccf/internal/partition"
 	"ccf/internal/placement"
+	"ccf/internal/query"
+	"ccf/internal/skew"
 )
 
 // Tuple is one row: the join key plus a payload width in bytes (payload
@@ -69,19 +68,6 @@ func NewCluster(n int, part partition.Partitioner) *Cluster {
 	return &Cluster{N: n, Part: part, Left: make([][]Tuple, n), Right: make([][]Tuple, n)}
 }
 
-// LoadRoundRobin distributes a relation's tuples over nodes round-robin
-// (the loader of a shared-nothing system that ingests without locality).
-func (c *Cluster) LoadRoundRobin(left bool, r *Relation) {
-	for i, t := range r.Tuples {
-		node := i % c.N
-		if left {
-			c.Left[node] = append(c.Left[node], t)
-		} else {
-			c.Right[node] = append(c.Right[node], t)
-		}
-	}
-}
-
 // LoadByPlacement places each tuple on the node given by place(tupleIndex),
 // letting tests construct arbitrary localities (e.g. zipf-aligned ones).
 func (c *Cluster) LoadByPlacement(left bool, r *Relation, place func(i int, t Tuple) int) {
@@ -113,17 +99,14 @@ func (c *Cluster) ChunkMatrix() (*partition.ChunkMatrix, error) {
 	return m, nil
 }
 
-// Options configures a distributed join execution.
+// Options configures a distributed join execution. Ports run at
+// netsim.DefaultPortBandwidth and the local joins on GOMAXPROCS workers.
 type Options struct {
 	// Scheduler decides partition destinations. Required.
 	Scheduler placement.Scheduler
-	// Bandwidth is the per-port bandwidth (bytes/sec); 0 = CoflowSim default.
-	Bandwidth float64
 	// SkewThreshold enables partial duplication for keys whose right-side
 	// (large relation) frequency fraction exceeds it; 0 disables.
 	SkewThreshold float64
-	// Workers bounds local-join parallelism; 0 = GOMAXPROCS.
-	Workers int
 }
 
 // Result reports one distributed join execution.
@@ -154,202 +137,127 @@ func Reference(left, right *Relation) int64 {
 	return out
 }
 
+// sided is a tuple on its way through the exchange, tagged with its relation.
+type sided struct {
+	Tuple
+	right bool
+}
+
 // Execute runs the full distributed pipeline on a loaded cluster:
 //
-//  1. optional skew detection on the right relation + partial duplication,
-//  2. application-level placement over the (adjusted) chunk matrix,
-//  3. shuffle as one coflow on the simulated fabric (MADD rates),
-//  4. parallel local hash joins,
+//  1. optional skew detection on the right relation; tuples of hot keys leave
+//     the shuffle (partial duplication: the right ones stay home, the few
+//     left ones are broadcast to every other node),
+//  2. query.Exchange of everything else: application-level placement over
+//     the adjusted chunk matrix, the shuffle and the broadcast as one coflow
+//     on the simulated fabric, the tuples routed to their destinations,
+//  3. parallel local hash joins,
 //
-// and returns cardinality plus network metrics.
+// and returns cardinality plus network metrics. Track join is the same call
+// on a cluster whose partitioner gives every key its own partition.
 func Execute(c *Cluster, opts Options) (*Result, error) {
 	if opts.Scheduler == nil {
 		return nil, fmt.Errorf("join: Options.Scheduler is required")
 	}
 	n := c.N
-	p := c.Part.P()
 	res := &Result{}
 
-	// --- Skew detection (exact counting over the large relation). ---
-	skewed := map[int64]bool{}
+	// Skew detection: exact counting over the large relation.
+	hot := map[int64]bool{}
 	if opts.SkewThreshold > 0 {
 		freq := make(map[int64]int64)
 		var total int64
-		for i := 0; i < n; i++ {
-			for _, t := range c.Right[i] {
+		for _, frag := range c.Right {
+			for _, t := range frag {
 				freq[t.Key]++
-				total++
 			}
+			total += int64(len(frag))
 		}
-		for k, cnt := range freq {
-			if total > 0 && float64(cnt)/float64(total) > opts.SkewThreshold {
-				skewed[k] = true
-			}
+		for _, h := range skew.DetectHeavy(freq, total, opts.SkewThreshold) {
+			hot[h.Key] = true
+			res.SkewedKeys = append(res.SkewedKeys, h.Key)
 		}
-		for k := range skewed {
-			res.SkewedKeys = append(res.SkewedKeys, k)
-		}
-		sort.Slice(res.SkewedKeys, func(a, b int) bool { return res.SkewedKeys[a] < res.SkewedKeys[b] })
+		slices.Sort(res.SkewedKeys)
 	}
 
-	// --- Build the adjusted chunk matrix and broadcast volumes. ---
-	m, err := partition.NewChunkMatrix(n, p)
-	if err != nil {
-		return nil, err
+	// Split the hot keys off. A hot left tuple is visible on every node after
+	// the broadcast, so each hot right tuple joins once, at home, with all of
+	// them: that part of the output needs no local join.
+	frags := make([][]sided, n)
+	hotLeft := make(map[int64]int64, len(hot)) // key → left multiplicity
+	hotBytes := make([]int64, n)               // hot left bytes held by node i
+	for i := range frags {
+		frags[i] = make([]sided, 0, len(c.Left[i])+len(c.Right[i]))
+		for _, t := range c.Left[i] {
+			if hot[t.Key] {
+				hotLeft[t.Key]++
+				hotBytes[i] += t.Payload
+				continue
+			}
+			frags[i] = append(frags[i], sided{t, false})
+		}
+	}
+	for i := range frags {
+		for _, t := range c.Right[i] {
+			if hot[t.Key] {
+				res.OutputTuples += hotLeft[t.Key]
+				continue
+			}
+			frags[i] = append(frags[i], sided{t, true})
+		}
 	}
 	initial := &partition.Loads{Egress: make([]int64, n), Ingress: make([]int64, n)}
 	broadcast := make([]int64, n*n)
-	for i := 0; i < n; i++ {
-		for _, t := range c.Left[i] {
-			if skewed[t.Key] {
-				// Small-relation hot tuples broadcast to every other node.
-				for j := 0; j < n; j++ {
-					if j == i {
-						continue
-					}
-					broadcast[i*n+j] += t.Payload
-					initial.Egress[i] += t.Payload
-					initial.Ingress[j] += t.Payload
-				}
-				continue
-			}
-			m.Add(i, c.Part.Partition(t.Key), t.Payload)
-		}
-		for _, t := range c.Right[i] {
-			if skewed[t.Key] {
-				continue // stays local, never shuffled
-			}
-			m.Add(i, c.Part.Partition(t.Key), t.Payload)
-		}
-	}
-
-	// --- Application-level placement. ---
-	pl, err := opts.Scheduler.Place(m, initial)
-	if err != nil {
-		return nil, fmt.Errorf("join: placement failed: %w", err)
-	}
-	if err := pl.Validate(n, p); err != nil {
-		return nil, err
-	}
-	res.Placement = pl
-
-	// --- Network simulation of the shuffle coflow. ---
-	vol, err := partition.FlowVolumes(m, pl)
-	if err != nil {
-		return nil, err
-	}
-	for idx, b := range broadcast {
-		vol[idx] += b
-	}
-	cf, err := coflow.FromVolumes(0, "shuffle", 0, n, vol)
-	if err != nil {
-		return nil, err
-	}
-	fabric, err := netsim.NewFabric(n, opts.Bandwidth)
-	if err != nil {
-		return nil, err
-	}
-	if len(cf.Flows) > 0 {
-		sim := netsim.NewSimulator(fabric, coflow.NewVarys())
-		rep, err := sim.Run([]*coflow.Coflow{cf})
-		if err != nil {
-			return nil, fmt.Errorf("join: shuffle simulation: %w", err)
-		}
-		res.CommTime = rep.MaxCCT
-		res.TrafficBytes = int64(rep.TotalBytes + 0.5)
-	}
-	loads, err := partition.ComputeLoads(m, pl, initial)
-	if err != nil {
-		return nil, err
-	}
-	res.BottleneckBytes = loads.Max()
-
-	// --- Logical data movement. ---
-	type nodeData struct {
-		left, right []Tuple // post-shuffle tuples per node
-	}
-	nodes := make([]nodeData, n)
-	for i := 0; i < n; i++ {
-		for _, t := range c.Left[i] {
-			if skewed[t.Key] {
-				// Broadcast: visible on every node, paired with the local
-				// skewed right tuples only (each right tuple joins once,
-				// on its home node).
-				continue
-			}
-			d := pl.Dest[c.Part.Partition(t.Key)]
-			nodes[d].left = append(nodes[d].left, t)
-		}
-		for _, t := range c.Right[i] {
-			if skewed[t.Key] {
-				nodes[i].right = append(nodes[i].right, t) // stays home
-				continue
-			}
-			d := pl.Dest[c.Part.Partition(t.Key)]
-			nodes[d].right = append(nodes[d].right, t)
-		}
-	}
-	// Hot left tuples (collected once, replicated logically everywhere).
-	var hotLeft []Tuple
-	for i := 0; i < n; i++ {
-		for _, t := range c.Left[i] {
-			if skewed[t.Key] {
-				hotLeft = append(hotLeft, t)
+	for i, b := range hotBytes {
+		for j := 0; j < n; j++ {
+			if j != i {
+				broadcast[i*n+j] = b
+				initial.Egress[i] += b
+				initial.Ingress[j] += b
 			}
 		}
 	}
 
-	// --- Parallel local joins. ---
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	x, err := query.Exchange(opts.Scheduler, c.Part, frags,
+		func(t sided) int64 { return t.Key }, func(t sided) int64 { return t.Payload }, initial, broadcast)
+	if err != nil {
+		return nil, fmt.Errorf("join: %w", err)
 	}
-	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		out  int64
-		work = make(chan int)
-	)
-	hotFreq := make(map[int64]int64, len(hotLeft))
-	for _, t := range hotLeft {
-		hotFreq[t.Key]++
+	res.Placement = x.Placement
+	res.CommTime = x.TimeSec
+	res.TrafficBytes = int64(x.MovedBytes + 0.5)
+	res.BottleneckBytes = x.BottleneckBytes
+
+	counts, err := parallel.Run(0, n, func(d int) (int64, error) { return localHashJoin(x.Frags[d]), nil })
+	if err != nil {
+		return nil, err
 	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var local int64
-			for i := range work {
-				local += localHashJoin(nodes[i].left, nodes[i].right, hotFreq, skewed)
-			}
-			mu.Lock()
-			out += local
-			mu.Unlock()
-		}()
+	for _, cnt := range counts {
+		res.OutputTuples += cnt
 	}
-	for i := 0; i < n; i++ {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-	res.OutputTuples = out
 	return res, nil
 }
 
-// localHashJoin counts matches of right tuples against (a) the node's own
-// left fragment and (b) the broadcast hot-key frequencies for skewed keys.
-func localHashJoin(left, right []Tuple, hotFreq map[int64]int64, skewed map[int64]bool) int64 {
-	build := make(map[int64]int64, len(left))
-	for _, t := range left {
-		build[t.Key]++
+// localHashJoin counts the matches of a node's right tuples against its left
+// ones.
+func localHashJoin(rows []sided) int64 {
+	lefts := 0
+	for _, t := range rows {
+		if !t.right {
+			lefts++
+		}
+	}
+	build := make(map[int64]int64, lefts)
+	for _, t := range rows {
+		if !t.right {
+			build[t.Key]++
+		}
 	}
 	var out int64
-	for _, t := range right {
-		if skewed[t.Key] {
-			out += hotFreq[t.Key]
-			continue
+	for _, t := range rows {
+		if t.right {
+			out += build[t.Key]
 		}
-		out += build[t.Key]
 	}
 	return out
 }

@@ -80,16 +80,6 @@ func TestClusterChunkMatrix(t *testing.T) {
 	}
 }
 
-func TestLoadRoundRobin(t *testing.T) {
-	part := partition.ModPartitioner{NumPartitions: 3}
-	c := NewCluster(3, part)
-	r := &Relation{Tuples: make([]Tuple, 10)}
-	c.LoadRoundRobin(true, r)
-	if len(c.Left[0]) != 4 || len(c.Left[1]) != 3 || len(c.Left[2]) != 3 {
-		t.Errorf("round robin split %d/%d/%d, want 4/3/3", len(c.Left[0]), len(c.Left[1]), len(c.Left[2]))
-	}
-}
-
 func executeOn(t *testing.T, n int, pmult int, custs, perCust int64, skewFrac float64, opts Options, seed uint64) (*Result, int64) {
 	t.Helper()
 	cust, ords := GenerateRelations(GenConfig{
@@ -185,7 +175,7 @@ func TestExecuteCardinalityProperty(t *testing.T) {
 		})
 		part := partition.ModPartitioner{NumPartitions: n * (1 + rng.Intn(10))}
 		cl := NewCluster(n, part)
-		cl.LoadRoundRobin(true, cust)
+		cl.LoadByPlacement(true, cust, func(i int, _ Tuple) int { return i % n })
 		cl.LoadByPlacement(false, ords, ZipfPlacer(n, rng.Float64(), seed+9))
 		opts := Options{Scheduler: scheds[int(schedIdx)%len(scheds)]}
 		if skewPct%2 == 0 {

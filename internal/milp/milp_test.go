@@ -108,7 +108,7 @@ func TestHeuristicNearOptimal(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		n, p := 3+rng.Intn(3), 4+rng.Intn(6)
 		m := randomInstance(rng, n, p, 100)
-		ev, err := placement.Evaluate(placement.CCF{}, m, nil)
+		ev, err := placement.Evaluate(placement.CCF{}, m, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +137,7 @@ func TestHeuristicNearOptimal(t *testing.T) {
 func TestUpperBoundSeedAccelerates(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	m := randomInstance(rng, 4, 9, 60)
-	ev, err := placement.Evaluate(placement.CCF{}, m, nil)
+	ev, err := placement.Evaluate(placement.CCF{}, m, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

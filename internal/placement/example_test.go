@@ -22,7 +22,7 @@ func ExampleCCF() {
 	m.Set(2, 3, 2)
 
 	for _, s := range []placement.Scheduler{placement.Mini{}, placement.CCF{}} {
-		ev, err := placement.Evaluate(s, m, nil)
+		ev, err := placement.Evaluate(s, m, nil, nil)
 		if err != nil {
 			fmt.Println("error:", err)
 			return

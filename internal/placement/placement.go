@@ -329,10 +329,15 @@ func (LPT) Place(m *partition.ChunkMatrix, initial *partition.Loads) (*partition
 	return pl, nil
 }
 
-// Evaluation bundles the metrics of a placement under the bandwidth model.
+// Evaluation is one decision of the paper's step (Figure 3, Algorithm 1): the
+// placement a scheduler chose for a chunk matrix and what it costs under the
+// bandwidth model.
 type Evaluation struct {
 	Placement *partition.Placement
 	Loads     *partition.Loads
+	// Volumes is the n×n matrix (row-major) of the coflow the placement
+	// induces, broadcast volumes added: Volumes[i*n+j] bytes go from i to j.
+	Volumes []int64
 	// TrafficBytes is the total bytes crossing the network (remote moves
 	// plus any initial broadcast volume).
 	TrafficBytes int64
@@ -341,21 +346,57 @@ type Evaluation struct {
 	BottleneckBytes int64
 }
 
-// Evaluate runs a scheduler over a chunk matrix and computes its loads,
-// traffic, and bottleneck under optional initial (broadcast) volumes.
-func Evaluate(s Scheduler, m *partition.ChunkMatrix, initial *partition.Loads) (*Evaluation, error) {
-	pl, err := s.Place(m, initial)
-	if err != nil {
-		return nil, fmt.Errorf("placement: %s: %w", s.Name(), err)
+// Evaluate decides: it runs a scheduler over a chunk matrix and returns the
+// validated placement, its port loads on top of the initial ones, and its flow
+// volumes with the optional n×n broadcast volumes (the v⁰ flows whose port
+// loads initial already counts) added. Every caller that places a job's
+// matrix goes through here or through EvaluateInto.
+func Evaluate(s Scheduler, m *partition.ChunkMatrix, initial *partition.Loads, broadcast []int64) (*Evaluation, error) {
+	if broadcast != nil && len(broadcast) != m.N*m.N {
+		return nil, fmt.Errorf("placement: broadcast volumes have %d entries, want %d", len(broadcast), m.N*m.N)
 	}
-	loads, err := partition.ComputeLoads(m, pl, initial)
+	pl, vol, err := EvaluateInto(nil, s, m, initial)
 	if err != nil {
-		return nil, fmt.Errorf("placement: %s produced invalid placement: %w", s.Name(), err)
+		return nil, err
+	}
+	// The port loads are the volumes' row and column sums on top of the
+	// initial ones: O(n²), where partition.ComputeLoads walks the matrix again.
+	n := m.N
+	egress, ingress, err := loadsFrom(initial, n)
+	if err != nil {
+		return nil, err
+	}
+	for i := range egress {
+		for j, v := range vol[i*n : (i+1)*n] {
+			egress[i] += v
+			ingress[j] += v
+		}
+	}
+	loads := &partition.Loads{Egress: egress, Ingress: ingress}
+	for i, b := range broadcast {
+		vol[i] += b
 	}
 	return &Evaluation{
 		Placement:       pl,
 		Loads:           loads,
+		Volumes:         vol,
 		TrafficBytes:    loads.Traffic(),
 		BottleneckBytes: loads.Max(),
 	}, nil
+}
+
+// EvaluateInto is Evaluate for a caller that decides job after job
+// (core.OnlineEngine): the flow volumes are written into vol's storage when it
+// holds n×n entries, whatever it held is overwritten, and no loads are
+// computed. Broadcast volumes are left to the caller, who knows which rows
+// carry any.
+func EvaluateInto(vol []int64, s Scheduler, m *partition.ChunkMatrix, initial *partition.Loads) (*partition.Placement, []int64, error) {
+	pl, err := s.Place(m, initial)
+	if err != nil {
+		return nil, nil, fmt.Errorf("placement: %s: %w", s.Name(), err)
+	}
+	if vol, err = partition.FlowVolumesInto(vol, m, pl); err != nil {
+		return nil, nil, fmt.Errorf("placement: %s produced invalid placement: %w", s.Name(), err)
+	}
+	return pl, vol, nil
 }

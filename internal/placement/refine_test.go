@@ -128,11 +128,11 @@ func TestCCFRefinedAtLeastAsGoodAsCCF(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n, p := 3+rng.Intn(5), 5+rng.Intn(20)
 		m := randomMatrix(rng, n, p, 80)
-		base, err := Evaluate(CCF{}, m, nil)
+		base, err := Evaluate(CCF{}, m, nil, nil)
 		if err != nil {
 			return false
 		}
-		refined, err := Evaluate(CCFRefined{}, m, nil)
+		refined, err := Evaluate(CCFRefined{}, m, nil, nil)
 		if err != nil {
 			return false
 		}

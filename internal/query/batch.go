@@ -10,6 +10,7 @@ package query
 
 import (
 	"fmt"
+	"math"
 
 	"ccf/internal/coflow"
 	"ccf/internal/netsim"
@@ -57,8 +58,8 @@ func (e *Executor) ExecuteBatch(jobs []BatchJob, sched coflow.Scheduler) (*Batch
 	jobLast := make([]int, len(jobs))
 	id := 0
 	for ji, job := range jobs {
-		if job.Arrival < 0 {
-			return nil, fmt.Errorf("query: batch job %d has negative arrival %g", ji, job.Arrival)
+		if !(job.Arrival >= 0) || math.IsInf(job.Arrival, 1) {
+			return nil, fmt.Errorf("query: batch job %d has negative or non-finite arrival %g", ji, job.Arrival)
 		}
 		res, err := e.Execute(job.Plan)
 		if err != nil {
@@ -95,7 +96,7 @@ func (e *Executor) ExecuteBatch(jobs []BatchJob, sched coflow.Scheduler) (*Batch
 		}
 		return out, nil
 	}
-	fabric, err := netsim.NewFabric(e.cfg.Nodes, e.cfg.Bandwidth)
+	fabric, err := netsim.NewFabric(e.cfg.Nodes, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"ccf/internal/coflow"
@@ -102,9 +103,14 @@ func TestExecuteBatchStagesOrdered(t *testing.T) {
 
 func TestExecuteBatchArrivalValidation(t *testing.T) {
 	e := batchExecutor(t, 4, 5)
-	_, err := e.ExecuteBatch([]BatchJob{{Plan: &Scan{Table: "L"}, Arrival: -2}}, nil)
-	if err == nil {
-		t.Error("accepted negative arrival")
+	// NaN passes every ordering comparison and +Inf is no instant the clock
+	// reaches: the error must name the arrival, not the scheduler the
+	// simulator would blame after spinning on it.
+	for _, bad := range []float64{-2, math.NaN(), math.Inf(1)} {
+		_, err := e.ExecuteBatch([]BatchJob{{Plan: &AggOp{Input: &Scan{Table: "L"}}, Arrival: bad}}, nil)
+		if err == nil || !strings.Contains(err.Error(), "arrival") {
+			t.Errorf("arrival %g: err = %v, want it rejected as an arrival", bad, err)
+		}
 	}
 	if _, err := e.ExecuteBatch([]BatchJob{{Plan: &Scan{Table: "nope"}}}, nil); err == nil {
 		t.Error("accepted unknown table")

@@ -130,14 +130,12 @@ func (m *MapOp) label() string { return "map" }
 
 // Config parameterises an executor.
 type Config struct {
-	// Nodes is the cluster width. Required.
+	// Nodes is the cluster width. Required. Every shuffle hashes its keys
+	// into 15 × Nodes partitions (the paper's ratio) and runs on ports of
+	// netsim.DefaultPortBandwidth.
 	Nodes int
-	// Partitions per shuffle; 0 = 15 × Nodes.
-	Partitions int
 	// Scheduler places every shuffle's partitions. Required.
 	Scheduler placement.Scheduler
-	// Bandwidth per port in bytes/sec; 0 = CoflowSim default.
-	Bandwidth float64
 }
 
 // StageReport describes one operator's network stage.
@@ -180,15 +178,9 @@ func NewExecutor(cfg Config, tables ...*Table) (*Executor, error) {
 	if cfg.Scheduler == nil {
 		return nil, fmt.Errorf("query: Scheduler is required")
 	}
-	if cfg.Partitions == 0 {
-		cfg.Partitions = 15 * cfg.Nodes
-	}
-	if cfg.Partitions < 1 {
-		return nil, fmt.Errorf("query: Partitions must be positive, got %d", cfg.Partitions)
-	}
 	e := &Executor{
 		cfg:    cfg,
-		part:   partition.ModPartitioner{NumPartitions: cfg.Partitions},
+		part:   partition.ModPartitioner{NumPartitions: 15 * cfg.Nodes},
 		tables: make(map[string]*Table, len(tables)),
 	}
 	for _, t := range tables {
@@ -269,67 +261,85 @@ func (e *Executor) run(node Node, res *Result) (*Table, error) {
 	}
 }
 
-// shuffle redistributes the given per-node fragments by key partition using
-// the configured placement scheduler, simulates the coflow, and returns the
-// post-shuffle fragments plus the stage report. It is generic over the element
-// so that the join's side-tagged rows and plain rows take the one path; key
-// extracts the shuffle key.
-func shuffle[T any](e *Executor, label string, frags [][]T, key func(T) int64, payload int64) ([][]T, StageReport, error) {
-	n, p := e.cfg.Nodes, e.cfg.Partitions
-	rep := StageReport{Operator: label}
+// Shuffled is what one Exchange produced.
+type Shuffled[T any] struct {
+	// Frags[d] holds the rows sent to node d, in input order: node 0's rows
+	// as its fragment listed them, then node 1's, and so on.
+	Frags [][]T
+	// Evaluation is the decision: placement, port loads, n×n flow volumes.
+	*placement.Evaluation
+	// TimeSec is the shuffle coflow's completion time alone on the fabric
+	// at the default port bandwidth, MovedBytes what the simulator carried.
+	TimeSec, MovedBytes float64
+}
+
+// Exchange is the tuple layer's one shuffle: it builds the chunk matrix of
+// frags (frags[i] is node i's rows; part maps key(row) to a partition and
+// size(row) is the row's bytes on the wire), decides the placement on top of
+// the initial port loads, times the resulting coflow — broadcast volumes
+// included — alone under Varys, and routes every row to its partition's
+// destination. initial and broadcast may be nil. Plain hash join, partial
+// duplication and per-key track join are parameterisations of it.
+func Exchange[T any](sched placement.Scheduler, part partition.Partitioner, frags [][]T,
+	key, size func(T) int64, initial *partition.Loads, broadcast []int64) (*Shuffled[T], error) {
+	n, p := len(frags), part.P()
 	m, err := partition.NewChunkMatrix(n, p)
 	if err != nil {
-		return nil, rep, fmt.Errorf("query: %s: %w", label, err)
+		return nil, err
 	}
+	rows := make([]int, p) // per partition, to size the destination fragments
 	for i, f := range frags {
-		rep.RowsIn += int64(len(f))
 		for _, row := range f {
-			m.Add(i, e.part.Partition(key(row)), payload)
+			k := part.Partition(key(row))
+			m.Add(i, k, size(row))
+			rows[k]++
 		}
 	}
-	pl, err := e.cfg.Scheduler.Place(m, nil)
+	ev, err := placement.Evaluate(sched, m, initial, broadcast)
 	if err != nil {
-		return nil, rep, fmt.Errorf("query: %s: placement: %w", label, err)
+		return nil, err
 	}
-	if err := pl.Validate(n, p); err != nil {
-		return nil, rep, err
+	x := &Shuffled[T]{Frags: make([][]T, n), Evaluation: ev}
+	if x.TimeSec, x.MovedBytes, err = netsim.RunAlone("exchange", n, ev.Volumes, 0, coflow.NewVarys(), nil); err != nil {
+		return nil, err
 	}
-	loads, err := partition.ComputeLoads(m, pl, nil)
-	if err != nil {
-		return nil, rep, err
+	dest := ev.Placement.Dest
+	arriving := make([]int, n)
+	for k, c := range rows {
+		arriving[dest[k]] += c
 	}
-	rep.TrafficBytes = loads.Traffic()
-	rep.BottleneckBytes = loads.Max()
-
-	vol, err := partition.FlowVolumes(m, pl)
-	if err != nil {
-		return nil, rep, err
-	}
-	rep.FlowVolumes = vol
-	cf, err := coflow.FromVolumes(0, label, 0, n, vol)
-	if err != nil {
-		return nil, rep, err
-	}
-	if len(cf.Flows) > 0 {
-		fabric, err := netsim.NewFabric(n, e.cfg.Bandwidth)
-		if err != nil {
-			return nil, rep, err
+	for d, c := range arriving {
+		if c > 0 {
+			x.Frags[d] = make([]T, 0, c)
 		}
-		simRep, err := netsim.NewSimulator(fabric, coflow.NewVarys()).Run([]*coflow.Coflow{cf})
-		if err != nil {
-			return nil, rep, fmt.Errorf("query: %s: simulation: %w", label, err)
-		}
-		rep.TimeSec = simRep.MaxCCT
 	}
-
-	out := make([][]T, n)
 	for _, f := range frags {
 		for _, row := range f {
-			d := pl.Dest[e.part.Partition(key(row))]
-			out[d] = append(out[d], row)
+			d := dest[part.Partition(key(row))]
+			x.Frags[d] = append(x.Frags[d], row)
 		}
 	}
-	return out, rep, nil
+	return x, nil
+}
+
+// shuffle is the operators' exchange: every row weighs payload bytes and the
+// network is idle. It returns the post-shuffle fragments and the stage report.
+func shuffle[T any](e *Executor, label string, frags [][]T, key func(T) int64, payload int64) ([][]T, StageReport, error) {
+	x, err := Exchange(e.cfg.Scheduler, e.part, frags, key, func(T) int64 { return payload }, nil, nil)
+	if err != nil {
+		return nil, StageReport{}, fmt.Errorf("query: %s: %w", label, err)
+	}
+	rep := StageReport{
+		Operator:        label,
+		TrafficBytes:    x.TrafficBytes,
+		BottleneckBytes: x.BottleneckBytes,
+		TimeSec:         x.TimeSec,
+		FlowVolumes:     x.Volumes,
+	}
+	for _, f := range frags {
+		rep.RowsIn += int64(len(f))
+	}
+	return x.Frags, rep, nil
 }
 
 func rowKey(r Row) int64 { return r.Key }

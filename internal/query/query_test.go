@@ -59,8 +59,8 @@ func TestNewExecutorValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.cfg.Partitions != 60 {
-		t.Errorf("default partitions = %d, want 15×4", e.cfg.Partitions)
+	if e.part.P() != 60 {
+		t.Errorf("partitions = %d, want 15×4", e.part.P())
 	}
 }
 

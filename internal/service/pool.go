@@ -31,12 +31,6 @@ type Config struct {
 	// append + fsync; decisions are byte-identical to BatchMax=1. 1
 	// restores strictly sequential admission.
 	BatchMax int
-	// BatchWait is how long a shard lingers for followers once one job is
-	// pending and the queue has momentarily drained (default 0: adaptive
-	// batching only — batches form from queue pressure and sparse traffic
-	// pays zero added latency). Only raises batch sizes, never changes
-	// decisions.
-	BatchWait time.Duration
 	// Engine pins the per-shard engine identity (scheduler, bandwidth,
 	// co-optimization); it is recorded in snapshots and verified at restore.
 	Engine EngineConfig
@@ -88,9 +82,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.BatchMax < 1 {
 		return c, fmt.Errorf("service: BatchMax must be positive, got %d", c.BatchMax)
-	}
-	if c.BatchWait < 0 {
-		c.BatchWait = 0
 	}
 	if c.SnapshotEvery == 0 {
 		c.SnapshotEvery = 64

@@ -315,12 +315,10 @@ func (sh *shard) run() {
 }
 
 // fillBatch drains queued followers behind the first request of a batch:
-// whatever is already waiting is taken without blocking, up to BatchMax.
-// When BatchWait > 0 and the queue momentarily empties, the shard lingers
-// that long for stragglers before deciding; with the default BatchWait of 0
-// batching is purely adaptive — batches form from queue pressure and sparse
-// traffic pays zero added latency. A closed queue ends the fill; the outer
-// loop observes the close on its next receive.
+// whatever is already waiting is taken without blocking, up to BatchMax, so
+// batches form from queue pressure and sparse traffic pays no added latency.
+// A closed queue ends the fill; the outer loop observes the close on its next
+// receive.
 func (sh *shard) fillBatch(batch []*request) []*request {
 	for len(batch) < sh.cfg.BatchMax {
 		select {
@@ -330,28 +328,6 @@ func (sh *shard) fillBatch(batch []*request) []*request {
 			}
 			batch = append(batch, req)
 		default:
-			if sh.cfg.BatchWait <= 0 {
-				return batch
-			}
-			return sh.lingerFill(batch)
-		}
-	}
-	return batch
-}
-
-// lingerFill waits up to BatchWait (one deadline for the whole linger) for
-// followers to join a non-full batch.
-func (sh *shard) lingerFill(batch []*request) []*request {
-	timer := time.NewTimer(sh.cfg.BatchWait)
-	defer timer.Stop()
-	for len(batch) < sh.cfg.BatchMax {
-		select {
-		case req, ok := <-sh.queue:
-			if !ok {
-				return batch
-			}
-			batch = append(batch, req)
-		case <-timer.C:
 			return batch
 		}
 	}

@@ -17,6 +17,7 @@ import (
 	"sort"
 
 	"ccf/internal/partition"
+	"ccf/internal/placement"
 )
 
 // RackAwareCCF places partitions over a leaf-spine topology. It implements
@@ -178,12 +179,13 @@ func (c RackAwareCCF) Place(m *partition.ChunkMatrix, initial *partition.Loads) 
 	return pl, nil
 }
 
-// PlacementCCT evaluates a placement's single-coflow CCT on this topology
-// (closed form, MADD over links).
-func (t *Topology) PlacementCCT(m *partition.ChunkMatrix, pl *partition.Placement) (float64, error) {
-	vol, err := partition.FlowVolumes(m, pl)
+// PlacementCCT places m with s on top of the initial loads and returns the
+// placement's single-coflow CCT on this topology (closed form, MADD over
+// links).
+func (t *Topology) PlacementCCT(s placement.Scheduler, m *partition.ChunkMatrix, initial *partition.Loads) (float64, error) {
+	ev, err := placement.Evaluate(s, m, initial, nil)
 	if err != nil {
 		return 0, err
 	}
-	return t.SingleCoflowCCT(vol)
+	return t.SingleCoflowCCT(ev.Volumes)
 }

@@ -9,17 +9,15 @@
 // switches whose uplinks to a non-blocking spine may be oversubscribed, so
 // cross-rack traffic contends on shared rack links.
 //
-// The package provides exact single-coflow CCT under MADD over links, a
-// link-level fluid simulator for online verification, and RackAwareCCF — the
-// paper's Algorithm 1 extended with rack-uplink/downlink terms, which stays
-// O(p·(n + racks)) thanks to the same top-2 bookkeeping as the base placer.
+// The package provides exact single-coflow CCT under MADD over links and
+// RackAwareCCF — the paper's Algorithm 1 extended with rack-uplink/downlink
+// terms, which stays O(p·(n + racks)) thanks to the same top-2 bookkeeping as
+// the base placer.
 package topology
 
 import (
 	"fmt"
 	"math"
-
-	"ccf/internal/coflow"
 )
 
 // LinkKind labels the role of a link in the fabric.
@@ -170,304 +168,4 @@ func (t *Topology) SingleCoflowCCT(vol []int64) (float64, error) {
 		}
 	}
 	return cct, nil
-}
-
-// ---------------------------------------------------------------------------
-// Link-level fluid simulation.
-// ---------------------------------------------------------------------------
-
-// maddOverLinks assigns every non-done flow rate remaining/τ where τ is the
-// bottleneck over links, consuming residual capacities. Mirrors
-// coflow.maddAllocate but over arbitrary link sets.
-func (t *Topology) maddOverLinks(c *coflow.Coflow, resid []float64) {
-	need := make(map[int]float64)
-	for _, f := range c.Flows {
-		if f.Done {
-			continue
-		}
-		for _, l := range t.Path(f.Src, f.Dst) {
-			need[l] += f.Remaining
-		}
-	}
-	tau := 0.0
-	for l, v := range need {
-		if resid[l] <= 0 {
-			return // blocked; leave rates at zero
-		}
-		if x := v / resid[l]; x > tau {
-			tau = x
-		}
-	}
-	if tau == 0 {
-		return
-	}
-	for _, f := range c.Flows {
-		if f.Done {
-			continue
-		}
-		r := f.Remaining / tau
-		f.Rate += r
-		for _, l := range t.Path(f.Src, f.Dst) {
-			resid[l] -= r
-		}
-	}
-}
-
-// waterFillOverLinks max-min fair shares residual link capacity across the
-// given flows (progressive filling over links).
-func (t *Topology) waterFillOverLinks(flows []*coflow.Flow, resid []float64) {
-	frozen := make([]bool, len(flows))
-	remaining := 0
-	for i, f := range flows {
-		if f.Done {
-			frozen[i] = true
-		} else {
-			remaining++
-		}
-	}
-	for remaining > 0 {
-		cnt := make(map[int]int)
-		for i, f := range flows {
-			if frozen[i] {
-				continue
-			}
-			for _, l := range t.Path(f.Src, f.Dst) {
-				cnt[l]++
-			}
-		}
-		alpha := math.Inf(1)
-		for l, c := range cnt {
-			if a := resid[l] / float64(c); a < alpha {
-				alpha = a
-			}
-		}
-		if math.IsInf(alpha, 1) || alpha <= 0 {
-			break
-		}
-		for i, f := range flows {
-			if frozen[i] {
-				continue
-			}
-			f.Rate += alpha
-			for _, l := range t.Path(f.Src, f.Dst) {
-				resid[l] -= alpha
-			}
-		}
-		next := 0
-		for i, f := range flows {
-			if frozen[i] {
-				continue
-			}
-			sat := false
-			for _, l := range t.Path(f.Src, f.Dst) {
-				if resid[l] <= 1e-12 {
-					sat = true
-					break
-				}
-			}
-			if sat {
-				frozen[i] = true
-			} else {
-				next++
-			}
-		}
-		if next == remaining {
-			// Defensive progress guarantee.
-			for i := range frozen {
-				if !frozen[i] {
-					frozen[i] = true
-					next--
-					break
-				}
-			}
-		}
-		remaining = next
-	}
-}
-
-// Report mirrors netsim.Report for the link-level simulator.
-type Report struct {
-	Makespan   float64
-	CCTs       map[int]float64
-	AvgCCT     float64
-	MaxCCT     float64
-	TotalBytes float64
-	Epochs     int
-}
-
-// Simulate runs coflows over the topology with SEBF ordering, MADD-over-
-// links allocation and work-conserving backfill — Varys generalised to
-// arbitrary link sets (the RAPIER setting without route choice, since the
-// leaf-spine has a single path per pair).
-func (t *Topology) Simulate(coflows []*coflow.Coflow) (*Report, error) {
-	for _, c := range coflows {
-		for _, f := range c.Flows {
-			if f.Src < 0 || f.Src >= t.N || f.Dst < 0 || f.Dst >= t.N || f.Src == f.Dst {
-				return nil, fmt.Errorf("topology: flow %d of coflow %d has invalid endpoints %d→%d",
-					f.ID, c.ID, f.Src, f.Dst)
-			}
-			f.Remaining = f.Size
-			f.Done = f.Size <= 0
-			f.Rate = 0
-		}
-		c.Completed = false
-		c.SentBytes = 0
-	}
-	rep := &Report{CCTs: make(map[int]float64, len(coflows))}
-	pending := make([]*coflow.Coflow, len(coflows))
-	copy(pending, coflows)
-	// Insertion sort by arrival keeps this dependency-free.
-	for i := 1; i < len(pending); i++ {
-		for j := i; j > 0 && pending[j].Arrival < pending[j-1].Arrival; j-- {
-			pending[j], pending[j-1] = pending[j-1], pending[j]
-		}
-	}
-	var active []*coflow.Coflow
-	now := 0.0
-	if len(pending) > 0 {
-		now = pending[0].Arrival
-	}
-	resid := make([]float64, len(t.Links))
-
-	for epoch := 0; ; epoch++ {
-		if epoch > 10_000_000 {
-			return nil, fmt.Errorf("topology: simulation exceeded 10M epochs")
-		}
-		for len(pending) > 0 && pending[0].Arrival <= now+1e-12 {
-			active = append(active, pending[0])
-			pending = pending[1:]
-		}
-		live := active[:0]
-		for _, c := range active {
-			done := true
-			for _, f := range c.Flows {
-				if !f.Done {
-					done = false
-					break
-				}
-			}
-			if done {
-				if !c.Completed {
-					c.Completed = true
-					c.Completion = now
-					cct, err := c.CCT()
-					if err != nil {
-						return nil, err
-					}
-					rep.CCTs[c.ID] = cct
-				}
-				continue
-			}
-			live = append(live, c)
-		}
-		active = live
-		if len(active) == 0 {
-			if len(pending) == 0 {
-				break
-			}
-			now = pending[0].Arrival
-			continue
-		}
-
-		rep.Epochs++
-		for l := range resid {
-			resid[l] = t.Links[l].Cap
-		}
-		for _, c := range active {
-			for _, f := range c.Flows {
-				f.Rate = 0
-			}
-		}
-		// SEBF over link bottlenecks.
-		order := append([]*coflow.Coflow(nil), active...)
-		for i := 1; i < len(order); i++ {
-			for j := i; j > 0 && t.bottleneck(order[j]) < t.bottleneck(order[j-1]); j-- {
-				order[j], order[j-1] = order[j-1], order[j]
-			}
-		}
-		for _, c := range order {
-			t.maddOverLinks(c, resid)
-		}
-		var all []*coflow.Flow
-		for _, c := range active {
-			for _, f := range c.Flows {
-				if !f.Done {
-					all = append(all, f)
-				}
-			}
-		}
-		t.waterFillOverLinks(all, resid)
-
-		dt := math.Inf(1)
-		for _, f := range all {
-			if f.Rate > 0 {
-				if x := f.Remaining / f.Rate; x < dt {
-					dt = x
-				}
-			}
-		}
-		if len(pending) > 0 {
-			if x := pending[0].Arrival - now; x < dt {
-				dt = x
-			}
-		}
-		if math.IsInf(dt, 1) {
-			return nil, fmt.Errorf("topology: simulation stalled with %d active coflows", len(active))
-		}
-		now += dt
-		for _, c := range active {
-			for _, f := range c.Flows {
-				if f.Done || f.Rate <= 0 {
-					continue
-				}
-				moved := math.Min(f.Rate*dt, f.Remaining)
-				f.Remaining -= moved
-				c.SentBytes += moved
-				rep.TotalBytes += moved
-				if f.Remaining <= 1e-6 {
-					f.Remaining = 0
-					f.Done = true
-					f.EndTime = now
-				}
-			}
-		}
-	}
-	rep.Makespan = now
-	// Sum in input-coflow order, not map-iteration order, so the float
-	// result (and anything printed from it) is deterministic run to run.
-	for _, c := range coflows {
-		cct, ok := rep.CCTs[c.ID]
-		if !ok {
-			continue
-		}
-		rep.AvgCCT += cct
-		if cct > rep.MaxCCT {
-			rep.MaxCCT = cct
-		}
-	}
-	if len(rep.CCTs) > 0 {
-		rep.AvgCCT /= float64(len(rep.CCTs))
-	}
-	return rep, nil
-}
-
-// bottleneck is the coflow's remaining-bytes-over-capacity bound on this
-// topology (the SEBF key).
-func (t *Topology) bottleneck(c *coflow.Coflow) float64 {
-	load := make(map[int]float64)
-	for _, f := range c.Flows {
-		if f.Done {
-			continue
-		}
-		for _, l := range t.Path(f.Src, f.Dst) {
-			load[l] += f.Remaining
-		}
-	}
-	var g float64
-	for l, v := range load {
-		if x := v / t.Links[l].Cap; x > g {
-			g = x
-		}
-	}
-	return g
 }

@@ -6,8 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"ccf/internal/coflow"
-	"ccf/internal/fbtrace"
 	"ccf/internal/partition"
 	"ccf/internal/placement"
 )
@@ -134,77 +132,6 @@ func TestLinkLoadsValidation(t *testing.T) {
 	}
 }
 
-func mkTopoCoflow(id int, arrival float64, flows ...[3]float64) *coflow.Coflow {
-	fs := make([]coflow.Flow, len(flows))
-	for i, f := range flows {
-		fs[i] = coflow.Flow{ID: i, Src: int(f[0]), Dst: int(f[1]), Size: f[2]}
-	}
-	return coflow.New(id, "topo", arrival, fs)
-}
-
-func TestSimulateMatchesClosedFormSingleCoflow(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		racks := 1 + rng.Intn(3)
-		perRack := 2 + rng.Intn(3)
-		topo, err := NewLeafSpine(racks, perRack, 10, 4)
-		if err != nil {
-			return false
-		}
-		n := topo.N
-		vol := make([]int64, n*n)
-		var flows [][3]float64
-		for i := 0; i < 1+rng.Intn(8); i++ {
-			src := rng.Intn(n)
-			dst := (src + 1 + rng.Intn(n-1)) % n
-			v := int64(1 + rng.Intn(200))
-			vol[src*n+dst] += v
-			flows = append(flows, [3]float64{float64(src), float64(dst), float64(v)})
-		}
-		rep, err := topo.Simulate([]*coflow.Coflow{mkTopoCoflow(0, 0, flows...)})
-		if err != nil {
-			return false
-		}
-		want, err := topo.SingleCoflowCCT(vol)
-		if err != nil {
-			return false
-		}
-		return math.Abs(rep.MaxCCT-want) < 1e-6*want+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSimulateOnlinePreemption(t *testing.T) {
-	topo, err := NewLeafSpine(2, 2, 10, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	big := mkTopoCoflow(0, 0, [3]float64{0, 2, 1000})
-	small := mkTopoCoflow(1, 1, [3]float64{0, 2, 10})
-	rep, err := topo.Simulate([]*coflow.Coflow{big, small})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(rep.CCTs[1]-1) > 1e-6 {
-		t.Errorf("small coflow CCT = %g, want 1 (SEBF preemption)", rep.CCTs[1])
-	}
-	if math.Abs(rep.CCTs[0]-101) > 1e-6 {
-		t.Errorf("big coflow CCT = %g, want 101", rep.CCTs[0])
-	}
-}
-
-func TestSimulateRejectsBadFlow(t *testing.T) {
-	topo, _ := NewNonBlocking(2, 1)
-	if _, err := topo.Simulate([]*coflow.Coflow{mkTopoCoflow(0, 0, [3]float64{0, 0, 5})}); err == nil {
-		t.Error("accepted a self-loop")
-	}
-	if _, err := topo.Simulate([]*coflow.Coflow{mkTopoCoflow(0, 0, [3]float64{0, 9, 5})}); err == nil {
-		t.Error("accepted an out-of-range host")
-	}
-}
-
 func zipfMatrix(rng *rand.Rand, n, p int) *partition.ChunkMatrix {
 	m := partition.MustChunkMatrix(n, p)
 	for k := 0; k < p; k++ {
@@ -225,19 +152,11 @@ func TestRackAwareReducesToCCFWithoutOversubscription(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rackPl, err := RackAwareCCF{Topo: topo}.Place(m, nil)
+	rackT, err := topo.PlacementCCT(RackAwareCCF{Topo: topo}, m, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plainPl, err := placement.CCF{}.Place(m, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rackT, err := topo.PlacementCCT(m, rackPl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plainT, err := topo.PlacementCCT(m, plainPl)
+	plainT, err := topo.PlacementCCT(placement.CCF{}, m, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,19 +175,11 @@ func TestRackAwareBeatsPlainOnOversubscribedCore(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := zipfMatrix(rng, topo.N, 80)
-	rackPl, err := RackAwareCCF{Topo: topo}.Place(m, nil)
+	rackT, err := topo.PlacementCCT(RackAwareCCF{Topo: topo}, m, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plainPl, err := placement.CCF{}.Place(m, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rackT, err := topo.PlacementCCT(m, rackPl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plainT, err := topo.PlacementCCT(m, plainPl)
+	plainT, err := topo.PlacementCCT(placement.CCF{}, m, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,48 +229,5 @@ func TestRackAwarePlacementIsValid(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestLeafSpineOnlineFBWorkload(t *testing.T) {
-	// Integration: a Facebook-like online coflow mix over an oversubscribed
-	// leaf-spine completes with all bytes delivered, and the same workload
-	// on a non-blocking fabric is never slower (the core only removes
-	// capacity).
-	topo, err := NewLeafSpine(4, 4, 100e6, 200e6) // 2x oversubscription
-	if err != nil {
-		t.Fatal(err)
-	}
-	flat, err := NewNonBlocking(topo.N, 100e6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mk := func() []*coflow.Coflow {
-		cfs, err := fbtrace.Generate(fbtrace.Config{Machines: topo.N, Coflows: 30, Seed: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return cfs
-	}
-	var total float64
-	for _, c := range mk() {
-		total += c.TotalBytes()
-	}
-	over, err := topo.Simulate(mk())
-	if err != nil {
-		t.Fatal(err)
-	}
-	nb, err := flat.Simulate(mk())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(over.TotalBytes-total)/total > 1e-6 {
-		t.Errorf("oversubscribed run moved %g bytes, want %g", over.TotalBytes, total)
-	}
-	if nb.Makespan > over.Makespan*(1+1e-9) {
-		t.Errorf("non-blocking makespan %g exceeds oversubscribed %g", nb.Makespan, over.Makespan)
-	}
-	if len(over.CCTs) != 30 || len(nb.CCTs) != 30 {
-		t.Errorf("completed %d/%d coflows, want 30 each", len(over.CCTs), len(nb.CCTs))
 	}
 }

@@ -31,10 +31,13 @@ type Config struct {
 	Customers int64 // orders = 10×customers, lineitems ≈ 4×orders
 	// PayloadBytes per row on the wire; 0 = 100.
 	PayloadBytes int64
-	Seed         uint64
+	// Seed draws the tables. Generate seeds its generator with Seed|1, so
+	// seeds 2k and 2k+1 yield identical tables.
+	Seed uint64
 }
 
-// gen is the xorshift64* generator shared with the other packages.
+// gen is an xorshift64* generator: one of four private copies in the
+// repository (join.Gen, fbtrace's gen and placement.Random are the others).
 type gen struct{ state uint64 }
 
 func (g *gen) next() uint64 {

@@ -20,91 +20,47 @@ package trackjoin
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"ccf/internal/join"
-	"ccf/internal/partition"
 )
 
 // KeyPartitioner maps each distinct join key to its own micro-partition.
 // It implements partition.Partitioner over a closed key set.
 type KeyPartitioner struct {
 	index map[int64]int
-	keys  []int64
 }
 
 // NewKeyPartitioner builds the key→micro-partition index from the distinct
 // keys of the given relations. Keys are indexed in sorted order so the
 // mapping is deterministic.
 func NewKeyPartitioner(relations ...*join.Relation) (*KeyPartitioner, error) {
-	set := make(map[int64]bool)
+	index := make(map[int64]int)
 	for _, r := range relations {
 		for _, t := range r.Tuples {
-			set[t.Key] = true
+			index[t.Key] = 0
 		}
 	}
-	if len(set) == 0 {
+	if len(index) == 0 {
 		return nil, fmt.Errorf("trackjoin: no keys observed")
 	}
-	kp := &KeyPartitioner{index: make(map[int64]int, len(set)), keys: make([]int64, 0, len(set))}
-	for k := range set {
-		kp.keys = append(kp.keys, k)
+	keys := make([]int64, 0, len(index))
+	for k := range index {
+		keys = append(keys, k)
 	}
-	sort.Slice(kp.keys, func(a, b int) bool { return kp.keys[a] < kp.keys[b] })
-	for i, k := range kp.keys {
-		kp.index[k] = i
+	slices.Sort(keys)
+	for i, k := range keys {
+		index[k] = i
 	}
-	return kp, nil
+	return &KeyPartitioner{index: index}, nil
 }
 
 // Partition implements partition.Partitioner. Unknown keys (never observed
-// at build time) fold onto micro-partition 0; callers that need strictness
-// should use Contains first.
-func (kp *KeyPartitioner) Partition(key int64) int {
-	if i, ok := kp.index[key]; ok {
-		return i
-	}
-	return 0
-}
+// at build time) fold onto micro-partition 0.
+func (kp *KeyPartitioner) Partition(key int64) int { return kp.index[key] }
 
 // P implements partition.Partitioner.
-func (kp *KeyPartitioner) P() int { return len(kp.keys) }
-
-// Contains reports whether the key was part of the build set.
-func (kp *KeyPartitioner) Contains(key int64) bool {
-	_, ok := kp.index[key]
-	return ok
-}
-
-// Keys returns the indexed keys in micro-partition order.
-func (kp *KeyPartitioner) Keys() []int64 { return kp.keys }
-
-// KeyOf returns the key of micro-partition i.
-func (kp *KeyPartitioner) KeyOf(i int) (int64, error) {
-	if i < 0 || i >= len(kp.keys) {
-		return 0, fmt.Errorf("trackjoin: micro-partition %d outside [0,%d)", i, len(kp.keys))
-	}
-	return kp.keys[i], nil
-}
-
-// KeyPlacement is a per-key destination map, the track-join analogue of
-// partition.Placement.
-type KeyPlacement struct {
-	Dest map[int64]int
-}
-
-// FromPlacement lifts a micro-partition placement back to key space.
-func (kp *KeyPartitioner) FromPlacement(pl *partition.Placement) (*KeyPlacement, error) {
-	if len(pl.Dest) != len(kp.keys) {
-		return nil, fmt.Errorf("trackjoin: placement covers %d micro-partitions, want %d",
-			len(pl.Dest), len(kp.keys))
-	}
-	out := &KeyPlacement{Dest: make(map[int64]int, len(kp.keys))}
-	for i, d := range pl.Dest {
-		out.Dest[kp.keys[i]] = d
-	}
-	return out, nil
-}
+func (kp *KeyPartitioner) P() int { return len(kp.index) }
 
 // BuildCluster loads two relations onto a cluster partitioned at key
 // granularity, using the provided per-tuple home assignment.

@@ -29,51 +29,19 @@ func TestKeyPartitionerIndexing(t *testing.T) {
 		t.Fatalf("P = %d, want 3 distinct keys", kp.P())
 	}
 	// Sorted order: 2, 5, 9.
-	want := []int64{2, 5, 9}
-	for i, k := range kp.Keys() {
-		if k != want[i] {
-			t.Errorf("keys[%d] = %d, want %d", i, k, want[i])
-		}
+	for i, k := range []int64{2, 5, 9} {
 		if kp.Partition(k) != i {
 			t.Errorf("Partition(%d) = %d, want %d", k, kp.Partition(k), i)
 		}
-		got, err := kp.KeyOf(i)
-		if err != nil || got != k {
-			t.Errorf("KeyOf(%d) = %d, %v", i, got, err)
-		}
-	}
-	if !kp.Contains(5) || kp.Contains(7) {
-		t.Error("Contains wrong")
 	}
 	if kp.Partition(777) != 0 {
 		t.Error("unknown keys must fold to micro-partition 0")
-	}
-	if _, err := kp.KeyOf(99); err == nil {
-		t.Error("KeyOf accepted out-of-range index")
 	}
 }
 
 func TestNewKeyPartitionerEmpty(t *testing.T) {
 	if _, err := NewKeyPartitioner(&join.Relation{}); err == nil {
 		t.Error("accepted an empty key set")
-	}
-}
-
-func TestFromPlacement(t *testing.T) {
-	kp, err := NewKeyPartitioner(&join.Relation{Tuples: []join.Tuple{{Key: 1}, {Key: 4}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	good := &partition.Placement{Dest: []int{2, 0}}
-	keyPl, err := kp.FromPlacement(good)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if keyPl.Dest[1] != 2 || keyPl.Dest[4] != 0 {
-		t.Errorf("lifted placement = %v", keyPl.Dest)
-	}
-	if _, err := kp.FromPlacement(&partition.Placement{Dest: []int{1}}); err == nil {
-		t.Error("accepted mis-sized placement")
 	}
 }
 
