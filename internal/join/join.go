@@ -162,8 +162,10 @@ func Execute(c *Cluster, opts Options) (*Result, error) {
 	n := c.N
 	res := &Result{}
 
-	// Skew detection: exact counting over the large relation.
-	hot := map[int64]bool{}
+	// Skew detection: exact counting over the large relation. One map for all
+	// nodes: per-node counts merged afterwards cost more than they save (the
+	// merge is one map operation per node and distinct key, serially).
+	hot := map[int64]int{} // hot key → its index in res.SkewedKeys
 	if opts.SkewThreshold > 0 {
 		freq := make(map[int64]int64)
 		var total int64
@@ -174,37 +176,50 @@ func Execute(c *Cluster, opts Options) (*Result, error) {
 			total += int64(len(frag))
 		}
 		for _, h := range skew.DetectHeavy(freq, total, opts.SkewThreshold) {
-			hot[h.Key] = true
 			res.SkewedKeys = append(res.SkewedKeys, h.Key)
 		}
 		slices.Sort(res.SkewedKeys)
+		for h, k := range res.SkewedKeys {
+			hot[k] = h
+		}
 	}
 
-	// Split the hot keys off. A hot left tuple is visible on every node after
-	// the broadcast, so each hot right tuple joins once, at home, with all of
-	// them: that part of the output needs no local join.
-	frags := make([][]sided, n)
-	hotLeft := make(map[int64]int64, len(hot)) // key → left multiplicity
-	hotBytes := make([]int64, n)               // hot left bytes held by node i
-	for i := range frags {
-		frags[i] = make([]sided, 0, len(c.Left[i])+len(c.Right[i]))
+	// Split the hot keys off, node by node. A hot left tuple is visible on
+	// every node after the broadcast, so each hot right tuple joins once, at
+	// home, with all of them: that part of the output needs no local join.
+	nh := len(hot)
+	hotRows := make([]int64, n*nh*2) // per node and hot key: left tuples, right tuples
+	hotBytes := make([]int64, n)     // hot left bytes held by node i
+	frags, err := parallel.Run(0, n, func(i int) ([]sided, error) {
+		rows := hotRows[i*nh*2 : (i+1)*nh*2]
+		frag := make([]sided, 0, len(c.Left[i])+len(c.Right[i]))
 		for _, t := range c.Left[i] {
-			if hot[t.Key] {
-				hotLeft[t.Key]++
+			if h, ok := hot[t.Key]; ok {
+				rows[2*h]++
 				hotBytes[i] += t.Payload
 				continue
 			}
-			frags[i] = append(frags[i], sided{t, false})
+			frag = append(frag, sided{t, false})
 		}
-	}
-	for i := range frags {
 		for _, t := range c.Right[i] {
-			if hot[t.Key] {
-				res.OutputTuples += hotLeft[t.Key]
+			if h, ok := hot[t.Key]; ok {
+				rows[2*h+1]++
 				continue
 			}
-			frags[i] = append(frags[i], sided{t, true})
+			frag = append(frag, sided{t, true})
 		}
+		return frag, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for h := 0; h < nh; h++ {
+		var lefts, rights int64
+		for i := 0; i < n; i++ {
+			lefts += hotRows[(i*nh+h)*2]
+			rights += hotRows[(i*nh+h)*2+1]
+		}
+		res.OutputTuples += lefts * rights
 	}
 	initial := &partition.Loads{Egress: make([]int64, n), Ingress: make([]int64, n)}
 	broadcast := make([]int64, n*n)

@@ -47,3 +47,9 @@ func Run[R any](workers, n int, task func(i int) (R, error)) ([]R, error) {
 	return RunCtx(context.Background(), workers, n,
 		func(_ context.Context, i int) (R, error) { return task(i) })
 }
+
+// ForEach is Run for tasks with no result value.
+func ForEach(workers, n int, task func(i int) error) error {
+	return ForEachCtx(context.Background(), workers, n,
+		func(_ context.Context, i int) error { return task(i) })
+}

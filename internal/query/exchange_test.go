@@ -81,3 +81,37 @@ func TestExchangeCountsBroadcastAndRowSizes(t *testing.T) {
 		t.Error("accepted 3 broadcast volumes for 2 nodes")
 	}
 }
+
+// keyAsPartition is a broken Partitioner: it returns the key itself.
+type keyAsPartition struct{ p int }
+
+func (kp keyAsPartition) Partition(key int64) int { return int(key) }
+func (kp keyAsPartition) P() int                  { return kp.p }
+
+// TestExchangeRejectsPartitionOutOfRange: a partition index outside [0, P())
+// is the partitioner's bug and Exchange's error — not a panic, which on a pool
+// worker the caller could not recover from, and not a write into the next
+// node's matrix row. The lowest failing source node names the row.
+func TestExchangeRejectsPartitionOutOfRange(t *testing.T) {
+	part := keyAsPartition{p: 4}
+	for _, c := range []struct {
+		name  string
+		frags [][]Row
+		want  string
+	}{
+		{"k = P on node 0", [][]Row{{{Key: 1}, {Key: 4}}, {{Key: 2}}}, "query: partitioner returned 4 for key 4, want [0, 4)"},
+		{"k = P on the last node", [][]Row{{{Key: 1}}, {{Key: 2}, {Key: 4}}}, "query: partitioner returned 4 for key 4, want [0, 4)"},
+		{"k = -1", [][]Row{{{Key: 3}}, {{Key: -1}}}, "query: partitioner returned -1 for key -1, want [0, 4)"},
+		{"both nodes", [][]Row{{{Key: 0}, {Key: 9}}, {{Key: -1}}}, "query: partitioner returned 9 for key 9, want [0, 4)"},
+	} {
+		for _, s := range []placement.Scheduler{placement.Hash{}, placement.CCF{}} {
+			x, err := Exchange(s, part, c.frags, rowKey, func(Row) int64 { return 8 }, nil, nil)
+			if err == nil || err.Error() != c.want {
+				t.Errorf("%s, %s: error %v, want %q", c.name, s.Name(), err, c.want)
+			}
+			if x != nil {
+				t.Errorf("%s, %s: fragments returned beside the error", c.name, s.Name())
+			}
+		}
+	}
+}

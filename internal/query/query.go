@@ -13,11 +13,14 @@
 package query
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"ccf/internal/coflow"
 	"ccf/internal/netsim"
+	"ccf/internal/parallel"
 	"ccf/internal/partition"
 	"ccf/internal/placement"
 )
@@ -62,13 +65,13 @@ func (t *Table) Gather() []Row {
 	for _, f := range t.Frags {
 		out = append(out, f...)
 	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Key != out[b].Key {
-			return out[a].Key < out[b].Key
-		}
-		return out[a].Value < out[b].Value
-	})
+	slices.SortFunc(out, compareRows)
 	return out
+}
+
+// compareRows is the canonical row order: by Key, then by Value.
+func compareRows(a, b Row) int {
+	return cmp.Or(cmp.Compare(a.Key, b.Key), cmp.Compare(a.Value, b.Value))
 }
 
 // ---------------------------------------------------------------------------
@@ -114,9 +117,9 @@ type DistinctOp struct{ Input Node }
 func (d *DistinctOp) label() string { return "distinct" }
 
 // MapOp applies a pure per-row transform on every node — projection or
-// re-keying. It is a local operator (no network stage), but a re-keying map
-// forces the next keyed operator to shuffle again, which is how multi-stage
-// analytical jobs chain coflows.
+// re-keying; the nodes call F at the same time. It is a local operator (no
+// network stage), but a re-keying map forces the next keyed operator to
+// shuffle again, which is how multi-stage analytical jobs chain coflows.
 type MapOp struct {
 	Input Node
 	F     func(Row) Row
@@ -241,20 +244,20 @@ func (e *Executor) run(node Node, res *Result) (*Table, error) {
 		}
 		return e.distinct(op, in, res)
 	case *MapOp:
+		if op.F == nil {
+			return nil, fmt.Errorf("query: map operator without a function")
+		}
 		in, err := e.run(op.Input, res)
 		if err != nil {
 			return nil, err
 		}
-		if op.F == nil {
-			return nil, fmt.Errorf("query: map operator without a function")
-		}
 		out := NewTable("map", e.cfg.Nodes, in.PayloadBytes)
-		for i, f := range in.Frags {
-			out.Frags[i] = make([]Row, len(f))
-			for idx, row := range f {
+		eachNode(e.cfg.Nodes, func(i int) {
+			out.Frags[i] = make([]Row, len(in.Frags[i]))
+			for idx, row := range in.Frags[i] {
 				out.Frags[i][idx] = op.F(row)
 			}
-		}
+		})
 		return out, nil
 	default:
 		return nil, fmt.Errorf("query: unknown plan node %T", node)
@@ -280,6 +283,13 @@ type Shuffled[T any] struct {
 // included — alone under Varys, and routes every row to its partition's
 // destination. initial and broadcast may be nil. Plain hash join, partial
 // duplication and per-key track join are parameterisations of it.
+//
+// The source nodes work on the pool, before the decision and after it, so
+// part, key and size are called from several goroutines at once. part is
+// asked for a row's partition once; the index is kept for the routing pass,
+// and one outside [0, P()) is an error. Every (source, destination) pair owns
+// a range of the destination's fragment — the sources' ranges laid end to end
+// in node order — so the sources write side by side.
 func Exchange[T any](sched placement.Scheduler, part partition.Partitioner, frags [][]T,
 	key, size func(T) int64, initial *partition.Loads, broadcast []int64) (*Shuffled[T], error) {
 	n, p := len(frags), part.P()
@@ -287,13 +297,25 @@ func Exchange[T any](sched placement.Scheduler, part partition.Partitioner, frag
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]int, p) // per partition, to size the destination fragments
-	for i, f := range frags {
-		for _, row := range f {
-			k := part.Partition(key(row))
-			m.Add(i, k, size(row))
-			rows[k]++
+	parts := make([][]int32, n) // parts[i][r]: the partition of frags[i][r]
+	count := make([]int32, n*p) // count[i*p+k]: rows of node i in partition k
+	err = parallel.ForEach(0, n, func(i int) error {
+		ks, h, c := make([]int32, len(frags[i])), m.Row(i), count[i*p:(i+1)*p]
+		for r, row := range frags[i] {
+			kv := key(row)
+			k := part.Partition(kv)
+			if k < 0 || k >= p {
+				return fmt.Errorf("query: partitioner returned %d for key %d, want [0, %d)", k, kv, p)
+			}
+			ks[r] = int32(k)
+			h[k] += size(row)
+			c[k]++
 		}
+		parts[i] = ks
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	ev, err := placement.Evaluate(sched, m, initial, broadcast)
 	if err != nil {
@@ -304,21 +326,29 @@ func Exchange[T any](sched placement.Scheduler, part partition.Partitioner, frag
 		return nil, err
 	}
 	dest := ev.Placement.Dest
-	arriving := make([]int, n)
-	for k, c := range rows {
-		arriving[dest[k]] += c
-	}
-	for d, c := range arriving {
-		if c > 0 {
-			x.Frags[d] = make([]T, 0, c)
+	next := make([]int, n*n) // next[i*n+d]: where node i's next row for node d goes
+	for i := 0; i < n; i++ {
+		for k, c := range count[i*p : (i+1)*p] {
+			next[i*n+dest[k]] += int(c)
 		}
 	}
-	for _, f := range frags {
-		for _, row := range f {
-			d := dest[part.Partition(key(row))]
-			x.Frags[d] = append(x.Frags[d], row)
+	for d := 0; d < n; d++ {
+		arriving := 0
+		for i := 0; i < n; i++ {
+			next[i*n+d], arriving = arriving, arriving+next[i*n+d]
+		}
+		if arriving > 0 {
+			x.Frags[d] = make([]T, arriving)
 		}
 	}
+	eachNode(n, func(i int) {
+		at := next[i*n : (i+1)*n]
+		for r, row := range frags[i] {
+			d := dest[parts[i][r]]
+			x.Frags[d][at[d]] = row
+			at[d]++
+		}
+	})
 	return x, nil
 }
 
@@ -359,40 +389,81 @@ func (e *Executor) join(op *JoinOp, l, r *Table, res *Result) (*Table, error) {
 		payload = r.PayloadBytes
 	}
 	trFrags := make([][]taggedRow, n)
-	for i := 0; i < n; i++ {
-		trFrags[i] = make([]taggedRow, 0, len(l.Frags[i])+len(r.Frags[i]))
+	eachNode(n, func(i int) {
+		tagged := make([]taggedRow, 0, len(l.Frags[i])+len(r.Frags[i]))
 		for _, row := range l.Frags[i] {
-			trFrags[i] = append(trFrags[i], taggedRow{row, false})
+			tagged = append(tagged, taggedRow{row, false})
 		}
 		for _, row := range r.Frags[i] {
-			trFrags[i] = append(trFrags[i], taggedRow{row, true})
+			tagged = append(tagged, taggedRow{row, true})
 		}
-	}
+		trFrags[i] = tagged
+	})
 	shuffled, rep, err := shuffle(e, op.label(), trFrags, func(tr taggedRow) int64 { return tr.row.Key }, payload)
 	if err != nil {
 		return nil, err
 	}
-
 	out := NewTable("join", n, l.PayloadBytes+r.PayloadBytes)
-	for i := 0; i < n; i++ {
-		build := make(map[int64][]int64)
-		for _, tr := range shuffled[i] {
-			if !tr.right {
-				build[tr.row.Key] = append(build[tr.row.Key], tr.row.Value)
-			}
-		}
-		for _, tr := range shuffled[i] {
-			if !tr.right {
-				continue
-			}
-			for _, lv := range build[tr.row.Key] {
-				out.Frags[i] = append(out.Frags[i], Row{Key: tr.row.Key, Value: lv + tr.row.Value})
-			}
-		}
-		rep.RowsOut += int64(len(out.Frags[i]))
-	}
+	eachNode(n, func(i int) { out.Frags[i] = localJoin(shuffled[i]) })
+	rep.RowsOut = out.Rows()
 	res.Stages = append(res.Stages, rep)
 	return out, nil
+}
+
+// localJoin is one node's hash join: for every right row in arrival order,
+// the left rows of its key in arrival order. The left values sit in one
+// array, each key's as a contiguous run (count, prefix, fill), and a right
+// row probes the key index once: slot[r] remembers the run of row r's key.
+func localJoin(rows []taggedRow) []Row {
+	var index keyIndex // key → run
+	slot := make([]int32, len(rows))
+	var start []int32 // run s is vals[start[s]:start[s+1]]; holds counts until the prefix pass
+	for r, tr := range rows {
+		if tr.right {
+			continue
+		}
+		s := index.find(tr.row.Key, true)
+		if int(s) == len(start) {
+			start = append(start, 0)
+		}
+		start[s]++
+		slot[r] = s
+	}
+	matches := 0
+	for r, tr := range rows {
+		if !tr.right {
+			continue
+		}
+		s := index.find(tr.row.Key, false)
+		if s >= 0 {
+			matches += int(start[s])
+		}
+		slot[r] = s
+	}
+	var lefts int32
+	for s, c := range start {
+		start[s], lefts = lefts, lefts+c
+	}
+	start = append(start, lefts)
+	vals, fill := make([]int64, lefts), slices.Clone(start)
+	for r, tr := range rows {
+		if !tr.right {
+			vals[fill[slot[r]]] = tr.row.Value
+			fill[slot[r]]++
+		}
+	}
+	if matches == 0 {
+		return nil
+	}
+	out := make([]Row, 0, matches)
+	for r, tr := range rows {
+		if s := slot[r]; tr.right && s >= 0 {
+			for _, lv := range vals[start[s]:start[s+1]] {
+				out = append(out, Row{Key: tr.row.Key, Value: lv + tr.row.Value})
+			}
+		}
+	}
+	return out
 }
 
 func (e *Executor) aggregate(op *AggOp, in *Table, res *Result) (*Table, error) {
@@ -401,29 +472,16 @@ func (e *Executor) aggregate(op *AggOp, in *Table, res *Result) (*Table, error) 
 	if op.Partial {
 		// Combiner: collapse each node's fragment to one row per key
 		// before any network movement.
-		pre := make([][]Row, n)
-		for i, f := range frags {
-			sums := make(map[int64]int64, len(f))
-			for _, row := range f {
-				sums[row.Key] += row.Value
-			}
-			pre[i] = mapToRows(sums)
-		}
-		frags = pre
+		frags = make([][]Row, n)
+		eachNode(n, func(i int) { frags[i] = sumByKey(in.Frags[i]) })
 	}
 	shuffled, rep, err := shuffle(e, op.label(), frags, rowKey, in.PayloadBytes)
 	if err != nil {
 		return nil, err
 	}
 	out := NewTable("aggregate", n, in.PayloadBytes)
-	for i := 0; i < n; i++ {
-		sums := make(map[int64]int64, len(shuffled[i]))
-		for _, row := range shuffled[i] {
-			sums[row.Key] += row.Value
-		}
-		out.Frags[i] = mapToRows(sums)
-		rep.RowsOut += int64(len(out.Frags[i]))
-	}
+	eachNode(n, func(i int) { out.Frags[i] = sumByKey(shuffled[i]) })
+	rep.RowsOut = out.Rows()
 	res.Stages = append(res.Stages, rep)
 	return out, nil
 }
@@ -432,32 +490,105 @@ func (e *Executor) distinct(op *DistinctOp, in *Table, res *Result) (*Table, err
 	n := e.cfg.Nodes
 	// Local dedup first: free traffic reduction, same correctness.
 	pre := make([][]Row, n)
-	for i, f := range in.Frags {
-		seen := make(map[Row]bool, len(f))
-		for _, row := range f {
-			if !seen[row] {
-				seen[row] = true
-				pre[i] = append(pre[i], row)
-			}
-		}
-	}
+	eachNode(n, func(i int) { pre[i] = dedup(in.Frags[i]) })
 	shuffled, rep, err := shuffle(e, op.label(), pre, rowKey, in.PayloadBytes)
 	if err != nil {
 		return nil, err
 	}
 	out := NewTable("distinct", n, in.PayloadBytes)
-	for i := 0; i < n; i++ {
-		seen := make(map[Row]bool, len(shuffled[i]))
-		for _, row := range shuffled[i] {
-			if !seen[row] {
-				seen[row] = true
-				out.Frags[i] = append(out.Frags[i], row)
-			}
-		}
-		rep.RowsOut += int64(len(out.Frags[i]))
-	}
+	eachNode(n, func(i int) { out.Frags[i] = dedup(shuffled[i]) })
+	rep.RowsOut = out.Rows()
 	res.Stages = append(res.Stages, rep)
 	return out, nil
+}
+
+// eachNode runs the n nodes' share of an operator phase on the pool. f(i)
+// may write only what node i owns.
+func eachNode(n int, f func(i int)) {
+	_ = parallel.ForEach(0, n, func(i int) error { f(i); return nil }) // no task fails
+}
+
+// dedup returns the distinct rows in first-occurrence order.
+func dedup(rows []Row) []Row {
+	var out []Row
+	seen := make(map[Row]struct{})
+	for _, row := range rows {
+		// One map operation per row: the set grew iff the row is new.
+		if seen[row] = struct{}{}; len(seen) > len(out) {
+			out = append(out, row)
+		}
+	}
+	return out
+}
+
+// sumByKey groups rows by Key, sums their Values and returns one row per key,
+// ascending.
+func sumByKey(rows []Row) []Row {
+	var index keyIndex
+	out := []Row{}
+	for _, row := range rows {
+		g := index.find(row.Key, true)
+		if int(g) == len(out) {
+			out = append(out, Row{Key: row.Key})
+		}
+		out[g].Value += row.Value
+	}
+	slices.SortFunc(out, func(a, b Row) int { return cmp.Compare(a.Key, b.Key) })
+	return slices.Clone(out) // a plan's output outlives the call: no spare capacity
+}
+
+// keyIndex numbers distinct keys 0, 1, 2, … in order of first appearance. It
+// is an open-addressed table with linear probing, a power of two in size and
+// at most half full; an operator's table lives for one fragment and nothing
+// is ever deleted from it.
+type keyIndex struct {
+	slots []keySlot
+	shift int // 64 − log₂ len(slots): a key's home slot is the top bits of its hash
+	keys  int
+}
+
+// keySlot holds a key and its number plus one; zero marks a free slot.
+type keySlot struct {
+	key int64
+	num int32
+}
+
+// find returns key's number. A key not seen before gets the next number when
+// add is set and -1 otherwise.
+func (t *keyIndex) find(key int64, add bool) int32 {
+	if add && 2*t.keys >= len(t.slots) {
+		old := t.slots
+		t.slots = make([]keySlot, max(16, 2*len(old)))
+		t.shift = bits.LeadingZeros64(uint64(len(t.slots) - 1))
+		for _, s := range old {
+			if s.num != 0 {
+				*t.probe(s.key) = s
+			}
+		}
+	}
+	if len(t.slots) == 0 {
+		return -1
+	}
+	s := t.probe(key)
+	if s.num == 0 {
+		if !add {
+			return -1
+		}
+		t.keys++
+		*s = keySlot{key, int32(t.keys)}
+	}
+	return s.num - 1
+}
+
+// probe returns key's slot, or the free slot where it belongs. The hash is
+// Fibonacci's: every bit of the key reaches the top bits of the product.
+func (t *keyIndex) probe(key int64) *keySlot {
+	mask := uint64(len(t.slots) - 1)
+	for h := uint64(key) * 0x9E3779B97F4A7C15 >> t.shift; ; h = (h + 1) & mask {
+		if s := &t.slots[h]; s.num == 0 || s.key == key {
+			return s
+		}
+	}
 }
 
 func mapToRows(mp map[int64]int64) []Row {
@@ -465,7 +596,7 @@ func mapToRows(mp map[int64]int64) []Row {
 	for k, v := range mp {
 		out = append(out, Row{Key: k, Value: v})
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Key < out[b].Key })
+	slices.SortFunc(out, compareRows)
 	return out
 }
 
@@ -547,11 +678,6 @@ func Reference(plan Node, tables map[string][]Row) ([]Row, error) {
 // SortRows orders rows canonically for comparisons.
 func SortRows(rows []Row) []Row {
 	out := append([]Row(nil), rows...)
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Key != out[b].Key {
-			return out[a].Key < out[b].Key
-		}
-		return out[a].Value < out[b].Value
-	})
+	slices.SortFunc(out, compareRows)
 	return out
 }

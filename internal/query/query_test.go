@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"ccf/internal/partition"
 	"ccf/internal/placement"
 )
 
@@ -357,7 +358,30 @@ func TestMapOpNilFunction(t *testing.T) {
 	if _, err := e.Execute(&MapOp{Input: &Scan{Table: "T"}}); err == nil {
 		t.Error("executed a map with nil function")
 	}
+	// The plan is rejected before any of it runs: no stage under the map
+	// shuffles first.
+	counting := &countingScheduler{Scheduler: placement.Hash{}}
+	if e, err = NewExecutor(Config{Nodes: 2, Scheduler: counting}, tbl); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Execute(&MapOp{Input: &AggOp{Input: &Scan{Table: "T"}}}); err == nil {
+		t.Error("executed a map with nil function over an aggregate")
+	}
+	if counting.places != 0 {
+		t.Errorf("%d stages were placed before the nil map was rejected", counting.places)
+	}
 	if _, err := Reference(&MapOp{Input: &Scan{Table: "T"}}, map[string][]Row{"T": nil}); err == nil {
 		t.Error("reference evaluated a map with nil function")
 	}
+}
+
+// countingScheduler counts the stages an executor places.
+type countingScheduler struct {
+	placement.Scheduler
+	places int
+}
+
+func (c *countingScheduler) Place(m *partition.ChunkMatrix, initial *partition.Loads) (*partition.Placement, error) {
+	c.places++
+	return c.Scheduler.Place(m, initial)
 }

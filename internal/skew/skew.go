@@ -7,9 +7,9 @@
 package skew
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"ccf/internal/partition"
 	"ccf/internal/workload"
@@ -114,11 +114,8 @@ func DetectHeavy(freq map[int64]int64, total int64, threshold float64) []HeavyKe
 			out = append(out, HeavyKey{Key: k, Count: c, Frac: f})
 		}
 	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Count != out[b].Count {
-			return out[a].Count > out[b].Count
-		}
-		return out[a].Key < out[b].Key
+	slices.SortFunc(out, func(a, b HeavyKey) int {
+		return cmp.Or(cmp.Compare(b.Count, a.Count), cmp.Compare(a.Key, b.Key))
 	})
 	return out
 }
