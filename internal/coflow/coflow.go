@@ -250,16 +250,32 @@ func (c *Coflow) Finished() bool {
 	return true
 }
 
-// New builds a coflow from flow volumes. Zero-size flows are dropped.
+// New builds a coflow from flow volumes. Zero-size flows are dropped. Only
+// ID, Src, Dst and Size are read; the surviving flows are counted first and
+// carved from one allocation, so flows may be a caller's reused buffer.
 func New(id int, name string, arrival float64, flows []Flow) *Coflow {
 	c := &Coflow{ID: id, Name: name, Arrival: arrival}
+	count := 0
 	for i := range flows {
-		f := flows[i]
+		if !(flows[i].Size <= 0) { // the skip rule below: NaN survives
+			count++
+		}
+	}
+	if count == 0 {
+		return c
+	}
+	block := make([]Flow, count)
+	c.Flows = make([]*Flow, count)
+	k := 0
+	for i := range flows {
+		f := &flows[i]
 		if f.Size <= 0 {
 			continue
 		}
-		nf := &Flow{ID: f.ID, Coflow: c, Src: f.Src, Dst: f.Dst, Size: f.Size, Remaining: f.Size}
-		c.Flows = append(c.Flows, nf)
+		nf := &block[k]
+		*nf = Flow{ID: f.ID, Coflow: c, Src: f.Src, Dst: f.Dst, Size: f.Size, Remaining: f.Size}
+		c.Flows[k] = nf
+		k++
 	}
 	return c
 }

@@ -28,6 +28,62 @@ func TestNewDropsZeroFlows(t *testing.T) {
 	}
 }
 
+// perFlowNew is the one-heap-Flow-per-flow build New replaced, kept as its
+// oracle.
+func perFlowNew(id int, name string, arrival float64, flows []Flow) *Coflow {
+	c := &Coflow{ID: id, Name: name, Arrival: arrival}
+	for _, f := range flows {
+		if f.Size <= 0 {
+			continue
+		}
+		c.Flows = append(c.Flows, &Flow{ID: f.ID, Coflow: c, Src: f.Src, Dst: f.Dst, Size: f.Size, Remaining: f.Size})
+	}
+	return c
+}
+
+// TestNewMatchesPerFlowBuild: New keeps exactly the flows, field values and
+// order of the per-flow build — zero, negative and NaN sizes included, and
+// Flows == nil when nothing survives — in at most three allocations.
+func TestNewMatchesPerFlowBuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	inputs := [][]Flow{nil, {}, {singleFlow(0, 0, 1, 0), singleFlow(1, 1, 0, -2)}, {singleFlow(0, 0, 1, math.NaN())}}
+	for n := 0; n < 300; n++ {
+		flows := make([]Flow, rng.Intn(40))
+		for i := range flows {
+			size := []float64{0, -1, rng.Float64() * 1e9, float64(rng.Intn(5))}[rng.Intn(4)]
+			// Fields New does not read must not leak into the coflow.
+			flows[i] = Flow{ID: rng.Intn(100), Src: rng.Intn(8), Dst: rng.Intn(8), Size: size, Remaining: -7, Rate: 3, Done: true}
+		}
+		inputs = append(inputs, flows)
+	}
+	for n, flows := range inputs {
+		got, want := New(n, "c", float64(n)/2, flows), perFlowNew(n, "c", float64(n)/2, flows)
+		if got.ID != want.ID || got.Name != want.Name || got.Arrival != want.Arrival ||
+			len(got.Flows) != len(want.Flows) || (got.Flows == nil) != (want.Flows == nil) {
+			t.Fatalf("input %d: %d flows (nil %v), want %d (nil %v)",
+				n, len(got.Flows), got.Flows == nil, len(want.Flows), want.Flows == nil)
+		}
+		for i, wf := range want.Flows {
+			gf := got.Flows[i]
+			if gf.Coflow != got || gf.ID != wf.ID || gf.Src != wf.Src || gf.Dst != wf.Dst ||
+				math.Float64bits(gf.Size) != math.Float64bits(wf.Size) ||
+				math.Float64bits(gf.Remaining) != math.Float64bits(wf.Remaining) ||
+				gf.Rate != 0 || gf.Done {
+				t.Fatalf("input %d flow %d = %+v, want %+v", n, i, *gf, *wf)
+			}
+		}
+	}
+	for _, width := range []int{1, 4000} {
+		flows := make([]Flow, width)
+		for i := range flows {
+			flows[i] = singleFlow(i, i%7, (i+1)%7, float64(1+i))
+		}
+		if allocs := testing.AllocsPerRun(20, func() { New(1, "w", 0, flows) }); allocs > 3 {
+			t.Errorf("New made %g allocations for %d flows, want at most 3", allocs, width)
+		}
+	}
+}
+
 func TestFromVolumes(t *testing.T) {
 	vol := []int64{
 		0, 5, 0,

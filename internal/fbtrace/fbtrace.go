@@ -15,6 +15,8 @@ package fbtrace
 import (
 	"fmt"
 	"math"
+	"slices"
+	"strconv"
 
 	"ccf/internal/coflow"
 	"ccf/internal/trace"
@@ -92,13 +94,28 @@ func (g *gen) exp(mean float64) float64 {
 	return -mean * math.Log(u)
 }
 
-// pareto draws a bounded Pareto variate in [lo, hi] with shape alpha —
-// the heavy tail of flow sizes.
-func (g *gen) pareto(lo, hi, alpha float64) float64 {
+// sizeClass is a bounded Pareto flow-size range in MB with its bounds
+// raised to the shape parameter once, so a draw costs one math.Pow.
+type sizeClass struct{ la, ha float64 }
+
+// paretoAlpha is the shape of the flow-size tail.
+const paretoAlpha = 1.1
+
+func newSizeClass(loMB, hiMB float64) sizeClass {
+	return sizeClass{la: math.Pow(loMB, paretoAlpha), ha: math.Pow(hiMB, paretoAlpha)}
+}
+
+var (
+	shortFlows = newSizeClass(0.1, ShortFlowMB)
+	longFlows  = newSizeClass(ShortFlowMB, 1000)
+)
+
+// pareto draws a bounded Pareto variate from the class's range — the heavy
+// tail of flow sizes. The float64 conversions round each product, so no
+// architecture fuses them into a multiply-subtract.
+func (g *gen) pareto(sc sizeClass) float64 {
 	u := g.float()
-	la := math.Pow(lo, alpha)
-	ha := math.Pow(hi, alpha)
-	return math.Pow(-(u*ha-u*la-ha)/(ha*la), -1/alpha)
+	return math.Pow(-(float64(u*sc.ha)-float64(u*sc.la)-sc.ha)/(sc.ha*sc.la), -1/paretoAlpha)
 }
 
 // Category of a generated coflow.
@@ -178,6 +195,7 @@ type Streamer struct {
 	now      float64
 	id       int
 	total    int
+	flows    []coflow.Flow // genCoflow's reused draw buffer
 }
 
 // Stream validates cfg and returns a Streamer over the scaled trace. At
@@ -246,16 +264,17 @@ func (st *Streamer) Next() (*coflow.Coflow, bool) {
 	default:
 		cat = LW
 	}
-	c := genCoflow(&st.g, st.id, st.now, cat, st.machines)
+	c := st.genCoflow(cat)
 	st.id++
 	return c, true
 }
 
-// genCoflow draws a single coflow of the given category.
-func genCoflow(g *gen, id int, arrival float64, cat Category, machines int) *coflow.Coflow {
+// genCoflow draws the next coflow, of the given category, into the reused
+// flow buffer; coflow.New copies the flows into the coflow's own block.
+func (st *Streamer) genCoflow(cat Category) *coflow.Coflow {
+	g, machines := &st.g, st.machines
 	maxWidth := machines * (machines - 1)
 	width := 0
-	var loMB, hiMB float64
 	switch cat {
 	case SN, LN:
 		width = 1 + g.intn(min(NarrowWidth, maxWidth))
@@ -266,27 +285,18 @@ func genCoflow(g *gen, id int, arrival float64, cat Category, machines int) *cof
 		}
 		width = lo + g.intn(maxWidth-lo+1)
 	}
-	switch cat {
-	case SN, SW:
-		loMB, hiMB = 0.1, ShortFlowMB
-	case LN, LW:
-		loMB, hiMB = ShortFlowMB, 1000
+	sizes := shortFlows
+	if cat == LN || cat == LW {
+		sizes = longFlows
 	}
-	var flows []coflow.Flow
-	for f := 0; f < width; f++ {
+	flows := slices.Grow(st.flows[:0], width)[:width]
+	for f := range flows {
 		src := g.intn(machines)
 		dst := (src + 1 + g.intn(machines-1)) % machines
-		sz := g.pareto(loMB, hiMB, 1.1) * 1e6
-		flows = append(flows, coflow.Flow{ID: f, Src: src, Dst: dst, Size: sz})
+		flows[f] = coflow.Flow{ID: f, Src: src, Dst: dst, Size: g.pareto(sizes) * 1e6}
 	}
-	return coflow.New(id, fmt.Sprintf("%s-%d", cat, id), arrival, flows)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	st.flows = flows
+	return coflow.New(st.id, cat.String()+"-"+strconv.Itoa(st.id), st.now, flows)
 }
 
 // ToTrace converts generated coflows into a CoflowSim benchmark trace: each

@@ -118,7 +118,7 @@ func TestClassifyThresholds(t *testing.T) {
 func TestParetoBounds(t *testing.T) {
 	g := &gen{state: 3}
 	for i := 0; i < 10_000; i++ {
-		v := g.pareto(1, 100, 1.1)
+		v := g.pareto(newSizeClass(1, 100))
 		if v < 1-1e-9 || v > 100+1e-9 {
 			t.Fatalf("pareto variate %g outside [1,100]", v)
 		}

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
@@ -17,18 +18,20 @@ func FuzzParse(f *testing.F) {
 	f.Add("3 2\n# comment\n0 0 2 0 1 2 1:5 2:7.5\n1 100 1 2 1 0:1\n")
 	f.Add("1 0\n")
 	// Crashers and hostile inputs.
-	f.Add("0 1 0 0 0 -1")          // negative reducer count: make(map, -1) panicked
-	f.Add("1 1 0 0 0 999999999")   // forged count: preallocation OOM shape
-	f.Add("-3 0")                  // negative rack count
-	f.Add("2 -1")                  // negative job count
-	f.Add("2 1\n0 -5 0 0")         // negative arrival
-	f.Add("2 1\n0 0 -2 0")         // negative mapper count
-	f.Add("2 1\n0 0 1 9 1 1:10\n") // mapper outside rack range
-	f.Add("2 1\n0 0 1 0 1 1:")     // truncated reducer entry
-	f.Add("2 1\n0 0 1 0 1 x:10\n") // non-numeric reducer location
-	f.Add("2 1\n0 0 1 0 1 1:-4\n") // negative megabytes
-	f.Add("2 1")                   // truncated job list
-	f.Add("2 1\n0 0 1 0 1 1:10 7") // trailing tokens
+	f.Add("0 1 0 0 0 -1")                     // negative reducer count: make(map, -1) panicked
+	f.Add("1 1 0 0 0 999999999")              // forged count: preallocation OOM shape
+	f.Add("-3 0")                             // negative rack count
+	f.Add("2 -1")                             // negative job count
+	f.Add("2 1\n0 -5 0 0")                    // negative arrival
+	f.Add("2 1\n0 0 -2 0")                    // negative mapper count
+	f.Add("2 1\n0 0 1 9 1 1:10\n")            // mapper outside rack range
+	f.Add("2 1\n0 0 1 0 1 1:")                // truncated reducer entry
+	f.Add("2 1\n0 0 1 0 1 x:10\n")            // non-numeric reducer location
+	f.Add("2 1\n0 0 1 0 1 1:-4\n")            // negative megabytes
+	f.Add("2 1\n0 0 1 0 1 1:NaN\n")           // NaN megabytes
+	f.Add("2 1\n0 0 1 0 2 1:1e308 1:1e308\n") // duplicates summing past MaxFloat64
+	f.Add("2 1")                              // truncated job list
+	f.Add("2 1\n0 0 1 0 1 1:10 7")            // trailing tokens
 	f.Add("")
 	f.Add("\xff\xfe garbage ::")
 
@@ -52,7 +55,7 @@ func FuzzParse(f *testing.F) {
 				}
 			}
 			for loc, mb := range j.ReducerMB {
-				if loc < 0 || loc >= tr.NumRacks || mb < 0 {
+				if loc < 0 || loc >= tr.NumRacks || !(mb >= 0) || math.IsInf(mb, 0) {
 					t.Fatalf("job %d reducer %d:%g invalid", j.ID, loc, mb)
 				}
 			}

@@ -18,7 +18,8 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
+	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -160,6 +161,9 @@ func Parse(r io.Reader) (*Trace, error) {
 				return nil, fmt.Errorf("trace: job %d reducer %d has negative size %g", job.ID, loc, mb)
 			}
 			job.ReducerMB[loc] += mb
+			if sum := job.ReducerMB[loc]; math.IsNaN(sum) || math.IsInf(sum, 0) {
+				return nil, fmt.Errorf("trace: job %d reducer %d has non-finite size %g", job.ID, loc, sum)
+			}
 		}
 		tr.Jobs = append(tr.Jobs, job)
 	}
@@ -169,27 +173,42 @@ func Parse(r io.Reader) (*Trace, error) {
 	return tr, nil
 }
 
-// Write emits the trace in benchmark format.
+// Write emits the trace in benchmark format. Each line is formatted into one
+// reused buffer with strconv; the bytes are what fmt's %d and %g give.
 func Write(w io.Writer, tr *Trace) error {
 	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "%d %d\n", tr.NumRacks, len(tr.Jobs))
+	var line []byte
+	put := func(sep byte, v int64) { line = strconv.AppendInt(append(line, sep), v, 10) }
+	line = strconv.AppendInt(line, int64(tr.NumRacks), 10)
+	put(' ', int64(len(tr.Jobs)))
+	bw.Write(append(line, '\n'))
+	var locs []int
 	for _, j := range tr.Jobs {
-		fmt.Fprintf(bw, "%d %d %d", j.ID, j.ArrivalMillis, len(j.Mappers))
+		line = strconv.AppendInt(line[:0], int64(j.ID), 10)
+		put(' ', j.ArrivalMillis)
+		put(' ', int64(len(j.Mappers)))
 		for _, m := range j.Mappers {
-			fmt.Fprintf(bw, " %d", m)
+			put(' ', int64(m))
 		}
-		fmt.Fprintf(bw, " %d", len(j.ReducerMB))
-		locs := make([]int, 0, len(j.ReducerMB))
-		for loc := range j.ReducerMB {
-			locs = append(locs, loc)
-		}
-		sort.Ints(locs)
+		put(' ', int64(len(j.ReducerMB)))
+		locs = sortedLocs(locs, j.ReducerMB)
 		for _, loc := range locs {
-			fmt.Fprintf(bw, " %d:%g", loc, j.ReducerMB[loc])
+			put(' ', int64(loc))
+			line = strconv.AppendFloat(append(line, ':'), j.ReducerMB[loc], 'g', -1, 64)
 		}
-		fmt.Fprintln(bw)
+		bw.Write(append(line, '\n'))
 	}
 	return bw.Flush()
+}
+
+// sortedLocs refills buf with the reducer locations in ascending order.
+func sortedLocs(buf []int, reducerMB map[int]float64) []int {
+	buf = buf[:0]
+	for loc := range reducerMB {
+		buf = append(buf, loc)
+	}
+	slices.Sort(buf)
+	return buf
 }
 
 // Coflows expands the trace into simulator coflows the way CoflowSim does:
@@ -197,30 +216,25 @@ func Write(w io.Writer, tr *Trace) error {
 // mapper machine to reducer machine, self-loops dropped.
 func (tr *Trace) Coflows() []*coflow.Coflow {
 	out := make([]*coflow.Coflow, 0, len(tr.Jobs))
+	var locs []int
+	var flows []coflow.Flow
 	for _, j := range tr.Jobs {
-		c := &coflow.Coflow{ID: j.ID, Name: fmt.Sprintf("job-%d", j.ID), Arrival: float64(j.ArrivalMillis) / 1000}
-		if len(j.Mappers) == 0 {
-			out = append(out, c)
-			continue
-		}
-		locs := make([]int, 0, len(j.ReducerMB))
-		for loc := range j.ReducerMB {
-			locs = append(locs, loc)
-		}
-		sort.Ints(locs)
-		fid := 0
-		for _, rl := range locs {
-			per := j.ReducerMB[rl] * 1e6 / float64(len(j.Mappers))
-			for _, ml := range j.Mappers {
-				if ml == rl || per <= 0 {
+		flows = flows[:0]
+		if len(j.Mappers) > 0 {
+			locs = sortedLocs(locs, j.ReducerMB)
+			for _, rl := range locs {
+				per := j.ReducerMB[rl] * 1e6 / float64(len(j.Mappers))
+				if per <= 0 {
 					continue
 				}
-				f := &coflow.Flow{ID: fid, Coflow: c, Src: ml, Dst: rl, Size: per, Remaining: per}
-				c.Flows = append(c.Flows, f)
-				fid++
+				for _, ml := range j.Mappers {
+					if ml != rl {
+						flows = append(flows, coflow.Flow{ID: len(flows), Src: ml, Dst: rl, Size: per})
+					}
+				}
 			}
 		}
-		out = append(out, c)
+		out = append(out, coflow.New(j.ID, "job-"+strconv.Itoa(j.ID), float64(j.ArrivalMillis)/1000, flows))
 	}
 	return out
 }

@@ -1,12 +1,18 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
+	"io"
 	"math"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"ccf/internal/coflow"
 )
 
 const sample = `
@@ -52,6 +58,9 @@ func TestParseErrors(t *testing.T) {
 		"negative size":     "4 1\n1 0 1 0 1 1:-3",
 		"trailing tokens":   "4 1\n1 0 1 0 1 1:5 extra",
 		"non-numeric":       "four 1\n",
+		"NaN size":          "4 1\n1 0 1 1 1 0:NaN",
+		"infinite size":     "4 1\n1 0 1 1 1 0:+Inf",
+		"overflowing sum":   "4 1\n1 0 1 0 2 1:1e308 1:1e308",
 	}
 	for name, in := range cases {
 		if _, err := Parse(strings.NewReader(in)); err == nil {
@@ -179,5 +188,135 @@ func TestFromVolumesRoundTripsThroughCoflows(t *testing.T) {
 func TestFromVolumesRejectsBadMatrix(t *testing.T) {
 	if _, err := FromVolumes(3, make([]int64, 4), 0); err == nil {
 		t.Error("FromVolumes accepted a 4-entry matrix for n=3")
+	}
+}
+
+// fmtWrite is the fmt-based writer Write replaced, kept as its oracle.
+func fmtWrite(w io.Writer, tr *Trace) error {
+	bw := bufio.NewWriter(w)
+	fmt.Fprintf(bw, "%d %d\n", tr.NumRacks, len(tr.Jobs))
+	for _, j := range tr.Jobs {
+		fmt.Fprintf(bw, "%d %d %d", j.ID, j.ArrivalMillis, len(j.Mappers))
+		for _, m := range j.Mappers {
+			fmt.Fprintf(bw, " %d", m)
+		}
+		fmt.Fprintf(bw, " %d", len(j.ReducerMB))
+		locs := make([]int, 0, len(j.ReducerMB))
+		for loc := range j.ReducerMB {
+			locs = append(locs, loc)
+		}
+		sort.Ints(locs)
+		for _, loc := range locs {
+			fmt.Fprintf(bw, " %d:%g", loc, j.ReducerMB[loc])
+		}
+		fmt.Fprintln(bw)
+	}
+	return bw.Flush()
+}
+
+// perFlowCoflows is the per-flow-allocating expansion Coflows replaced.
+func perFlowCoflows(tr *Trace) []*coflow.Coflow {
+	out := make([]*coflow.Coflow, 0, len(tr.Jobs))
+	for _, j := range tr.Jobs {
+		c := &coflow.Coflow{ID: j.ID, Name: fmt.Sprintf("job-%d", j.ID), Arrival: float64(j.ArrivalMillis) / 1000}
+		if len(j.Mappers) == 0 {
+			out = append(out, c)
+			continue
+		}
+		locs := make([]int, 0, len(j.ReducerMB))
+		for loc := range j.ReducerMB {
+			locs = append(locs, loc)
+		}
+		sort.Ints(locs)
+		fid := 0
+		for _, rl := range locs {
+			per := j.ReducerMB[rl] * 1e6 / float64(len(j.Mappers))
+			for _, ml := range j.Mappers {
+				if ml == rl || per <= 0 {
+					continue
+				}
+				c.Flows = append(c.Flows, &coflow.Flow{ID: fid, Coflow: c, Src: ml, Dst: rl, Size: per, Remaining: per})
+				fid++
+			}
+		}
+		out = append(out, c)
+	}
+	return out
+}
+
+func sameCoflows(t *testing.T, got, want []*coflow.Coflow) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%d coflows, want %d", len(got), len(want))
+	}
+	for i, w := range want {
+		g := got[i]
+		if g.ID != w.ID || g.Name != w.Name || g.Arrival != w.Arrival || len(g.Flows) != len(w.Flows) || (g.Flows == nil) != (w.Flows == nil) {
+			t.Fatalf("coflow %d: (%d,%q,%v,%d flows) != (%d,%q,%v,%d flows)",
+				i, g.ID, g.Name, g.Arrival, len(g.Flows), w.ID, w.Name, w.Arrival, len(w.Flows))
+		}
+		for k, wf := range w.Flows {
+			gf := g.Flows[k]
+			if gf.Coflow != g || gf.ID != wf.ID || gf.Src != wf.Src || gf.Dst != wf.Dst ||
+				math.Float64bits(gf.Size) != math.Float64bits(wf.Size) ||
+				math.Float64bits(gf.Remaining) != math.Float64bits(wf.Remaining) {
+				t.Fatalf("coflow %d flow %d: %+v, want %+v", i, k, *gf, *wf)
+			}
+		}
+	}
+}
+
+// TestWriteMatchesFmt: Write's bytes and Coflows' expansion equal the fmt
+// writer and the per-flow build they replaced, on random traces and on the
+// floats whose %g form is easiest to get wrong.
+func TestWriteMatchesFmt(t *testing.T) {
+	special := []float64{0, 1e-5, 1e21, 5e-324, math.MaxFloat64, 1, 42, 1e6, 123456789, 0.1, 2.5e-7, 1234567.875}
+	var traces []*Trace
+	tr := &Trace{NumRacks: 3}
+	for i, mb := range special {
+		tr.Jobs = append(tr.Jobs, Job{ID: i, ArrivalMillis: int64(i * 1000), Mappers: []int{i % 3}, ReducerMB: map[int]float64{(i + 1) % 3: mb, i % 3: mb}})
+	}
+	tr.Jobs = append(tr.Jobs, Job{ID: 99, ReducerMB: map[int]float64{0: 1}}, Job{ID: 100, Mappers: []int{0, 1}})
+	traces = append(traces, tr, &Trace{NumRacks: 1})
+	rng := rand.New(rand.NewSource(5))
+	for n := 0; n < 200; n++ {
+		racks := 1 + rng.Intn(12)
+		tr := &Trace{NumRacks: racks}
+		for j := 0; j < rng.Intn(8); j++ {
+			job := Job{ID: rng.Intn(1 << 20), ArrivalMillis: rng.Int63n(1 << 40), ReducerMB: map[int]float64{}}
+			for m := 0; m < rng.Intn(5); m++ {
+				job.Mappers = append(job.Mappers, rng.Intn(racks))
+			}
+			for r := 0; r < rng.Intn(6); r++ {
+				var mb float64
+				switch rng.Intn(4) {
+				case 0:
+					mb = float64(rng.Intn(1000))
+				case 1:
+					mb = math.Float64frombits(rng.Uint64() &^ (1 << 63))
+				default:
+					mb = rng.ExpFloat64() * math.Pow(10, float64(rng.Intn(30)-15))
+				}
+				if math.IsNaN(mb) || math.IsInf(mb, 0) {
+					mb = 0
+				}
+				job.ReducerMB[rng.Intn(racks)] = mb
+			}
+			tr.Jobs = append(tr.Jobs, job)
+		}
+		traces = append(traces, tr)
+	}
+	for i, tr := range traces {
+		var got, want bytes.Buffer
+		if err := Write(&got, tr); err != nil {
+			t.Fatal(err)
+		}
+		if err := fmtWrite(&want, tr); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("trace %d: Write emitted\n%s\nfmt emits\n%s", i, got.Bytes(), want.Bytes())
+		}
+		sameCoflows(t, tr.Coflows(), perFlowCoflows(tr))
 	}
 }
