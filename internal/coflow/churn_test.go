@@ -1,0 +1,222 @@
+package coflow
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+)
+
+// churnScheduler is one persistent-order scheduler under the churn oracle,
+// with the function that recomputes a coflow's priority key from scratch.
+type churnScheduler struct {
+	name       string
+	sched      Scheduler
+	tieArrival bool
+	key        func(c *Coflow, s *allocScratch) float64
+}
+
+func churnSchedulers(sparse bool) []churnScheduler {
+	var out []churnScheduler
+	for _, mk := range []func() Scheduler{NewVarys, NewFIFO, NewSCF, NewNCF} {
+		o := mk().(*orderedMADD)
+		o.SetSparse(sparse)
+		out = append(out, churnScheduler{o.name, o, false, o.key})
+	}
+	a := NewAalo()
+	a.SetSparse(sparse)
+	out = append(out, churnScheduler{a.Name(), a, true,
+		func(c *Coflow, _ *allocScratch) float64 { return float64(a.queueOf(c)) }})
+	if !sparse {
+		out = append(out, churnScheduler{"varys-deadline", NewVarysDeadline(), false,
+			func(c *Coflow, _ *allocScratch) float64 { return c.Arrival }})
+	}
+	return out
+}
+
+// churnCoflow builds a one-to-four-flow coflow with small integer sizes (so
+// bottleneck, size, width and queue keys tie often) and starts its cache.
+func churnCoflow(rn *rand.Rand, id int, now float64, ports int) *Coflow {
+	flows := make([]Flow, 1+rn.Intn(4))
+	for i := range flows {
+		flows[i] = Flow{ID: i, Src: rn.Intn(ports), Dst: rn.Intn(ports), Size: float64(1+rn.Intn(4)) * 4e6}
+	}
+	c := New(id, "", now, flows)
+	if rn.Intn(4) == 0 {
+		c.Deadline = now + float64(1+rn.Intn(20))
+	}
+	for _, f := range c.Flows {
+		f.Remaining = f.Size
+	}
+	c.BeginSim(ports)
+	return c
+}
+
+// churnProgress moves bytes on a few live coflows the way the engine does:
+// remaining bytes fall, sent bytes grow, some flows finish (never a coflow's
+// last), and every touched coflow is marked moved.
+func churnProgress(rn *rand.Rand, active []*Coflow) {
+	for k := 0; k < len(active)/8+1; k++ {
+		c := active[rn.Intn(len(active))]
+		live := c.LiveFlows()
+		f := live[rn.Intn(len(live))]
+		if len(live) > 1 && rn.Intn(3) == 0 {
+			c.SentBytes += f.Remaining
+			f.Remaining, f.Done = 0, true
+			c.RefreshSim()
+		} else {
+			moved := f.Remaining * float64(rn.Intn(4)) / 8
+			f.Remaining -= moved
+			c.SentBytes += moved
+		}
+		c.MarkSimMoved()
+	}
+}
+
+// TestPersistentOrderUnderChurn drives every persistent-order scheduler,
+// dense and sparse, through seeded epochs of random admissions, completions
+// and key-moving progress with up to 300 live coflows. After every Allocate
+// each coflow's key must equal a fresh recomputation and PriorityOrder must
+// equal the active set stably sorted by keyLess — the unique order, however
+// the scheduler carried it from the previous epoch.
+func TestPersistentOrderUnderChurn(t *testing.T) {
+	const ports, epochs, maxLive = 16, 600, 300
+	for _, sparse := range []bool{false, true} {
+		for i, cs := range churnSchedulers(sparse) {
+			name := cs.name
+			if sparse {
+				name += "/sparse"
+			}
+			t.Run(name, func(t *testing.T) {
+				rn := rand.New(rand.NewSource(int64(17 + i)))
+				aud := cs.sched.(Auditable)
+				s := testScratch(ports)
+				var active, want []*Coflow
+				nextID, now, peak := 0, 0.0, 0
+				for epoch := 0; epoch < epochs; epoch++ {
+					if rn.Intn(4) > 0 {
+						for n := rn.Intn(4); n > 0 && len(active) > 0; n-- {
+							j := rn.Intn(len(active))
+							active = slices.Delete(active, j, j+1)
+						}
+						for n := rn.Intn(6); n > 0 && len(active) < maxLive; n-- {
+							active = append(active, churnCoflow(rn, nextID, now, ports))
+							nextID++
+						}
+					}
+					if len(active) > 0 {
+						churnProgress(rn, active)
+					}
+					peak = max(peak, len(active))
+					eg, in := capSlices(ports, 1e9)
+					cs.sched.Allocate(now, active, eg, in)
+					for _, c := range active {
+						if k := cs.key(c, s); k != c.schedKey {
+							t.Fatalf("epoch %d: coflow %d key %v, fresh key %v", epoch, c.ID, c.schedKey, k)
+						}
+					}
+					want = append(want[:0], active...)
+					slices.SortStableFunc(want, func(a, b *Coflow) int {
+						if keyLess(a, b, cs.tieArrival) {
+							return -1
+						}
+						if keyLess(b, a, cs.tieArrival) {
+							return 1
+						}
+						return 0
+					})
+					if got := aud.PriorityOrder(); !slices.Equal(got, want) {
+						t.Fatalf("epoch %d: priority order of %d coflows differs from the sorted active set", epoch, len(active))
+					}
+					if rn.Intn(3) == 0 {
+						now += float64(rn.Intn(3))
+					}
+				}
+				if peak < maxLive*2/3 {
+					t.Fatalf("churn peaked at %d live coflows", peak)
+				}
+			})
+		}
+	}
+}
+
+// churnFixture is a live set plus a pool of spare coflows that a churn step
+// swaps in for a completed one, so steady-state membership changes need no
+// new coflows.
+type churnFixture struct {
+	rn             *rand.Rand
+	active, spares []*Coflow
+}
+
+func newChurnFixture(live, ports int) *churnFixture {
+	fx := &churnFixture{rn: rand.New(rand.NewSource(int64(live)))}
+	for id := 0; id < 2*live; id++ {
+		c := churnCoflow(fx.rn, id, float64(id/4), ports)
+		if id < live {
+			fx.active = append(fx.active, c)
+		} else {
+			fx.spares = append(fx.spares, c)
+		}
+	}
+	return fx
+}
+
+// step completes one random live coflow and admits the oldest spare in its
+// place; the completed one becomes the newest spare.
+func (fx *churnFixture) step() {
+	i := fx.rn.Intn(len(fx.active))
+	done := fx.active[i]
+	fx.active = append(slices.Delete(fx.active, i, i+1), fx.spares[0])
+	fx.spares = append(slices.Delete(fx.spares, 0, 1), done)
+}
+
+// TestAllocateChurnZeroAllocs pins zero heap allocations per Allocate that
+// follows one admission and one completion, for every persistent-order
+// scheduler, dense and sparse.
+func TestAllocateChurnZeroAllocs(t *testing.T) {
+	const ports, live = 16, 200
+	for _, sparse := range []bool{false, true} {
+		for _, cs := range churnSchedulers(sparse) {
+			fx := newChurnFixture(live, ports)
+			eg, in := capSlices(ports, 1e9)
+			run := func() {
+				fx.step()
+				churnProgress(fx.rn, fx.active)
+				for p := range eg {
+					eg[p], in[p] = 1e9, 1e9
+				}
+				cs.sched.Allocate(0, fx.active, eg, in)
+			}
+			for i := 0; i < 4*live; i++ { // every coflow seen, every buffer grown
+				run()
+			}
+			if n := testing.AllocsPerRun(200, run); n != 0 {
+				t.Errorf("%s (sparse %v): %v allocs per churned Allocate, want 0", cs.name, sparse, n)
+			}
+		}
+	}
+}
+
+// BenchmarkAllocateChurn times sparse Varys with one admission and one
+// completion per Allocate, the membership change an online coflow stream
+// makes nearly every epoch, at several live-set sizes.
+func BenchmarkAllocateChurn(b *testing.B) {
+	const ports = 64
+	for _, live := range []int{64, 256, 1024} {
+		b.Run(fmt.Sprintf("live=%d", live), func(b *testing.B) {
+			fx := newChurnFixture(live, ports)
+			s := NewVarys()
+			s.(SparseAllocator).SetSparse(true)
+			eg, in := capSlices(ports, 1e9)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				fx.step()
+				for p := range eg {
+					eg[p], in[p] = 1e9, 1e9
+				}
+				s.Allocate(0, fx.active, eg, in)
+			}
+		})
+	}
+}

@@ -92,9 +92,10 @@ type simCache struct {
 	// granted marks that the last sparse Allocate assigned this coflow
 	// nonzero rates; blockEg/blockIn memoize the last port the coflow was
 	// found blocked on (-1 when none), so re-checking a still-blocked coflow
-	// is O(1) instead of O(ports touched).
-	moved, keyed, granted bool
-	blockEg, blockIn      int
+	// is O(1) instead of O(ports touched). listed is orderState.sync's
+	// "in the active set" mark, set and cleared within one call.
+	moved, keyed, granted, listed bool
+	blockEg, blockIn              int
 }
 
 // BeginSim (re)builds the live-flow cache for a simulation over a fabric of
@@ -640,7 +641,7 @@ func activeFlows(active []*Coflow, s *allocScratch) []*Flow {
 			}
 		}
 	}
-	s.flows = out
+	s.flows = shrink(s.flows, out)
 	return out
 }
 
@@ -656,8 +657,10 @@ func activeFlows(active []*Coflow, s *allocScratch) []*Flow {
 // The serving order persists across epochs. Policies with static keys
 // (arrival time, width) re-sort only when the active-set membership changes;
 // dynamic policies (Γ, remaining bytes) recompute keys once per epoch — not
-// once per comparison, as the pre-optimized code did — and rely on the
-// adaptive insertion sort to exploit the near-sorted order.
+// once per comparison, as the pre-optimized code did. A membership change
+// keeps the survivors in their previous order and appends the arrivals
+// (orderState.sync), so the insertion sort only moves arrivals and drifted
+// keys.
 type orderedMADD struct {
 	name string
 	// key computes the coflow's priority (smaller serves first; ties break
@@ -863,7 +866,7 @@ func (SequentialByDest) Allocate(_ float64, active []*Coflow, egCap, inCap []flo
 			subset = append(subset, f)
 		}
 	}
-	s.subset = subset
+	s.subset = shrink(s.subset, subset)
 	waterFill(subset, egCap, inCap, s)
 	scratchPool.Put(s)
 }

@@ -12,7 +12,10 @@ package coflow
 // performs zero heap allocations — property-tested to be bit-identical to
 // the retained map-based implementation in internal/refsim.
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // allocScratch holds the dense per-port buffers one scheduler needs for one
 // epoch. All slices are sized to the fabric's port count by ensure and are
@@ -57,32 +60,49 @@ var scratchPool = sync.Pool{New: func() any { return new(allocScratch) }}
 
 // orderState keeps a scheduler's priority order alive across epochs so the
 // full active set is not re-copied (and, for static-key policies, not even
-// re-sorted) every epoch.
+// re-sorted) every epoch. A membership change keeps the survivors in their
+// sorted relative order and appends the arrivals, so the re-sort that
+// follows moves only the arrivals and the keys that drifted.
 type orderState struct {
 	order []*Coflow // the persistent, sorted serving order
 	prev  []*Coflow // last epoch's active set, for membership detection
 }
 
 // sync reports whether the active-set membership changed since the previous
-// epoch and, if it did, rebuilds both buffers from the current set. The
-// comparison is element-wise pointer identity: the simulator compacts its
-// active slice in place, so positions shift exactly when membership changes.
+// epoch and, if it did, brings both buffers up to the current set in
+// O(live + changed): order drops the departed coflows, keeping the others in
+// place, and gains the arrivals at its end in active order. The comparison
+// is element-wise pointer identity: the simulator compacts its active slice
+// in place, so positions shift exactly when membership changes.
 func (st *orderState) sync(active []*Coflow) bool {
-	if len(st.prev) == len(active) {
-		same := true
-		for i, c := range active {
-			if st.prev[i] != c {
-				same = false
-				break
+	if slices.Equal(st.prev, active) {
+		return false
+	}
+	for _, c := range active {
+		c.sim.listed = true
+	}
+	kept := st.order[:0] // survivors in their old order, then the arrivals
+	for _, from := range [2][]*Coflow{st.order, active} {
+		for _, c := range from {
+			if c.sim.listed {
+				c.sim.listed = false
+				kept = append(kept, c)
 			}
 		}
-		if same {
-			return false
-		}
 	}
-	st.prev = append(st.prev[:0], active...)
-	st.order = append(st.order[:0], active...)
+	st.order = shrink(st.order, kept)
+	st.prev = shrink(st.prev, append(st.prev[:0], active...))
 	return true
+}
+
+// shrink returns next, a reslice of the reused buffer old, after clearing the
+// pointers old held past next's end, so that a buffer which shrinks does not
+// keep what it dropped reachable from its spare capacity.
+func shrink[T any](old, next []*T) []*T {
+	if len(next) < len(old) {
+		clear(old[len(next):])
+	}
+	return next
 }
 
 // keyLess is the shared order predicate: schedKey, then (optionally) arrival,
@@ -101,8 +121,10 @@ func keyLess(a, b *Coflow, tieArrival bool) bool {
 
 // sortByKey insertion-sorts the order buffer by keyLess. Insertion sort is
 // deliberate: it allocates nothing (sort.Slice's reflect.Swapper does), and
-// the buffer is persistent across epochs, so it is almost always already
-// sorted or off by a few drifted keys — the adaptive O(n) case.
+// the buffer is persistent across epochs — after orderState.sync it is the
+// previous sorted order with the arrivals appended — so it is almost always
+// already sorted or off by the arrivals and a few drifted keys, the
+// adaptive case.
 func sortByKey(order []*Coflow, tieArrival bool) {
 	for i := 1; i < len(order); i++ {
 		c := order[i]

@@ -123,6 +123,7 @@ func (sp *sparseState) reset(active []*Coflow) {
 			}
 		}
 	}
+	clear(sp.granted)
 	sp.granted = sp.granted[:0]
 }
 
@@ -130,6 +131,7 @@ func (sp *sparseState) reset(active []*Coflow) {
 func (sp *sparseState) set(on bool) {
 	sp.on = on
 	sp.dense = false
+	clear(sp.granted)
 	sp.granted = sp.granted[:0]
 }
 

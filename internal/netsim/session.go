@@ -623,6 +623,7 @@ func (ss *Session) loop(stop float64) error {
 				}
 				liveCF = append(liveCF, c)
 			}
+			clear(active[len(liveCF):]) // do not pin retired coflows behind the live end
 			active = liveCF
 			if ss.release {
 				ss.releaseCompleted()
@@ -834,7 +835,7 @@ func (ss *Session) finalize(coflows []*coflow.Coflow) {
 		}
 		rep.AvgCCT += cct
 		w := c.EffectiveWeight()
-		rep.WeightedAvgCCT += w * cct
+		rep.WeightedAvgCCT += float64(w * cct)
 		wsum += w
 		if cct > rep.MaxCCT {
 			rep.MaxCCT = cct
@@ -876,7 +877,7 @@ func (ss *Session) finalizeReleased() {
 		if !ok {
 			w = 1
 		}
-		rep.WeightedAvgCCT += w * cct
+		rep.WeightedAvgCCT += float64(w * cct)
 		wsum += w
 		if cct > rep.MaxCCT {
 			rep.MaxCCT = cct
