@@ -411,16 +411,15 @@ func ablationHetero(opts core.SweepOptions) error {
 		eg[i], in[i] = netsim.DefaultPortBandwidth, netsim.DefaultPortBandwidth
 	}
 	in[0] = netsim.DefaultPortBandwidth / 8
+	topo, err := topology.NewNonBlocking(eg, in)
+	if err != nil {
+		return err
+	}
 	plan := skew.PartialDuplication(w)
 	for _, s := range []placement.Scheduler{
-		placement.Hash{}, placement.Mini{}, placement.CCF{},
-		placement.WeightedCCF{EgressCap: eg, IngressCap: in},
+		placement.Hash{}, placement.Mini{}, placement.CCF{}, topology.RackAwareCCF{Topo: topo},
 	} {
-		ev, err := placement.Evaluate(s, plan.Adjusted, plan.Initial, nil)
-		if err != nil {
-			return err
-		}
-		t, err := placement.WeightedBottleneck(ev.Loads, eg, in)
+		t, err := topo.PlacementCCT(s, plan.Adjusted, plan.Initial, plan.BroadcastVolumes)
 		if err != nil {
 			return err
 		}
@@ -453,7 +452,7 @@ func ablationTopo(opts core.SweepOptions) error {
 	for _, s := range []placement.Scheduler{
 		placement.Hash{}, placement.Mini{}, placement.CCF{}, topology.RackAwareCCF{Topo: topo},
 	} {
-		cct, err := topo.PlacementCCT(s, plan.Adjusted, plan.Initial)
+		cct, err := topo.PlacementCCT(s, plan.Adjusted, plan.Initial, plan.BroadcastVolumes)
 		if err != nil {
 			return err
 		}

@@ -7,8 +7,9 @@
 //     CapacityEvent failure injection), and
 //
 //  2. what placement-time awareness buys: if the degradation is known up
-//     front (a persistently slow link), the capacity-aware WeightedCCF
-//     places around it while plain CCF piles onto the slow port.
+//     front (a persistently slow link), the capacity-aware placer
+//     (topology.RackAwareCCF on a one-rack topology with per-port
+//     capacities) places around it while plain CCF piles onto the slow port.
 //
 //     go run ./examples/failure_injection
 package main
@@ -20,6 +21,7 @@ import (
 	"ccf/internal/coflow"
 	"ccf/internal/netsim"
 	"ccf/internal/placement"
+	"ccf/internal/topology"
 	"ccf/internal/workload"
 )
 
@@ -79,10 +81,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	topo, err := topology.NewNonBlocking(eg, in)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("Part 2 — persistent slow link (node 0 ingress at 10%), placement-time aware vs oblivious:")
 	for _, s := range []placement.Scheduler{
 		placement.CCF{},
-		placement.WeightedCCF{EgressCap: eg, IngressCap: in},
+		topology.RackAwareCCF{Topo: topo},
 	} {
 		ev, err := placement.Evaluate(s, w.Chunks, nil, nil)
 		if err != nil {

@@ -124,7 +124,7 @@ func RunScheduler(w *workload.Workload, sched placement.Scheduler, handleSkew bo
 		Placement:       eval.Placement,
 	}
 	if !opts.UseEventSim {
-		res.TimeSec = netsim.BandwidthModelCCT(eval.Loads.Egress, eval.Loads.Ingress, opts.bandwidth())
+		res.TimeSec = float64(eval.BottleneckBytes) / opts.bandwidth()
 		return res, nil
 	}
 	res.TimeSec, _, err = netsim.RunAlone(res.Approach, matrix.N, eval.Volumes, opts.bandwidth(), coflow.NewVarys(), opts.Probe)

@@ -433,50 +433,3 @@ func PortBacklog(n int, coflows []*coflow.Coflow) (egress, ingress []int64) {
 	}
 	return egress, ingress
 }
-
-// BandwidthModelCCT computes the closed-form single-coflow CCT of the
-// paper's model: max over ports of load divided by port bandwidth. The
-// event simulator under MADD matches this exactly; large experiments use the
-// closed form to avoid materialising O(n²) flows.
-func BandwidthModelCCT(egress, ingress []int64, bandwidth float64) float64 {
-	var m int64
-	for _, v := range egress {
-		if v > m {
-			m = v
-		}
-	}
-	for _, v := range ingress {
-		if v > m {
-			m = v
-		}
-	}
-	return float64(m) / bandwidth
-}
-
-// WeightedBandwidthModelCCT is the heterogeneous-capacity counterpart: the
-// single-coflow CCT is the maximum over ports of load divided by that port's
-// capacity, matching the R_l-parameterised constraints (2.1)/(2.2).
-func WeightedBandwidthModelCCT(egress, ingress []int64, egCap, inCap []float64) (float64, error) {
-	if len(egress) != len(egCap) || len(ingress) != len(inCap) {
-		return 0, fmt.Errorf("netsim: loads sized %d/%d vs capacities %d/%d",
-			len(egress), len(ingress), len(egCap), len(inCap))
-	}
-	var t float64
-	for p, v := range egress {
-		if egCap[p] <= 0 {
-			return 0, fmt.Errorf("netsim: non-positive egress capacity at port %d", p)
-		}
-		if x := float64(v) / egCap[p]; x > t {
-			t = x
-		}
-	}
-	for p, v := range ingress {
-		if inCap[p] <= 0 {
-			return 0, fmt.Errorf("netsim: non-positive ingress capacity at port %d", p)
-		}
-		if x := float64(v) / inCap[p]; x > t {
-			t = x
-		}
-	}
-	return t, nil
-}

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"ccf/internal/coflow"
+	"ccf/internal/topology"
 )
 
 func TestNewFabricValidation(t *testing.T) {
@@ -72,16 +73,12 @@ func TestHeterogeneousMatchesWeightedClosedForm(t *testing.T) {
 			egCap[i] = float64(1 + rng.Intn(9))
 			inCap[i] = float64(1 + rng.Intn(9))
 		}
-		eg := make([]int64, n)
-		in := make([]int64, n)
 		var flows [][3]float64
 		for i := 0; i < 1+rng.Intn(8); i++ {
 			src := rng.Intn(n)
 			dst := (src + 1 + rng.Intn(n-1)) % n
 			size := float64(1 + rng.Intn(500))
 			flows = append(flows, [3]float64{float64(src), float64(dst), size})
-			eg[src] += int64(size)
-			in[dst] += int64(size)
 		}
 		fab, err := NewHeterogeneousFabric(egCap, inCap)
 		if err != nil {
@@ -91,7 +88,7 @@ func TestHeterogeneousMatchesWeightedClosedForm(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		want, err := WeightedBandwidthModelCCT(eg, in, egCap, inCap)
+		want, err := closedFormCCT(fab, flows...)
 		if err != nil {
 			return false
 		}
@@ -102,12 +99,39 @@ func TestHeterogeneousMatchesWeightedClosedForm(t *testing.T) {
 	}
 }
 
-func TestWeightedBandwidthModelCCTValidation(t *testing.T) {
-	if _, err := WeightedBandwidthModelCCT([]int64{1}, []int64{1}, []float64{1, 2}, []float64{1}); err == nil {
-		t.Error("accepted mismatched sizes")
+// closedFormCCT is the oracle for a lone coflow: the most loaded port's
+// bytes over its capacity, computed by topology.SingleCoflowCCT on the
+// one-rack topology with fab's per-port capacities.
+func closedFormCCT(fab Fabric, flows ...[3]float64) (float64, error) {
+	topo, err := topology.NewNonBlocking(fab.EgressCap, fab.IngressCap)
+	if err != nil {
+		return 0, err
 	}
-	if _, err := WeightedBandwidthModelCCT([]int64{1}, []int64{1}, []float64{0}, []float64{1}); err == nil {
-		t.Error("accepted zero capacity")
+	n := fab.Ports
+	vol := make([]int64, n*n)
+	for _, f := range flows {
+		vol[int(f[0])*n+int(f[1])] += int64(f[2])
+	}
+	return topo.SingleCoflowCCT(vol)
+}
+
+func TestWeightedBandwidthModelCCTValidation(t *testing.T) {
+	// The closed-form oracle refuses the capacities NewHeterogeneousFabric
+	// refuses.
+	for _, c := range []struct {
+		name   string
+		eg, in []float64
+	}{
+		{"mismatched sizes", []float64{1, 2}, []float64{1}},
+		{"zero capacity", []float64{0}, []float64{1}},
+	} {
+		if _, err := NewHeterogeneousFabric(c.eg, c.in); err == nil {
+			t.Errorf("%s: NewHeterogeneousFabric accepted it", c.name)
+		}
+		fab := Fabric{Ports: len(c.in), EgressCap: c.eg, IngressCap: c.in}
+		if _, err := closedFormCCT(fab); err == nil {
+			t.Errorf("%s: closed form accepted it", c.name)
+		}
 	}
 }
 
@@ -121,7 +145,8 @@ func mkCoflow(id int, arrival float64, flows ...[3]float64) *coflow.Coflow {
 
 func TestSingleCoflowMADDMatchesBandwidthModel(t *testing.T) {
 	// 0→1: 8, 0→2: 4, 2→1: 2 at bandwidth 2. Egress 0 = 12 ⇒ CCT = 6.
-	c := mkCoflow(0, 0, [3]float64{0, 1, 8}, [3]float64{0, 2, 4}, [3]float64{2, 1, 2})
+	flows := [][3]float64{{0, 1, 8}, {0, 2, 4}, {2, 1, 2}}
+	c := mkCoflow(0, 0, flows...)
 	fab, _ := NewFabric(3, 2)
 	rep, err := NewSimulator(fab, coflow.NewVarys()).Run([]*coflow.Coflow{c})
 	if err != nil {
@@ -130,9 +155,11 @@ func TestSingleCoflowMADDMatchesBandwidthModel(t *testing.T) {
 	if math.Abs(rep.MaxCCT-6) > 1e-9 {
 		t.Errorf("CCT = %g, want 6", rep.MaxCCT)
 	}
-	eg := []int64{12, 0, 2}
-	in := []int64{0, 10, 4}
-	if want := BandwidthModelCCT(eg, in, 2); math.Abs(rep.MaxCCT-want) > 1e-9 {
+	want, err := closedFormCCT(fab, flows...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(rep.MaxCCT-want) > 1e-9 {
 		t.Errorf("event sim %g != closed form %g", rep.MaxCCT, want)
 	}
 	if math.Abs(rep.TotalBytes-14) > 1e-6 {
@@ -147,16 +174,12 @@ func TestSingleCoflowAgreementProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(6)
 		bw := 1 + float64(rng.Intn(10))
-		eg := make([]int64, n)
-		in := make([]int64, n)
 		var flows [][3]float64
 		for i := 0; i < 1+rng.Intn(10); i++ {
 			src := rng.Intn(n)
 			dst := (src + 1 + rng.Intn(n-1)) % n
 			size := float64(1 + rng.Intn(1000))
 			flows = append(flows, [3]float64{float64(src), float64(dst), size})
-			eg[src] += int64(size)
-			in[dst] += int64(size)
 		}
 		c := mkCoflow(0, 0, flows...)
 		fab, _ := NewFabric(n, bw)
@@ -164,7 +187,10 @@ func TestSingleCoflowAgreementProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		want := BandwidthModelCCT(eg, in, bw)
+		want, err := closedFormCCT(fab, flows...)
+		if err != nil {
+			return false
+		}
 		return math.Abs(rep.MaxCCT-want) < 1e-6*want+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -446,11 +472,23 @@ func TestAllSchedulersCompleteRandomWorkloads(t *testing.T) {
 }
 
 func TestBandwidthModelCCT(t *testing.T) {
-	if got := BandwidthModelCCT([]int64{10, 4}, []int64{0, 14}, 2); got != 7 {
-		t.Errorf("BandwidthModelCCT = %g, want 7", got)
+	// 0→1: 10 and 2→1: 4 at 2 B/s. Egress 10/0/4, ingress 0/14/0: the busiest
+	// port moves 14 bytes, so the CCT is 7 s in closed form and in the event
+	// simulator.
+	flows := [][3]float64{{0, 1, 10}, {2, 1, 4}}
+	fab, _ := NewFabric(3, 2)
+	if got, err := closedFormCCT(fab, flows...); err != nil || got != 7 {
+		t.Errorf("closed-form CCT = %g (err %v), want 7", got, err)
 	}
-	if got := BandwidthModelCCT(nil, nil, 5); got != 0 {
-		t.Errorf("empty loads CCT = %g, want 0", got)
+	rep, err := NewSimulator(fab, coflow.NewVarys()).Run([]*coflow.Coflow{mkCoflow(0, 0, flows...)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(rep.MaxCCT-7) > 1e-9 {
+		t.Errorf("event sim CCT = %g, want 7", rep.MaxCCT)
+	}
+	if got, err := closedFormCCT(fab); err != nil || got != 0 {
+		t.Errorf("empty coflow CCT = %g (err %v), want 0", got, err)
 	}
 }
 

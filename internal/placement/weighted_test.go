@@ -1,223 +1,117 @@
-package placement
+package placement_test
 
 import (
-	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"ccf/internal/partition"
+	"ccf/internal/placement"
+	"ccf/internal/topology"
 )
 
-func uniformCaps(n int, c float64) ([]float64, []float64) {
-	eg := make([]float64, n)
-	in := make([]float64, n)
-	for i := range eg {
-		eg[i], in[i] = c, c
+// The capacity-aware placer over per-port capacities (the paper's footnote 4)
+// is topology.RackAwareCCF on a one-rack topology.NewNonBlocking; these tests
+// check it from the placement side. They live in placement_test because
+// topology imports placement.
+
+func uniformCaps(n int, c float64) []float64 {
+	caps := make([]float64, n)
+	for i := range caps {
+		caps[i] = c
 	}
-	return eg, in
+	return caps
+}
+
+func randomChunks(rng *rand.Rand, n, p, maxChunk int) *partition.ChunkMatrix {
+	m := partition.MustChunkMatrix(n, p)
+	for i := range m.H {
+		m.H[i] = int64(rng.Intn(maxChunk))
+	}
+	return m
+}
+
+// fixed places partition k on node fixed[k].
+type fixed []int
+
+func (f fixed) Name() string { return "fixed" }
+
+func (f fixed) Place(m *partition.ChunkMatrix, _ *partition.Loads) (*partition.Placement, error) {
+	pl := partition.NewPlacement(m.P)
+	copy(pl.Dest, f)
+	return pl, nil
 }
 
 func TestWeightedCCFReducesToCCFOnUniformCaps(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n, p := 2+rng.Intn(5), 1+rng.Intn(12)
-		m := randomMatrix(rng, n, p, 80)
-		eg, in := uniformCaps(n, 7)
-		w, err := WeightedCCF{EgressCap: eg, IngressCap: in}.Place(m, nil)
+		m := randomChunks(rng, n, p, 80)
+		topo, err := topology.NewNonBlocking(uniformCaps(n, 7), uniformCaps(n, 7))
 		if err != nil {
 			return false
 		}
-		u, err := CCF{}.Place(m, nil)
+		w, err := topology.RackAwareCCF{Topo: topo}.Place(m, nil)
 		if err != nil {
 			return false
 		}
-		for k := range u.Dest {
-			if w.Dest[k] != u.Dest[k] {
-				return false
-			}
+		u, err := placement.CCF{}.Place(m, nil)
+		if err != nil {
+			return false
 		}
-		return true
+		return slices.Equal(w.Dest, u.Dest)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }
 
-func TestWeightedCCFAvoidsSlowPort(t *testing.T) {
-	// Two candidate destinations hold equal chunks of a partition, but
-	// node 1's ingress is 10× slower: the weighted placer must send the
-	// partition to node 2 while the unweighted one (ties aside) treats
-	// them identically.
-	m := partition.MustChunkMatrix(3, 1)
-	m.Set(0, 0, 100) // source holding most of the data
-	m.Set(1, 0, 10)
-	m.Set(2, 0, 10)
-	eg, in := uniformCaps(3, 100)
-	in[1] = 10 // node 1 ingress is slow
-	pl, err := WeightedCCF{EgressCap: eg, IngressCap: in}.Place(m, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pl.Dest[0] == 1 {
-		t.Errorf("weighted CCF sent the partition to the slow port (dest=%d)", pl.Dest[0])
-	}
-}
-
-func TestWeightedCCFBeatsPlainOnHeterogeneousFabric(t *testing.T) {
-	// Power-law data plus one degraded node: the capacity-aware placer
-	// must achieve a lower weighted bottleneck than the oblivious one.
-	rng := rand.New(rand.NewSource(8))
-	n, p := 10, 80
-	m := partition.MustChunkMatrix(n, p)
-	for k := 0; k < p; k++ {
-		base := 10_000 + rng.Intn(1000)
-		for i := 0; i < n; i++ {
-			m.Set(i, k, int64(base/(i+1)))
-		}
-	}
-	eg, in := uniformCaps(n, 1000)
-	// Node 0 (the data-heavy node every partition would otherwise target)
-	// has a degraded ingress link.
-	in[0] = 100
-
-	weighted, err := WeightedCCF{EgressCap: eg, IngressCap: in}.Place(m, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := CCF{}.Place(m, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wl, err := partition.ComputeLoads(m, weighted, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plc, err := partition.ComputeLoads(m, plain, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wT, err := WeightedBottleneck(wl, eg, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pT, err := WeightedBottleneck(plc, eg, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wT >= pT {
-		t.Errorf("weighted CCF T = %g s not better than plain CCF %g s on degraded fabric", wT, pT)
-	}
-}
-
-// weightedReference is the naive O(p·n²) weighted greedy, mirroring the
-// unweighted reference test.
-func weightedReference(m *partition.ChunkMatrix, egCap, inCap []float64) *partition.Placement {
-	n, p := m.N, m.P
-	egress := make([]int64, n)
-	ingress := make([]int64, n)
-	order := make([]int, p)
-	for k := range order {
-		order[k] = k
-	}
-	maxChunk, _ := m.MaxChunk()
-	sort.SliceStable(order, func(a, b int) bool { return maxChunk[order[a]] > maxChunk[order[b]] })
-	tot := m.PartitionTotals()
-	pl := partition.NewPlacement(p)
-	for _, k := range order {
-		bestD := -1
-		bestT := 0.0
-		for d := 0; d < n; d++ {
-			var T float64
-			for i := 0; i < n; i++ {
-				eg := egress[i]
-				if i != d {
-					eg += m.At(i, k)
-				}
-				in := ingress[i]
-				if i == d {
-					in += tot[k] - m.At(d, k)
-				}
-				if x := float64(eg) / egCap[i]; x > T {
-					T = x
-				}
-				if x := float64(in) / inCap[i]; x > T {
-					T = x
-				}
-			}
-			if bestD == -1 || T < bestT {
-				bestD, bestT = d, T
-			}
-		}
-		pl.Dest[k] = bestD
-		for i := 0; i < n; i++ {
-			if i != bestD {
-				egress[i] += m.At(i, k)
-			}
-		}
-		ingress[bestD] += tot[k] - m.At(bestD, k)
-	}
-	return pl
-}
-
-func TestWeightedCCFMatchesReference(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n, p := 2+rng.Intn(5), 1+rng.Intn(10)
-		m := randomMatrix(rng, n, p, 60)
-		eg := make([]float64, n)
-		in := make([]float64, n)
-		for i := 0; i < n; i++ {
-			eg[i] = float64(1 + rng.Intn(9))
-			in[i] = float64(1 + rng.Intn(9))
-		}
-		got, err := WeightedCCF{EgressCap: eg, IngressCap: in}.Place(m, nil)
-		if err != nil {
-			return false
-		}
-		want := weightedReference(m, eg, in)
-		for k := range want.Dest {
-			if got.Dest[k] != want.Dest[k] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 250}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestWeightedCCFValidation(t *testing.T) {
-	m := partition.MustChunkMatrix(3, 2)
-	eg, in := uniformCaps(2, 1) // wrong size
-	if _, err := (WeightedCCF{EgressCap: eg, IngressCap: in}).Place(m, nil); err == nil {
+	if _, err := topology.NewNonBlocking(uniformCaps(2, 1), uniformCaps(3, 1)); err == nil {
 		t.Error("accepted mis-sized capacities")
 	}
-	eg3, in3 := uniformCaps(3, 1)
-	eg3[1] = 0
-	if _, err := (WeightedCCF{EgressCap: eg3, IngressCap: in3}).Place(m, nil); err == nil {
+	eg := uniformCaps(3, 1)
+	eg[1] = 0
+	if _, err := topology.NewNonBlocking(eg, uniformCaps(3, 1)); err == nil {
 		t.Error("accepted zero capacity")
 	}
-	eg3[1] = 1
+	topo, err := topology.NewNonBlocking(uniformCaps(3, 1), uniformCaps(3, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := partition.MustChunkMatrix(3, 2)
 	bad := &partition.Loads{Egress: []int64{1}, Ingress: []int64{1, 2, 3}}
-	if _, err := (WeightedCCF{EgressCap: eg3, IngressCap: in3}).Place(m, bad); err == nil {
+	if _, err := (topology.RackAwareCCF{Topo: topo}).Place(m, bad); err == nil {
 		t.Error("accepted mis-sized initial loads")
 	}
 }
 
 func TestWeightedBottleneck(t *testing.T) {
-	l := &partition.Loads{Egress: []int64{100, 10}, Ingress: []int64{0, 40}}
-	tv, err := WeightedBottleneck(l, []float64{10, 10}, []float64{10, 2})
+	// Partition 0 (40 bytes on node 0) goes to node 1; partition 1 (60 on
+	// node 0, 10 on node 1) goes to node 2. Egress 100/10/0, ingress
+	// 0/40/70. Every port runs at 10 B/s except node 1's ingress at 2 B/s:
+	// egress 0 needs 10 s, but ingress 1 binds at 20 s.
+	m := partition.MustChunkMatrix(3, 2)
+	m.Set(0, 0, 40)
+	m.Set(0, 1, 60)
+	m.Set(1, 1, 10)
+	topo, err := topology.NewNonBlocking([]float64{10, 10, 10}, []float64{10, 2, 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// egress: 10, 1; ingress: 0, 20 → 20 s.
-	if math.Abs(tv-20) > 1e-12 {
-		t.Errorf("WeightedBottleneck = %g, want 20", tv)
+	tv, err := topo.PlacementCCT(fixed{1, 2}, m, nil, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := WeightedBottleneck(l, []float64{1}, []float64{1, 1}); err == nil {
-		t.Error("accepted mis-sized capacities")
+	if tv != 20 {
+		t.Errorf("per-port bottleneck = %g s, want 20", tv)
+	}
+	two, err := topology.NewNonBlocking(uniformCaps(2, 1), uniformCaps(2, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := two.PlacementCCT(fixed{1, 0}, m, nil, nil); err == nil {
+		t.Error("accepted capacities sized for another fabric")
 	}
 }

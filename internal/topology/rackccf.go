@@ -1,16 +1,17 @@
 package topology
 
-// RackAwareCCF: the paper's Algorithm 1 extended to the leaf-spine link
-// sets. The objective gains two terms beyond host egress/ingress — rack
-// uplink and rack downlink loads, each divided by its capacity:
+// RackAwareCCF: the paper's Algorithm 1 over the topology's link sets. Every
+// term of the objective is a link's load divided by that link's capacity —
+// host egress and ingress, and rack uplink and downlink:
 //
-//	T = max( egress_i/c_host, ingress_j/c_host, up_r/c_rack, down_r/c_rack )
+//	T = max( egress_i/R_up_i, ingress_j/R_down_j, up_r/R_up_r, down_r/R_down_r )
 //
 // Assigning partition k to destination d (rack r_d) adds h_ik to every other
 // host's egress, Σ_{i∈r} h_ik to every other rack's uplink, and the remote
 // remainder to d's ingress and r_d's downlink — the same additive structure
 // as the base algorithm at two granularities, so the same top-2 bookkeeping
-// keeps the whole search at O(p·(n + racks)).
+// keeps the whole search at O(p·(n + racks)). On a NewNonBlocking topology
+// the rack terms are zero and this is Algorithm 1 under per-port capacities.
 
 import (
 	"fmt"
@@ -20,8 +21,8 @@ import (
 	"ccf/internal/placement"
 )
 
-// RackAwareCCF places partitions over a leaf-spine topology. It implements
-// placement.Scheduler.
+// RackAwareCCF places partitions over a topology, minimising the running
+// link-level T. It implements placement.Scheduler.
 type RackAwareCCF struct {
 	Topo *Topology
 }
@@ -179,11 +180,12 @@ func (c RackAwareCCF) Place(m *partition.ChunkMatrix, initial *partition.Loads) 
 	return pl, nil
 }
 
-// PlacementCCT places m with s on top of the initial loads and returns the
-// placement's single-coflow CCT on this topology (closed form, MADD over
-// links).
-func (t *Topology) PlacementCCT(s placement.Scheduler, m *partition.ChunkMatrix, initial *partition.Loads) (float64, error) {
-	ev, err := placement.Evaluate(s, m, initial, nil)
+// PlacementCCT is placement.Evaluate costed on this topology: it places m
+// with s on top of the initial loads, adds the broadcast volumes (the v⁰ flows
+// initial counts; nil for none) and returns the coflow's single-coflow CCT in
+// closed form, MADD over links.
+func (t *Topology) PlacementCCT(s placement.Scheduler, m *partition.ChunkMatrix, initial *partition.Loads, broadcast []int64) (float64, error) {
+	ev, err := placement.Evaluate(s, m, initial, broadcast)
 	if err != nil {
 		return 0, err
 	}

@@ -4,15 +4,19 @@
 //	Σ_{flows f crossing link l} b_f ≤ R_l        ∀ l  (constraint 1.5)
 //
 // where each flow f_ij owns a link set L_ij. The base model (every L_ij =
-// {egress_i, ingress_j} with equal R) is NewNonBlocking; NewLeafSpine builds
-// the two-tier topology the RAPIER discussion targets — hosts under ToR
-// switches whose uplinks to a non-blocking spine may be oversubscribed, so
-// cross-rack traffic contends on shared rack links.
+// {egress_i, ingress_j}, with R per port as in the paper's footnote 4) is
+// NewNonBlocking; NewLeafSpine builds the two-tier topology the RAPIER
+// discussion targets — hosts under ToR switches whose uplinks to a
+// non-blocking spine may be oversubscribed, so cross-rack traffic contends on
+// shared rack links.
 //
-// The package provides exact single-coflow CCT under MADD over links and
-// RackAwareCCF — the paper's Algorithm 1 extended with rack-uplink/downlink
-// terms, which stays O(p·(n + racks)) thanks to the same top-2 bookkeeping as
-// the base placer.
+// The package is the home of the capacity-aware cost and placer: the exact
+// single-coflow CCT under MADD over links (SingleCoflowCCT, PlacementCCT) and
+// RackAwareCCF — the paper's Algorithm 1 with every term divided by its
+// link's capacity and extended with rack-uplink/downlink terms, which stays
+// O(p·(n + racks)) thanks to the same top-2 bookkeeping as the base placer.
+// On a NewNonBlocking topology it is Algorithm 1 under per-port capacities,
+// and on equal capacities it places exactly as placement.CCF.
 package topology
 
 import (
@@ -51,16 +55,23 @@ type Topology struct {
 	hostUp, hostDown, rackUp, rackDown []int
 }
 
-// NewNonBlocking builds the paper's base model as a degenerate topology:
-// one rack with an infinitely fast core, so only host links constrain.
-func NewNonBlocking(n int, bw float64) (*Topology, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("topology: need positive host count, got %d", n)
+// NewNonBlocking builds the paper's base model as a degenerate topology: one
+// rack with an infinitely fast core, so only host links constrain. Host i's
+// up and down links carry egress[i] and ingress[i] bytes/sec — footnote 4's
+// per-link R_l; equal capacities are the paper's non-blocking switch. The
+// slices are validated as netsim.NewHeterogeneousFabric validates them.
+func NewNonBlocking(egress, ingress []float64) (*Topology, error) {
+	if len(egress) == 0 || len(egress) != len(ingress) {
+		return nil, fmt.Errorf("topology: capacity slices sized %d/%d; want equal and non-empty",
+			len(egress), len(ingress))
 	}
-	if bw <= 0 {
-		return nil, fmt.Errorf("topology: need positive bandwidth, got %g", bw)
+	for i := range egress {
+		if egress[i] <= 0 || ingress[i] <= 0 {
+			return nil, fmt.Errorf("topology: host %d has non-positive capacity (eg=%g in=%g)",
+				i, egress[i], ingress[i])
+		}
 	}
-	return build(1, n, bw, math.Inf(1))
+	return build(1, len(egress), egress, ingress, math.Inf(1)), nil
 }
 
 // NewLeafSpine builds racks × hostsPerRack hosts; every host has hostBw
@@ -74,10 +85,16 @@ func NewLeafSpine(racks, hostsPerRack int, hostBw, uplinkBw float64) (*Topology,
 	if hostBw <= 0 || uplinkBw <= 0 {
 		return nil, fmt.Errorf("topology: need positive bandwidths (host %g, uplink %g)", hostBw, uplinkBw)
 	}
-	return build(racks, hostsPerRack, hostBw, uplinkBw)
+	host := make([]float64, racks*hostsPerRack)
+	for i := range host {
+		host[i] = hostBw
+	}
+	return build(racks, hostsPerRack, host, host, uplinkBw), nil
 }
 
-func build(racks, perRack int, hostBw, uplinkBw float64) (*Topology, error) {
+// build lays out the links: host i's up and down links (capacities upCap[i]
+// and downCap[i]), then every rack's uplink and downlink.
+func build(racks, perRack int, upCap, downCap []float64, uplinkBw float64) *Topology {
 	n := racks * perRack
 	t := &Topology{
 		N: n, racks: racks,
@@ -94,14 +111,14 @@ func build(racks, perRack int, hostBw, uplinkBw float64) (*Topology, error) {
 	}
 	for i := 0; i < n; i++ {
 		t.rackOf[i] = i / perRack
-		t.hostUp[i] = add(HostUp, i, hostBw)
-		t.hostDown[i] = add(HostDown, i, hostBw)
+		t.hostUp[i] = add(HostUp, i, upCap[i])
+		t.hostDown[i] = add(HostDown, i, downCap[i])
 	}
 	for r := 0; r < racks; r++ {
 		t.rackUp[r] = add(RackUp, r, uplinkBw)
 		t.rackDown[r] = add(RackDown, r, uplinkBw)
 	}
-	return t, nil
+	return t
 }
 
 // Racks returns the number of racks.
