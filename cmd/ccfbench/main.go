@@ -50,7 +50,6 @@ func main() {
 		bandwidth = flag.Float64("bw", 0, "port bandwidth in bytes/sec (0 = CoflowSim default 128 MB/s)")
 		csvDir    = flag.String("csv", "", "directory to write per-panel CSV files (empty = none)")
 		eventSim  = flag.Bool("eventsim", false, "use the flow-level event simulator instead of the closed form (slow at full node counts)")
-		chart     = flag.Bool("chart", false, "also render each figure panel as an ASCII chart (time panels on a log scale)")
 		seeds     = flag.Int("seeds", 32, "fault schedules for the chaos experiment")
 		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "worker goroutines for sweep-style experiments "+
 			"(1 = serial; results are identical at any value, figure sweeps may hold ~120 MB per worker at paper scale)")
@@ -113,7 +112,6 @@ func main() {
 	}
 	exp := flag.String("exp", "all", "experiment: all, "+strings.Join(names, ", "))
 	flag.Parse()
-	chartPanels = *chart
 
 	if err := validateBenchFlags(exps, *exp, *scale, *bandwidth, *seeds, *workers); err != nil {
 		fmt.Fprintln(os.Stderr, "ccfbench:", err)
@@ -186,9 +184,6 @@ func validateBenchFlags(exps []experiment, exp string, scale, bw float64, seeds,
 	return nil
 }
 
-// chartPanels toggles ASCII charts next to the numeric tables.
-var chartPanels bool
-
 func emit(fr *core.FigureResult, name, csvDir string) error {
 	if err := stats.RenderASCII(os.Stdout, fr.Traffic); err != nil {
 		return err
@@ -196,16 +191,6 @@ func emit(fr *core.FigureResult, name, csvDir string) error {
 	fmt.Println()
 	if err := stats.RenderASCII(os.Stdout, fr.Time); err != nil {
 		return err
-	}
-	if chartPanels {
-		fmt.Println()
-		if err := stats.RenderChart(os.Stdout, fr.Traffic, stats.ChartOptions{}); err != nil {
-			return err
-		}
-		fmt.Println()
-		if err := stats.RenderChart(os.Stdout, fr.Time, stats.ChartOptions{LogY: true}); err != nil {
-			return err
-		}
 	}
 	loH, hiH := stats.MinMax(fr.SpeedupOverHash)
 	loM, hiM := stats.MinMax(fr.SpeedupOverMini)

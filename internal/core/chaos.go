@@ -104,7 +104,7 @@ func chaosWorkload(rng *rand.Rand, n, ncf int) []*coflow.Coflow {
 			}
 			flows = append(flows, coflow.Flow{
 				ID: f, Src: src, Dst: dst,
-				Size: 1e3 + rng.Float64()*9e3,
+				Size: 1e3 + float64(rng.Float64()*9e3),
 			})
 		}
 		out[ci] = coflow.New(ci, "chaos", rng.Float64()*20, flows)
@@ -118,11 +118,11 @@ func chaosFaults(rng *rand.Rand, n int) []netsim.PortFailure {
 	nf := 1 + rng.Intn(3)
 	out := make([]netsim.PortFailure, nf)
 	for i := range out {
-		down := rng.Float64() * 40
+		down := float64(rng.Float64() * 40)
 		out[i] = netsim.PortFailure{
 			Port: rng.Intn(n),
 			Down: down,
-			Up:   down + 1 + rng.Float64()*14,
+			Up:   down + 1 + float64(rng.Float64()*14),
 		}
 	}
 	return out

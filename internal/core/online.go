@@ -146,14 +146,20 @@ type OnlineEngine struct {
 	ses      *netsim.Session
 	jobs     int // jobs admitted; job i is coflow ID i in the session
 	lastArr  float64
-	egB, inB []int64 // reusable backlog buffers
-	batch    *Batch  // reusable batch handle (BeginBatch)
 	finished bool
 
-	// Decide-path storage, overwritten by every submit and never handed out:
+	// The backlog snapshot: while snapOK, egB/inB hold the session's
+	// per-port backlog at the engine clock, read by the first probe at that
+	// clock and kept current by every admission after it, so later probes
+	// at the same clock skip the O(flows) rescan. A clock move clears
+	// snapOK. It is never imaged: a restored engine rescans once.
+	egB, inB []int64
+	snapOK   bool
+
+	// Decide-path storage, overwritten by every Submit and never handed out:
 	// the skew plan (with its adjusted copy of the job's matrix), the initial
 	// loads the placer sees, and the n×n flow volumes. Nothing of a job's
-	// workload is referenced once submit returns; what a decision carries
+	// workload is referenced once Submit returns; what a decision carries
 	// (Placement, Backlog) is allocated per decision.
 	plan    skew.Plan
 	initial partition.Loads
@@ -241,88 +247,12 @@ func RestoreOnlineEngine(nodes int, opts OnlineOptions, img []byte) (*OnlineEngi
 // session only moves forward in time (RunOnline sorts for you). When
 // co-optimizing, the session is advanced to the arrival and the in-flight
 // backlog read off the live flow state; no history is re-simulated.
+//
+// Jobs that share an arrival (a daemon batch lifted onto one clock) share
+// one backlog scan: the first probe at an instant reads the session, and
+// each admission at that instant folds its own live flows into the
+// snapshot, so followers read the same bytes a rescan would.
 func (e *OnlineEngine) Submit(job OnlineJob) (*OnlineDecision, error) {
-	return e.submit(job, nil)
-}
-
-// Batch shares one backlog snapshot across the co-optimized placement
-// probes of an admission batch. The first probing job at a given arrival
-// pays the full O(flows) BacklogInto scan; followers at the same arrival
-// copy the cached snapshot, incrementally extended with each admitted
-// coflow's own volumes (exact int64 additions — identical to re-probing).
-// Decisions stay byte-identical to sequential Submit calls: every job still
-// advances the session to its arrival (retiring zero-byte coflows and
-// crossing failure edges exactly where the sequential path does); only the
-// redundant backlog re-scan is skipped. Obtain with BeginBatch; a Batch is
-// owned by the engine's goroutine and is invalidated by the next BeginBatch.
-type Batch struct {
-	e       *OnlineEngine
-	arrival float64
-	valid   bool
-	eg, in  []int64
-}
-
-// BeginBatch starts an admission batch. The returned handle reuses
-// engine-owned buffers, so at most one batch may be live at a time.
-func (e *OnlineEngine) BeginBatch() *Batch {
-	if e.batch == nil {
-		e.batch = &Batch{e: e, eg: make([]int64, e.n), in: make([]int64, e.n)}
-	}
-	e.batch.valid = false
-	return e.batch
-}
-
-// Submit is Submit on the engine, sharing the batch's backlog snapshot.
-func (b *Batch) Submit(job OnlineJob) (*OnlineDecision, error) {
-	return b.e.submit(job, b)
-}
-
-// noteAdmitted folds a freshly admitted coflow into the cached snapshot so
-// the next same-arrival probe needs no rescan. A coflow admitted at a
-// different arrival (a PlacementOnly job with an explicit later timestamp)
-// invalidates the cache instead — the next probe re-reads the session.
-func (b *Batch) noteAdmitted(cf *coflow.Coflow, arrival float64) {
-	if !b.valid {
-		return
-	}
-	if arrival != b.arrival {
-		b.valid = false
-		return
-	}
-	for _, f := range cf.Flows {
-		if f.Done {
-			continue
-		}
-		r := int64(f.Remaining + 0.5)
-		b.eg[f.Src] += r
-		b.in[f.Dst] += r
-	}
-}
-
-// BatchResult pairs one job's decision with its submission error.
-type BatchResult struct {
-	Decision *OnlineDecision
-	Err      error
-}
-
-// AdmitBatch submits a batch of jobs that share one admission instant (or a
-// non-decreasing run of instants) through a single Batch handle: the live
-// session advances once per distinct arrival and the backlog snapshot is
-// probed once and reused across the batch. Per-job failures are reported in
-// the matching BatchResult; a failed job admits nothing and later jobs in
-// the batch still submit, exactly as sequential Submit calls would.
-func (e *OnlineEngine) AdmitBatch(jobs []OnlineJob) []BatchResult {
-	b := e.BeginBatch()
-	out := make([]BatchResult, len(jobs))
-	for i, job := range jobs {
-		out[i].Decision, out[i].Err = b.Submit(job)
-	}
-	return out
-}
-
-// submit is the one admission path; bp non-nil shares the batch's backlog
-// snapshot, bp == nil is the sequential path (always probes the session).
-func (e *OnlineEngine) submit(job OnlineJob, bp *Batch) (*OnlineDecision, error) {
 	if e.finished {
 		return nil, errors.New("core: online engine already finished")
 	}
@@ -339,6 +269,9 @@ func (e *OnlineEngine) submit(job OnlineJob, bp *Batch) (*OnlineDecision, error)
 	}
 	if job.Arrival < e.lastArr {
 		return nil, &ArrivalOrderError{Job: ji, Arrival: job.Arrival, Clock: e.lastArr}
+	}
+	if job.Arrival != e.lastArr {
+		e.snapOK = false
 	}
 	e.lastArr = job.Arrival
 
@@ -367,26 +300,17 @@ func (e *OnlineEngine) submit(job OnlineJob, bp *Batch) (*OnlineDecision, error)
 		// What does the network look like when this job arrives? Advance
 		// the one live simulation from the previous arrival and read the
 		// outstanding bytes per port in place. The advance always runs —
-		// even mid-batch at an unchanged arrival it retires just-finished
-		// coflows on exactly the boundaries the sequential path does — but
-		// a batch handle with a snapshot for this arrival replaces the
-		// O(flows) BacklogInto rescan with a copy.
+		// at an unchanged arrival it moves no bytes, but it retires
+		// just-finished coflows on exactly the boundaries a lone job would —
+		// and a snapshot taken at this arrival stands in for the rescan.
 		if err := e.ses.Advance(job.Arrival); err != nil {
 			return nil, fmt.Errorf("core: online job %d: backlog probe: %w", ji, err)
 		}
-		if bp != nil && bp.valid && bp.arrival == job.Arrival {
-			copy(e.egB, bp.eg)
-			copy(e.inB, bp.in)
-		} else {
+		if !e.snapOK {
 			if err := e.ses.BacklogInto(e.egB, e.inB); err != nil {
 				return nil, fmt.Errorf("core: online job %d: %w", ji, err)
 			}
-			if bp != nil {
-				bp.arrival = job.Arrival
-				bp.valid = true
-				copy(bp.eg, e.egB)
-				copy(bp.in, e.inB)
-			}
+			e.snapOK = true
 		}
 		dec.Backlog = partition.Loads{
 			Egress:  append([]int64(nil), e.egB...),
@@ -418,8 +342,14 @@ func (e *OnlineEngine) submit(job OnlineJob, bp *Batch) (*OnlineDecision, error)
 	if err := e.ses.Admit(cf); err != nil {
 		return nil, fmt.Errorf("core: online job %d: %w", ji, err)
 	}
-	if bp != nil {
-		bp.noteAdmitted(cf, job.Arrival)
+	if e.snapOK {
+		// Fold the new coflow in with BacklogInto's own per-flow rounding:
+		// exact int64 additions, so the snapshot stays what a scan reads.
+		for _, f := range cf.LiveFlows() {
+			r := int64(f.Remaining + 0.5)
+			e.egB[f.Src] += r
+			e.inB[f.Dst] += r
+		}
 	}
 	e.jobs++
 	dec.Placement = pl

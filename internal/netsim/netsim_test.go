@@ -433,6 +433,30 @@ func TestRunIsIdempotentOnCoflowState(t *testing.T) {
 	}
 }
 
+// TestRunAllOrNothing feeds Run a bad coflow between two good ones: every
+// coflow is validated before any is staged, so the error leaves the good
+// coflows' flow state as the caller left it.
+func TestRunAllOrNothing(t *testing.T) {
+	good1 := coflow.New(0, "good1", 0, []coflow.Flow{{ID: 0, Src: 0, Dst: 1, Size: 1e6}})
+	bad := coflow.New(1, "bad", 0, []coflow.Flow{{ID: 0, Src: 2, Dst: 2, Size: 1e6}}) // self-loop
+	good2 := coflow.New(2, "good2", 0, []coflow.Flow{{ID: 0, Src: 1, Dst: 3, Size: 1e6}})
+	good := []*coflow.Coflow{good1, good2}
+	for _, c := range good {
+		f := c.Flows[0]
+		f.Remaining, f.Rate, f.Done = 42, 7, true
+	}
+	fab, _ := NewFabric(4, 0)
+	if _, err := NewSimulator(fab, coflow.NewVarys()).Run([]*coflow.Coflow{good1, bad, good2}); err == nil {
+		t.Fatal("Run accepted a coflow with a self-loop flow")
+	}
+	for _, c := range good {
+		if f := c.Flows[0]; f.Remaining != 42 || f.Rate != 7 || !f.Done {
+			t.Errorf("%s: the failed Run reset its flow: remaining %g, rate %g, done %v",
+				c.Name, f.Remaining, f.Rate, f.Done)
+		}
+	}
+}
+
 func TestAllSchedulersCompleteRandomWorkloads(t *testing.T) {
 	scheds := []coflow.Scheduler{
 		coflow.NewVarys(), coflow.NewFIFO(), coflow.NewSCF(), coflow.NewNCF(),

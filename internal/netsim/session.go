@@ -318,23 +318,11 @@ func (ss *Session) enqueue(c *coflow.Coflow) {
 	ss.pending = p
 }
 
-// AdmitBatch registers N coflows at one time boundary in a single call —
-// the multi-admit entry point the batched daemon path uses. Validation is
-// all-or-nothing: every coflow is checked against the fabric before any
-// flow state is touched, so a bad coflow in the middle of a batch admits
-// nothing. The registered order and arrival-sorted queue are identical to N
-// sequential Admit calls (stage inserts stably, ties keep batch order), no
-// epoch work runs in between, and the next Advance stops on exactly the
-// same boundaries — batch and sequential admission are byte-identical.
-func (ss *Session) AdmitBatch(cs []*coflow.Coflow) error {
-	if err := ss.check(); err != nil {
-		return err
-	}
-	return ss.latch(ss.admitBatch(cs))
-}
-
-// admitBatch is AdmitBatch without the lifecycle gate, shared with RunInto's
-// prologue.
+// admitBatch is RunInto's prologue. Validation is all-or-nothing: every
+// coflow is checked against the fabric before any flow state is touched, so
+// a bad coflow in the middle of the input admits nothing. The registered
+// order and arrival-sorted queue are those of one Admit per coflow (stage
+// inserts stably, ties keep input order).
 func (ss *Session) admitBatch(cs []*coflow.Coflow) error {
 	for _, c := range cs {
 		if err := ss.validateAdmit(c); err != nil {

@@ -293,8 +293,8 @@ func (s *Simulator) checkRates(active []*coflow.Coflow, egFac, inFac []float64) 
 	const tolAbs = 1e-9
 	tol := 1 + 1e-3
 	for p := 0; p < s.Fabric.Ports; p++ {
-		egLim := s.Fabric.EgressCap[p] * egFac[p] * tol
-		inLim := s.Fabric.IngressCap[p] * inFac[p] * tol
+		egLim := float64(s.Fabric.EgressCap[p] * egFac[p] * tol)
+		inLim := float64(s.Fabric.IngressCap[p] * inFac[p] * tol)
 		if eg[p] > egLim+tolAbs || in[p] > inLim+tolAbs {
 			return fmt.Errorf("refsim: scheduler %q oversubscribed port %d (eg=%.3g/%.3g in=%.3g/%.3g)",
 				s.Sched.Name(), p, eg[p], egLim, in[p], inLim)

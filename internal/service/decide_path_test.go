@@ -54,7 +54,7 @@ func TestDecidePathAllocationBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := eng.BeginBatch().Submit(job); err != nil {
+		if _, err := eng.Submit(job); err != nil {
 			t.Fatal(err)
 		}
 	}

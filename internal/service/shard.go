@@ -374,8 +374,8 @@ type batchEntry struct {
 
 // processBatch admits a drained batch in three phases. Phase 1 decides each
 // job in queue order — per-job deadline checks, the degradation ladder,
-// arrival resolution (lifting through one engine batch handle, which shares
-// a single backlog snapshot per clock instant), engine submit. Submissions
+// arrival resolution (lifted jobs share the engine clock, so the engine
+// scans the backlog once per clock instant), engine Submit. Submissions
 // that fail reply immediately (they never touch the journal); admitted jobs
 // are held. Phase 2 journals every admitted record with one group-committed
 // WAL append (one write, one fsync): a failure fences the shard and every
@@ -383,10 +383,9 @@ type batchEntry struct {
 // batch-wide acked⇒journaled invariant. Phase 3 publishes and releases the
 // held replies. Decisions are byte-identical to processing the same queue
 // order with BatchMax=1: the engine path is the same per-job sequence, only
-// the backlog rescan and the fsync are amortized.
+// the fsync is amortized.
 func (sh *shard) processBatch(batch []*request) {
 	obs := sh.obs
-	eb := sh.eng.BeginBatch()
 	entries := sh.entriesBuf[:0]
 	sh.specs = sh.specs[:0]
 	for _, req := range batch {
@@ -434,7 +433,7 @@ func (sh *shard) processBatch(batch []*request) {
 			req.reply <- reply{err: err}
 			continue
 		}
-		dec, err := eb.Submit(job)
+		dec, err := sh.eng.Submit(job)
 		if errors.Is(err, core.ErrArrivalOutOfOrder) {
 			// Concurrent intake reordered arrivals across clients; the
 			// engine rejected loudly (typed, state untouched) and we lift
@@ -445,7 +444,7 @@ func (sh *shard) processBatch(batch []*request) {
 			spec.Arrival = &now
 			job.Arrival = now
 			lifted = true
-			dec, err = eb.Submit(job)
+			dec, err = sh.eng.Submit(job)
 		}
 		if err != nil {
 			sh.rejected.Add(1)

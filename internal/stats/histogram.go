@@ -38,16 +38,6 @@ func NewHistogram(bounds ...float64) (*Histogram, error) {
 	}, nil
 }
 
-// LinearBounds returns n ascending bounds start+width, start+2*width, ...
-// — a convenience for NewHistogram.
-func LinearBounds(start, width float64, n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start + width*float64(i+1)
-	}
-	return out
-}
-
 // Observe adds one observation. NaNs are ignored.
 func (h *Histogram) Observe(x float64) {
 	if math.IsNaN(x) {

@@ -60,19 +60,6 @@ func TestHistogramIgnoresNaN(t *testing.T) {
 	}
 }
 
-func TestLinearBounds(t *testing.T) {
-	got := LinearBounds(0, 0.5, 3)
-	want := []float64{0.5, 1, 1.5}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("LinearBounds = %v, want %v", got, want)
-		}
-	}
-	if _, err := NewHistogram(LinearBounds(1, 1, 4)...); err != nil {
-		t.Errorf("LinearBounds output rejected: %v", err)
-	}
-}
-
 func TestHistogramRender(t *testing.T) {
 	h, _ := NewHistogram(1, 2)
 	h.Observe(0.5)

@@ -343,7 +343,7 @@ func (g *Generator) fill(cfg *Config, normalBytes int64, lo, hi int) {
 			}
 			if jitter > 0 {
 				h := splitmix64(rowKey ^ uint64(k)*0x9E3779B97F4A7C15)
-				f *= 1 + jitter*(2*unitUniform(h)-1)
+				f *= 1 + float64(jitter*(float64(2*unitUniform(h))-1))
 			}
 			tot := totLo
 			if k < remainder {
