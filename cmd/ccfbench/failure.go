@@ -18,11 +18,11 @@ import (
 // chaosExp runs the seeded chaos sweep and prints the aggregate summary.
 // Any invariant violation is printed and turns into a non-zero exit.
 func chaosExp(seeds, workers int) error {
-	fmt.Printf("Chaos sweep: %d fault schedules x 8 coflow schedulers, rotating retransmission policies\n", seeds)
 	res, err := core.RunChaos(core.ChaosConfig{Seeds: seeds, Workers: workers})
 	if err != nil {
 		return err
 	}
+	fmt.Printf("Chaos sweep: %d fault schedules x %d coflow schedulers, rotating retransmission policies\n", seeds, res.Runs/seeds)
 	fmt.Printf("  runs:           %d\n", res.Runs)
 	fmt.Printf("  wasted bytes:   %.0f (voided by restarts, re-sent)\n", res.TotalWasted)
 	fmt.Printf("  flow restarts:  %d\n", res.TotalRestarts)

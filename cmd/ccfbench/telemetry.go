@@ -1,6 +1,6 @@
 package main
 
-// The telemetry experiment: one seeded online workload through all 8
+// The telemetry experiment: one seeded online workload through all 7
 // coflow schedulers with a telemetry recorder attached, reduced to a
 // utilization/stretch row per scheduler. The columns make the scheduler
 // trade-offs visible at a glance: Varys buys low mean stretch with

@@ -26,7 +26,7 @@ func TestAuditablePriorityOrder(t *testing.T) {
 	}
 
 	// The other priority-ordered schedulers expose the interface too.
-	for _, sc := range []Scheduler{NewFIFO(), NewSCF(), NewNCF(), NewAalo(), NewVarysDeadline()} {
+	for _, sc := range []Scheduler{NewFIFO(), NewSCF(), NewNCF(), NewAalo()} {
 		if _, ok := sc.(Auditable); !ok {
 			t.Errorf("%s does not implement Auditable", sc.Name())
 		}

@@ -27,10 +27,6 @@ func churnSchedulers(sparse bool) []churnScheduler {
 	a.SetSparse(sparse)
 	out = append(out, churnScheduler{a.Name(), a, true,
 		func(c *Coflow, _ *allocScratch) float64 { return float64(a.queueOf(c)) }})
-	if !sparse {
-		out = append(out, churnScheduler{"varys-deadline", NewVarysDeadline(), false,
-			func(c *Coflow, _ *allocScratch) float64 { return c.Arrival }})
-	}
 	return out
 }
 
@@ -42,9 +38,6 @@ func churnCoflow(rn *rand.Rand, id int, now float64, ports int) *Coflow {
 		flows[i] = Flow{ID: i, Src: rn.Intn(ports), Dst: rn.Intn(ports), Size: float64(1+rn.Intn(4)) * 4e6}
 	}
 	c := New(id, "", now, flows)
-	if rn.Intn(4) == 0 {
-		c.Deadline = now + float64(1+rn.Intn(20))
-	}
 	for _, f := range c.Flows {
 		f.Remaining = f.Size
 	}

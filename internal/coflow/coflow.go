@@ -46,10 +46,6 @@ type Coflow struct {
 	ID      int
 	Name    string
 	Arrival float64 // seconds
-	// Deadline, when positive, is the completion target in seconds
-	// relative to Arrival; the Varys deadline-mode scheduler admits or
-	// rejects based on it. Zero means best-effort.
-	Deadline float64
 	// Weight scales this coflow's contribution to weighted completion-time
 	// metrics (Report.WeightedAvgCCT and the weighted-CCT schedulers built on
 	// it). Zero means the default weight 1, so every existing construction
@@ -192,19 +188,8 @@ func (c *Coflow) Reactivate(f *Flow) {
 	c.sim.inCnt[f.Dst]++
 }
 
-// CapacityObserver is implemented by schedulers that cache decisions which
-// depend on fabric capacity (e.g. deadline admission control). The event
-// engine notifies observers when a port fails or recovers — not on plain
-// CapacityEvent rescales, whose behavior predates the failure model and is
-// pinned by the refsim equivalence suite.
-type CapacityObserver interface {
-	// CapacityChanged reports that port capacities changed at time now in
-	// a way the scheduler may want to re-evaluate cached state for.
-	CapacityChanged(now float64)
-}
-
 // Auditable is implemented by schedulers that maintain an explicit serving
-// order (Varys/SEBF, FIFO, SCF, NCF, Aalo's D-CLAS queues, deadline mode).
+// order (Varys/SEBF, FIFO, SCF, NCF, Aalo's D-CLAS queues).
 // Telemetry probes use it to snapshot the decision the scheduler just made —
 // which coflow is being served first and why a later one is starved.
 type Auditable interface {

@@ -20,20 +20,3 @@ func ExampleCoflow_Bottleneck() {
 	// Output:
 	// width 3, total 14 bytes, bottleneck 12 bytes
 }
-
-// Deadline mode admits a coflow only if its finish-at-deadline rates fit
-// the capacity left by earlier reservations.
-func ExampleNewVarysDeadline() {
-	a := coflow.New(0, "a", 0, []coflow.Flow{{ID: 0, Src: 0, Dst: 1, Size: 10}})
-	a.Deadline = 10 // needs the whole unit port
-	b := coflow.New(1, "b", 0, []coflow.Flow{{ID: 0, Src: 0, Dst: 1, Size: 5}})
-	b.Deadline = 100
-
-	d := coflow.NewVarysDeadline()
-	eg := []float64{1, 1}
-	in := []float64{1, 1}
-	d.Allocate(0, []*coflow.Coflow{a, b}, eg, in)
-	fmt.Printf("a admitted: %v, b admitted: %v\n", d.Admitted(0), d.Admitted(1))
-	// Output:
-	// a admitted: true, b admitted: false
-}

@@ -23,8 +23,8 @@ import (
 // Not safe for concurrent use.
 type allocScratch struct {
 	// need accumulates per-port remaining bytes (maddAllocate, Bottleneck
-	// keys, deadline admission); cnt counts flows per port (waterFill
-	// levels, and doubles as the "port already touched" marker everywhere).
+	// keys); cnt counts flows per port (waterFill levels, and doubles as the
+	// "port already touched" marker everywhere).
 	egNeed, inNeed []float64
 	egCnt, inCnt   []int
 	// touched lists the ports with a non-zero cnt entry so clearing is
@@ -136,22 +136,3 @@ func sortByKey(order []*Coflow, tieArrival bool) {
 		order[j+1] = c
 	}
 }
-
-// insertionSortByArrival stable-sorts coflows by arrival time without
-// allocating (the simulator's admission queue; almost always already in
-// order). Stable sorts are unique, so the result matches sort.SliceStable.
-func insertionSortByArrival(cs []*Coflow) {
-	for i := 1; i < len(cs); i++ {
-		c := cs[i]
-		j := i - 1
-		for j >= 0 && c.Arrival < cs[j].Arrival {
-			cs[j+1] = cs[j]
-			j--
-		}
-		cs[j+1] = c
-	}
-}
-
-// InsertionSortByArrival exposes the allocation-free stable arrival sort for
-// the simulator's admission queue.
-func InsertionSortByArrival(cs []*Coflow) { insertionSortByArrival(cs) }

@@ -2,7 +2,7 @@ package core
 
 // Chaos harness — randomized fault injection over every coflow scheduler.
 // Each seed generates a small online workload and a schedule of transient
-// port outages, runs all 8 schedulers through it under a rotating
+// port outages, runs all 7 schedulers through it under a rotating
 // retransmission policy, and checks the failure-model invariants that must
 // hold regardless of scheduler or fault pattern:
 //
@@ -69,8 +69,8 @@ type ChaosResult struct {
 	MaxSlowdown   float64 // worst faulted/clean makespan ratio observed
 }
 
-// chaosSchedulers returns fresh instances of all 8 coflow schedulers.
-// Stateful schedulers (Aalo, deadline mode) must be rebuilt per run.
+// chaosSchedulers returns fresh instances of all 7 coflow schedulers.
+// Stateful schedulers (Aalo) must be rebuilt per run.
 func chaosSchedulers() []struct {
 	name string
 	mk   func() coflow.Scheduler
@@ -86,7 +86,6 @@ func chaosSchedulers() []struct {
 		{"aalo", func() coflow.Scheduler { return coflow.NewAalo() }},
 		{"per-flow-fair", func() coflow.Scheduler { return coflow.PerFlowFair{} }},
 		{"sequential-by-dest", func() coflow.Scheduler { return coflow.SequentialByDest{} }},
-		{"varys-deadline", func() coflow.Scheduler { return coflow.NewVarysDeadline() }},
 	}
 }
 

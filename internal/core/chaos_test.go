@@ -16,7 +16,7 @@ func TestChaosInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := 32 * 8; res.Runs != want {
+	if want := 32 * 7; res.Runs != want {
 		t.Errorf("runs = %d, want %d", res.Runs, want)
 	}
 	for _, v := range res.Violations {

@@ -5,7 +5,7 @@ package core
 // run to the utilization/stretch row `ccfbench -exp telemetry` prints. The
 // same lens the experimental coflow-scheduling literature uses to explain
 // scheduler behavior — per-port utilization and per-coflow timelines —
-// applied to our 8 schedulers on identical input.
+// applied to our 7 schedulers on identical input.
 
 import (
 	"fmt"
@@ -49,7 +49,7 @@ type TelemetryRow struct {
 	Summary *telemetry.Summary
 }
 
-// TelemetryExperiment runs the seeded workload under all 8 coflow
+// TelemetryExperiment runs the seeded workload under all 7 coflow
 // schedulers, each observed by a fresh Recorder, and returns one row per
 // scheduler in the fixed scheduler order (deterministic output).
 func TelemetryExperiment(cfg TelemetryConfig) ([]TelemetryRow, error) {

@@ -24,10 +24,9 @@ import (
 // cfSpec describes one coflow of a generated workload; build materialises
 // fresh, independent coflow sets so the two simulators never share state.
 type cfSpec struct {
-	id       int
-	arrival  float64
-	deadline float64
-	flows    []coflow.Flow
+	id      int
+	arrival float64
+	flows   []coflow.Flow
 }
 
 type workloadSpec struct {
@@ -42,9 +41,7 @@ type workloadSpec struct {
 func (w *workloadSpec) build() []*coflow.Coflow {
 	out := make([]*coflow.Coflow, 0, len(w.coflows))
 	for _, cs := range w.coflows {
-		c := coflow.New(cs.id, fmt.Sprintf("cf%d", cs.id), cs.arrival, cs.flows)
-		c.Deadline = cs.deadline
-		out = append(out, c)
+		out = append(out, coflow.New(cs.id, fmt.Sprintf("cf%d", cs.id), cs.arrival, cs.flows))
 	}
 	return out
 }
@@ -60,8 +57,8 @@ func (w *workloadSpec) fabric(t *testing.T) netsim.Fabric {
 
 // randomSpec draws a workload spanning the full feature space: heterogeneous
 // fabrics, staggered arrivals, dependency DAGs, capacity events (including
-// full port outages), horizons, and deadlines.
-func randomSpec(rng *rand.Rand, withDeadlines bool) workloadSpec {
+// full port outages) and horizons.
+func randomSpec(rng *rand.Rand) workloadSpec {
 	n := 2 + rng.Intn(7)
 	w := workloadSpec{ports: n}
 	w.egCap = make([]float64, n)
@@ -77,9 +74,6 @@ func randomSpec(rng *rand.Rand, withDeadlines bool) workloadSpec {
 	ncf := 1 + rng.Intn(8)
 	for ci := 0; ci < ncf; ci++ {
 		cs := cfSpec{id: ci, arrival: float64(rng.Intn(40)) * 0.25}
-		if withDeadlines && rng.Intn(2) == 0 {
-			cs.deadline = 0.5 + rng.Float64()*20
-		}
 		nf := 1 + rng.Intn(10)
 		for fi := 0; fi < nf; fi++ {
 			src := rng.Intn(n)
@@ -122,25 +116,21 @@ func randomSpec(rng *rand.Rand, withDeadlines bool) workloadSpec {
 // schedPairs pairs each production scheduler with its frozen reference twin.
 var schedPairs = []struct {
 	name      string
-	deadlines bool
 	prod, ref func() coflow.Scheduler
 }{
-	{"varys", false, coflow.NewVarys, refsim.NewVarys},
-	{"fifo", false, coflow.NewFIFO, refsim.NewFIFO},
-	{"scf", false, coflow.NewSCF, refsim.NewSCF},
-	{"ncf", false, coflow.NewNCF, refsim.NewNCF},
-	{"aalo", false,
+	{"varys", coflow.NewVarys, refsim.NewVarys},
+	{"fifo", coflow.NewFIFO, refsim.NewFIFO},
+	{"scf", coflow.NewSCF, refsim.NewSCF},
+	{"ncf", coflow.NewNCF, refsim.NewNCF},
+	{"aalo",
 		func() coflow.Scheduler { return coflow.NewAalo() },
 		func() coflow.Scheduler { return refsim.NewAalo() }},
-	{"per-flow-fair", false,
+	{"per-flow-fair",
 		func() coflow.Scheduler { return coflow.PerFlowFair{} },
 		func() coflow.Scheduler { return refsim.PerFlowFair{} }},
-	{"sequential-by-dest", false,
+	{"sequential-by-dest",
 		func() coflow.Scheduler { return coflow.SequentialByDest{} },
 		func() coflow.Scheduler { return refsim.SequentialByDest{} }},
-	{"varys-deadline", true,
-		func() coflow.Scheduler { return coflow.NewVarysDeadline() },
-		func() coflow.Scheduler { return refsim.NewVarysDeadline() }},
 }
 
 func compareRuns(t *testing.T, tag string, spec *workloadSpec,
@@ -207,7 +197,7 @@ func TestOptimizedSimulatorMatchesReference(t *testing.T) {
 		pair := pair
 		t.Run(pair.name, func(t *testing.T) {
 			for seed := int64(0); seed < seeds; seed++ {
-				spec := randomSpec(rand.New(rand.NewSource(seed)), pair.deadlines)
+				spec := randomSpec(rand.New(rand.NewSource(seed)))
 				fab := spec.fabric(t)
 
 				prodCfs := spec.build()
@@ -242,13 +232,10 @@ func TestOptimizedSimulatorMatchesReference(t *testing.T) {
 // are only comparable rerun-for-rerun.
 func TestOptimizedSimulatorMatchesReferenceReused(t *testing.T) {
 	for _, pair := range schedPairs {
-		if pair.deadlines {
-			continue // Deadline is documented as single-run; skip reuse
-		}
 		pair := pair
 		t.Run(pair.name, func(t *testing.T) {
 			for seed := int64(100); seed < 105; seed++ {
-				spec := randomSpec(rand.New(rand.NewSource(seed)), false)
+				spec := randomSpec(rand.New(rand.NewSource(seed)))
 				fab := spec.fabric(t)
 				sim := netsim.NewSimulator(fab, pair.prod())
 				sim.Events = spec.events

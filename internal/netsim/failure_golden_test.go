@@ -156,7 +156,7 @@ func TestFailureGolden(t *testing.T) {
 		for _, pol := range retransmitPolicies {
 			for seed := int64(0); seed < seeds; seed++ {
 				rng := rand.New(rand.NewSource(seed))
-				spec := randomSpec(rng, pair.deadlines)
+				spec := randomSpec(rng)
 				fails := withFailures(rng, &spec)
 				fab := spec.fabric(t)
 				key := fmt.Sprintf("%s/%s/seed=%d", pair.name, pol.name, seed)

@@ -129,47 +129,6 @@ func TestFailureValidation(t *testing.T) {
 	}
 }
 
-func TestFailureTriggersDeadlineReevaluation(t *testing.T) {
-	// CCT under exclusive use is 10 s, so deadline 15 admits at t=0. Port 1
-	// then dies from t=2 to t=12; re-admission at t=2 sees zero ingress
-	// capacity and rejects, and at t=12 only 3 s remain for 800 bytes at
-	// 100 B/s — rejected again, served best-effort, deadline missed.
-	fab, _ := NewFabric(2, 100)
-	d := coflow.NewVarysDeadline()
-	sim := NewSimulator(fab, d)
-	sim.Failures = []PortFailure{{Port: 1, Down: 2, Up: 12}}
-	sim.Retransmit = RetransmitResume
-	c := mkCoflow(0, 0, [3]float64{0, 1, 1000})
-	c.Deadline = 15
-	rep, err := sim.Run([]*coflow.Coflow{c})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Admitted(0) {
-		t.Error("coflow still admitted after capacity loss re-evaluation")
-	}
-	st := coflow.CollectDeadlineStats([]*coflow.Coflow{c}, d)
-	if st.Met != 0 || st.Admitted != 0 {
-		t.Errorf("deadline stats = %+v, want 0 met / 0 admitted", st)
-	}
-	// Best-effort completion: waits out the outage, finishes at 20.
-	if math.Abs(rep.Makespan-20) > 1e-9 {
-		t.Errorf("makespan = %g, want 20", rep.Makespan)
-	}
-
-	// Without the failure the same setup admits and meets the deadline.
-	d2 := coflow.NewVarysDeadline()
-	sim2 := NewSimulator(fab, d2)
-	c2 := mkCoflow(0, 0, [3]float64{0, 1, 1000})
-	c2.Deadline = 15
-	if _, err := sim2.Run([]*coflow.Coflow{c2}); err != nil {
-		t.Fatal(err)
-	}
-	if !d2.Admitted(0) {
-		t.Error("fault-free control run did not admit the coflow")
-	}
-}
-
 func TestFaultedRunLeavesNoStateBehind(t *testing.T) {
 	// A simulator that ran with failures (including a permanent one that
 	// errors out) must behave identically to a fresh simulator on the next

@@ -111,7 +111,7 @@ func TestEventHorizonAdvanceBoundaries(t *testing.T) {
 		pair := pair
 		t.Run(pair.name, func(t *testing.T) {
 			for seed := int64(200); seed < 212; seed++ {
-				spec := randomSpec(rand.New(rand.NewSource(seed)), pair.deadlines)
+				spec := randomSpec(rand.New(rand.NewSource(seed)))
 				spec.deps = nil
 				spec.horizon = 0
 				fab := spec.fabric(t)
@@ -292,7 +292,7 @@ func TestReleaseCompletedRejectsFailures(t *testing.T) {
 // weighted average equals the plain average bit-for-bit (every weight is
 // exactly 1), and with weights set it matches a hand-computed Σw·CCT/Σw.
 func TestWeightedAvgCCTDefaults(t *testing.T) {
-	spec := randomSpec(rand.New(rand.NewSource(42)), false)
+	spec := randomSpec(rand.New(rand.NewSource(42)))
 	spec.deps = nil
 	spec.horizon = 0
 	spec.events = nil

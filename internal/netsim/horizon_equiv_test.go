@@ -67,7 +67,7 @@ func TestEventHorizonMatchesDense(t *testing.T) {
 		pair := pair
 		t.Run(pair.name, func(t *testing.T) {
 			for seed := int64(0); seed < seeds; seed++ {
-				spec := randomSpec(rand.New(rand.NewSource(seed)), pair.deadlines)
+				spec := randomSpec(rand.New(rand.NewSource(seed)))
 				fab := spec.fabric(t)
 				runPair(t, fmt.Sprintf("%s/seed=%d", pair.name, seed), &spec,
 					func() *netsim.Simulator {
@@ -105,7 +105,7 @@ func TestEventHorizonMatchesDenseUnderFailures(t *testing.T) {
 			for _, pol := range policies {
 				for seed := int64(0); seed < seeds; seed++ {
 					rng := rand.New(rand.NewSource(seed))
-					spec := randomSpec(rng, pair.deadlines)
+					spec := randomSpec(rng)
 					fails := withFailures(rng, &spec)
 					fab := spec.fabric(t)
 					tag := fmt.Sprintf("%s/%s/seed=%d", pair.name, pol.name, seed)
@@ -134,7 +134,7 @@ func TestEventHorizonReusedSchedulerClearsSparse(t *testing.T) {
 	for _, pair := range schedPairs {
 		pair := pair
 		t.Run(pair.name, func(t *testing.T) {
-			spec := randomSpec(rand.New(rand.NewSource(11)), pair.deadlines)
+			spec := randomSpec(rand.New(rand.NewSource(11)))
 			fab := spec.fabric(t)
 
 			denseCfs := spec.build()

@@ -11,10 +11,9 @@ package netsim
 //
 // That holds for schedulers whose allocation is a function of the active
 // set they are handed — Varys, Aalo, FIFO, SCF, NCF and the per-flow
-// baselines. A scheduler with memory of its own (deadline admission
-// decisions) is not captured. Flow IDs are restored as positions within the
-// coflow and per-flow end times are not kept: both are outputs nothing in a
-// running session reads.
+// baselines. A scheduler with memory of its own would not be captured. Flow
+// IDs are restored as positions within the coflow and per-flow end times are
+// not kept: both are outputs nothing in a running session reads.
 //
 // Layout, every word big-endian:
 //
@@ -24,8 +23,8 @@ package netsim
 //	u64 ×2   R resident coflows, A of them active; then per resident, in
 //	         admission order:
 //	  u64 ×7   rank (tombstones admitted before it), slot (0 = queued, k =
-//	           k-th in the active list), id, arrival, deadline, weight,
-//	           sent-bytes bits
+//	           k-th in the active list), id, arrival, reserved (0),
+//	           weight, sent-bytes bits
 //	  u64      name length, then the name
 //	  u64      F, then F flows of u32 src, u32 dst, u64 size bits,
 //	           u64 remaining bits, u8 done
@@ -104,7 +103,7 @@ func (ss *Session) AppendImage(b []byte) ([]byte, error) {
 		b = be.AppendUint64(b, uint64(slot[c]))
 		b = be.AppendUint64(b, uint64(c.ID))
 		b = be.AppendUint64(b, math.Float64bits(c.Arrival))
-		b = be.AppendUint64(b, math.Float64bits(c.Deadline))
+		b = be.AppendUint64(b, 0) // reserved
 		b = be.AppendUint64(b, math.Float64bits(c.Weight))
 		b = be.AppendUint64(b, math.Float64bits(c.SentBytes))
 		b = be.AppendUint64(b, uint64(len(c.Name)))
@@ -233,7 +232,9 @@ func (ss *Session) load(img []byte) error {
 			return fmt.Errorf("resident %d: rank %d after %d", i, rank, ss.rank[i-1])
 		}
 		slot := r.count("active slot", len(active))
-		c := &coflow.Coflow{ID: r.id(), Arrival: r.f64(), Deadline: r.f64(), Weight: r.f64(), SentBytes: r.f64()}
+		c := &coflow.Coflow{ID: r.id(), Arrival: r.f64()}
+		r.count("reserved word", 0)
+		c.Weight, c.SentBytes = r.f64(), r.f64()
 		c.Name = string(r.take(r.count("name length", len(r.b))))
 		nf := r.records("flow count", imageFlowBytes)
 		flows := make([]coflow.Flow, nf)

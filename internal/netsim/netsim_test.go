@@ -515,36 +515,3 @@ func TestBandwidthModelCCT(t *testing.T) {
 		t.Errorf("empty coflow CCT = %g (err %v), want 0", got, err)
 	}
 }
-
-func TestDeadlineModeThroughSimulator(t *testing.T) {
-	// Three coflows sharing a port. A (10B, deadline 12) admitted; B
-	// (10B, deadline 13) rejected after A's reservation; C best-effort.
-	a := mkCoflow(0, 0, [3]float64{0, 1, 10})
-	a.Deadline = 12
-	b := mkCoflow(1, 0, [3]float64{0, 1, 10})
-	b.Deadline = 13
-	c := mkCoflow(2, 0, [3]float64{2, 3, 7})
-	d := coflow.NewVarysDeadline()
-	fab, _ := NewFabric(4, 1)
-	rep, err := NewSimulator(fab, d).Run([]*coflow.Coflow{a, b, c})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !d.Admitted(0) || d.Admitted(1) {
-		t.Fatalf("admissions: a=%v b=%v, want true/false", d.Admitted(0), d.Admitted(1))
-	}
-	if rep.CCTs[0] > 12+1e-6 {
-		t.Errorf("admitted coflow CCT %g missed deadline 12", rep.CCTs[0])
-	}
-	if rep.CCTs[2] > 7+1e-6 {
-		t.Errorf("disjoint best-effort coflow CCT %g, want 7 (full port via backfill)", rep.CCTs[2])
-	}
-	stats := coflow.CollectDeadlineStats([]*coflow.Coflow{a, b, c}, d)
-	if stats.WithDeadline != 2 || stats.Admitted != 1 || stats.Met < 1 {
-		t.Errorf("deadline stats = %+v", stats)
-	}
-	// All bytes delivered despite the rejection (best-effort service).
-	if math.Abs(rep.TotalBytes-27) > 1e-6 {
-		t.Errorf("moved %g bytes, want 27", rep.TotalBytes)
-	}
-}

@@ -5,6 +5,7 @@ package netsim
 // decide exactly like a session that keeps everything.
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -257,6 +258,25 @@ func TestImageRefusals(t *testing.T) {
 	}
 	if err := load(append(slices.Clone(good), 0), ports); !errors.Is(err, ErrImage) {
 		t.Errorf("trailing byte: %v, want ErrImage", err)
+	}
+	// The word after the first resident's arrival (past the header,
+	// tombstones, weights, resident and active counts, rank, slot and id)
+	// is reserved: images carry 0 there, and a load refuses anything else.
+	be := binary.BigEndian
+	off := 4 * 8
+	off += 8 + int(be.Uint64(good[off:]))*imageTombBytes
+	off += 8 + int(be.Uint64(good[off:]))*imageWeightBytes
+	if be.Uint64(good[off:]) == 0 {
+		t.Fatal("no resident coflow to check")
+	}
+	off += 2*8 + 4*8
+	if w := be.Uint64(good[off:]); w != 0 {
+		t.Fatalf("reserved word = %#x, want 0", w)
+	}
+	forged := slices.Clone(good)
+	be.PutUint64(forged[off:], math.Float64bits(15))
+	if err := load(forged, ports); !errors.Is(err, ErrImage) {
+		t.Errorf("reserved word %#x: %v, want ErrImage", be.Uint64(forged[off:]), err)
 	}
 	// Every truncation fails typed, and a forged count (any word raised to
 	// 2⁶²) never sizes an allocation: it is refused against the bytes left.

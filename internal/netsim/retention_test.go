@@ -26,7 +26,6 @@ func TestReleasedCoflowsAreCollectable(t *testing.T) {
 		{"varys", coflow.NewVarys},
 		{"fifo", coflow.NewFIFO},
 		{"aalo", func() coflow.Scheduler { return coflow.NewAalo() }},
-		{"deadline", func() coflow.Scheduler { return coflow.NewVarysDeadline() }},
 		{"per-flow-fair", func() coflow.Scheduler { return coflow.PerFlowFair{} }},
 		{"sequential-by-dest", func() coflow.Scheduler { return coflow.SequentialByDest{} }},
 	}

@@ -70,7 +70,6 @@ type Session struct {
 	events   []CapacityEvent // unapplied suffix of the sorted event schedule
 	nextFail int
 	haveFail bool
-	obs      coflow.CapacityObserver
 	begun    bool
 	finished bool
 	err      error
@@ -186,7 +185,6 @@ func (ss *Session) begin(s *Simulator, rep *Report) error {
 		sortFailTransitions(failEv)
 	}
 	sc.failEv = failEv
-	ss.obs, _ = s.sched.(coflow.CapacityObserver)
 	// The toggle is propagated unconditionally so a scheduler reused on a
 	// simulator without EventHorizon drops its sparse bookkeeping.
 	ss.sa, _ = s.sched.(coflow.SparseAllocator)
@@ -564,8 +562,7 @@ func (ss *Session) loop(stop float64) error {
 		}
 		// Apply due failure edges. Down edges void progress per the
 		// retransmission policy and may re-enter delivered flows into their
-		// coflows' live sets; both edges invalidate capacity-dependent
-		// scheduler state (deadline admissions).
+		// coflows' live sets.
 		for nextFail < len(failEv) && failEv[nextFail].time <= now+1e-12 {
 			tr := failEv[nextFail]
 			nextFail++
@@ -577,9 +574,6 @@ func (ss *Session) loop(stop float64) error {
 			}
 			if s.Probe != nil {
 				s.Probe.FailureEdge(now, tr.port, tr.up)
-			}
-			if ss.obs != nil {
-				ss.obs.CapacityChanged(now)
 			}
 		}
 		// Retire completed coflows (O(1) per coflow via the live-flow cache).

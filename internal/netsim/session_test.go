@@ -97,7 +97,7 @@ func TestSessionMatchesRunInto(t *testing.T) {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
 			for seed := int64(0); seed < seeds; seed++ {
-				spec := randomSpec(rand.New(rand.NewSource(seed)), false)
+				spec := randomSpec(rand.New(rand.NewSource(seed)))
 
 				refCfs := spec.build()
 				refSim := netsim.NewSimulator(spec.fabric(t), sc.mk())

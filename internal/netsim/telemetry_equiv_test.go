@@ -4,9 +4,9 @@ package netsim_test
 // change a single bit of the simulation. The probe contract (read-only
 // observation, no float operations on the simulation's state) makes this a
 // theorem about the code; this test pins it empirically across the same
-// seeded workload space the refsim equivalence suite uses — all 8
+// seeded workload space the refsim equivalence suite uses — all 7
 // schedulers, heterogeneous fabrics, staggered arrivals, dependency DAGs,
-// capacity events, outages, horizons, deadlines.
+// capacity events, outages, horizons.
 
 import (
 	"fmt"
@@ -31,7 +31,7 @@ func TestTelemetryDoesNotPerturbSimulation(t *testing.T) {
 		pair := pair
 		t.Run(pair.name, func(t *testing.T) {
 			for seed := int64(0); seed < seeds; seed++ {
-				spec := randomSpec(rand.New(rand.NewSource(seed)), pair.deadlines)
+				spec := randomSpec(rand.New(rand.NewSource(seed)))
 				fab := spec.fabric(t)
 
 				offCfs := spec.build()

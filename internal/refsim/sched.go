@@ -327,105 +327,3 @@ func (SequentialByDest) Allocate(_ float64, active []*coflow.Coflow, egCap, inCa
 	}
 	waterFill(subset, egCap, inCap)
 }
-
-// admission state of a coflow within one reference deadline simulation.
-type admission int
-
-const (
-	undecided admission = iota
-	admitted
-	rejected
-)
-
-// Deadline is the reference Varys deadline-mode scheduler.
-type Deadline struct {
-	state map[int]admission
-}
-
-// NewVarysDeadline returns a fresh reference deadline-mode scheduler.
-func NewVarysDeadline() *Deadline {
-	return &Deadline{state: make(map[int]admission)}
-}
-
-// Name implements coflow.Scheduler.
-func (d *Deadline) Name() string { return "ref-varys-deadline" }
-
-// Admitted reports the admission decision for a coflow ID.
-func (d *Deadline) Admitted(id int) bool { return d.state[id] == admitted }
-
-// Allocate implements coflow.Scheduler.
-func (d *Deadline) Allocate(now float64, active []*coflow.Coflow, egCap, inCap []float64) {
-	resetRates(active)
-	order := append([]*coflow.Coflow(nil), active...)
-	sort.SliceStable(order, func(a, b int) bool {
-		if order[a].Arrival != order[b].Arrival {
-			return order[a].Arrival < order[b].Arrival
-		}
-		return order[a].ID < order[b].ID
-	})
-
-	for _, c := range order {
-		if c.Deadline <= 0 {
-			continue
-		}
-		switch d.state[c.ID] {
-		case rejected:
-			continue
-		case undecided:
-			if d.admit(c, now, egCap, inCap) {
-				d.state[c.ID] = admitted
-			} else {
-				d.state[c.ID] = rejected
-				continue
-			}
-		}
-		timeLeft := c.Arrival + c.Deadline - now
-		if timeLeft <= 0 {
-			maddAllocate(c, egCap, inCap)
-			continue
-		}
-		for _, f := range c.Flows {
-			if f.Done {
-				continue
-			}
-			r := f.Remaining / timeLeft
-			r = math.Min(r, math.Min(egCap[f.Src], inCap[f.Dst]))
-			if r < 0 {
-				r = 0
-			}
-			f.Rate += r
-			egCap[f.Src] -= r
-			inCap[f.Dst] -= r
-		}
-	}
-	waterFill(activeFlows(active), egCap, inCap)
-}
-
-// admit checks whether finish-at-deadline rates fit the residual capacity.
-func (d *Deadline) admit(c *coflow.Coflow, now float64, egCap, inCap []float64) bool {
-	timeLeft := c.Arrival + c.Deadline - now
-	if timeLeft <= 0 {
-		return false
-	}
-	egNeed := map[int]float64{}
-	inNeed := map[int]float64{}
-	for _, f := range c.Flows {
-		if f.Done {
-			continue
-		}
-		egNeed[f.Src] += f.Remaining / timeLeft
-		inNeed[f.Dst] += f.Remaining / timeLeft
-	}
-	const tol = 1 + 1e-9
-	for p, need := range egNeed {
-		if need > egCap[p]*tol {
-			return false
-		}
-	}
-	for p, need := range inNeed {
-		if need > inCap[p]*tol {
-			return false
-		}
-	}
-	return true
-}

@@ -211,7 +211,7 @@ func TestRestartReplaysWhatIntakeNowRefuses(t *testing.T) {
 		gen := old[i]
 		gen.Nodes = cfg.Nodes
 		arrival := float64(i)
-		if err := w.Append(uint64(i+1), &JobSpec{Name: "old", Arrival: &arrival, Gen: &gen}); err != nil {
+		if err := w.AppendBatch(uint64(i+1), []JobSpec{{Name: "old", Arrival: &arrival, Gen: &gen}}); err != nil {
 			t.Fatal(err)
 		}
 	}

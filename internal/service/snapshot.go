@@ -371,34 +371,21 @@ func appendRecord(buf []byte, seq uint64, spec *JobSpec) ([]byte, error) {
 	return append(buf, '\n'), nil
 }
 
-// Append journals one effective job record under seq. The decision is only
-// released to the client after Append returns, so "acknowledged" implies
-// "journaled".
-func (w *walWriter) Append(seq uint64, spec *JobSpec) error {
-	return w.appendBuffered(seq, spec, nil, 1)
-}
-
-// AppendBatch group-commits a batch: every record is marshalled into one
-// buffer, written with a single Write, and covered by a single fsync when
-// the journal is synchronous. Records land in the same one-line-per-record
-// format Append produces, so replay is oblivious to batching; a torn tail
-// of the group (the crash cut the write short) replays its intact prefix,
-// and none of those decisions were acknowledged — replies are only sent
-// after AppendBatch returns, batch-wide.
+// AppendBatch group-commits a batch under firstSeq, firstSeq+1, …: every
+// record is marshalled into one buffer, written with a single Write, and
+// covered by a single fsync when the journal is synchronous. Records are one
+// line each, so replay is oblivious to batching; a torn tail of the group
+// (the crash cut the write short) replays its intact prefix, and none of
+// those decisions were acknowledged — replies are only sent after
+// AppendBatch returns, batch-wide, so "acknowledged" implies "journaled".
 func (w *walWriter) AppendBatch(firstSeq uint64, specs []JobSpec) error {
 	if len(specs) == 0 {
 		return nil
 	}
-	return w.appendBuffered(firstSeq, &specs[0], specs[1:], len(specs))
-}
-
-func (w *walWriter) appendBuffered(firstSeq uint64, first *JobSpec, rest []JobSpec, n int) error {
-	buf, err := appendRecord(w.buf[:0], firstSeq, first)
-	if err != nil {
-		return err
-	}
-	for i := range rest {
-		if buf, err = appendRecord(buf, firstSeq+1+uint64(i), &rest[i]); err != nil {
+	buf := w.buf[:0]
+	for i := range specs {
+		var err error
+		if buf, err = appendRecord(buf, firstSeq+uint64(i), &specs[i]); err != nil {
 			return err
 		}
 	}
@@ -407,7 +394,7 @@ func (w *walWriter) appendBuffered(firstSeq uint64, first *JobSpec, rest []JobSp
 		return err
 	}
 	w.groupCommits++
-	w.records += uint64(n)
+	w.records += uint64(len(specs))
 	if w.sync {
 		w.syncs++
 		if w.syncErr != nil {

@@ -210,8 +210,8 @@ func walAppendN(t *testing.T, path string, start uint64, n int) {
 	defer w.Close()
 	for i := 0; i < n; i++ {
 		a := float64(i)
-		spec := &JobSpec{Name: "j", Arrival: &a, Chunks: [][]int64{{1}, {2}}}
-		if err := w.Append(start+uint64(i), spec); err != nil {
+		spec := JobSpec{Name: "j", Arrival: &a, Chunks: [][]int64{{1}, {2}}}
+		if err := w.AppendBatch(start+uint64(i), []JobSpec{spec}); err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
 	}
@@ -319,14 +319,14 @@ func TestWALTruncateAfterSnapshot(t *testing.T) {
 	}
 	defer w.Close()
 	a := 0.0
-	if err := w.Append(1, &JobSpec{Name: "j", Arrival: &a, Chunks: [][]int64{{1}, {2}}}); err != nil {
+	if err := w.AppendBatch(1, []JobSpec{{Name: "j", Arrival: &a, Chunks: [][]int64{{1}, {2}}}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Truncate(); err != nil {
 		t.Fatal(err)
 	}
 	// New appends land at the start of the emptied file and replay cleanly.
-	if err := w.Append(2, &JobSpec{Name: "k", Arrival: &a, Chunks: [][]int64{{3}, {4}}}); err != nil {
+	if err := w.AppendBatch(2, []JobSpec{{Name: "k", Arrival: &a, Chunks: [][]int64{{3}, {4}}}}); err != nil {
 		t.Fatal(err)
 	}
 	seqs, torn, err := replayAll(t, path, 1)

@@ -273,16 +273,23 @@ func TestZipfConcentration(t *testing.T) {
 }
 
 func TestSplitmixAvalanche(t *testing.T) {
-	// Adjacent seeds must produce well-separated uniform values.
+	// Adjacent seeds must produce well-separated jitter draws. fill's draw
+	// is the top 53 bits of the hash scaled by 2⁻⁵², a value in [0, 2)
+	// every platform computes exactly: it equals twice the [0, 1) uniform.
+	draw := func(h uint64) float64 { return float64(float64(h>>11) * 0x1p-52) }
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 100; trial++ {
 		x := rng.Uint64()
-		a, b := unitUniform(splitmix64(x)), unitUniform(splitmix64(x+1))
+		ha, hb := splitmix64(x), splitmix64(x+1)
+		a, b := draw(ha), draw(hb)
 		if a == b {
 			t.Fatalf("splitmix64 collision for adjacent seeds at %d", x)
 		}
-		if a < 0 || a >= 1 || b < 0 || b >= 1 {
-			t.Fatalf("unitUniform out of range: %g %g", a, b)
+		if a < 0 || a >= 2 || b < 0 || b >= 2 {
+			t.Fatalf("jitter draw out of [0, 2): %g %g", a, b)
+		}
+		if u := float64(ha>>11) / float64(1<<53); a != 2*u {
+			t.Fatalf("jitter draw %g != 2 × uniform %g", a, u)
 		}
 	}
 }
