@@ -96,6 +96,12 @@ func run(nodes, parts int, zipfF, skewFrac, scale float64, placer, out string, s
 	if err := trace.Write(dst, tr); err != nil {
 		return err
 	}
+	if out != "" {
+		// Close's error can be the failed write-back of the file's end.
+		if err := dst.Close(); err != nil {
+			return err
+		}
+	}
 	fmt.Fprintf(os.Stderr, "datagen: %d jobs over %d racks (%s placement, %.2f GB shuffle)\n",
 		len(tr.Jobs), nodes, sched.Name(), float64(ev.TrafficBytes)/1e9)
 	return nil

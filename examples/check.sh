@@ -8,13 +8,16 @@
 # closed-form CCT on per-port and leaf-spine capacities) before
 # placement.WeightedCCF was folded into topology.RackAwareCCF, which changed
 # one label in ablation_hetero.txt and failure_injection.txt, "CCF-weighted:"
-# to "CCF-rack:". A difference means a rewritten call site changed what the
-# program computes: fix the call site, do not re-record.
+# to "CCF-rack:". `ccfsim -trace` replaying datagen's trace (written with -o,
+# read back by path from the build directory, so the printed path is the
+# same on every machine) was recorded before trace.Parse streamed its input.
+# A difference means a rewritten call site changed what the program computes:
+# fix the call site, do not re-record.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 bin=$(mktemp -d)
 trap 'rm -rf "$bin"' EXIT
-go build -o "$bin/" ./examples/... ./cmd/datagen ./cmd/ccfquery ./cmd/ccfbench
+go build -o "$bin/" ./examples/... ./cmd/datagen ./cmd/ccfquery ./cmd/ccfbench ./cmd/ccfsim
 
 check() { # name, command...
 	local name=$1
@@ -30,4 +33,6 @@ check ccfquery "$bin/ccfquery" -verify
 check ccfbench_motivating "$bin/ccfbench" -exp motivating
 check ablation_hetero "$bin/ccfbench" -exp ablation-hetero -scale 0.01
 check ablation_topo "$bin/ccfbench" -exp ablation-topo -scale 0.01
-echo "examples and CLIs: 14 outputs byte-identical to examples/testdata"
+"$bin/datagen" -nodes 8 -scale 0.001 -o "$bin/shuffle.trace" 2>/dev/null
+check ccfsim_trace env -C "$bin" ./ccfsim -trace shuffle.trace
+echo "examples and CLIs: 15 outputs byte-identical to examples/testdata"

@@ -299,32 +299,51 @@ func (st *Streamer) genCoflow(cat Category) *coflow.Coflow {
 	return coflow.New(st.id, cat.String()+"-"+strconv.Itoa(st.id), st.now, flows)
 }
 
-// ToTrace converts generated coflows into a CoflowSim benchmark trace: each
-// flow becomes a single-mapper reducer entry of its own job... coflows map
-// 1:1 to jobs with per-source mapper lists and per-destination megabyte
-// sums (the format cannot express per-flow pairs exactly when a job has
-// several mappers, so each coflow is split into one job per source).
+// ToTrace converts generated coflows into a CoflowSim benchmark trace. The
+// format cannot express per-flow pairs exactly when a job has several
+// mappers, so each coflow becomes one single-mapper job per source machine,
+// in source order, whose reducer entries sum that source's flows per
+// destination in flow order. It panics if a flow's endpoint lies outside
+// [0, machines): such a flow has no place in a machines-wide trace.
 func ToTrace(machines int, coflows []*coflow.Coflow) *trace.Trace {
 	tr := &trace.Trace{NumRacks: machines}
+	// One machines×machines accumulator serves every coflow: a cell sums its
+	// flows' megabytes from +0, seen marks the cells some flow reached, and
+	// dsts counts them per source. Emitting a row clears it.
+	mb := make([]float64, machines*machines)
+	seen := make([]bool, machines*machines)
+	dsts := make([]int, machines)
 	id := 0
 	for _, c := range coflows {
-		perSrc := make(map[int]map[int]float64)
 		for _, f := range c.Flows {
-			if perSrc[f.Src] == nil {
-				perSrc[f.Src] = make(map[int]float64)
+			if uint(f.Src) >= uint(machines) || uint(f.Dst) >= uint(machines) {
+				panic(fmt.Sprintf("fbtrace: coflow %d flow %d runs %d→%d outside [0,%d)", c.ID, f.ID, f.Src, f.Dst, machines))
 			}
-			perSrc[f.Src][f.Dst] += f.Size / 1e6
+			k := f.Src*machines + f.Dst
+			if !seen[k] {
+				seen[k] = true
+				dsts[f.Src]++
+			}
+			mb[k] += f.Size / 1e6
 		}
-		for src := 0; src < machines; src++ {
-			red, ok := perSrc[src]
-			if !ok {
+		for src, n := range dsts {
+			if n == 0 {
 				continue
 			}
+			red := make([]trace.Reducer, 0, n)
+			row := src * machines
+			for dst := 0; len(red) < n; dst++ {
+				if seen[row+dst] {
+					red = append(red, trace.Reducer{Loc: dst, MB: mb[row+dst]})
+					mb[row+dst], seen[row+dst] = 0, false
+				}
+			}
+			dsts[src] = 0
 			tr.Jobs = append(tr.Jobs, trace.Job{
 				ID:            id,
 				ArrivalMillis: int64(c.Arrival * 1000),
 				Mappers:       []int{src},
-				ReducerMB:     red,
+				Reducers:      red,
 			})
 			id++
 		}

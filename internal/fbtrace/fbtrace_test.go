@@ -3,6 +3,7 @@ package fbtrace
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -187,6 +188,45 @@ func TestToTraceRoundTrip(t *testing.T) {
 	}
 	if math.Abs(got-want)/want > 1e-6 {
 		t.Errorf("trace round trip: %g bytes, want %g", got, want)
+	}
+}
+
+// TestToTraceSumsPerSource: each coflow becomes one job per source machine,
+// in source order; a job's reducers are its source's destinations in
+// ascending order, repeated pairs summed in flow order; and nothing carries
+// over from one coflow to the next.
+func TestToTraceSumsPerSource(t *testing.T) {
+	a := coflow.New(0, "a", 1.5, []coflow.Flow{
+		{ID: 0, Src: 2, Dst: 1, Size: 1e6},
+		{ID: 1, Src: 0, Dst: 3, Size: 2e6},
+		{ID: 2, Src: 2, Dst: 1, Size: 0.5e6},
+		{ID: 3, Src: 2, Dst: 0, Size: 4e6},
+	})
+	b := coflow.New(1, "b", 2, []coflow.Flow{{ID: 0, Src: 2, Dst: 1, Size: 7e6}})
+	want := []trace.Job{
+		{ID: 0, ArrivalMillis: 1500, Mappers: []int{0}, Reducers: []trace.Reducer{{Loc: 3, MB: 2}}},
+		{ID: 1, ArrivalMillis: 1500, Mappers: []int{2}, Reducers: []trace.Reducer{{Loc: 0, MB: 4}, {Loc: 1, MB: 1.5}}},
+		{ID: 2, ArrivalMillis: 2000, Mappers: []int{2}, Reducers: []trace.Reducer{{Loc: 1, MB: 7}}},
+	}
+	if got := ToTrace(4, []*coflow.Coflow{a, b}); got.NumRacks != 4 || !reflect.DeepEqual(got.Jobs, want) {
+		t.Errorf("ToTrace = %+v, want 4 racks and %+v", got, want)
+	}
+}
+
+// TestToTraceRejectsOutOfRangeEndpoints: a flow with an endpoint outside
+// [0, machines) has no cell in a machines-wide trace, so ToTrace panics
+// rather than drop it or add it to a neighbouring cell.
+func TestToTraceRejectsOutOfRangeEndpoints(t *testing.T) {
+	for _, ends := range [][2]int{{4, 0}, {0, 4}, {-1, 1}, {1, -1}} {
+		c := coflow.New(0, "c", 0, []coflow.Flow{{Src: ends[0], Dst: ends[1], Size: 1e6}})
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("ToTrace accepted a flow %d→%d on 4 machines", ends[0], ends[1])
+				}
+			}()
+			ToTrace(4, []*coflow.Coflow{c})
+		}()
 	}
 }
 

@@ -123,13 +123,15 @@ func Percentile(v []float64, q float64) float64 {
 	if q >= 100 {
 		return s[len(s)-1]
 	}
-	pos := q / 100 * float64(len(s)-1)
+	// The float64 conversions round each product, so no architecture
+	// fuses one into the subtraction or addition that follows.
+	pos := float64(q / 100 * float64(len(s)-1))
 	lo := int(pos)
 	frac := pos - float64(lo)
 	if lo+1 >= len(s) {
 		return s[lo]
 	}
-	return s[lo]*(1-frac) + s[lo+1]*frac
+	return float64(s[lo]*(1-frac)) + float64(s[lo+1]*frac)
 }
 
 // RenderASCII writes the table as a fixed-width text table matching the

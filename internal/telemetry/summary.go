@@ -138,7 +138,7 @@ func (r *Recorder) Summary() *Summary {
 			cm.CCT = tr.completion - tr.arrival
 			completed++
 			cctSum += cm.CCT
-			cctSqSum += cm.CCT * cm.CCT
+			cctSqSum += float64(cm.CCT * cm.CCT) // rounded: never a fused multiply-add
 			if cm.LowerBound > 0 {
 				cm.Stretch = cm.CCT / cm.LowerBound
 				// The lower bound is exact arithmetic over the same

@@ -433,12 +433,14 @@ func (r *Recorder) newSample(start, dur float64) *UtilSample {
 	}
 }
 
+// accumulate adds seg seconds at the given rates and capacities. The float64
+// conversions round each product, so no architecture fuses it into the sum.
 func accumulate(s *UtilSample, seg float64, egUse, inUse, egCap, inCap []float64) {
 	for p := range s.egRate {
-		s.egRate[p] += egUse[p] * seg
-		s.inRate[p] += inUse[p] * seg
-		s.egCap[p] += egCap[p] * seg
-		s.inCap[p] += inCap[p] * seg
+		s.egRate[p] += float64(egUse[p] * seg)
+		s.inRate[p] += float64(inUse[p] * seg)
+		s.egCap[p] += float64(egCap[p] * seg)
+		s.inCap[p] += float64(inCap[p] * seg)
 	}
 }
 

@@ -3,13 +3,16 @@ package trace
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
 
 // FuzzParse asserts Parse's robustness contract: any input either parses or
 // returns an error — never a panic, and never memory proportional to forged
-// counts rather than actual input. The seeds include the crashers the
+// counts rather than actual input. An accepted trace lists each job's
+// reducers once each, in ascending order, with no -0 size, and Write then
+// Parse gives it back unchanged. The seeds include the crashers the
 // fuzzer originally found: a negative reducer count (panicked make) and a
 // huge forged reducer count (preallocation OOM shape).
 func FuzzParse(f *testing.F) {
@@ -30,6 +33,9 @@ func FuzzParse(f *testing.F) {
 	f.Add("2 1\n0 0 1 0 1 1:-4\n")            // negative megabytes
 	f.Add("2 1\n0 0 1 0 1 1:NaN\n")           // NaN megabytes
 	f.Add("2 1\n0 0 1 0 2 1:1e308 1:1e308\n") // duplicates summing past MaxFloat64
+	f.Add("4 1\n0 0 1 0 3 3:1 1:2 3:4\n")     // out-of-order duplicates
+	f.Add("2 1\n0 0 1 0 1 1:-0\n")            // negative zero
+	f.Add("3\u00a01\n0 0\u0085 1 0 1 1:1\n")  // Unicode spaces
 	f.Add("2 1")                              // truncated job list
 	f.Add("2 1\n0 0 1 0 1 1:10 7")            // trailing tokens
 	f.Add("")
@@ -54,9 +60,12 @@ func FuzzParse(f *testing.F) {
 					t.Fatalf("job %d mapper %d outside [0,%d)", j.ID, m, tr.NumRacks)
 				}
 			}
-			for loc, mb := range j.ReducerMB {
-				if loc < 0 || loc >= tr.NumRacks || !(mb >= 0) || math.IsInf(mb, 0) {
-					t.Fatalf("job %d reducer %d:%g invalid", j.ID, loc, mb)
+			for k, r := range j.Reducers {
+				if r.Loc < 0 || r.Loc >= tr.NumRacks || !(r.MB >= 0) || math.IsInf(r.MB, 0) || math.Signbit(r.MB) {
+					t.Fatalf("job %d reducer %d:%g invalid", j.ID, r.Loc, r.MB)
+				}
+				if k > 0 && r.Loc <= j.Reducers[k-1].Loc {
+					t.Fatalf("job %d reducers %v not strictly ascending", j.ID, j.Reducers)
 				}
 			}
 		}
@@ -66,8 +75,12 @@ func FuzzParse(f *testing.F) {
 		if err := Write(&buf, tr); err != nil {
 			t.Fatalf("Write of parsed trace failed: %v", err)
 		}
-		if _, err := Parse(&buf); err != nil {
+		again, err := Parse(&buf)
+		if err != nil {
 			t.Fatalf("round-trip re-parse failed: %v", err)
+		}
+		if !reflect.DeepEqual(again, tr) {
+			t.Fatalf("round trip changed the trace:\n%+v\nbecame\n%+v", tr, again)
 		}
 	})
 }

@@ -16,12 +16,15 @@ package trace
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
 	"math"
 	"slices"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"ccf/internal/coflow"
 )
@@ -31,8 +34,15 @@ type Job struct {
 	ID            int
 	ArrivalMillis int64
 	Mappers       []int
-	// ReducerMB maps reducer machine → megabytes it must receive.
-	ReducerMB map[int]float64
+	// Reducers lists the megabytes each reducer machine must receive, one
+	// entry per machine, in ascending Loc order.
+	Reducers []Reducer
+}
+
+// Reducer is one reducer entry of a job: machine Loc receives MB megabytes.
+type Reducer struct {
+	Loc int
+	MB  float64
 }
 
 // Trace is a parsed benchmark file.
@@ -41,34 +51,74 @@ type Trace struct {
 	Jobs     []Job
 }
 
-// Parse reads a benchmark-format trace.
+// tokens yields a trace's whitespace-separated fields one line at a time,
+// skipping blank lines and lines whose first field starts with '#'. The
+// fields are strings.Fields's: separated by any Unicode space.
+type tokens struct {
+	sc   *bufio.Scanner
+	line string // the unread rest of the current line
+}
+
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// span returns the length of s's leading run of spaces, with space set, or
+// of non-spaces: ASCII by table, any other rune by unicode.IsSpace.
+func span(s string, space bool) int {
+	for i := 0; i < len(s); {
+		r, w := rune(s[i]), 1
+		sp := r < utf8.RuneSelf && asciiSpace[r]
+		if r >= utf8.RuneSelf {
+			r, w = utf8.DecodeRuneInString(s[i:])
+			sp = unicode.IsSpace(r)
+		}
+		if sp != space {
+			return i
+		}
+		i += w
+	}
+	return len(s)
+}
+
+// next returns the next field, io.ErrUnexpectedEOF at the end of the input,
+// or the reader's error.
+func (t *tokens) next() (string, error) {
+	for t.line = t.line[span(t.line, true):]; t.line == ""; {
+		if !t.sc.Scan() {
+			if err := t.sc.Err(); err != nil {
+				return "", fmt.Errorf("trace: read: %w", err)
+			}
+			return "", io.ErrUnexpectedEOF
+		}
+		line := t.sc.Text()
+		if t.line = line[span(line, true):]; strings.HasPrefix(t.line, "#") {
+			t.line = ""
+		}
+	}
+	i := span(t.line, false)
+	tok := t.line[:i]
+	t.line = t.line[i:]
+	return tok, nil
+}
+
+// missing wraps a failed next: at the end of the input it names what is
+// missing, and a read error stands as it is.
+func missing(err error, format string, args ...any) error {
+	if err != io.ErrUnexpectedEOF {
+		return err
+	}
+	return fmt.Errorf(format+": %w", append(args, err)...)
+}
+
+// Parse reads a benchmark-format trace. It holds one line of the input at a
+// time; a job may span lines, and a line may hold several jobs.
 func Parse(r io.Reader) (*Trace, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	var tokens []string
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		tokens = append(tokens, strings.Fields(line)...)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("trace: read: %w", err)
-	}
-	pos := 0
-	next := func() (string, error) {
-		if pos >= len(tokens) {
-			return "", io.ErrUnexpectedEOF
-		}
-		t := tokens[pos]
-		pos++
-		return t, nil
-	}
+	toks := &tokens{sc: sc}
 	nextInt := func(what string) (int, error) {
-		t, err := next()
+		t, err := toks.next()
 		if err != nil {
-			return 0, fmt.Errorf("trace: missing %s: %w", what, err)
+			return 0, missing(err, "trace: missing %s", what)
 		}
 		v, err := strconv.Atoi(t)
 		if err != nil {
@@ -129,48 +179,108 @@ func Parse(r io.Reader) (*Trace, error) {
 		if nr < 0 {
 			return nil, fmt.Errorf("trace: job %d has negative reducer count %d", job.ID, nr)
 		}
-		// Cap the preallocation hint by the tokens actually present: a
-		// forged count must not let make() reserve attacker-chosen memory
-		// before the per-entry parse fails at end of input.
-		hint := nr
-		if rest := len(tokens) - pos; hint > rest {
-			hint = rest
-		}
-		job.ReducerMB = make(map[int]float64, hint)
-		for r := 0; r < nr; r++ {
-			t, err := next()
-			if err != nil {
-				return nil, fmt.Errorf("trace: job %d missing reducer %d: %w", job.ID, r, err)
-			}
-			parts := strings.SplitN(t, ":", 2)
-			if len(parts) != 2 {
-				return nil, fmt.Errorf("trace: job %d reducer entry %q not loc:MB", job.ID, t)
-			}
-			loc, err := strconv.Atoi(parts[0])
-			if err != nil {
-				return nil, fmt.Errorf("trace: job %d reducer location %q: %w", job.ID, parts[0], err)
-			}
-			if loc < 0 || loc >= racks {
-				return nil, fmt.Errorf("trace: job %d reducer at rack %d outside [0,%d)", job.ID, loc, racks)
-			}
-			mb, err := strconv.ParseFloat(parts[1], 64)
-			if err != nil {
-				return nil, fmt.Errorf("trace: job %d reducer MB %q: %w", job.ID, parts[1], err)
-			}
-			if mb < 0 {
-				return nil, fmt.Errorf("trace: job %d reducer %d has negative size %g", job.ID, loc, mb)
-			}
-			job.ReducerMB[loc] += mb
-			if sum := job.ReducerMB[loc]; math.IsNaN(sum) || math.IsInf(sum, 0) {
-				return nil, fmt.Errorf("trace: job %d reducer %d has non-finite size %g", job.ID, loc, sum)
-			}
+		if job.Reducers, err = parseReducers(toks, job.ID, nr, racks); err != nil {
+			return nil, err
 		}
 		tr.Jobs = append(tr.Jobs, job)
 	}
-	if pos != len(tokens) {
-		return nil, fmt.Errorf("trace: %d trailing tokens after %d jobs", len(tokens)-pos, numJobs)
+	trailing := 0
+	for _, err = toks.next(); err == nil; _, err = toks.next() {
+		trailing++
+	}
+	if err != io.ErrUnexpectedEOF {
+		return nil, err
+	}
+	if trailing > 0 {
+		return nil, fmt.Errorf("trace: %d trailing tokens after %d jobs", trailing, numJobs)
 	}
 	return tr, nil
+}
+
+// parseReducers reads job id's nr reducer entries. Entries for one machine
+// are summed in input order from +0, so "1:-0" reads as 0, and every running
+// sum must stay finite: an error is the first one in input order, as if each
+// entry were checked against its machine's running sum as it is read.
+func parseReducers(toks *tokens, id, nr, racks int) ([]Reducer, error) {
+	// Cap the preallocation hint by the entries on the current line: a
+	// forged count must not let make() reserve attacker-chosen memory
+	// before the per-entry parse fails at end of input. The count stops
+	// at nr, so a line holding many jobs is not rescanned for each.
+	hint := 0
+	for rest := toks.line; hint < nr; hint++ {
+		i := strings.IndexByte(rest, ':')
+		if i < 0 {
+			break
+		}
+		rest = rest[i+1:]
+	}
+	rs := make([]Reducer, 0, hint)
+	ascending := true // no duplicates yet, and rs is already in order
+	fail := func(err error) ([]Reducer, error) {
+		if !ascending {
+			if _, serr := sumReducers(id, rs); serr != nil {
+				return nil, serr
+			}
+		}
+		return nil, err
+	}
+	for r := 0; r < nr; r++ {
+		t, err := toks.next()
+		if err != nil {
+			return fail(missing(err, "trace: job %d missing reducer %d", id, r))
+		}
+		ls, ms, ok := strings.Cut(t, ":")
+		if !ok {
+			return fail(fmt.Errorf("trace: job %d reducer entry %q not loc:MB", id, t))
+		}
+		loc, err := strconv.Atoi(ls)
+		if err != nil {
+			return fail(fmt.Errorf("trace: job %d reducer location %q: %w", id, ls, err))
+		}
+		if loc < 0 || loc >= racks {
+			return fail(fmt.Errorf("trace: job %d reducer at rack %d outside [0,%d)", id, loc, racks))
+		}
+		mb, err := strconv.ParseFloat(ms, 64)
+		if err != nil {
+			return fail(fmt.Errorf("trace: job %d reducer MB %q: %w", id, ms, err))
+		}
+		if mb < 0 {
+			return fail(fmt.Errorf("trace: job %d reducer %d has negative size %g", id, loc, mb))
+		}
+		// Alone, an entry's sum is non-finite exactly when mb is; sums
+		// over duplicates are checked by sumReducers.
+		if math.IsNaN(mb) || math.IsInf(mb, 0) {
+			return fail(fmt.Errorf("trace: job %d reducer %d has non-finite size %g", id, loc, mb))
+		}
+		if mb == 0 {
+			mb = 0 // a sum starts at +0, and +0 + -0 is +0
+		}
+		ascending = ascending && (len(rs) == 0 || loc > rs[len(rs)-1].Loc)
+		rs = append(rs, Reducer{Loc: loc, MB: mb})
+	}
+	if ascending {
+		return rs, nil
+	}
+	return sumReducers(id, rs)
+}
+
+// sumReducers returns rs's entries summed per machine, in input order from
+// +0, and sorted by machine; it reports the first running sum, in input
+// order, that is not finite.
+func sumReducers(id int, rs []Reducer) ([]Reducer, error) {
+	out := slices.Clone(rs)
+	slices.SortFunc(out, func(a, b Reducer) int { return cmp.Compare(a.Loc, b.Loc) })
+	out = slices.CompactFunc(out, func(a, b Reducer) bool { return a.Loc == b.Loc })
+	for i := range out {
+		out[i].MB = 0
+	}
+	for _, r := range rs {
+		i, _ := slices.BinarySearchFunc(out, r.Loc, func(a Reducer, loc int) int { return cmp.Compare(a.Loc, loc) })
+		if out[i].MB += r.MB; math.IsInf(out[i].MB, 0) {
+			return nil, fmt.Errorf("trace: job %d reducer %d has non-finite size %g", id, r.Loc, out[i].MB)
+		}
+	}
+	return out, nil
 }
 
 // Write emits the trace in benchmark format. Each line is formatted into one
@@ -182,7 +292,6 @@ func Write(w io.Writer, tr *Trace) error {
 	line = strconv.AppendInt(line, int64(tr.NumRacks), 10)
 	put(' ', int64(len(tr.Jobs)))
 	bw.Write(append(line, '\n'))
-	var locs []int
 	for _, j := range tr.Jobs {
 		line = strconv.AppendInt(line[:0], int64(j.ID), 10)
 		put(' ', j.ArrivalMillis)
@@ -190,25 +299,14 @@ func Write(w io.Writer, tr *Trace) error {
 		for _, m := range j.Mappers {
 			put(' ', int64(m))
 		}
-		put(' ', int64(len(j.ReducerMB)))
-		locs = sortedLocs(locs, j.ReducerMB)
-		for _, loc := range locs {
-			put(' ', int64(loc))
-			line = strconv.AppendFloat(append(line, ':'), j.ReducerMB[loc], 'g', -1, 64)
+		put(' ', int64(len(j.Reducers)))
+		for _, r := range j.Reducers {
+			put(' ', int64(r.Loc))
+			line = strconv.AppendFloat(append(line, ':'), r.MB, 'g', -1, 64)
 		}
 		bw.Write(append(line, '\n'))
 	}
 	return bw.Flush()
-}
-
-// sortedLocs refills buf with the reducer locations in ascending order.
-func sortedLocs(buf []int, reducerMB map[int]float64) []int {
-	buf = buf[:0]
-	for loc := range reducerMB {
-		buf = append(buf, loc)
-	}
-	slices.Sort(buf)
-	return buf
 }
 
 // Coflows expands the trace into simulator coflows the way CoflowSim does:
@@ -216,20 +314,18 @@ func sortedLocs(buf []int, reducerMB map[int]float64) []int {
 // mapper machine to reducer machine, self-loops dropped.
 func (tr *Trace) Coflows() []*coflow.Coflow {
 	out := make([]*coflow.Coflow, 0, len(tr.Jobs))
-	var locs []int
 	var flows []coflow.Flow
 	for _, j := range tr.Jobs {
 		flows = flows[:0]
 		if len(j.Mappers) > 0 {
-			locs = sortedLocs(locs, j.ReducerMB)
-			for _, rl := range locs {
-				per := j.ReducerMB[rl] * 1e6 / float64(len(j.Mappers))
+			for _, r := range j.Reducers {
+				per := r.MB * 1e6 / float64(len(j.Mappers))
 				if per <= 0 {
 					continue
 				}
 				for _, ml := range j.Mappers {
-					if ml != rl {
-						flows = append(flows, coflow.Flow{ID: len(flows), Src: ml, Dst: rl, Size: per})
+					if ml != r.Loc {
+						flows = append(flows, coflow.Flow{ID: len(flows), Src: ml, Dst: r.Loc, Size: per})
 					}
 				}
 			}
@@ -250,17 +346,17 @@ func FromVolumes(n int, vol []int64, arrivalMillis int64) (*Trace, error) {
 	tr := &Trace{NumRacks: n}
 	id := 0
 	for i := 0; i < n; i++ {
-		red := map[int]float64{}
+		var red []Reducer
 		for j := 0; j < n; j++ {
 			if i == j || vol[i*n+j] == 0 {
 				continue
 			}
-			red[j] = float64(vol[i*n+j]) / 1e6
+			red = append(red, Reducer{Loc: j, MB: float64(vol[i*n+j]) / 1e6})
 		}
 		if len(red) == 0 {
 			continue
 		}
-		tr.Jobs = append(tr.Jobs, Job{ID: id, ArrivalMillis: arrivalMillis, Mappers: []int{i}, ReducerMB: red})
+		tr.Jobs = append(tr.Jobs, Job{ID: id, ArrivalMillis: arrivalMillis, Mappers: []int{i}, Reducers: red})
 		id++
 	}
 	return tr, nil

@@ -3,11 +3,12 @@ package trace
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"fmt"
 	"io"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -38,8 +39,8 @@ func TestParseSample(t *testing.T) {
 	if len(j.Mappers) != 2 || j.Mappers[0] != 0 || j.Mappers[1] != 1 {
 		t.Errorf("mappers = %v, want [0 1]", j.Mappers)
 	}
-	if j.ReducerMB[2] != 10 || j.ReducerMB[3] != 20 {
-		t.Errorf("reducers = %v", j.ReducerMB)
+	if want := []Reducer{{2, 10}, {3, 20}}; !slices.Equal(j.Reducers, want) {
+		t.Errorf("reducers = %v, want %v", j.Reducers, want)
 	}
 	if tr.Jobs[1].ArrivalMillis != 500 {
 		t.Errorf("job 1 arrival = %d, want 500", tr.Jobs[1].ArrivalMillis)
@@ -75,13 +76,15 @@ func TestWriteParseRoundTrip(t *testing.T) {
 		racks := 2 + rng.Intn(6)
 		tr := &Trace{NumRacks: racks}
 		for j := 0; j < rng.Intn(5); j++ {
-			job := Job{ID: j, ArrivalMillis: int64(rng.Intn(10_000)), ReducerMB: map[int]float64{}}
+			job := Job{ID: j, ArrivalMillis: int64(rng.Intn(10_000))}
 			for m := 0; m < 1+rng.Intn(4); m++ {
 				job.Mappers = append(job.Mappers, rng.Intn(racks))
 			}
+			red := map[int]float64{}
 			for r := 0; r < 1+rng.Intn(4); r++ {
-				job.ReducerMB[rng.Intn(racks)] += float64(1+rng.Intn(100)) / 4
+				red[rng.Intn(racks)] += float64(1+rng.Intn(100)) / 4
 			}
+			job.Reducers = reducers(red)
 			tr.Jobs = append(tr.Jobs, job)
 		}
 		var buf bytes.Buffer
@@ -97,11 +100,11 @@ func TestWriteParseRoundTrip(t *testing.T) {
 		}
 		for i, j := range tr.Jobs {
 			g := got.Jobs[i]
-			if g.ID != j.ID || g.ArrivalMillis != j.ArrivalMillis || len(g.Mappers) != len(j.Mappers) {
+			if g.ID != j.ID || g.ArrivalMillis != j.ArrivalMillis || len(g.Mappers) != len(j.Mappers) || len(g.Reducers) != len(j.Reducers) {
 				return false
 			}
-			for loc, mb := range j.ReducerMB {
-				if math.Abs(g.ReducerMB[loc]-mb) > 1e-9 {
+			for k, r := range j.Reducers {
+				if g.Reducers[k].Loc != r.Loc || math.Abs(g.Reducers[k].MB-r.MB) > 1e-9 {
 					return false
 				}
 			}
@@ -116,8 +119,8 @@ func TestWriteParseRoundTrip(t *testing.T) {
 func TestCoflowsExpansion(t *testing.T) {
 	tr := &Trace{NumRacks: 3, Jobs: []Job{{
 		ID: 7, ArrivalMillis: 1500,
-		Mappers:   []int{0, 1},
-		ReducerMB: map[int]float64{2: 10},
+		Mappers:  []int{0, 1},
+		Reducers: []Reducer{{2, 10}},
 	}}}
 	cfs := tr.Coflows()
 	if len(cfs) != 1 {
@@ -142,9 +145,9 @@ func TestCoflowsExpansion(t *testing.T) {
 
 func TestCoflowsDropSelfLoops(t *testing.T) {
 	tr := &Trace{NumRacks: 2, Jobs: []Job{{
-		ID:        0,
-		Mappers:   []int{0},
-		ReducerMB: map[int]float64{0: 10, 1: 10},
+		ID:       0,
+		Mappers:  []int{0},
+		Reducers: []Reducer{{0, 10}, {1, 10}},
 	}}}
 	cfs := tr.Coflows()
 	if len(cfs[0].Flows) != 1 {
@@ -191,6 +194,16 @@ func TestFromVolumesRejectsBadMatrix(t *testing.T) {
 	}
 }
 
+// reducers lists a machine → megabytes map as a Job's reducer entries.
+func reducers(m map[int]float64) []Reducer {
+	rs := make([]Reducer, 0, len(m))
+	for loc, mb := range m {
+		rs = append(rs, Reducer{loc, mb})
+	}
+	slices.SortFunc(rs, func(a, b Reducer) int { return cmp.Compare(a.Loc, b.Loc) })
+	return rs
+}
+
 // fmtWrite is the fmt-based writer Write replaced, kept as its oracle.
 func fmtWrite(w io.Writer, tr *Trace) error {
 	bw := bufio.NewWriter(w)
@@ -200,14 +213,9 @@ func fmtWrite(w io.Writer, tr *Trace) error {
 		for _, m := range j.Mappers {
 			fmt.Fprintf(bw, " %d", m)
 		}
-		fmt.Fprintf(bw, " %d", len(j.ReducerMB))
-		locs := make([]int, 0, len(j.ReducerMB))
-		for loc := range j.ReducerMB {
-			locs = append(locs, loc)
-		}
-		sort.Ints(locs)
-		for _, loc := range locs {
-			fmt.Fprintf(bw, " %d:%g", loc, j.ReducerMB[loc])
+		fmt.Fprintf(bw, " %d", len(j.Reducers))
+		for _, r := range j.Reducers {
+			fmt.Fprintf(bw, " %d:%g", r.Loc, r.MB)
 		}
 		fmt.Fprintln(bw)
 	}
@@ -223,19 +231,14 @@ func perFlowCoflows(tr *Trace) []*coflow.Coflow {
 			out = append(out, c)
 			continue
 		}
-		locs := make([]int, 0, len(j.ReducerMB))
-		for loc := range j.ReducerMB {
-			locs = append(locs, loc)
-		}
-		sort.Ints(locs)
 		fid := 0
-		for _, rl := range locs {
-			per := j.ReducerMB[rl] * 1e6 / float64(len(j.Mappers))
+		for _, r := range j.Reducers {
+			per := r.MB * 1e6 / float64(len(j.Mappers))
 			for _, ml := range j.Mappers {
-				if ml == rl || per <= 0 {
+				if ml == r.Loc || per <= 0 {
 					continue
 				}
-				c.Flows = append(c.Flows, &coflow.Flow{ID: fid, Coflow: c, Src: ml, Dst: rl, Size: per, Remaining: per})
+				c.Flows = append(c.Flows, &coflow.Flow{ID: fid, Coflow: c, Src: ml, Dst: r.Loc, Size: per, Remaining: per})
 				fid++
 			}
 		}
@@ -274,16 +277,17 @@ func TestWriteMatchesFmt(t *testing.T) {
 	var traces []*Trace
 	tr := &Trace{NumRacks: 3}
 	for i, mb := range special {
-		tr.Jobs = append(tr.Jobs, Job{ID: i, ArrivalMillis: int64(i * 1000), Mappers: []int{i % 3}, ReducerMB: map[int]float64{(i + 1) % 3: mb, i % 3: mb}})
+		tr.Jobs = append(tr.Jobs, Job{ID: i, ArrivalMillis: int64(i * 1000), Mappers: []int{i % 3}, Reducers: reducers(map[int]float64{(i + 1) % 3: mb, i % 3: mb})})
 	}
-	tr.Jobs = append(tr.Jobs, Job{ID: 99, ReducerMB: map[int]float64{0: 1}}, Job{ID: 100, Mappers: []int{0, 1}})
+	tr.Jobs = append(tr.Jobs, Job{ID: 99, Reducers: []Reducer{{0, 1}}}, Job{ID: 100, Mappers: []int{0, 1}})
 	traces = append(traces, tr, &Trace{NumRacks: 1})
 	rng := rand.New(rand.NewSource(5))
 	for n := 0; n < 200; n++ {
 		racks := 1 + rng.Intn(12)
 		tr := &Trace{NumRacks: racks}
 		for j := 0; j < rng.Intn(8); j++ {
-			job := Job{ID: rng.Intn(1 << 20), ArrivalMillis: rng.Int63n(1 << 40), ReducerMB: map[int]float64{}}
+			job := Job{ID: rng.Intn(1 << 20), ArrivalMillis: rng.Int63n(1 << 40)}
+			red := map[int]float64{}
 			for m := 0; m < rng.Intn(5); m++ {
 				job.Mappers = append(job.Mappers, rng.Intn(racks))
 			}
@@ -300,8 +304,9 @@ func TestWriteMatchesFmt(t *testing.T) {
 				if math.IsNaN(mb) || math.IsInf(mb, 0) {
 					mb = 0
 				}
-				job.ReducerMB[rng.Intn(racks)] = mb
+				red[rng.Intn(racks)] = mb
 			}
+			job.Reducers = reducers(red)
 			tr.Jobs = append(tr.Jobs, job)
 		}
 		traces = append(traces, tr)
