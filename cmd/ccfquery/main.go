@@ -32,32 +32,42 @@ func main() {
 		nodes   = flag.Int("nodes", 16, "cluster width")
 		rows    = flag.Int("rows", 20_000, "rows in table L (R gets 3x)")
 		keys    = flag.Int("keys", 1000, "distinct key space")
-		placers = flag.String("placers", "hash,mini,ccf", "comma-separated placement schedulers")
+		placers = flag.String("placers", "hash,mini,ccf", "comma-separated placement schedulers: "+placement.Names())
 		seed    = flag.Int64("seed", 1, "data seed")
 		verify  = flag.Bool("verify", true, "check the distributed result against a single-node reference")
 	)
 	flag.Parse()
-	if err := run(*planSrc, *nodes, *rows, *keys, *placers, *seed, *verify); err != nil {
+	scheds, err := parseFlags(*nodes, *rows, *keys, *placers)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "ccfquery:", err)
+		os.Exit(2)
+	}
+	if err := run(*planSrc, *nodes, *rows, *keys, scheds, *seed, *verify); err != nil {
 		fmt.Fprintln(os.Stderr, "ccfquery:", err)
 		os.Exit(1)
 	}
 }
 
-func pick(name string) (placement.Scheduler, error) {
-	switch strings.TrimSpace(strings.ToLower(name)) {
-	case "hash":
-		return placement.Hash{}, nil
-	case "mini":
-		return placement.Mini{}, nil
-	case "ccf":
-		return placement.CCF{}, nil
-	case "ccf-refined":
-		return placement.CCFRefined{}, nil
-	case "lpt":
-		return placement.LPT{}, nil
-	default:
-		return nil, fmt.Errorf("unknown placer %q", name)
+// parseFlags rejects the flag values the table builder cannot take and
+// resolves the placer list through the placer table.
+func parseFlags(nodes, rows, keys int, placers string) ([]placement.Scheduler, error) {
+	switch {
+	case nodes < 1:
+		return nil, fmt.Errorf("-nodes must be positive, got %d", nodes)
+	case rows < 0:
+		return nil, fmt.Errorf("-rows must be non-negative, got %d", rows)
+	case keys < 1:
+		return nil, fmt.Errorf("-keys must be positive, got %d", keys)
 	}
+	var scheds []placement.Scheduler
+	for _, name := range strings.Split(placers, ",") {
+		p, err := placement.ByName(strings.TrimSpace(strings.ToLower(name)))
+		if err != nil {
+			return nil, err
+		}
+		scheds = append(scheds, p.Scheduler)
+	}
+	return scheds, nil
 }
 
 func buildTables(n, rows, keySpace int, seed int64) (*query.Table, *query.Table) {
@@ -84,7 +94,7 @@ func buildTables(n, rows, keySpace int, seed int64) (*query.Table, *query.Table)
 	return l, r
 }
 
-func run(planSrc string, nodes, rows, keySpace int, placers string, seed int64, verify bool) error {
+func run(planSrc string, nodes, rows, keySpace int, scheds []placement.Scheduler, seed int64, verify bool) error {
 	plan, err := query.ParsePlan(planSrc)
 	if err != nil {
 		return err
@@ -93,11 +103,8 @@ func run(planSrc string, nodes, rows, keySpace int, placers string, seed int64, 
 	fmt.Printf("cluster: %d nodes; L has %d rows, R has %d, keys 1..%d\n\n", nodes, rows, 3*rows, keySpace)
 
 	var reference []query.Row
-	for _, name := range strings.Split(placers, ",") {
-		s, err := pick(name)
-		if err != nil {
-			return err
-		}
+	var mismatched []string
+	for _, s := range scheds {
 		l, r := buildTables(nodes, rows, keySpace, seed)
 		if verify && reference == nil {
 			want, err := query.Reference(plan, map[string][]query.Row{"L": l.Gather(), "R": r.Gather()})
@@ -127,10 +134,14 @@ func run(planSrc string, nodes, rows, keySpace int, placers string, seed int64, 
 				line += " — verified"
 			} else {
 				line += " — RESULT MISMATCH"
+				mismatched = append(mismatched, s.Name())
 			}
 		}
 		fmt.Println(line)
 		fmt.Println()
+	}
+	if mismatched != nil {
+		return fmt.Errorf("result mismatch under %s", strings.Join(mismatched, ", "))
 	}
 	return nil
 }

@@ -7,8 +7,8 @@
 // Usage:
 //
 //	ccfsim -nodes 100 -zipf 0.8 -skew 0.2 -placer ccf
-//	ccfsim -nodes 50 -placer mini -coflow fair -eventsim
-//	ccfsim -trace shuffle.txt -coflow varys     # simulate a CoflowSim trace
+//	ccfsim -nodes 50 -placer mini -eventsim
+//	ccfsim -trace shuffle.txt -coflow per-flow-fair   # simulate a CoflowSim trace
 package main
 
 import (
@@ -32,8 +32,8 @@ func main() {
 		zipf      = flag.Float64("zipf", workload.DefaultZipf, "zipf factor for chunk sizes over nodes")
 		skewFrac  = flag.Float64("skew", workload.DefaultSkew, "fraction of ORDERS re-keyed to the hot key")
 		scale     = flag.Float64("scale", 0.01, "dataset scale factor (1.0 = paper's ≈1 TB)")
-		placer    = flag.String("placer", "ccf", "application-level scheduler: hash, mini, ccf, ccf-nosort, lpt, random")
-		coflowSch = flag.String("coflow", "varys", "coflow scheduler for -eventsim/-trace: varys, aalo, fifo, scf, ncf, fair, sequential")
+		placer    = flag.String("placer", "ccf", "application-level scheduler: "+placement.Names())
+		coflowSch = flag.String("coflow", "varys", "coflow scheduler for -trace: "+coflow.Names())
 		bandwidth = flag.Float64("bw", 0, "port bandwidth bytes/sec (0 = 128 MB/s)")
 		eventSim  = flag.Bool("eventsim", false, "run the flow-level event simulator")
 		traceFile = flag.String("trace", "", "simulate a CoflowSim benchmark trace instead of a generated workload")
@@ -44,15 +44,29 @@ func main() {
 	)
 	flag.Parse()
 
-	if err := validateFlags(*nodes, *parts, *zipf, *skewFrac, *scale, *bandwidth); err != nil {
+	cfg := workload.Config{
+		Nodes: *nodes, Partitions: *parts, Zipf: *zipf, Skew: *skewFrac, Seed: *seed,
+		CustomerTuples: int64(*scale * workload.DefaultCustomerTuples),
+		OrderTuples:    int64(*scale * workload.DefaultOrderTuples),
+	}
+	coflowSet := false
+	flag.Visit(func(f *flag.Flag) { coflowSet = coflowSet || f.Name == "coflow" })
+	placed, err := placement.ByName(*placer)
+	var sched coflow.Scheduler
+	if err == nil {
+		sched, err = coflow.ByName(*coflowSch)
+	}
+	if err == nil {
+		err = validateFlags(cfg, *scale, *bandwidth, *sample)
+	}
+	if err == nil && coflowSet && *traceFile == "" {
+		err = fmt.Errorf("-coflow needs a -trace input; a generated workload runs alone under Varys")
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "ccfsim:", err)
 		os.Exit(2)
 	}
 	telemetryOn := *traceOut != "" || *metrics != ""
-	if *sample < 0 {
-		fmt.Fprintln(os.Stderr, "ccfsim: -sample must be non-negative, got", *sample)
-		os.Exit(2)
-	}
 	if telemetryOn && !*eventSim && *traceFile == "" {
 		fmt.Fprintln(os.Stderr, "ccfsim: -tracefile/-metrics need the event simulator (-eventsim) or a -trace input")
 		os.Exit(2)
@@ -62,11 +76,11 @@ func main() {
 		rec = telemetry.NewRecorder(telemetry.Config{Resolution: *sample})
 	}
 	if *traceFile != "" {
-		if err := runTrace(*traceFile, *coflowSch, *bandwidth, rec); err != nil {
+		if err := runTrace(*traceFile, sched, *bandwidth, rec); err != nil {
 			fmt.Fprintln(os.Stderr, "ccfsim:", err)
 			os.Exit(1)
 		}
-	} else if err := runWorkload(*nodes, *parts, *zipf, *skewFrac, *scale, *placer, *bandwidth, *eventSim, *seed, rec); err != nil {
+	} else if err := runWorkload(cfg, placed, *bandwidth, *eventSim, rec); err != nil {
 		fmt.Fprintln(os.Stderr, "ccfsim:", err)
 		os.Exit(1)
 	}
@@ -118,79 +132,23 @@ func exportTelemetry(rec *telemetry.Recorder, traceOut, metrics string) error {
 
 // validateFlags rejects nonsensical knob values up front with a one-line
 // message instead of letting them surface as panics or garbage output deep
-// in the pipeline.
-func validateFlags(nodes, parts int, zipf, skewFrac, scale, bw float64) error {
-	if nodes <= 0 {
-		return fmt.Errorf("-nodes must be positive, got %d", nodes)
-	}
-	if parts < 0 {
-		return fmt.Errorf("-partitions must be non-negative, got %d", parts)
-	}
-	if zipf < 0 {
-		return fmt.Errorf("-zipf must be non-negative, got %g", zipf)
-	}
-	if skewFrac < 0 || skewFrac >= 1 {
-		return fmt.Errorf("-skew must be in [0,1), got %g", skewFrac)
-	}
-	if scale <= 0 {
+// in the pipeline: the workload config as Config.Validate checks outside
+// input, plus the knobs only the command has.
+func validateFlags(cfg workload.Config, scale, bw, sample float64) error {
+	if !(scale > 0) {
 		return fmt.Errorf("-scale must be positive, got %g", scale)
 	}
-	if bw < 0 {
+	if !(bw >= 0) {
 		return fmt.Errorf("-bw must be non-negative, got %g", bw)
 	}
-	return nil
+	if !(sample >= 0) {
+		return fmt.Errorf("-sample must be non-negative, got %g", sample)
+	}
+	return cfg.Validate()
 }
 
-func pickPlacer(name string) (placement.Scheduler, bool, error) {
-	switch name {
-	case "hash":
-		return placement.Hash{}, false, nil
-	case "mini":
-		return placement.Mini{}, true, nil
-	case "ccf":
-		return placement.CCF{}, true, nil
-	case "ccf-nosort":
-		return placement.CCF{NoSort: true}, true, nil
-	case "lpt":
-		return placement.LPT{}, false, nil
-	case "random":
-		return placement.Random{Seed: 1}, false, nil
-	default:
-		return nil, false, fmt.Errorf("unknown placer %q", name)
-	}
-}
-
-func pickCoflowScheduler(name string) (coflow.Scheduler, error) {
-	switch name {
-	case "varys":
-		return coflow.NewVarys(), nil
-	case "aalo":
-		return coflow.NewAalo(), nil
-	case "fifo":
-		return coflow.NewFIFO(), nil
-	case "scf":
-		return coflow.NewSCF(), nil
-	case "ncf":
-		return coflow.NewNCF(), nil
-	case "fair":
-		return coflow.PerFlowFair{}, nil
-	case "sequential":
-		return coflow.SequentialByDest{}, nil
-	default:
-		return nil, fmt.Errorf("unknown coflow scheduler %q", name)
-	}
-}
-
-func runWorkload(nodes, parts int, zipf, skewFrac, scale float64, placer string, bw float64, eventSim bool, seed uint64, rec *telemetry.Recorder) error {
-	sched, handleSkew, err := pickPlacer(placer)
-	if err != nil {
-		return err
-	}
-	w, err := workload.Generate(workload.Config{
-		Nodes: nodes, Partitions: parts, Zipf: zipf, Skew: skewFrac, Seed: seed,
-		CustomerTuples: int64(scale * workload.DefaultCustomerTuples),
-		OrderTuples:    int64(scale * workload.DefaultOrderTuples),
-	})
+func runWorkload(cfg workload.Config, placed placement.Named, bw float64, eventSim bool, rec *telemetry.Recorder) error {
+	w, err := workload.Generate(cfg)
 	if err != nil {
 		return err
 	}
@@ -198,12 +156,12 @@ func runWorkload(nodes, parts int, zipf, skewFrac, scale float64, placer string,
 	if rec != nil {
 		opts.Probe = rec
 	}
-	res, err := core.RunScheduler(w, sched, handleSkew, opts)
+	res, err := core.RunScheduler(w, placed.Scheduler, placed.HandleSkew, opts)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("workload: n=%d p=%d zipf=%g skew=%g total=%.2f GB\n",
-		nodes, w.Config.Partitions, zipf, skewFrac, float64(w.TotalBytes())/1e9)
+		cfg.Nodes, w.Config.Partitions, cfg.Zipf, cfg.Skew, float64(w.TotalBytes())/1e9)
 	fmt.Printf("placer:   %s (skew handling: %v)\n", res.Approach, res.SkewHandled)
 	fmt.Printf("traffic:  %.2f GB over the network\n", res.TrafficGB())
 	fmt.Printf("bottleneck port load: %.2f GB\n", float64(res.BottleneckBytes)/1e9)
@@ -211,11 +169,7 @@ func runWorkload(nodes, parts int, zipf, skewFrac, scale float64, placer string,
 	return nil
 }
 
-func runTrace(path, coflowSch string, bw float64, rec *telemetry.Recorder) error {
-	sched, err := pickCoflowScheduler(coflowSch)
-	if err != nil {
-		return err
-	}
+func runTrace(path string, sched coflow.Scheduler, bw float64, rec *telemetry.Recorder) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err

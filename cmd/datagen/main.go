@@ -30,36 +30,35 @@ func main() {
 		zipf     = flag.Float64("zipf", workload.DefaultZipf, "zipf factor")
 		skewFrac = flag.Float64("skew", workload.DefaultSkew, "skew fraction")
 		scale    = flag.Float64("scale", 0.01, "dataset scale (1.0 = ≈1 TB)")
-		placer   = flag.String("placer", "ccf", "hash, mini, ccf")
+		placer   = flag.String("placer", "ccf", "application-level scheduler: "+placement.Names())
 		out      = flag.String("o", "", "output file (default stdout)")
 		seed     = flag.Uint64("seed", 0, "workload seed")
 	)
 	flag.Parse()
-	if err := run(*nodes, *parts, *zipf, *skewFrac, *scale, *placer, *out, *seed); err != nil {
+	cfg := workload.Config{
+		Nodes: *nodes, Partitions: *parts, Zipf: *zipf, Skew: *skewFrac, Seed: *seed,
+		CustomerTuples: int64(*scale * workload.DefaultCustomerTuples),
+		OrderTuples:    int64(*scale * workload.DefaultOrderTuples),
+	}
+	placed, err := placement.ByName(*placer)
+	if err == nil && !(*scale > 0) {
+		err = fmt.Errorf("-scale must be positive, got %g", *scale)
+	}
+	if err == nil {
+		err = cfg.Validate()
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "datagen:", err)
+		os.Exit(2)
+	}
+	if err := run(cfg, placed, *out); err != nil {
 		fmt.Fprintln(os.Stderr, "datagen:", err)
 		os.Exit(1)
 	}
 }
 
-func run(nodes, parts int, zipfF, skewFrac, scale float64, placer, out string, seed uint64) error {
-	var sched placement.Scheduler
-	handleSkew := false
-	switch placer {
-	case "hash":
-		sched = placement.Hash{}
-	case "mini":
-		sched, handleSkew = placement.Mini{}, true
-	case "ccf":
-		sched, handleSkew = placement.CCF{}, true
-	default:
-		return fmt.Errorf("unknown placer %q", placer)
-	}
-
-	w, err := workload.Generate(workload.Config{
-		Nodes: nodes, Partitions: parts, Zipf: zipfF, Skew: skewFrac, Seed: seed,
-		CustomerTuples: int64(scale * workload.DefaultCustomerTuples),
-		OrderTuples:    int64(scale * workload.DefaultOrderTuples),
-	})
+func run(cfg workload.Config, placed placement.Named, out string) error {
+	w, err := workload.Generate(cfg)
 	if err != nil {
 		return err
 	}
@@ -67,19 +66,19 @@ func run(nodes, parts int, zipfF, skewFrac, scale float64, placer, out string, s
 	matrix := w.Chunks
 	var initial *partition.Loads
 	var broadcast []int64
-	if handleSkew && w.SkewPartition >= 0 {
+	if placed.HandleSkew && w.SkewPartition >= 0 {
 		plan := skew.PartialDuplication(w)
 		if err := plan.Validate(w.Chunks); err != nil {
 			return err
 		}
 		matrix, initial, broadcast = plan.Adjusted, plan.Initial, plan.BroadcastVolumes
 	}
-	ev, err := placement.Evaluate(sched, matrix, initial, broadcast)
+	ev, err := placement.Evaluate(placed.Scheduler, matrix, initial, broadcast)
 	if err != nil {
 		return err
 	}
 
-	tr, err := trace.FromVolumes(nodes, ev.Volumes, 0)
+	tr, err := trace.FromVolumes(cfg.Nodes, ev.Volumes, 0)
 	if err != nil {
 		return err
 	}
@@ -103,6 +102,6 @@ func run(nodes, parts int, zipfF, skewFrac, scale float64, placer, out string, s
 		}
 	}
 	fmt.Fprintf(os.Stderr, "datagen: %d jobs over %d racks (%s placement, %.2f GB shuffle)\n",
-		len(tr.Jobs), nodes, sched.Name(), float64(ev.TrafficBytes)/1e9)
+		len(tr.Jobs), cfg.Nodes, placed.Scheduler.Name(), float64(ev.TrafficBytes)/1e9)
 	return nil
 }

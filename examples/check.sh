@@ -11,8 +11,16 @@
 # to "CCF-rack:". `ccfsim -trace` replaying datagen's trace (written with -o,
 # read back by path from the build directory, so the printed path is the
 # same on every machine) was recorded before trace.Parse streamed its input.
+# The *_placers and ccfsim_coflow recordings (every placer and coflow
+# scheduler the commands select by name) and `ccfbench -exp telemetry` (the
+# coflow table's order and labels) were recorded before the commands read
+# one name table; ccfsim_coflow under the old spellings `-coflow fair` and
+# `-coflow sequential`, which print the same Name() as their replacements.
 # A difference means a rewritten call site changed what the program computes:
 # fix the call site, do not re-record.
+#
+# reject then runs each bad flag value the commands must refuse: exit 2 with
+# one stderr line, never a panic.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 bin=$(mktemp -d)
@@ -23,6 +31,25 @@ check() { # name, command...
 	local name=$1
 	shift
 	"$@" 2>/dev/null | cmp - "examples/testdata/$name.txt"
+}
+reject() { # command...
+	local status=0 err
+	err=$(timeout 20 "$@" 2>&1 >/dev/null) || status=$?
+	if [ "$status" -ne 2 ] || [ -z "$err" ] || [[ $err == *$'\n'* || $err == *panic:* ]]; then
+		printf 'reject: %s exited %d, stderr:\n%s\n' "$*" "$status" "$err" >&2
+		return 1
+	fi
+}
+ccfsim_placers() {
+	for p in hash mini ccf ccf-nosort lpt; do "$bin/ccfsim" -nodes 16 -scale 0.001 -placer "$p"; done
+}
+ccfsim_coflow() {
+	for c in varys aalo fifo scf ncf per-flow-fair sequential-by-dest; do
+		env -C "$bin" ./ccfsim -trace shuffle.trace -coflow "$c"
+	done
+}
+datagen_placers() {
+	for p in hash mini; do "$bin/datagen" -nodes 8 -scale 0.001 -placer "$p"; done
 }
 for e in analytics_query failure_injection job_batch motivating online_coflows \
 	quickstart skew_handling tpch_join tpch_queries; do
@@ -35,4 +62,23 @@ check ablation_hetero "$bin/ccfbench" -exp ablation-hetero -scale 0.01
 check ablation_topo "$bin/ccfbench" -exp ablation-topo -scale 0.01
 "$bin/datagen" -nodes 8 -scale 0.001 -o "$bin/shuffle.trace" 2>/dev/null
 check ccfsim_trace env -C "$bin" ./ccfsim -trace shuffle.trace
-echo "examples and CLIs: 15 outputs byte-identical to examples/testdata"
+check ccfsim_placers ccfsim_placers
+check ccfsim_coflow ccfsim_coflow
+check ccfquery_placers "$bin/ccfquery" -verify -placers hash,mini,ccf,ccf-refined,lpt
+check datagen_placers datagen_placers
+check telemetry "$bin/ccfbench" -exp telemetry
+
+reject "$bin/ccfsim" -nodes 8 -scale 0.0001 -eventsim -coflow bogus
+reject "$bin/ccfsim" -nodes 8 -scale 0.0001 -coflow varys
+reject "$bin/ccfsim" -trace "$bin/shuffle.trace" -coflow fair
+reject "$bin/ccfsim" -trace "$bin/shuffle.trace" -coflow sequential
+reject "$bin/ccfsim" -nodes 8 -scale 1e12
+reject "$bin/ccfsim" -placer random
+reject "$bin/datagen" -scale -1
+reject "$bin/datagen" -scale 0
+reject "$bin/datagen" -zipf NaN
+reject "$bin/datagen" -placer bogus
+reject "$bin/ccfquery" -keys 0
+reject "$bin/ccfquery" -nodes 0
+reject "$bin/ccfquery" -nodes -3
+echo "examples and CLIs: 20 outputs byte-identical to examples/testdata, 13 bad flag values rejected"

@@ -22,6 +22,7 @@ package coflow
 import (
 	"fmt"
 	"math"
+	"strings"
 )
 
 // Flow is one point-to-point transfer within a coflow, the 3-tuple
@@ -854,4 +855,40 @@ func (SequentialByDest) Allocate(_ float64, active []*Coflow, egCap, inCap []flo
 	s.subset = shrink(s.subset, subset)
 	waterFill(subset, egCap, inCap, s)
 	scratchPool.Put(s)
+}
+
+// Schedulers is the one table of coflow-scheduler names, in the order the
+// chaos sweep and the telemetry experiment run them. New builds a fresh
+// instance on every call: Aalo and the ordered schedulers carry
+// per-simulation state and must never be shared between engines. Read-only.
+var Schedulers = []struct {
+	Name string
+	New  func() Scheduler
+}{
+	{"varys", NewVarys},
+	{"fifo", NewFIFO},
+	{"scf", NewSCF},
+	{"ncf", NewNCF},
+	{"aalo", func() Scheduler { return NewAalo() }},
+	{"per-flow-fair", func() Scheduler { return PerFlowFair{} }},
+	{"sequential-by-dest", func() Scheduler { return SequentialByDest{} }},
+}
+
+// ByName returns a fresh instance of the scheduler the table names name.
+func ByName(name string) (Scheduler, error) {
+	for _, s := range Schedulers {
+		if s.Name == name {
+			return s.New(), nil
+		}
+	}
+	return nil, fmt.Errorf("unknown coflow scheduler %q (want %s)", name, Names())
+}
+
+// Names lists the table's names in table order, comma-separated.
+func Names() string {
+	names := make([]string, len(Schedulers))
+	for i, s := range Schedulers {
+		names[i] = s.Name
+	}
+	return strings.Join(names, ", ")
 }

@@ -69,26 +69,6 @@ type ChaosResult struct {
 	MaxSlowdown   float64 // worst faulted/clean makespan ratio observed
 }
 
-// chaosSchedulers returns fresh instances of all 7 coflow schedulers.
-// Stateful schedulers (Aalo) must be rebuilt per run.
-func chaosSchedulers() []struct {
-	name string
-	mk   func() coflow.Scheduler
-} {
-	return []struct {
-		name string
-		mk   func() coflow.Scheduler
-	}{
-		{"varys", coflow.NewVarys},
-		{"fifo", coflow.NewFIFO},
-		{"scf", coflow.NewSCF},
-		{"ncf", coflow.NewNCF},
-		{"aalo", func() coflow.Scheduler { return coflow.NewAalo() }},
-		{"per-flow-fair", func() coflow.Scheduler { return coflow.PerFlowFair{} }},
-		{"sequential-by-dest", func() coflow.Scheduler { return coflow.SequentialByDest{} }},
-	}
-}
-
 // chaosWorkload builds the seed's random online coflow set.
 func chaosWorkload(rng *rand.Rand, n, ncf int) []*coflow.Coflow {
 	out := make([]*coflow.Coflow, ncf)
@@ -208,17 +188,17 @@ func runChaosSeed(cfg ChaosConfig, fabric netsim.Fabric, seed int) chaosSeedResu
 			lb = t
 		}
 	}
-	for si, sc := range chaosSchedulers() {
+	for si, sc := range coflow.Schedulers {
 		policy := chaosPolicies[(seed+si)%len(chaosPolicies)]
-		tag := fmt.Sprintf("seed=%d sched=%s policy=%s", seed, sc.name, policy)
+		tag := fmt.Sprintf("seed=%d sched=%s policy=%s", seed, sc.Name, policy)
 
-		clean, err := netsim.NewSimulator(fabric, sc.mk()).Run(cloneCoflows(base))
+		clean, err := netsim.NewSimulator(fabric, sc.New()).Run(cloneCoflows(base))
 		if err != nil {
 			fail("%s: fault-free run errored: %v", tag, err)
 			continue
 		}
 
-		sim := netsim.NewSimulator(fabric, sc.mk())
+		sim := netsim.NewSimulator(fabric, sc.New())
 		sim.Failures = faults
 		sim.Retransmit = policy
 		cfs := cloneCoflows(base)

@@ -11,6 +11,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"ccf/internal/coflow"
 	"ccf/internal/netsim"
@@ -73,19 +74,14 @@ type Result struct {
 func (r *Result) TrafficGB() float64 { return float64(r.TrafficBytes) / 1e9 }
 
 // SchedulerFor returns the placement scheduler and skew-handling policy of
-// an approach, per §IV.A: Hash is skew-oblivious; Mini and CCF integrate
-// partial duplication.
+// an approach, per §IV.A, from the placer table: Hash is skew-oblivious;
+// Mini and CCF integrate partial duplication.
 func SchedulerFor(a Approach) (placement.Scheduler, bool, error) {
-	switch a {
-	case ApproachHash:
-		return placement.Hash{}, false, nil
-	case ApproachMini:
-		return placement.Mini{}, true, nil
-	case ApproachCCF:
-		return placement.CCF{}, true, nil
-	default:
+	if a != ApproachHash && a != ApproachMini && a != ApproachCCF {
 		return nil, false, fmt.Errorf("core: unknown approach %q", a)
 	}
+	p, err := placement.ByName(strings.ToLower(string(a)))
+	return p.Scheduler, p.HandleSkew, err
 }
 
 // Run executes the CCF pipeline for one approach on one workload.

@@ -29,8 +29,10 @@ func TestSchedulerFor(t *testing.T) {
 			t.Errorf("SchedulerFor(%s) = (%s, %v), want (%s, %v)", tc.a, s.Name(), sk, tc.name, tc.skewing)
 		}
 	}
-	if _, _, err := SchedulerFor("bogus"); err == nil {
-		t.Error("SchedulerFor accepted an unknown approach")
+	for _, a := range []Approach{"bogus", "LPT", "hash"} {
+		if _, _, err := SchedulerFor(a); err == nil {
+			t.Errorf("SchedulerFor accepted the unknown approach %q", a)
+		}
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"ccf/internal/coflow"
 	"ccf/internal/netsim"
 	"ccf/internal/parallel"
 	"ccf/internal/telemetry"
@@ -59,21 +60,20 @@ func TelemetryExperiment(cfg TelemetryConfig) ([]TelemetryRow, error) {
 		return nil, err
 	}
 	base := chaosWorkload(rand.New(rand.NewSource(cfg.Seed)), cfg.Nodes, cfg.Coflows)
-	scheds := chaosSchedulers()
 	// Schedulers are independent runs over clones of the same workload; the
 	// pool returns rows indexed by scheduler position, preserving the fixed
 	// output order at any worker count.
-	return parallel.Run(cfg.Workers, len(scheds), func(i int) (TelemetryRow, error) {
-		sc := scheds[i]
+	return parallel.Run(cfg.Workers, len(coflow.Schedulers), func(i int) (TelemetryRow, error) {
+		sc := coflow.Schedulers[i]
 		rec := telemetry.NewRecorder(telemetry.Config{})
-		sim := netsim.NewSimulator(fabric, sc.mk())
+		sim := netsim.NewSimulator(fabric, sc.New())
 		sim.Probe = rec
 		rep, err := sim.Run(cloneCoflows(base))
 		if err != nil {
-			return TelemetryRow{}, fmt.Errorf("telemetry experiment: scheduler %s: %w", sc.name, err)
+			return TelemetryRow{}, fmt.Errorf("telemetry experiment: scheduler %s: %w", sc.Name, err)
 		}
 		return TelemetryRow{
-			Scheduler: sc.name,
+			Scheduler: sc.Name,
 			Makespan:  rep.Makespan,
 			AvgCCT:    rep.AvgCCT,
 			Summary:   rec.Summary(),

@@ -12,14 +12,16 @@
 //     assigned to the destination that minimises the running bottleneck
 //     port load T = max(max egress, max ingress).
 //
-// Additional schedulers (Random, LPT, CCF without the sort) support the
-// ablation studies listed in DESIGN.md.
+// Additional schedulers (LPT, CCF without the sort, CCF with local-search
+// refinement) support the ablation studies listed in DESIGN.md. Placers is
+// the one table of names the commands, the daemon and core select them by.
 package placement
 
 import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 
 	"ccf/internal/partition"
 )
@@ -270,28 +272,6 @@ func (c CCF) Place(m *partition.ChunkMatrix, initial *partition.Loads) (*partiti
 	return pl, nil
 }
 
-// Random assigns partitions uniformly at random (deterministic per Seed).
-// A sanity baseline for the ablations: it spreads ingress like Hash but has
-// no locality at all.
-type Random struct{ Seed uint64 }
-
-// Name implements Scheduler.
-func (Random) Name() string { return "Random" }
-
-// Place implements Scheduler.
-func (r Random) Place(m *partition.ChunkMatrix, _ *partition.Loads) (*partition.Placement, error) {
-	pl := partition.NewPlacement(m.P)
-	x := r.Seed | 1
-	for k := 0; k < m.P; k++ {
-		// xorshift64*
-		x ^= x >> 12
-		x ^= x << 25
-		x ^= x >> 27
-		pl.Dest[k] = int((x * 0x2545F4914F6CDD1D) % uint64(m.N))
-	}
-	return pl, nil
-}
-
 // LPT is the classic longest-processing-time makespan heuristic applied to
 // ingress only: partitions in descending total size, each to the node with
 // the least accumulated ingress. It balances receivers but ignores senders
@@ -399,4 +379,44 @@ func EvaluateInto(vol []int64, s Scheduler, m *partition.ChunkMatrix, initial *p
 		return nil, nil, fmt.Errorf("placement: %s produced invalid placement: %w", s.Name(), err)
 	}
 	return pl, vol, nil
+}
+
+// Named is one row of the placer table: a placement scheduler under the name
+// the commands select it by, with the §IV.A skew policy it runs under —
+// partial duplication on for Mini and the CCF variants, off for the
+// skew-oblivious Hash and LPT.
+type Named struct {
+	Name       string
+	Scheduler  Scheduler
+	HandleSkew bool
+}
+
+// Placers is the one table of placer names. Read-only.
+var Placers = []Named{
+	{"hash", Hash{}, false},
+	{"mini", Mini{}, true},
+	{"ccf", CCF{}, true},
+	{"ccf-nosort", CCF{NoSort: true}, true},
+	{"ccf-refined", CCFRefined{}, true},
+	{"lpt", LPT{}, false},
+}
+
+// ByName returns the placer table's row for name. It does not allocate on
+// success: the daemon resolves a placer for every job.
+func ByName(name string) (Named, error) {
+	for _, p := range Placers {
+		if p.Name == name {
+			return p, nil
+		}
+	}
+	return Named{}, fmt.Errorf("unknown placer %q (want %s)", name, Names())
+}
+
+// Names lists the placer table's names in table order, comma-separated.
+func Names() string {
+	names := make([]string, len(Placers))
+	for i, p := range Placers {
+		names[i] = p.Name
+	}
+	return strings.Join(names, ", ")
 }

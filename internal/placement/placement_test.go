@@ -470,34 +470,6 @@ func TestSortOrderMatters(t *testing.T) {
 	}
 }
 
-func TestRandomPlacementValidAndDeterministic(t *testing.T) {
-	m := partition.MustChunkMatrix(5, 40)
-	a, err := Random{Seed: 9}.Place(m, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Validate(5, 40); err != nil {
-		t.Fatal(err)
-	}
-	b, _ := Random{Seed: 9}.Place(m, nil)
-	for k := range a.Dest {
-		if a.Dest[k] != b.Dest[k] {
-			t.Fatal("Random placement not deterministic per seed")
-		}
-	}
-	c, _ := Random{Seed: 10}.Place(m, nil)
-	same := true
-	for k := range a.Dest {
-		if a.Dest[k] != c.Dest[k] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Error("different seeds produced identical random placements")
-	}
-}
-
 func TestLPTBalancesIngress(t *testing.T) {
 	// Equal-size partitions on a cold cluster: LPT spreads them 1 per node.
 	n, p := 4, 4
@@ -527,7 +499,7 @@ func TestEvaluateReportsConsistentMetrics(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n, p := 2+rng.Intn(5), 1+rng.Intn(10)
 		m := randomMatrix(rng, n, p, 60)
-		for _, s := range []Scheduler{Hash{}, Mini{}, CCF{}, LPT{}, Random{Seed: uint64(seed)}} {
+		for _, s := range []Scheduler{Hash{}, Mini{}, CCF{}, LPT{}} {
 			ev, err := Evaluate(s, m, nil, nil)
 			if err != nil {
 				return false
@@ -553,7 +525,6 @@ func TestSchedulerNames(t *testing.T) {
 		CCF{}:             "CCF",
 		CCF{NoSort: true}: "CCF-nosort",
 		LPT{}:             "LPT",
-		Random{}:          "Random",
 	}
 	for s, want := range cases {
 		if got := s.Name(); got != want {

@@ -31,8 +31,10 @@
 package service
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 
 	"ccf/internal/coflow"
 	"ccf/internal/core"
@@ -99,7 +101,7 @@ func (s *JobSpec) validate(nodes int) error {
 	if (s.Gen == nil) == (s.Chunks == nil) {
 		return fmt.Errorf("%w: exactly one of gen/chunks required", ErrBadJob)
 	}
-	if _, err := placerByName(s.Placer); err != nil {
+	if _, err := jobPlacer(s.Placer); err != nil {
 		return err
 	}
 	if s.Gen != nil {
@@ -144,37 +146,32 @@ func (s *JobSpec) validate(nodes int) error {
 	return nil
 }
 
-// placerByName resolves the placement scheduler registry. Only
+// The daemon's subsets of the placer and coflow-scheduler tables. Only
 // deterministic placers are admitted — the WAL replays them.
-func placerByName(name string) (placement.Scheduler, error) {
-	switch name {
-	case "", "ccf":
-		return placement.CCF{}, nil
-	case "hash":
-		return placement.Hash{}, nil
-	case "mini":
-		return placement.Mini{}, nil
+var (
+	jobPlacers        = []string{"ccf", "hash", "mini"}
+	networkSchedulers = []string{"varys", "aalo", "fifo", "scf", "ncf"}
+)
+
+// jobPlacer resolves a job's placer ("" is ccf) through the placer table.
+func jobPlacer(name string) (placement.Scheduler, error) {
+	name = cmp.Or(name, "ccf")
+	if !slices.Contains(jobPlacers, name) {
+		return nil, fmt.Errorf("%w: unknown placer %q (want ccf, hash or mini)", ErrBadJob, name)
 	}
-	return nil, fmt.Errorf("%w: unknown placer %q (want ccf, hash or mini)", ErrBadJob, name)
+	p, err := placement.ByName(name)
+	return p.Scheduler, err
 }
 
-// netSchedByName resolves the network (coflow) scheduler registry. Each
-// call constructs a fresh instance: schedulers carry per-simulation state
-// and must never be shared across shard engines.
-func netSchedByName(name string) (coflow.Scheduler, error) {
-	switch name {
-	case "", "varys":
-		return coflow.NewVarys(), nil
-	case "aalo":
-		return coflow.NewAalo(), nil
-	case "fifo":
-		return coflow.NewFIFO(), nil
-	case "scf":
-		return coflow.NewSCF(), nil
-	case "ncf":
-		return coflow.NewNCF(), nil
+// networkScheduler resolves a pool's coflow scheduler ("" is varys) through
+// the coflow table. Each call constructs a fresh instance: schedulers carry
+// per-simulation state and must never be shared across shard engines.
+func networkScheduler(name string) (coflow.Scheduler, error) {
+	name = cmp.Or(name, "varys")
+	if !slices.Contains(networkSchedulers, name) {
+		return nil, fmt.Errorf("service: unknown network scheduler %q (want varys, aalo, fifo, scf or ncf)", name)
 	}
-	return nil, fmt.Errorf("service: unknown network scheduler %q (want varys, aalo, fifo, scf or ncf)", name)
+	return coflow.ByName(name)
 }
 
 // materialize expands a resolved spec (Arrival non-nil) into the engine's
@@ -186,7 +183,7 @@ func materialize(spec *JobSpec, nodes int, gen *workload.Generator) (core.Online
 	if spec.Arrival == nil {
 		return core.OnlineJob{}, fmt.Errorf("service: internal: materialize before arrival resolution")
 	}
-	placer, err := placerByName(spec.Placer)
+	placer, err := jobPlacer(spec.Placer)
 	if err != nil {
 		return core.OnlineJob{}, err
 	}

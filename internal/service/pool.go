@@ -95,7 +95,7 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
 	}
-	if _, err := netSchedByName(c.Engine.NetworkScheduler); err != nil {
+	if _, err := networkScheduler(c.Engine.NetworkScheduler); err != nil {
 		return c, err
 	}
 	return c, nil

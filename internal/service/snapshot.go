@@ -102,7 +102,7 @@ type EngineConfig struct {
 
 // options resolves the pinned identity into engine options.
 func (c EngineConfig) options() (core.OnlineOptions, error) {
-	sched, err := netSchedByName(c.NetworkScheduler)
+	sched, err := networkScheduler(c.NetworkScheduler)
 	if err != nil {
 		return core.OnlineOptions{}, err
 	}

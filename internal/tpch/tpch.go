@@ -36,8 +36,8 @@ type Config struct {
 	Seed uint64
 }
 
-// gen is an xorshift64* generator: one of four private copies in the
-// repository (join.Gen, fbtrace's gen and placement.Random are the others).
+// gen is an xorshift64* generator: one of three private copies in the
+// repository (join.Gen and fbtrace's gen are the others).
 type gen struct{ state uint64 }
 
 func (g *gen) next() uint64 {
