@@ -16,6 +16,9 @@
 # coflow table's order and labels) were recorded before the commands read
 # one name table; ccfsim_coflow under the old spellings `-coflow fair` and
 # `-coflow sequential`, which print the same Name() as their replacements.
+# `ccfbench -exp chaos` and `-exp recovery` (the only recordings that run
+# Simulator.Failures) were recorded before capacity events and failure edges
+# became one schedule in the event loop.
 # A difference means a rewritten call site changed what the program computes:
 # fix the call site, do not re-record.
 #
@@ -67,6 +70,8 @@ check ccfsim_coflow ccfsim_coflow
 check ccfquery_placers "$bin/ccfquery" -verify -placers hash,mini,ccf,ccf-refined,lpt
 check datagen_placers datagen_placers
 check telemetry "$bin/ccfbench" -exp telemetry
+check chaos "$bin/ccfbench" -exp chaos
+check recovery "$bin/ccfbench" -exp recovery
 
 reject "$bin/ccfsim" -nodes 8 -scale 0.0001 -eventsim -coflow bogus
 reject "$bin/ccfsim" -nodes 8 -scale 0.0001 -coflow varys
@@ -81,4 +86,4 @@ reject "$bin/datagen" -placer bogus
 reject "$bin/ccfquery" -keys 0
 reject "$bin/ccfquery" -nodes 0
 reject "$bin/ccfquery" -nodes -3
-echo "examples and CLIs: 20 outputs byte-identical to examples/testdata, 13 bad flag values rejected"
+echo "examples and CLIs: 22 outputs byte-identical to examples/testdata, 13 bad flag values rejected"

@@ -27,7 +27,7 @@ package core
 //     simulator work and a deep clone per arrival. It exists to pin the
 //     engine: TestOnlineEngineMatchesReference asserts byte-identical
 //     CCTs/Makespan across seeds × placers × network schedulers ×
-//     co-optimize on/off, with and without injected port failures.
+//     co-optimize on/off.
 //
 // RunOnline, the public batch entry point, is a thin wrapper over the
 // engine: sort by arrival, Submit each job, Finish, map CCTs back to input
@@ -97,11 +97,6 @@ type OnlineOptions struct {
 	CoOptimize bool
 	// NetworkScheduler orders the concurrent coflows; nil = Varys.
 	NetworkScheduler coflow.Scheduler
-	// Failures schedules port outages on the shared fabric (see
-	// netsim.PortFailure); edges straddling job arrivals apply exactly as in
-	// an offline run. Retransmit selects the recovery policy.
-	Failures   []netsim.PortFailure
-	Retransmit netsim.RetransmitPolicy
 }
 
 // OnlineReport summarises an online run.
@@ -189,12 +184,8 @@ func newOnlineEngine(nodes int, opts OnlineOptions) (*OnlineEngine, error) {
 		netSched = coflow.NewVarys()
 	}
 	sim := netsim.NewSimulator(fabric, netSched)
-	sim.Failures = opts.Failures
-	sim.Retransmit = opts.Retransmit
 	sim.EventHorizon = true
-	// Recovery accounting needs every coflow at the end of the run, so a
-	// stream with scheduled failures keeps them all.
-	sim.ReleaseCompleted = len(opts.Failures) == 0
+	sim.ReleaseCompleted = true
 	return &OnlineEngine{
 		opts: opts, n: nodes, sim: sim,
 		egB: make([]int64, nodes), inB: make([]int64, nodes),
@@ -207,8 +198,7 @@ func newOnlineEngine(nodes int, opts OnlineOptions) (*OnlineEngine, error) {
 const engineImageBytes = 16
 
 // AppendImage appends the engine's state image to b: the engine clock, the
-// job count and the live session's image (netsim.Session.AppendImage). Only
-// an engine without scheduled failures can be imaged.
+// job count and the live session's image (netsim.Session.AppendImage).
 func (e *OnlineEngine) AppendImage(b []byte) ([]byte, error) {
 	if e.finished {
 		return nil, errors.New("core: online engine already finished")
@@ -550,8 +540,6 @@ func RunOnlineReference(jobs []OnlineJob, opts OnlineOptions) (*OnlineReport, er
 			// What will the network look like when this job arrives?
 			probe := cloneCoflows(admitted)
 			sim := netsim.NewSimulator(fabric, netSched)
-			sim.Failures = opts.Failures
-			sim.Retransmit = opts.Retransmit
 			sim.Horizon = job.Arrival
 			if _, err := sim.Run(probe); err != nil {
 				return nil, fmt.Errorf("core: online job %d: backlog probe: %w", ji, err)
@@ -588,8 +576,6 @@ func RunOnlineReference(jobs []OnlineJob, opts OnlineOptions) (*OnlineReport, er
 	}
 
 	finalSim := netsim.NewSimulator(fabric, netSched)
-	finalSim.Failures = opts.Failures
-	finalSim.Retransmit = opts.Retransmit
 	rep, err := finalSim.Run(admitted)
 	if err != nil {
 		return nil, err

@@ -124,55 +124,6 @@ func TestOnlineEngineMatchesReference(t *testing.T) {
 	}
 }
 
-// TestOnlineEngineMatchesReferenceWithFailures is the fault-injection case
-// of the acceptance criteria: port outages whose down/up edges straddle job
-// arrivals must apply identically whether the simulation is advanced
-// incrementally (session) or re-run per arrival plus once at the end
-// (reference), under every retransmission policy.
-func TestOnlineEngineMatchesReferenceWithFailures(t *testing.T) {
-	const n = 6
-	policies := []struct {
-		name string
-		pol  netsim.RetransmitPolicy
-	}{
-		{"restart", netsim.RetransmitRestart},
-		{"resume", netsim.RetransmitResume},
-		{"restart-delivered", netsim.RetransmitRestartDelivered},
-	}
-	// The down edge lands between the first and later arrivals; the up edge
-	// after the last arrival — the outage straddles the whole admission
-	// sequence. A second short outage hits mid-stream.
-	failures := []netsim.PortFailure{
-		{Port: 1, Down: 0.01, Up: 0.2},
-		{Port: 3, Down: 0.04, Up: 0.06},
-	}
-	for _, pol := range policies {
-		for _, coopt := range []bool{false, true} {
-			pol, coopt := pol, coopt
-			t.Run(fmt.Sprintf("%s/coopt=%v", pol.name, coopt), func(t *testing.T) {
-				for seed := int64(0); seed < 8; seed++ {
-					jobs := equivJobs(t, n, seed)
-					opts := OnlineOptions{
-						CoOptimize: coopt,
-						Failures:   failures,
-						Retransmit: pol.pol,
-					}
-					ref, refErr := RunOnlineReference(jobs, opts)
-					got, gotErr := RunOnline(jobs, opts)
-					tag := fmt.Sprintf("seed=%d", seed)
-					if (refErr != nil) != (gotErr != nil) {
-						t.Fatalf("%s: error mismatch: engine=%v reference=%v", tag, gotErr, refErr)
-					}
-					if refErr != nil {
-						continue
-					}
-					comparePlacedOnline(t, tag, got, ref)
-				}
-			})
-		}
-	}
-}
-
 // TestRunOnlineObliviousIsBlackBoxComposition pins the paper's "black-box
 // composition" baseline: with CoOptimize off, RunOnline must be *exactly*
 // per-job offline placement against an idle network (initial loads zero, or

@@ -15,7 +15,6 @@ import (
 	"reflect"
 	"testing"
 
-	"ccf/internal/netsim"
 	"ccf/internal/partition"
 	"ccf/internal/placement"
 	"ccf/internal/workload"
@@ -91,86 +90,74 @@ func (f fixedPlacer) Place(*partition.ChunkMatrix, *partition.Loads) (*partition
 // before its Submit would place it.
 func TestOnlineAdmitBatchMatchesSequential(t *testing.T) {
 	const n, seeds = 4, 8
-	failureModes := []struct {
-		name     string
-		failures []netsim.PortFailure
-	}{
-		{"fault-free", nil},
-		// Down/up edges land mid-stream, the up edge on a tie for seeds
-		// whose arrival step is 0.01 or 0.02.
-		{"port-failure", []netsim.PortFailure{{Port: 1, Down: 0.005, Up: 0.02}}},
-	}
-	for _, fm := range failureModes {
-		fm := fm
-		t.Run(fm.name, func(t *testing.T) {
-			checked := 0
-			for seed := int64(0); seed < seeds; seed++ {
-				opts := OnlineOptions{CoOptimize: true, Failures: fm.failures}
-				jobs := batchEquivJobs(t, n, seed)
-				// Two rejected jobs between tied jobs 4 and 5: one before its
-				// probe, one after it.
-				tie := jobs[4].Arrival
-				stream := append(append(append([]OnlineJob{}, jobs[:5]...),
-					OnlineJob{Name: "no-workload", Arrival: tie},
-					OnlineJob{Name: "refused", Arrival: tie, Workload: jobs[5].Workload, Scheduler: failingPlacer{}},
-				), jobs[5:]...)
+	t.Run("fault-free", func(t *testing.T) {
+		checked := 0
+		for seed := int64(0); seed < seeds; seed++ {
+			opts := OnlineOptions{CoOptimize: true}
+			jobs := batchEquivJobs(t, n, seed)
+			// Two rejected jobs between tied jobs 4 and 5: one before its
+			// probe, one after it.
+			tie := jobs[4].Arrival
+			stream := append(append(append([]OnlineJob{}, jobs[:5]...),
+				OnlineJob{Name: "no-workload", Arrival: tie},
+				OnlineJob{Name: "refused", Arrival: tie, Workload: jobs[5].Workload, Scheduler: failingPlacer{}},
+			), jobs[5:]...)
 
-				eng, err := NewOnlineEngine(n, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				eg, in := make([]int64, n), make([]int64, n)
-				var admitted []OnlineJob
-				prev := -1.0
-				for i, job := range stream {
-					tied := job.Arrival == prev
-					if tied {
-						if err := eng.BacklogInto(eg, in); err != nil {
-							t.Fatal(err)
-						}
-					}
-					dec, err := eng.Submit(job)
-					if job.Name == "no-workload" || job.Name == "refused" {
-						if err == nil {
-							t.Fatalf("seed %d: %s admitted", seed, job.Name)
-						}
-						continue
-					}
-					if err != nil {
-						t.Fatalf("seed %d: job %d: %v", seed, i, err)
-					}
-					prev = job.Arrival
-					if tied && !job.PlacementOnly {
-						checked++
-						want := partition.Loads{Egress: eg, Ingress: in}
-						if !reflect.DeepEqual(dec.Backlog, want) {
-							t.Fatalf("seed %d: job %d (%s) at %g placed against %+v, a scan reads %+v",
-								seed, i, job.Name, job.Arrival, dec.Backlog, want)
-						}
-					}
-					if job.PlacementOnly {
-						// The reference probes every job; hand it this one's
-						// idle-network placement.
-						job.Scheduler = fixedPlacer{dec.Placement}
-					}
-					admitted = append(admitted, job)
-				}
-				got, err := eng.Finish()
-				if err != nil {
-					t.Fatal(err)
-				}
-				ref, err := RunOnlineReference(admitted, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				comparePlacedOnline(t, fmt.Sprintf("seed %d", seed), got, ref)
+			eng, err := NewOnlineEngine(n, opts)
+			if err != nil {
+				t.Fatal(err)
 			}
-			// Nine probing jobs per stream share their predecessor's arrival.
-			if checked != seeds*9 {
-				t.Fatalf("checked %d tied probes, want %d", checked, seeds*9)
+			eg, in := make([]int64, n), make([]int64, n)
+			var admitted []OnlineJob
+			prev := -1.0
+			for i, job := range stream {
+				tied := job.Arrival == prev
+				if tied {
+					if err := eng.BacklogInto(eg, in); err != nil {
+						t.Fatal(err)
+					}
+				}
+				dec, err := eng.Submit(job)
+				if job.Name == "no-workload" || job.Name == "refused" {
+					if err == nil {
+						t.Fatalf("seed %d: %s admitted", seed, job.Name)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("seed %d: job %d: %v", seed, i, err)
+				}
+				prev = job.Arrival
+				if tied && !job.PlacementOnly {
+					checked++
+					want := partition.Loads{Egress: eg, Ingress: in}
+					if !reflect.DeepEqual(dec.Backlog, want) {
+						t.Fatalf("seed %d: job %d (%s) at %g placed against %+v, a scan reads %+v",
+							seed, i, job.Name, job.Arrival, dec.Backlog, want)
+					}
+				}
+				if job.PlacementOnly {
+					// The reference probes every job; hand it this one's
+					// idle-network placement.
+					job.Scheduler = fixedPlacer{dec.Placement}
+				}
+				admitted = append(admitted, job)
 			}
-		})
-	}
+			got, err := eng.Finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := RunOnlineReference(admitted, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			comparePlacedOnline(t, fmt.Sprintf("seed %d", seed), got, ref)
+		}
+		// Nine probing jobs per stream share their predecessor's arrival.
+		if checked != seeds*9 {
+			t.Fatalf("checked %d tied probes, want %d", checked, seeds*9)
+		}
+	})
 }
 
 // TestOnlineBatchErrorMidBatch puts two rejected jobs at the head of every
@@ -180,51 +167,49 @@ func TestOnlineAdmitBatchMatchesSequential(t *testing.T) {
 // same stream without the rejected jobs.
 func TestOnlineBatchErrorMidBatch(t *testing.T) {
 	const n = 4
-	for _, failures := range [][]netsim.PortFailure{nil, {{Port: 1, Down: 0.005, Up: 0.02}}} {
-		for seed := int64(0); seed < 8; seed++ {
-			opts := OnlineOptions{CoOptimize: true, Failures: failures}
-			jobs := batchEquivJobs(t, n, seed)
+	for seed := int64(0); seed < 8; seed++ {
+		opts := OnlineOptions{CoOptimize: true}
+		jobs := batchEquivJobs(t, n, seed)
 
-			ref, err := NewOnlineEngine(n, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			eng, err := NewOnlineEngine(n, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rejected := 0
-			for i, job := range jobs {
-				if i > 0 && job.Arrival != jobs[i-1].Arrival {
-					for _, bad := range []OnlineJob{
-						{Name: "no-workload", Arrival: job.Arrival},
-						{Name: "refused", Arrival: job.Arrival, Workload: job.Workload, Scheduler: failingPlacer{}},
-					} {
-						if _, err := eng.Submit(bad); err == nil {
-							t.Fatalf("seed %d: %s before job %d admitted", seed, bad.Name, i)
-						}
-						rejected++
+		ref, err := NewOnlineEngine(n, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := NewOnlineEngine(n, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rejected := 0
+		for i, job := range jobs {
+			if i > 0 && job.Arrival != jobs[i-1].Arrival {
+				for _, bad := range []OnlineJob{
+					{Name: "no-workload", Arrival: job.Arrival},
+					{Name: "refused", Arrival: job.Arrival, Workload: job.Workload, Scheduler: failingPlacer{}},
+				} {
+					if _, err := eng.Submit(bad); err == nil {
+						t.Fatalf("seed %d: %s before job %d admitted", seed, bad.Name, i)
 					}
-				}
-				want, err := ref.Submit(job)
-				if err != nil {
-					t.Fatalf("seed %d: reference job %d: %v", seed, i, err)
-				}
-				got, err := eng.Submit(job)
-				if err != nil {
-					t.Fatalf("seed %d: job %d: %v", seed, i, err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("seed %d: job %d decision diverged:\nwith rejects %+v\nwithout     %+v", seed, i, got, want)
-				}
-				if g, w := eng.StateDigest(), ref.StateDigest(); g != w {
-					t.Fatalf("seed %d: digest after job %d: %016x, without rejects %016x", seed, i, g, w)
+					rejected++
 				}
 			}
-			// Three arrival steps per stream, two rejects at each.
-			if rejected != 6 {
-				t.Fatalf("seed %d: %d rejected jobs, want 6", seed, rejected)
+			want, err := ref.Submit(job)
+			if err != nil {
+				t.Fatalf("seed %d: reference job %d: %v", seed, i, err)
 			}
+			got, err := eng.Submit(job)
+			if err != nil {
+				t.Fatalf("seed %d: job %d: %v", seed, i, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d: job %d decision diverged:\nwith rejects %+v\nwithout     %+v", seed, i, got, want)
+			}
+			if g, w := eng.StateDigest(), ref.StateDigest(); g != w {
+				t.Fatalf("seed %d: digest after job %d: %016x, without rejects %016x", seed, i, g, w)
+			}
+		}
+		// Three arrival steps per stream, two rejects at each.
+		if rejected != 6 {
+			t.Fatalf("seed %d: %d rejected jobs, want 6", seed, rejected)
 		}
 	}
 }

@@ -143,6 +143,49 @@ func TestSteadyStateRunZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestScheduledRunZeroAllocs extends the contract to a run with a fabric
+// schedule: two capacity events and one outage, under a policy that voids
+// progress and one that keeps it. Applying an edge and the per-epoch
+// capacities it leaves behind must allocate nothing once the scratch, the
+// report's failure outcomes and its restart map are warm.
+func TestScheduledRunZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector perturbs allocation counts")
+	}
+	const n = 16
+	cfs := staggered(t, n, 24)
+	fab, err := netsim.NewFabric(n, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pol := range []netsim.RetransmitPolicy{netsim.RetransmitResume, netsim.RetransmitRestart} {
+		for _, horizon := range []bool{false, true} {
+			sim := netsim.NewSimulator(fab, coflow.NewVarys())
+			sim.EventHorizon = horizon
+			sim.Events = []netsim.CapacityEvent{
+				{Time: 0.5, Port: 3, EgressFactor: 0.5, IngressFactor: 0.25},
+				{Time: 2, Port: 3, EgressFactor: 1, IngressFactor: 1},
+			}
+			sim.Failures = []netsim.PortFailure{{Port: 5, Down: 1, Up: 3}}
+			sim.Retransmit = pol
+			var rep netsim.Report
+			if err := sim.RunInto(cfs, &rep); err != nil { // warm the scratch
+				t.Fatal(err)
+			}
+			if rep.Failures[0].FlowsHit == 0 {
+				t.Fatalf("%v: the outage hit no flow", pol)
+			}
+			if avg := testing.AllocsPerRun(10, func() {
+				if err := sim.RunInto(cfs, &rep); err != nil {
+					t.Fatal(err)
+				}
+			}); avg != 0 {
+				t.Errorf("%v, EventHorizon=%v: steady-state RunInto with a fabric schedule allocated %v allocs/op", pol, horizon, avg)
+			}
+		}
+	}
+}
+
 // TestSessionAdvanceZeroAllocs extends the allocation contract to the
 // resumable session: the online engine's steady state — begin a session,
 // stream coflows in at their arrivals, Advance between them, read the

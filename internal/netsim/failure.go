@@ -9,9 +9,10 @@ package netsim
 // under the strictest policy, even fully-delivered flows into the failed
 // port are re-sent, modelling loss of the receiver's un-replicated storage.
 //
-// Failures never change fault-free behavior: every branch of the failure
-// machinery is gated on len(Simulator.Failures) > 0, keeping the fault-free
-// event loop bit-identical to internal/refsim and allocation-free.
+// Failures never change fault-free behavior: the failure machinery runs only
+// on a failure's edge in the fabric schedule (session.go) or on its outcome,
+// keeping the fault-free event loop bit-identical to internal/refsim and
+// allocation-free.
 
 // RetransmitPolicy selects what happens to the bytes a failed port has
 // already carried.
@@ -84,31 +85,6 @@ type FailureOutcome struct {
 	// touching the port completed, 0 when the failure affected no
 	// unfinished flow. Only meaningful when Recovered.
 	TimeToRecovery float64
-}
-
-// failTransition is one edge of a failure interval in the event loop's
-// time-ordered schedule: the down edge (up=false) or the recovery edge.
-type failTransition struct {
-	time float64
-	port int
-	up   bool
-	out  int // index into Report.Failures
-}
-
-// sortFailTransitions stable-sorts transitions by time (insertion sort: the
-// list is tiny and usually near-sorted). Stability keeps the down edge of a
-// failure ahead of any same-time edges appended later, so the down-counter
-// composition of overlapping failures is order-independent.
-func sortFailTransitions(tr []failTransition) {
-	for i := 1; i < len(tr); i++ {
-		ev := tr[i]
-		j := i - 1
-		for j >= 0 && ev.time < tr[j].time {
-			tr[j+1] = tr[j]
-			j--
-		}
-		tr[j+1] = ev
-	}
 }
 
 // bumpRestart counts one forced flow restart against a coflow. The map is

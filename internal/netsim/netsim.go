@@ -141,8 +141,10 @@ type Simulator struct {
 	// co-optimizer; Horizon remains for one-shot what-if runs.
 	Horizon float64
 	// Events injects capacity changes (degradations, repairs) at given
-	// times — the failure-injection hook. Events apply in time order; the
-	// event loop never steps across an event boundary.
+	// times — the failure-injection hook. Events and the edges of Failures
+	// apply as one time-sorted schedule (same-instant edges in input order,
+	// events before failures); the event loop never steps across an edge,
+	// and a NaN time is an error.
 	Events []CapacityEvent
 	// Deps declares coflow dependencies by ID: a coflow becomes eligible
 	// only once all listed predecessor coflows have completed (and its own
@@ -201,17 +203,40 @@ const NoHorizon = -1
 // RunInto lets callers recycle even those). The queue and active lists live on
 // the Session, which is equally reused.
 type runScratch struct {
-	events       []CapacityEvent
+	edges        []edge // the fabric schedule, sorted by time
 	egFac, inFac []float64
+	downCnt      []int // per-port count of outages covering now
+	// egEff/inEff are the effective per-port capacities setPort keeps;
+	// egCap/inCap are each epoch's copy of them, which Allocate may consume.
+	egEff, inEff []float64
 	egCap, inCap []float64
 	egUse, inUse []float64 // fused rate-check accumulators
 	completed    map[int]bool
 	known        map[int]bool
-	downCnt      []int            // per-port count of outages covering now
-	failEv       []failTransition // time-sorted failure edges
-	// probeEg/probeIn snapshot the effective per-port capacities for the
-	// probe's EpochSample; filled only when a probe is attached.
-	probeEg, probeIn []float64
+}
+
+// edge is one entry of the fabric schedule: a capacity event (fail < 0,
+// carrying its factors) or the down or up edge of Simulator.Failures[fail].
+// Simulator.Events and Simulator.Failures stay separate inputs because only a
+// failure voids work and has an outcome; the loop walks both as one list.
+type edge struct {
+	time         float64
+	port         int
+	egFac, inFac float64
+	up           bool
+	fail         int
+}
+
+// setPort recomputes port p's effective capacities after an edge moved its
+// factors or its outage count: configured × factor, or 0 while an outage
+// covers the port.
+func (sc *runScratch) setPort(f *Fabric, p int) {
+	if sc.downCnt[p] > 0 {
+		sc.egEff[p], sc.inEff[p] = 0, 0
+		return
+	}
+	sc.egEff[p] = f.EgressCap[p] * sc.egFac[p]
+	sc.inEff[p] = f.IngressCap[p] * sc.inFac[p]
 }
 
 // CapacityEvent rescales one port's capacities at a point in time. Factors
@@ -302,11 +327,11 @@ func (s *Simulator) RunInto(coflows []*coflow.Coflow, rep *Report) error {
 // re-enter delivered flows of in-flight coflows into their coflows' live
 // sets. It visits every active coflow, granted or not: a preempted coflow
 // keeps the progress it made while it was served.
-func (s *Simulator) applyPortDown(tr failTransition, now float64, active []*coflow.Coflow, rep *Report) {
-	out := &rep.Failures[tr.out]
+func (s *Simulator) applyPortDown(e edge, now float64, active []*coflow.Coflow, rep *Report) {
+	out := &rep.Failures[e.fail]
 	for _, c := range active {
 		for _, f := range c.LiveFlows() {
-			if f.Src != tr.port && f.Dst != tr.port {
+			if f.Src != e.port && f.Dst != e.port {
 				continue
 			}
 			out.FlowsHit++
@@ -338,7 +363,7 @@ func (s *Simulator) applyPortDown(tr failTransition, now float64, active []*cofl
 	// completed ones are out of scope.
 	for _, c := range active {
 		for _, f := range c.Flows {
-			if !f.Done || f.Dst != tr.port || f.Size <= 0 {
+			if !f.Done || f.Dst != e.port || f.Size <= 0 {
 				continue
 			}
 			out.FlowsHit++
@@ -393,26 +418,13 @@ func (sc *runScratch) ensurePorts(n int) {
 	}
 	sc.egFac = make([]float64, n)
 	sc.inFac = make([]float64, n)
+	sc.egEff = make([]float64, n)
+	sc.inEff = make([]float64, n)
 	sc.egCap = make([]float64, n)
 	sc.inCap = make([]float64, n)
 	sc.egUse = make([]float64, n)
 	sc.inUse = make([]float64, n)
 	sc.downCnt = make([]int, n)
-}
-
-// sortEventsByTime stable-sorts capacity events by time without allocating
-// (the list is tiny and usually pre-sorted; insertion sort is the adaptive
-// O(n) case then).
-func sortEventsByTime(events []CapacityEvent) {
-	for i := 1; i < len(events); i++ {
-		ev := events[i]
-		j := i - 1
-		for j >= 0 && ev.Time < events[j].Time {
-			events[j+1] = events[j]
-			j--
-		}
-		events[j+1] = ev
-	}
 }
 
 // PortBacklog sums the remaining bytes of unfinished flows on each port —

@@ -44,9 +44,11 @@ package netsim
 // per-Advance state.
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"ccf/internal/coflow"
@@ -67,9 +69,7 @@ type Session struct {
 	pending  []*coflow.Coflow
 	active   []*coflow.Coflow
 	all      []*coflow.Coflow
-	events   []CapacityEvent // unapplied suffix of the sorted event schedule
-	nextFail int
-	haveFail bool
+	edges    []edge // unapplied suffix of the fabric schedule
 	begun    bool
 	finished bool
 	err      error
@@ -141,50 +141,48 @@ func (ss *Session) begin(s *Simulator, rep *Report) error {
 		clear(sc.completed)
 	}
 
-	events := append(sc.events[:0], s.Events...)
-	sortEventsByTime(events)
-	sc.events = events
-	ss.events = events
-	for _, ev := range events {
+	// The fabric schedule: every capacity event and both edges of every
+	// failure in one list, stable-sorted by time so same-instant edges keep
+	// input order (capacity events first, then failures, each down edge ahead
+	// of its own up edge). A NaN time would sort anywhere and never come due.
+	edges := sc.edges[:0]
+	for _, ev := range s.Events {
 		if ev.Port < 0 || ev.Port >= ports {
 			return fmt.Errorf("netsim: capacity event targets port %d outside fabric of %d ports", ev.Port, ports)
 		}
 		if ev.EgressFactor < 0 || ev.IngressFactor < 0 {
 			return fmt.Errorf("netsim: capacity event at t=%g has negative factor", ev.Time)
 		}
-	}
-	sc.ensurePorts(ports)
-	egFac, inFac := sc.egFac[:ports], sc.inFac[:ports]
-	for p := range egFac {
-		egFac[p], inFac[p] = 1, 1
-	}
-
-	// Failure schedule: expand each outage into time-sorted down/up edges.
-	// A stale down-counter from a previous faulted run must never leak into
-	// this one, so the counter is cleared unconditionally (cheap, and free
-	// of float effects on the equivalence-pinned fault-free path).
-	ss.haveFail = len(s.Failures) > 0
-	downCnt := sc.downCnt[:ports]
-	for p := range downCnt {
-		downCnt[p] = 0
-	}
-	failEv := sc.failEv[:0]
-	if ss.haveFail {
-		for i, pf := range s.Failures {
-			if pf.Port < 0 || pf.Port >= ports {
-				return fmt.Errorf("netsim: failure targets port %d outside fabric of %d ports", pf.Port, ports)
-			}
-			if pf.Down < 0 {
-				return fmt.Errorf("netsim: failure of port %d has negative down time %g", pf.Port, pf.Down)
-			}
-			failEv = append(failEv, failTransition{time: pf.Down, port: pf.Port, up: false, out: i})
-			if !pf.Permanent() {
-				failEv = append(failEv, failTransition{time: pf.Up, port: pf.Port, up: true, out: i})
-			}
+		if math.IsNaN(ev.Time) {
+			return fmt.Errorf("netsim: capacity event on port %d has NaN time", ev.Port)
 		}
-		sortFailTransitions(failEv)
+		edges = append(edges, edge{time: ev.Time, port: ev.Port, egFac: ev.EgressFactor, inFac: ev.IngressFactor, fail: -1})
 	}
-	sc.failEv = failEv
+	for i, pf := range s.Failures {
+		if pf.Port < 0 || pf.Port >= ports {
+			return fmt.Errorf("netsim: failure targets port %d outside fabric of %d ports", pf.Port, ports)
+		}
+		if pf.Down < 0 {
+			return fmt.Errorf("netsim: failure of port %d has negative down time %g", pf.Port, pf.Down)
+		}
+		if math.IsNaN(pf.Down) || math.IsNaN(pf.Up) {
+			return fmt.Errorf("netsim: failure of port %d has NaN down or up time (down=%g up=%g)", pf.Port, pf.Down, pf.Up)
+		}
+		edges = append(edges, edge{time: pf.Down, port: pf.Port, fail: i})
+		if !pf.Permanent() {
+			edges = append(edges, edge{time: pf.Up, port: pf.Port, up: true, fail: i})
+		}
+	}
+	slices.SortStableFunc(edges, func(a, b edge) int { return cmp.Compare(a.time, b.time) })
+	sc.edges = edges
+	ss.edges = edges
+	// Every port starts at its configured capacity with no outage; a previous
+	// run's factors and down-counters never leak into this one.
+	sc.ensurePorts(ports)
+	for p := 0; p < ports; p++ {
+		sc.egFac[p], sc.inFac[p], sc.downCnt[p] = 1, 1, 0
+		sc.setPort(&s.fabric, p)
+	}
 	// The toggle is propagated unconditionally so a scheduler reused on a
 	// simulator without EventHorizon drops its sparse bookkeeping.
 	ss.sa, _ = s.sched.(coflow.SparseAllocator)
@@ -202,10 +200,6 @@ func (ss *Session) begin(s *Simulator, rep *Report) error {
 		} else {
 			clear(ss.relWeights)
 		}
-	}
-	if s.Probe != nil && len(sc.probeEg) < ports {
-		sc.probeEg = make([]float64, ports)
-		sc.probeIn = make([]float64, ports)
 	}
 
 	*rep = Report{CCTs: rep.CCTs, Restarts: rep.Restarts, Failures: rep.Failures[:0]}
@@ -494,21 +488,16 @@ func (ss *Session) loop(stop float64) error {
 	ports := s.fabric.Ports
 	hz := s.Horizon
 	completed := sc.completed
-	egFac, inFac := sc.egFac[:ports], sc.inFac[:ports]
+	egEff, inEff := sc.egEff[:ports], sc.inEff[:ports]
 	egCap, inCap := sc.egCap[:ports], sc.inCap[:ports]
 	egUse, inUse := sc.egUse[:ports], sc.inUse[:ports]
-	downCnt := sc.downCnt[:ports]
-	failEv := sc.failEv
-	haveFail := ss.haveFail
 
 	now := ss.now
-	pending, active := ss.pending, ss.active
-	events, nextFail := ss.events, ss.nextFail
+	pending, active, edges := ss.pending, ss.active, ss.edges
 	// save parks the loop state back in the session; called (not deferred —
 	// a deferred closure would allocate) before every exit.
 	save := func() {
-		ss.now, ss.pending, ss.active = now, pending, active
-		ss.events, ss.nextFail = events, nextFail
+		ss.now, ss.pending, ss.active, ss.edges = now, pending, active, edges
 	}
 
 	// scanRetire arms the retirement scan: at entry (a resumed loop re-checks
@@ -525,7 +514,7 @@ func (ss *Session) loop(stop float64) error {
 		}
 		ss.iter++
 		// Admit arrivals (time reached and dependencies completed) and apply
-		// due capacity events. The queue is sorted by arrival, so the coflows
+		// due schedule edges. The queue is sorted by arrival, so the coflows
 		// whose time has come are a prefix: walking it admits the coflows a
 		// scan of the whole queue would, in the same order. Coflows still
 		// blocked on a dependency stay, in order, and the gap closes in place —
@@ -554,26 +543,25 @@ func (ss *Session) loop(stop float64) error {
 			clear(pending[n:]) // do not pin admitted coflows behind the queue's end
 			pending = pending[:n]
 		}
-		for len(events) > 0 && events[0].Time <= now+1e-12 {
-			ev := events[0]
-			events = events[1:]
-			egFac[ev.Port] = ev.EgressFactor
-			inFac[ev.Port] = ev.IngressFactor
-		}
-		// Apply due failure edges. Down edges void progress per the
-		// retransmission policy and may re-enter delivered flows into their
-		// coflows' live sets.
-		for nextFail < len(failEv) && failEv[nextFail].time <= now+1e-12 {
-			tr := failEv[nextFail]
-			nextFail++
-			if tr.up {
-				downCnt[tr.port]--
-			} else {
-				downCnt[tr.port]++
-				s.applyPortDown(tr, now, active, rep)
+		// A capacity event sets its port's factors; a failure's down edge
+		// voids progress per the retransmission policy (and may re-enter
+		// delivered flows into their coflows' live sets). Either way the port's
+		// effective capacity is recomputed from what the edge left behind.
+		for len(edges) > 0 && edges[0].time <= now+1e-12 {
+			e := edges[0]
+			edges = edges[1:]
+			switch {
+			case e.fail < 0:
+				sc.egFac[e.port], sc.inFac[e.port] = e.egFac, e.inFac
+			case e.up:
+				sc.downCnt[e.port]--
+			default:
+				sc.downCnt[e.port]++
+				s.applyPortDown(e, now, active, rep)
 			}
-			if s.Probe != nil {
-				s.Probe.FailureEdge(now, tr.port, tr.up)
+			sc.setPort(&s.fabric, e.port)
+			if e.fail >= 0 && s.Probe != nil {
+				s.Probe.FailureEdge(now, e.port, e.up)
 			}
 		}
 		// Retire completed coflows (O(1) per coflow via the live-flow cache).
@@ -652,18 +640,10 @@ func (ss *Session) loop(stop float64) error {
 
 		// Scheduling epoch.
 		rep.Epochs++
-		for p := 0; p < ports; p++ {
-			egCap[p] = s.fabric.EgressCap[p] * egFac[p]
-			inCap[p] = s.fabric.IngressCap[p] * inFac[p]
-			egUse[p], inUse[p] = 0, 0
-		}
-		if haveFail {
-			for p, d := range downCnt {
-				if d > 0 {
-					egCap[p], inCap[p] = 0, 0
-				}
-			}
-		}
+		copy(egCap, egEff)
+		copy(inCap, inEff)
+		clear(egUse)
+		clear(inUse)
 		s.sched.Allocate(now, active, egCap, inCap)
 
 		// One fused pass over the live flows in (active coflow, live flow)
@@ -695,15 +675,13 @@ func (ss *Session) loop(stop float64) error {
 			}
 		}
 		// Port capacity check with 0.1% tolerance for float accumulation —
-		// keeps every scheduler honest under the property tests.
+		// keeps every scheduler honest under the property tests. The limit is
+		// rounded before tolAbs is added (float64 stops a fused multiply-add).
 		const tolAbs = 1e-9
 		tol := 1 + 1e-3
 		for p := 0; p < ports; p++ {
-			egLim := s.fabric.EgressCap[p] * egFac[p] * tol
-			inLim := s.fabric.IngressCap[p] * inFac[p] * tol
-			if haveFail && downCnt[p] > 0 {
-				egLim, inLim = 0, 0
-			}
+			egLim := float64(egEff[p] * tol)
+			inLim := float64(inEff[p] * tol)
 			if egUse[p] > egLim+tolAbs || inUse[p] > inLim+tolAbs {
 				save()
 				return fmt.Errorf("netsim: scheduler %q oversubscribed port %d (eg=%.3g/%.3g in=%.3g/%.3g)",
@@ -711,7 +689,7 @@ func (ss *Session) loop(stop float64) error {
 			}
 		}
 
-		// ... or next eligible arrival or capacity event, whichever first.
+		// ... or next eligible arrival or schedule edge, whichever first.
 		// Dependency-gated coflows release at a completion, which is
 		// already a dt boundary, so only dependency-satisfied arrivals
 		// bound the step.
@@ -723,13 +701,8 @@ func (ss *Session) loop(stop float64) error {
 				break
 			}
 		}
-		if len(events) > 0 {
-			if t := events[0].Time - now; t < dt {
-				dt = t
-			}
-		}
-		if nextFail < len(failEv) {
-			if t := failEv[nextFail].time - now; t < dt {
+		if len(edges) > 0 {
+			if t := edges[0].time - now; t < dt {
 				dt = t
 			}
 		}
@@ -748,15 +721,7 @@ func (ss *Session) loop(stop float64) error {
 			return fmt.Errorf("%w: %d coflows active under scheduler %q", ErrStalled, len(active), s.sched.Name())
 		}
 		if s.Probe != nil {
-			probeEg, probeIn := sc.probeEg[:ports], sc.probeIn[:ports]
-			for p := 0; p < ports; p++ {
-				probeEg[p] = s.fabric.EgressCap[p] * egFac[p]
-				probeIn[p] = s.fabric.IngressCap[p] * inFac[p]
-				if haveFail && downCnt[p] > 0 {
-					probeEg[p], probeIn[p] = 0, 0
-				}
-			}
-			s.Probe.EpochSample(now, dt, active, egUse, inUse, probeEg, probeIn)
+			s.Probe.EpochSample(now, dt, active, egUse, inUse, egEff, inEff)
 		}
 
 		// Advance over the same coflows. Each is marked moved for a sparse
@@ -829,7 +794,7 @@ func (ss *Session) finalize(coflows []*coflow.Coflow) {
 	if wsum > 0 {
 		rep.WeightedAvgCCT /= wsum
 	}
-	if ss.haveFail {
+	if len(rep.Failures) > 0 {
 		finalizeFailures(rep, coflows)
 	}
 	if ss.s.Probe != nil {
