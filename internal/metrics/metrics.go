@@ -1,11 +1,9 @@
 // Package metrics is the daemon's instrumentation core: atomic counters,
 // gauges and fixed-bucket histograms behind a Registry that renders the
 // Prometheus text exposition format (version 0.0.4). It is dependency-free
-// by design — the repo vendors nothing — and follows the PR 3 overhead
-// contract: every instrument is safe to call through a nil pointer (a
-// no-op), so disabled instrumentation costs one nil check and zero
-// allocations, and the service layer can keep its hot loop byte-identical
-// whether metrics are on or off.
+// by design — the repo vendors nothing. Recording allocates nothing, and
+// every instrument is safe to call through a nil pointer (a no-op), so
+// disabled instrumentation costs one nil check.
 //
 // Concurrency: instruments are lock-free (single atomics; histograms use
 // one atomic per bucket plus a CAS loop for the float sum) and safe for

@@ -89,11 +89,6 @@ func NewHandler(p *Pool, cfg HTTPConfig) http.Handler {
 		writeJSON(w, http.StatusOK, map[string]any{"ok": true})
 	})
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
-		st := p.Stats()
-		code := http.StatusOK
-		if !st.Ready {
-			code = http.StatusServiceUnavailable
-		}
 		type shardReady struct {
 			Shard      int  `json:"shard"`
 			Ready      bool `json:"ready"`
@@ -102,9 +97,13 @@ func NewHandler(p *Pool, cfg HTTPConfig) http.Handler {
 		out := struct {
 			Ready  bool         `json:"ready"`
 			Shards []shardReady `json:"shards"`
-		}{Ready: st.Ready}
-		for _, ss := range st.Shards {
-			out.Shards = append(out.Shards, shardReady{ss.Shard, ss.Ready, ss.QueueDepth})
+		}{Ready: p.Ready()}
+		for _, sh := range p.shards {
+			out.Shards = append(out.Shards, shardReady{sh.id, sh.serving(), len(sh.queue)})
+		}
+		code := http.StatusOK
+		if !out.Ready {
+			code = http.StatusServiceUnavailable
 		}
 		writeJSON(w, code, out)
 	})

@@ -1,12 +1,12 @@
 package service
 
 // Observability wiring for the pool: metric registration, per-shard
-// instruments, structured logging. Everything here follows the PR 3
-// overhead contract — a zero Observability config keeps every hot path on
-// its original shape (one nil check, zero allocations, no extra clock
-// reads), and enabling metrics must not perturb decisions: instruments
-// record what the shard already computed, never feed anything back into
-// admission or placement.
+// instruments, structured logging. Each shard has one instrument set that
+// always records; /stats and /metrics both read it, so every shard event is
+// counted once. Recording adds zero allocations per job and never feeds
+// anything back into admission or placement, so decisions are the same
+// whether or not anything reads the instruments. Only per-job traces,
+// logs and the scrape-only gauges are opt-in.
 
 import (
 	"context"
@@ -22,8 +22,9 @@ import (
 	"ccf/internal/metrics"
 )
 
-// Observability selects the daemon's instrumentation surfaces. The zero
-// value disables all of them.
+// Observability selects the daemon's opt-in instrumentation surfaces. The
+// zero value serves no /metrics, keeps no traces and logs nothing; the
+// counters and histograms /stats reads record either way.
 type Observability struct {
 	// Metrics, when non-nil, receives the daemon's instruments; serve it
 	// with Registry.Handler (the daemon mounts it at GET /metrics).
@@ -36,12 +37,9 @@ type Observability struct {
 	Log *slog.Logger
 }
 
-func (o Observability) enabled() bool {
-	return o.Metrics != nil || o.TraceDepth > 0 || o.Log != nil
-}
-
-// shardObs is one shard's instrumentation bundle. A nil *shardObs means
-// observability is fully off; inside, each surface is independently nil.
+// shardObs is one shard's instrument set. The counters and histograms always
+// exist; the logger, the trace ring and the port backlog mirrors are nil
+// unless their surface is on.
 type shardObs struct {
 	birth time.Time
 	log   *slog.Logger
@@ -71,87 +69,90 @@ type shardObs struct {
 	egBacklog, inBacklog []atomic.Int64
 	egBuf, inBuf         []int64
 
-	traces *traceRing
+	traces *ring[JobTrace]
 }
 
-// initObs builds the shard's instruments. Called once from NewPool, before
-// Start, so registration races nothing.
+// initObs builds the shard's instrument set on Obs.Metrics, or on a private
+// registry nothing scrapes when /metrics is not served. Called once from
+// NewPool, before Start, so registration races nothing.
 func (sh *shard) initObs(obs Observability, birth time.Time) {
-	if !obs.enabled() {
-		return
-	}
-	o := &shardObs{birth: birth, log: obs.Log}
+	o := &sh.obs
+	o.birth, o.log = birth, obs.Log
 	if obs.TraceDepth > 0 {
-		o.traces = newTraceRing(obs.TraceDepth)
+		o.traces = newRing[JobTrace](obs.TraceDepth)
 	}
-	if r := obs.Metrics; r != nil {
-		lbl := metrics.L("shard", strconv.Itoa(sh.id))
-		o.admitted = r.Counter("ccfd_jobs_admitted_total", "Jobs admitted (journaled decisions), including jobs replayed at restore.", lbl...)
-		o.replayed = r.Counter("ccfd_jobs_replayed_total", "Jobs re-admitted from snapshot+WAL at restore.", lbl...)
-		o.shed = r.Counter("ccfd_jobs_shed_total", "Submissions bounced by a full queue.", lbl...)
-		o.degraded = r.Counter("ccfd_jobs_degraded_total", "Jobs pushed onto the placement-only path by queue pressure.", lbl...)
-		o.lifted = r.Counter("ccfd_jobs_lifted_total", "Jobs whose arrival was lifted to the shard clock.", lbl...)
-		o.deadlineDrops = r.Counter("ccfd_jobs_deadline_dropped_total", "Queued jobs dropped because the client deadline passed before processing.", lbl...)
-		o.rejected = r.Counter("ccfd_jobs_rejected_total", "Jobs the engine rejected (invalid specs).", lbl...)
-		o.walFailures = r.Counter("ccfd_wal_failures_total", "Journal append or snapshot failures (each fences the shard).", lbl...)
-		o.groupCommits = r.Counter("ccfd_wal_group_commits_total", "WAL group commits (one physical write per admission batch).", lbl...)
-		o.walSyncs = r.Counter("ccfd_wal_syncs_total", "WAL fsyncs issued (at most one per group commit with -wal-sync).", lbl...)
+	r := obs.Metrics
+	if r == nil {
+		r = metrics.NewRegistry()
+	}
+	lbl := metrics.L("shard", strconv.Itoa(sh.id))
+	o.admitted = r.Counter("ccfd_jobs_admitted_total", "Jobs admitted (journaled decisions), including jobs replayed at restore.", lbl...)
+	o.replayed = r.Counter("ccfd_jobs_replayed_total", "Jobs re-admitted from snapshot+WAL at restore.", lbl...)
+	o.shed = r.Counter("ccfd_jobs_shed_total", "Submissions bounced by a full queue.", lbl...)
+	o.degraded = r.Counter("ccfd_jobs_degraded_total", "Jobs pushed onto the placement-only path by queue pressure.", lbl...)
+	o.lifted = r.Counter("ccfd_jobs_lifted_total", "Jobs whose arrival was lifted to the shard clock.", lbl...)
+	o.deadlineDrops = r.Counter("ccfd_jobs_deadline_dropped_total", "Queued jobs dropped because the client deadline passed before processing.", lbl...)
+	o.rejected = r.Counter("ccfd_jobs_rejected_total", "Jobs the engine rejected (invalid specs).", lbl...)
+	o.walFailures = r.Counter("ccfd_wal_failures_total", "Journal append or snapshot failures (each fences the shard).", lbl...)
+	o.groupCommits = r.Counter("ccfd_wal_group_commits_total", "WAL group commits (one physical write per admission batch).", lbl...)
+	o.walSyncs = r.Counter("ccfd_wal_syncs_total", "WAL fsyncs issued (at most one per group commit with -wal-sync).", lbl...)
 
-		o.decisionLatency = r.Histogram("ccfd_decision_latency_seconds", "End-to-end decision latency, enqueue to reply.", nil, lbl...)
-		o.queueWait = r.Histogram("ccfd_queue_wait_seconds", "Time a job sat in the shard queue before processing.", nil, lbl...)
-		o.walAppend = r.Histogram("ccfd_wal_append_seconds", "WAL group-commit latency (all records of a batch, one write, one optional fsync).", nil, lbl...)
-		o.snapshotWrite = r.Histogram("ccfd_snapshot_write_seconds", "Snapshot write+rename latency (the WAL compaction point).", nil, lbl...)
-		batchBuckets := []float64{1, 2, 4, 8, 16, 32, 64, 128}
-		o.batchSize = r.Histogram("ccfd_batch_size_jobs", "Jobs drained per shard loop iteration (the admission batch).", batchBuckets, lbl...)
-		o.walGroupRecords = r.Histogram("ccfd_wal_group_records", "Records per WAL group commit — jobs amortized per fsync.", batchBuckets, lbl...)
+	o.decisionLatency = r.Histogram("ccfd_decision_latency_seconds", "End-to-end decision latency, enqueue to reply.", nil, lbl...)
+	o.queueWait = r.Histogram("ccfd_queue_wait_seconds", "Time a job sat in the shard queue before processing.", nil, lbl...)
+	o.walAppend = r.Histogram("ccfd_wal_append_seconds", "WAL group-commit latency (all records of a batch, one write, one optional fsync).", nil, lbl...)
+	o.snapshotWrite = r.Histogram("ccfd_snapshot_write_seconds", "Snapshot write+rename latency (the WAL compaction point).", nil, lbl...)
+	batchBuckets := []float64{1, 2, 4, 8, 16, 32, 64, 128}
+	o.batchSize = r.Histogram("ccfd_batch_size_jobs", "Jobs drained per shard loop iteration (the admission batch).", batchBuckets, lbl...)
+	o.walGroupRecords = r.Histogram("ccfd_wal_group_records", "Records per WAL group commit — jobs amortized per fsync.", batchBuckets, lbl...)
 
-		r.GaugeFunc("ccfd_queue_depth", "Jobs waiting in the shard queue.", func() float64 { return float64(len(sh.queue)) }, lbl...)
-		r.GaugeFunc("ccfd_queue_capacity", "Shard queue capacity.", func() float64 { return float64(cap(sh.queue)) }, lbl...)
-		r.GaugeFunc("ccfd_shard_ready", "1 when the shard is restored, un-fenced and accepting work.", func() float64 {
-			if sh.ready.Load() {
-				return 1
-			}
-			return 0
-		}, lbl...)
-		r.GaugeFunc("ccfd_engine_clock_seconds", "The shard engine's logical clock (latest admitted arrival).", func() float64 {
-			return math.Float64frombits(sh.pubClock.Load())
-		}, lbl...)
-		r.GaugeFunc("ccfd_jobs_completed", "Jobs whose transfers had finished at the last session advance.", func() float64 {
-			return float64(sh.pubCompleted.Load())
-		}, lbl...)
-		r.GaugeFunc("ccfd_snapshot_age_jobs", "Admitted jobs not yet covered by a snapshot (WAL length).", func() float64 {
-			return float64(sh.pubSeq.Load() - sh.snapSeqPub.Load())
-		}, lbl...)
-		r.GaugeFunc("ccfd_snapshot_age_seconds", "Seconds since the shard's last committed snapshot (0 before the first).", func() float64 {
-			at := sh.snapAtNanos.Load()
-			if at == 0 {
-				return 0
-			}
-			return time.Since(time.Unix(0, at)).Seconds()
-		}, lbl...)
-
-		n := sh.cfg.Nodes
-		o.egBacklog = make([]atomic.Int64, n)
-		o.inBacklog = make([]atomic.Int64, n)
-		o.egBuf = make([]int64, n)
-		o.inBuf = make([]int64, n)
-		for port := 0; port < n; port++ {
-			eg, in := &o.egBacklog[port], &o.inBacklog[port]
-			pl := metrics.L("shard", strconv.Itoa(sh.id), "port", strconv.Itoa(port))
-			r.GaugeFunc("ccfd_port_backlog_bytes", "Per-port in-flight bytes on the shard's fabric, sampled after each admission.",
-				func() float64 { return float64(eg.Load()) }, append(pl, metrics.Label{Name: "dir", Value: "egress"})...)
-			r.GaugeFunc("ccfd_port_backlog_bytes", "Per-port in-flight bytes on the shard's fabric, sampled after each admission.",
-				func() float64 { return float64(in.Load()) }, append(pl, metrics.Label{Name: "dir", Value: "ingress"})...)
+	if obs.Metrics == nil {
+		return // everything below only a scrape reads
+	}
+	r.GaugeFunc("ccfd_queue_depth", "Jobs waiting in the shard queue.", func() float64 { return float64(len(sh.queue)) }, lbl...)
+	r.GaugeFunc("ccfd_queue_capacity", "Shard queue capacity.", func() float64 { return float64(cap(sh.queue)) }, lbl...)
+	r.GaugeFunc("ccfd_shard_ready", "1 when the shard is restored, un-fenced and accepting work.", func() float64 {
+		if sh.ready.Load() {
+			return 1
 		}
+		return 0
+	}, lbl...)
+	r.GaugeFunc("ccfd_engine_clock_seconds", "The shard engine's logical clock (latest admitted arrival).", func() float64 {
+		return math.Float64frombits(sh.pubClock.Load())
+	}, lbl...)
+	r.GaugeFunc("ccfd_jobs_completed", "Jobs whose transfers had finished at the last session advance.", func() float64 {
+		return float64(sh.pubCompleted.Load())
+	}, lbl...)
+	r.GaugeFunc("ccfd_snapshot_age_jobs", "Admitted jobs not yet covered by a snapshot (WAL length).", func() float64 {
+		return float64(sh.pubSeq.Load() - sh.snapSeqPub.Load())
+	}, lbl...)
+	r.GaugeFunc("ccfd_snapshot_age_seconds", "Seconds since the shard's last committed snapshot (0 before the first).", func() float64 {
+		at := sh.snapAtNanos.Load()
+		if at == 0 {
+			return 0
+		}
+		return time.Since(time.Unix(0, at)).Seconds()
+	}, lbl...)
+
+	n := sh.cfg.Nodes
+	o.egBacklog = make([]atomic.Int64, n)
+	o.inBacklog = make([]atomic.Int64, n)
+	o.egBuf = make([]int64, n)
+	o.inBuf = make([]int64, n)
+	for port := 0; port < n; port++ {
+		eg, in := &o.egBacklog[port], &o.inBacklog[port]
+		pl := metrics.L("shard", strconv.Itoa(sh.id), "port", strconv.Itoa(port))
+		r.GaugeFunc("ccfd_port_backlog_bytes", "Per-port in-flight bytes on the shard's fabric, sampled after each admission.",
+			func() float64 { return float64(eg.Load()) }, append(pl, metrics.Label{Name: "dir", Value: "egress"})...)
+		r.GaugeFunc("ccfd_port_backlog_bytes", "Per-port in-flight bytes on the shard's fabric, sampled after each admission.",
+			func() float64 { return float64(in.Load()) }, append(pl, metrics.Label{Name: "dir", Value: "ingress"})...)
 	}
-	sh.obs = o
 }
 
 // sampleBacklog publishes the live session's per-port backlog into the
 // scrape mirrors. Run-loop only.
 func (sh *shard) sampleBacklog() {
-	o := sh.obs
-	if o == nil || o.egBacklog == nil {
+	o := &sh.obs
+	if o.egBacklog == nil {
 		return
 	}
 	if err := sh.eng.BacklogInto(o.egBuf, o.inBuf); err != nil {
@@ -171,6 +172,9 @@ func (sh *shard) sampleBacklog() {
 func (o *shardObs) jobAdmitted(spec *JobSpec, shardID int, seq uint64, enq, start, decide, journal, done time.Time, lifted bool, batch int) {
 	o.queueWait.Observe(start.Sub(enq).Seconds())
 	o.decisionLatency.Observe(done.Sub(enq).Seconds())
+	if o.traces == nil && o.log == nil {
+		return
+	}
 	id := traceID(shardID, seq)
 	if o.traces != nil {
 		rel := func(t time.Time) float64 { return t.Sub(o.birth).Seconds() }

@@ -54,9 +54,9 @@ type Config struct {
 	WALSync bool
 	// Logf, when non-nil, receives operational log lines.
 	Logf func(format string, args ...any)
-	// Obs selects the observability surfaces (metrics registry, per-job
-	// trace rings, structured logging). The zero value disables all of
-	// them, and the disabled path adds zero allocations to the shard loop.
+	// Obs selects the opt-in observability surfaces (the /metrics registry,
+	// per-job trace rings, structured logging). The instruments /stats reads
+	// record whatever it holds, with zero allocations per job.
 	Obs Observability
 }
 
@@ -206,7 +206,7 @@ func (p *Pool) Ready() bool {
 		return false
 	}
 	for _, sh := range p.shards {
-		if !sh.ready.Load() || sh.overloaded() {
+		if !sh.serving() {
 			return false
 		}
 	}
@@ -336,7 +336,7 @@ type Stats struct {
 }
 
 // Stats assembles the live counters without touching any shard goroutine:
-// everything here is atomics and the latency rings.
+// everything here is atomics, the shards' instruments and the latency rings.
 func (p *Pool) Stats() *Stats {
 	out := &Stats{
 		Ready:         p.Ready(),
@@ -346,22 +346,22 @@ func (p *Pool) Stats() *Stats {
 	}
 	var allLat []float64
 	for _, sh := range p.shards {
-		lat := sh.lat.snapshotValues()
+		lat := sh.lat.snapshot()
 		ss := ShardStats{
 			Shard:           sh.id,
-			Ready:           sh.ready.Load() && !sh.overloaded(),
+			Ready:           sh.serving(),
 			QueueDepth:      len(sh.queue),
 			QueueCap:        cap(sh.queue),
 			Admitted:        sh.pubSeq.Load(),
 			Completed:       sh.pubCompleted.Load(),
-			Shed:            sh.shed.Load(),
-			Degraded:        sh.degraded.Load(),
-			Lifted:          sh.lifted.Load(),
-			DeadlineDrops:   sh.deadlineDrop.Load(),
-			Rejected:        sh.rejected.Load(),
-			Batches:         sh.pubBatches.Load(),
-			WALGroupCommits: sh.pubGroupCommits.Load(),
-			WALSyncs:        sh.pubWALSyncs.Load(),
+			Shed:            sh.obs.shed.Value(),
+			Degraded:        sh.obs.degraded.Value(),
+			Lifted:          sh.obs.lifted.Value(),
+			DeadlineDrops:   sh.obs.deadlineDrops.Value(),
+			Rejected:        sh.obs.rejected.Value(),
+			Batches:         sh.obs.batchSize.Count(),
+			WALGroupCommits: sh.obs.groupCommits.Value(),
+			WALSyncs:        sh.obs.walSyncs.Value(),
 			Clock:           math.Float64frombits(sh.pubClock.Load()),
 			SnapshotSeq:     sh.snapSeqPub.Load(),
 			P50Ms:           stats.Percentile(lat, 50) * 1e3,

@@ -124,66 +124,28 @@ type shard struct {
 	failed atomic.Bool // persistence failure fence
 
 	// Published mirrors of run-loop state, read lock-free by /stats.
-	pubSeq          atomic.Uint64
-	pubClock        atomic.Uint64 // math.Float64bits
-	pubCompleted    atomic.Uint64
-	shed            atomic.Uint64
-	degraded        atomic.Uint64
-	lifted          atomic.Uint64
-	deadlineDrop    atomic.Uint64
-	rejected        atomic.Uint64 // engine-level rejections (bad jobs)
-	pubBatches      atomic.Uint64 // processed admission batches
-	pubGroupCommits atomic.Uint64 // WAL group commits (physical writes)
-	pubWALSyncs     atomic.Uint64 // WAL fsyncs issued
-	snapSeqPub      atomic.Uint64
-	snapAtNanos     atomic.Int64
+	pubSeq       atomic.Uint64
+	pubClock     atomic.Uint64 // math.Float64bits
+	pubCompleted atomic.Uint64
+	snapSeqPub   atomic.Uint64
+	snapAtNanos  atomic.Int64
 
 	// batchBuf and entriesBuf are the run loop's reusable batch scratch:
 	// drained requests and their held-back admission results. Run-loop-owned.
 	batchBuf   []*request
 	entriesBuf []batchEntry
 
-	lat latencyRing
+	// lat holds the last latencyWindow decision latencies (seconds) for the
+	// /stats percentiles: a bounded window, so they reflect current
+	// behaviour rather than the daemon's lifetime.
+	lat *ring[float64]
 
-	// obs is the shard's instrumentation bundle; nil when observability is
-	// off, which keeps every hot path at one pointer check and zero extra
-	// allocations (pinned by TestDisabledObservabilityZeroAllocs).
-	obs *shardObs
+	// obs is the shard's instrument set, the one count of every shard event
+	// that /stats and /metrics both read.
+	obs shardObs
 }
 
-// latencyRing keeps the most recent decision latencies for percentile
-// reporting; a bounded window so /stats reflects current behaviour, not the
-// daemon's lifetime average.
-type latencyRing struct {
-	mu  sync.Mutex
-	buf [2048]float64 // seconds
-	pos int
-	n   int
-}
-
-func (r *latencyRing) record(d time.Duration) {
-	r.mu.Lock()
-	r.buf[r.pos] = d.Seconds()
-	r.pos = (r.pos + 1) % len(r.buf)
-	if r.n < len(r.buf) {
-		r.n++
-	}
-	r.mu.Unlock()
-}
-
-// snapshotValues copies the window for percentile math.
-func (r *latencyRing) snapshotValues() []float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]float64, r.n)
-	if r.n == len(r.buf) {
-		copy(out, r.buf[r.pos:])
-		copy(out[len(r.buf)-r.pos:], r.buf[:r.pos])
-	} else {
-		copy(out, r.buf[:r.n])
-	}
-	return out
-}
+const latencyWindow = 2048
 
 func newShard(id int, cfg *Config) *shard {
 	return &shard{
@@ -192,6 +154,7 @@ func newShard(id int, cfg *Config) *shard {
 		queue: make(chan *request, cfg.QueueDepth),
 		ctl:   make(chan control),
 		done:  make(chan struct{}),
+		lat:   newRing[float64](latencyWindow),
 	}
 }
 
@@ -244,13 +207,11 @@ func (sh *shard) restore() error {
 		}
 	}
 	sh.publish()
-	if sh.obs != nil {
-		// Credit restored admissions so the counter resumes monotone across
-		// a restart instead of restarting from zero while seq does not.
-		sh.obs.admitted.Add(sh.seq)
-		sh.obs.replayed.Add(sh.seq)
-		sh.sampleBacklog()
-	}
+	// Credit restored admissions so the counter resumes monotone across a
+	// restart instead of restarting from zero while seq does not.
+	sh.obs.admitted.Add(sh.seq)
+	sh.obs.replayed.Add(sh.seq)
+	sh.sampleBacklog()
 	return nil
 }
 
@@ -385,23 +346,17 @@ type batchEntry struct {
 // order with BatchMax=1: the engine path is the same per-job sequence, only
 // the fsync is amortized.
 func (sh *shard) processBatch(batch []*request) {
-	obs := sh.obs
+	obs := &sh.obs
 	entries := sh.entriesBuf[:0]
 	sh.specs = sh.specs[:0]
 	for _, req := range batch {
-		var tStart time.Time
-		if obs != nil {
-			tStart = time.Now()
-		}
+		tStart := time.Now()
 		if req.ctx.Err() != nil {
 			// The client's deadline passed while the request sat in the
 			// queue; drop it before it touches the engine so the client's
 			// 504 is truthful: nothing was admitted.
-			sh.deadlineDrop.Add(1)
-			if obs != nil {
-				obs.deadlineDrops.Inc()
-				obs.jobFailed(&req.spec, sh.id, "deadline", context.Cause(req.ctx))
-			}
+			obs.deadlineDrops.Inc()
+			obs.jobFailed(&req.spec, sh.id, "deadline", context.Cause(req.ctx))
 			req.reply <- reply{err: context.Cause(req.ctx)}
 			continue
 		}
@@ -411,9 +366,7 @@ func (sh *shard) processBatch(batch []*request) {
 		}
 
 		spec := req.spec // shard-local copy; the effective record being built
-		wait := time.Since(req.enq)
-		degradedByLoad := sh.cfg.DegradeAfter > 0 && wait > sh.cfg.DegradeAfter
-		if degradedByLoad {
+		if sh.cfg.DegradeAfter > 0 && tStart.Sub(req.enq) > sh.cfg.DegradeAfter {
 			spec.PlacementOnly = true
 		}
 
@@ -425,11 +378,8 @@ func (sh *shard) processBatch(batch []*request) {
 		}
 		job, err := materialize(&spec, sh.cfg.Nodes, &sh.gen)
 		if err != nil {
-			sh.rejected.Add(1)
-			if obs != nil {
-				obs.rejected.Inc()
-				obs.jobFailed(&spec, sh.id, "rejected", err)
-			}
+			obs.rejected.Inc()
+			obs.jobFailed(&spec, sh.id, "rejected", err)
 			req.reply <- reply{err: err}
 			continue
 		}
@@ -447,21 +397,15 @@ func (sh *shard) processBatch(batch []*request) {
 			dec, err = sh.eng.Submit(job)
 		}
 		if err != nil {
-			sh.rejected.Add(1)
-			if obs != nil {
-				obs.rejected.Inc()
-				obs.jobFailed(&spec, sh.id, "rejected", err)
-			}
+			obs.rejected.Inc()
+			obs.jobFailed(&spec, sh.id, "rejected", err)
 			req.reply <- reply{err: fmt.Errorf("%w: %v", ErrBadJob, err)}
 			continue
 		}
 
 		sh.seq++
 		sh.specs = append(sh.specs, spec)
-		var tDecide time.Time
-		if obs != nil {
-			tDecide = time.Now()
-		}
+		tDecide := time.Now()
 		out := &Decision{
 			Name:      spec.Name,
 			Key:       spec.RouteKey(),
@@ -484,17 +428,14 @@ func (sh *shard) processBatch(batch []*request) {
 	}
 	sh.entriesBuf = entries
 
-	var tGroup time.Time
-	if obs != nil {
-		tGroup = time.Now()
-	}
+	tJournal := time.Now()
 	if sh.wal != nil && len(entries) > 0 {
 		firstSeq := sh.seq - uint64(len(entries)) + 1
+		tGroup := tJournal
 		werr := sh.wal.AppendBatch(firstSeq, sh.specs)
-		if obs != nil {
-			obs.walAppend.Observe(time.Since(tGroup).Seconds())
-			obs.walGroupRecords.Observe(float64(len(entries)))
-		}
+		tJournal = time.Now()
+		obs.walAppend.Observe(tJournal.Sub(tGroup).Seconds())
+		obs.walGroupRecords.Observe(float64(len(entries)))
 		if werr != nil {
 			// The engine admitted jobs the journal did not record: the
 			// shard's memory is now ahead of its log, so it fences itself
@@ -506,49 +447,32 @@ func (sh *shard) processBatch(batch []*request) {
 			}
 			return
 		}
-	}
-	var tJournal time.Time
-	if obs != nil {
-		tJournal = time.Now()
+		obs.groupCommits.Inc()
+		if sh.cfg.WALSync {
+			obs.walSyncs.Inc()
+		}
 	}
 
-	sh.pubBatches.Add(1)
+	obs.batchSize.Observe(float64(len(batch)))
 	for i := range entries {
 		e := &entries[i]
+		obs.admitted.Inc()
 		if e.dec.Degraded {
-			sh.degraded.Add(1)
+			obs.degraded.Inc()
 		}
 		if e.lifted {
-			sh.lifted.Add(1)
+			obs.lifted.Inc()
 		}
 	}
 	sh.publish()
-	if obs != nil {
-		obs.batchSize.Observe(float64(len(batch)))
-		if sh.wal != nil && len(entries) > 0 {
-			obs.groupCommits.Inc()
-			if sh.cfg.WALSync {
-				obs.walSyncs.Inc()
-			}
-		}
-	}
 	for i := range entries {
 		e := &entries[i]
-		sh.lat.record(time.Since(e.req.enq))
-		if obs != nil {
-			tDone := time.Now()
-			obs.admitted.Inc()
-			if e.dec.Degraded {
-				obs.degraded.Inc()
-			}
-			if e.lifted {
-				obs.lifted.Inc()
-			}
-			obs.jobAdmitted(&sh.specs[i], sh.id, e.seq, e.req.enq, e.tStart, e.tDecide, tJournal, tDone, e.lifted, len(batch))
-		}
+		tDone := time.Now()
+		sh.lat.add(tDone.Sub(e.req.enq).Seconds())
+		obs.jobAdmitted(&sh.specs[i], sh.id, e.seq, e.req.enq, e.tStart, e.tDecide, tJournal, tDone, e.lifted, len(batch))
 		e.req.reply <- reply{dec: e.dec}
 	}
-	if obs != nil && len(entries) > 0 {
+	if len(entries) > 0 {
 		sh.sampleBacklog()
 	}
 }
@@ -558,12 +482,10 @@ func (sh *shard) processBatch(batch []*request) {
 // decisions would hand out state a restart could not reproduce.
 func (sh *shard) fence(err error) {
 	sh.cfg.Logf("service: shard %d fenced: %v", sh.id, err)
-	if sh.obs != nil {
-		sh.obs.walFailures.Inc()
-		if sh.obs.log != nil {
-			sh.obs.log.LogAttrs(context.Background(), slog.LevelError, "shard fenced",
-				slog.Int("shard", sh.id), slog.Any("error", err))
-		}
+	sh.obs.walFailures.Inc()
+	if sh.obs.log != nil {
+		sh.obs.log.LogAttrs(context.Background(), slog.LevelError, "shard fenced",
+			slog.Int("shard", sh.id), slog.Any("error", err))
 	}
 	sh.failed.Store(true)
 	sh.ready.Store(false)
@@ -574,10 +496,6 @@ func (sh *shard) publish() {
 	sh.pubSeq.Store(sh.seq)
 	sh.pubClock.Store(math.Float64bits(sh.eng.Clock()))
 	sh.pubCompleted.Store(uint64(sh.eng.CompletedJobs()))
-	if sh.wal != nil {
-		sh.pubGroupCommits.Store(sh.wal.groupCommits)
-		sh.pubWALSyncs.Store(sh.wal.syncs)
-	}
 }
 
 // snapshot compacts the journal: write the engine's state image atomically,
@@ -587,10 +505,7 @@ func (sh *shard) snapshot() error {
 	if sh.cfg.Dir == "" {
 		return nil
 	}
-	var begin time.Time
-	if sh.obs != nil {
-		begin = time.Now()
-	}
+	begin := time.Now()
 	img, err := sh.eng.AppendImage(sh.imgBuf[:0])
 	if err != nil {
 		return err
@@ -607,9 +522,7 @@ func (sh *shard) snapshot() error {
 	if err := writeSnapshotFile(snapshotPath(sh.cfg.Dir, sh.id), snap, sh.cfg.WALSync); err != nil {
 		return err
 	}
-	if sh.obs != nil {
-		sh.obs.snapshotWrite.Observe(time.Since(begin).Seconds())
-	}
+	sh.obs.snapshotWrite.Observe(time.Since(begin).Seconds())
 	sh.snapSeq = sh.seq
 	sh.snapSeqPub.Store(sh.seq)
 	sh.snapAtNanos.Store(time.Now().UnixNano())
@@ -658,10 +571,7 @@ func (sh *shard) trySubmit(req *request) error {
 	case sh.queue <- req:
 		return nil
 	default:
-		sh.shed.Add(1)
-		if sh.obs != nil {
-			sh.obs.shed.Inc()
-		}
+		sh.obs.shed.Inc()
 		return &ShedError{Shard: sh.id, Seq: sh.pubSeq.Load()}
 	}
 }
@@ -678,7 +588,8 @@ func (sh *shard) closeIntake() {
 	close(sh.queue)
 }
 
-// overloaded reports a full queue — the readiness probe's view of pressure.
-func (sh *shard) overloaded() bool {
-	return len(sh.queue) >= cap(sh.queue)
+// serving is one shard's row of the readiness probe: restored, un-fenced,
+// and its queue not full.
+func (sh *shard) serving() bool {
+	return sh.ready.Load() && len(sh.queue) < cap(sh.queue)
 }

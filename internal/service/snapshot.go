@@ -335,13 +335,6 @@ type walWriter struct {
 	sync bool
 	buf  []byte // reusable group-commit buffer
 
-	// Run-loop-owned accounting, published to /stats through shard atomics:
-	// one group commit is one physical write (and at most one fsync) no
-	// matter how many records it carries.
-	groupCommits uint64
-	records      uint64
-	syncs        uint64
-
 	// syncErr, when non-nil, replaces the fsync call — the fault-injection
 	// seam the group-commit failure-mode tests use to make the fsync of a
 	// full batch fail without touching the filesystem.
@@ -393,10 +386,7 @@ func (w *walWriter) AppendBatch(firstSeq uint64, specs []JobSpec) error {
 	if _, err := w.f.Write(buf); err != nil {
 		return err
 	}
-	w.groupCommits++
-	w.records += uint64(len(specs))
 	if w.sync {
-		w.syncs++
 		if w.syncErr != nil {
 			return w.syncErr()
 		}

@@ -37,53 +37,47 @@ type JobTrace struct {
 	Spans    []TraceSpan `json:"spans"`
 }
 
-// traceRing is a bounded ring of completed job traces. Written by the
-// shard run loop, read by HTTP handlers; a mutex is fine here — the ring
-// is touched once per admitted job, not per flow.
-type traceRing struct {
+// ring is a bounded window of the most recent values: a shard's /stats
+// latency samples and its per-job traces. Written by the shard run loop,
+// read by HTTP handlers; a mutex is fine here — a ring is touched once per
+// admitted job, not per flow.
+type ring[T any] struct {
 	mu  sync.Mutex
-	buf []JobTrace
-	pos int
-	n   int
+	buf []T
+	pos int // next write index
+	n   int // values held, at most len(buf)
 }
 
-func newTraceRing(depth int) *traceRing {
-	return &traceRing{buf: make([]JobTrace, depth)}
+func newRing[T any](size int) *ring[T] {
+	return &ring[T]{buf: make([]T, size)}
 }
 
-func (r *traceRing) add(t JobTrace) {
+func (r *ring[T]) add(v T) {
 	r.mu.Lock()
-	r.buf[r.pos] = t
+	r.buf[r.pos] = v
 	r.pos = (r.pos + 1) % len(r.buf)
-	if r.n < len(r.buf) {
-		r.n++
-	}
+	r.n = min(r.n+1, len(r.buf))
 	r.mu.Unlock()
 }
 
-// snapshot returns the window oldest-first.
-func (r *traceRing) snapshot() []JobTrace {
+// snapshot copies the window out oldest-first. Before the first wrap pos ==
+// n and the window is buf[:n]; after it the oldest value sits at pos.
+func (r *ring[T]) snapshot() []T {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]JobTrace, r.n)
-	if r.n == len(r.buf) {
-		copy(out, r.buf[r.pos:])
-		copy(out[len(r.buf)-r.pos:], r.buf[:r.pos])
-	} else {
-		copy(out, r.buf[:r.n])
-	}
+	out := make([]T, r.n)
+	k := copy(out, r.buf[r.pos:r.n])
+	copy(out[k:], r.buf[:r.pos])
 	return out
 }
 
-// find returns the newest trace whose ID or job name matches q.
-func (r *traceRing) find(q string) (JobTrace, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i := 0; i < r.n; i++ {
-		// Walk newest → oldest so re-submitted names resolve to the latest.
-		idx := (r.pos - 1 - i + len(r.buf)*2) % len(r.buf)
-		if t := &r.buf[idx]; t.ID == q || t.Name == q {
-			return *t, true
+// findTrace returns the newest trace whose ID or job name matches q, so a
+// re-submitted name resolves to its latest run.
+func findTrace(r *ring[JobTrace], q string) (JobTrace, bool) {
+	w := r.snapshot()
+	for i := len(w) - 1; i >= 0; i-- {
+		if w[i].ID == q || w[i].Name == q {
+			return w[i], true
 		}
 	}
 	return JobTrace{}, false
@@ -93,10 +87,10 @@ func (r *traceRing) find(q string) (JobTrace, bool) {
 // job name. False when tracing is disabled or the job is not in any window.
 func (p *Pool) FindTrace(q string) (JobTrace, bool) {
 	for _, sh := range p.shards {
-		if sh.obs == nil || sh.obs.traces == nil {
+		if sh.obs.traces == nil {
 			continue
 		}
-		if t, ok := sh.obs.traces.find(q); ok {
+		if t, ok := findTrace(sh.obs.traces, q); ok {
 			return t, true
 		}
 	}
@@ -108,7 +102,7 @@ func (p *Pool) FindTrace(q string) (JobTrace, bool) {
 func (p *Pool) RecentTraces() []JobTrace {
 	var out []JobTrace
 	for _, sh := range p.shards {
-		if sh.obs == nil || sh.obs.traces == nil {
+		if sh.obs.traces == nil {
 			continue
 		}
 		out = append(out, sh.obs.traces.snapshot()...)
