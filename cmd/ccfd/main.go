@@ -27,8 +27,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"path/filepath"
-	rpprof "runtime/pprof"
 	"syscall"
 	"time"
 
@@ -60,9 +58,6 @@ func main() {
 		logFormat  = flag.String("log-format", "text", "structured log format: text or json")
 		logLevel   = flag.String("log-level", "info", "log level: debug, info, warn, error (per-decision lines are debug)")
 		adminAddr  = flag.String("admin-addr", "", "separate listen address for net/http/pprof (empty disables)")
-		profEvery  = flag.Duration("profile-every", 0, "capture a CPU profile this often (0 disables; requires -profile-dir)")
-		profDur    = flag.Duration("profile-duration", 10*time.Second, "length of each continuous CPU profile capture")
-		profDir    = flag.String("profile-dir", "", "directory for continuous CPU profiles (ccfd-cpu-<n>.pprof)")
 	)
 	flag.Parse()
 
@@ -130,14 +125,6 @@ func main() {
 		logger.Info("admin listening (pprof)", "addr", *adminAddr)
 	}
 
-	if *profEvery > 0 {
-		if *profDir == "" {
-			fmt.Fprintln(os.Stderr, "ccfd: -profile-every requires -profile-dir")
-			os.Exit(2)
-		}
-		go continuousProfile(ctx, logger, *profDir, *profEvery, *profDur)
-	}
-
 	select {
 	case <-ctx.Done():
 		// Graceful shutdown: stop taking connections, then drain the pool —
@@ -198,48 +185,4 @@ func adminMux(reg *metrics.Registry) http.Handler {
 		mux.Handle("GET /metrics", reg.Handler())
 	}
 	return mux
-}
-
-// continuousProfile captures a CPU profile of profDur every interval,
-// writing numbered files under dir until ctx is cancelled. The capture
-// itself is the standard runtime profiler; between captures the daemon
-// runs unprofiled.
-func continuousProfile(ctx context.Context, logger *slog.Logger, dir string, every, profDur time.Duration) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		logger.Error("profile dir", "error", err)
-		return
-	}
-	tick := time.NewTicker(every)
-	defer tick.Stop()
-	for n := 0; ; n++ {
-		select {
-		case <-ctx.Done():
-			return
-		case <-tick.C:
-		}
-		path := filepath.Join(dir, fmt.Sprintf("ccfd-cpu-%d.pprof", n))
-		f, err := os.Create(path)
-		if err != nil {
-			logger.Error("profile create", "path", path, "error", err)
-			return
-		}
-		if err := rpprof.StartCPUProfile(f); err != nil {
-			logger.Error("profile start", "error", err)
-			f.Close()
-			return
-		}
-		select {
-		case <-ctx.Done():
-			rpprof.StopCPUProfile()
-			f.Close()
-			return
-		case <-time.After(profDur):
-		}
-		rpprof.StopCPUProfile()
-		if err := f.Close(); err != nil {
-			logger.Error("profile close", "path", path, "error", err)
-			return
-		}
-		logger.Info("cpu profile written", "path", path)
-	}
 }

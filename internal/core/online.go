@@ -544,10 +544,14 @@ func RunOnlineReference(jobs []OnlineJob, opts OnlineOptions) (*OnlineReport, er
 			if _, err := sim.Run(probe); err != nil {
 				return nil, fmt.Errorf("core: online job %d: backlog probe: %w", ji, err)
 			}
-			eg, in := netsim.PortBacklog(n, probe)
-			for i := 0; i < n; i++ {
-				initial.Egress[i] += eg[i]
-				initial.Ingress[i] += in[i]
+			for _, c := range probe {
+				for _, f := range c.Flows {
+					if !f.Done {
+						r := int64(f.Remaining + 0.5)
+						initial.Egress[f.Src] += r
+						initial.Ingress[f.Dst] += r
+					}
+				}
 			}
 		}
 

@@ -177,9 +177,8 @@ func TestHorizonSimulation(t *testing.T) {
 	if rep.Makespan != 4 {
 		t.Errorf("horizon run ended at %g, want 4", rep.Makespan)
 	}
-	eg, in := netsim.PortBacklog(2, []*coflow.Coflow{c})
-	if eg[0] != 6 || in[1] != 6 {
-		t.Errorf("backlog = eg %v in %v, want 6 at ports 0/1", eg, in)
+	if f := c.Flows[0]; f.Done || int64(f.Remaining+0.5) != 6 {
+		t.Errorf("backlog = %v bytes (done %v), want 6 left on the 0→1 flow", f.Remaining, f.Done)
 	}
 	// Horizon past completion behaves like a full run.
 	sim.Horizon = 100
@@ -207,8 +206,7 @@ func TestHorizonBeforeArrival(t *testing.T) {
 	if len(rep.CCTs) != 0 {
 		t.Errorf("coflow completed before arriving: %+v", rep)
 	}
-	eg, _ := netsim.PortBacklog(2, []*coflow.Coflow{c})
-	if eg[0] != 10 {
-		t.Errorf("untouched backlog = %d, want 10", eg[0])
+	if f := c.Flows[0]; f.Done || int64(f.Remaining+0.5) != 10 {
+		t.Errorf("untouched backlog = %v bytes (done %v), want 10", f.Remaining, f.Done)
 	}
 }

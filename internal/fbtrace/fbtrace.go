@@ -19,6 +19,7 @@ import (
 	"strconv"
 
 	"ccf/internal/coflow"
+	"ccf/internal/rng"
 	"ccf/internal/trace"
 )
 
@@ -56,40 +57,11 @@ type Config struct {
 	Density float64
 }
 
-// gen is the same xorshift64* generator the other packages use.
-type gen struct{ state uint64 }
-
-// scramble whitens a user seed (splitmix64 step) so that adjacent seeds
-// yield unrelated streams and zero is valid.
-func scramble(seed uint64) uint64 {
-	x := seed + 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	x ^= x >> 31
-	if x == 0 {
-		x = 0x9e3779b97f4a7c15
-	}
-	return x
-}
-
-func (g *gen) next() uint64 {
-	x := g.state
-	x ^= x >> 12
-	x ^= x << 25
-	x ^= x >> 27
-	g.state = x
-	return x * 0x2545F4914F6CDD1D
-}
-
-func (g *gen) float() float64 { return float64(g.next()>>11) / float64(1<<53) }
-
-func (g *gen) intn(n int) int { return int(g.next() % uint64(n)) }
-
-// exp draws an exponential variate with the given mean.
-func (g *gen) exp(mean float64) float64 {
-	u := g.float()
+// exponential draws an exponential variate with the given mean.
+func exponential(g *rng.Gen, mean float64) float64 {
+	u := g.Float64()
 	for u == 0 {
-		u = g.float()
+		u = g.Float64()
 	}
 	return -mean * math.Log(u)
 }
@@ -110,11 +82,11 @@ var (
 	longFlows  = newSizeClass(ShortFlowMB, 1000)
 )
 
-// pareto draws a bounded Pareto variate from the class's range — the heavy
+// draw returns a bounded Pareto variate from the class's range — the heavy
 // tail of flow sizes. The float64 conversions round each product, so no
 // architecture fuses them into a multiply-subtract.
-func (g *gen) pareto(sc sizeClass) float64 {
-	u := g.float()
+func (sc sizeClass) draw(g *rng.Gen) float64 {
+	u := g.Float64()
 	return math.Pow(-(float64(u*sc.ha)-float64(u*sc.la)-sc.ha)/(sc.ha*sc.la), -1/paretoAlpha)
 }
 
@@ -191,7 +163,7 @@ type Streamer struct {
 	machines int
 	mean     float64
 	mix      Mix
-	g        gen
+	g        rng.Gen
 	now      float64
 	id       int
 	total    int
@@ -230,11 +202,17 @@ func Stream(cfg Config) (*Streamer, error) {
 	if s := mix.SN + mix.LN + mix.SW + mix.LW; math.Abs(s-1) > 0.01 {
 		return nil, fmt.Errorf("fbtrace: mix sums to %g, want 1", s)
 	}
+	// One splitmix64 step whitens the seed, so adjacent seeds yield
+	// unrelated streams; the guard keeps the xorshift state nonzero.
+	seed := rng.SplitMix64(cfg.Seed)
+	if seed == 0 {
+		seed = 0x9e3779b97f4a7c15
+	}
 	return &Streamer{
 		machines: cfg.Machines,
 		mean:     cfg.MeanInterarrivalSec / density,
 		mix:      mix,
-		g:        gen{state: scramble(cfg.Seed)},
+		g:        rng.New(seed),
 		total:    total,
 	}, nil
 }
@@ -251,8 +229,8 @@ func (st *Streamer) Next() (*coflow.Coflow, bool) {
 	if st.id >= st.total {
 		return nil, false
 	}
-	st.now += st.g.exp(st.mean)
-	u := st.g.float()
+	st.now += exponential(&st.g, st.mean)
+	u := st.g.Float64()
 	var cat Category
 	switch {
 	case u < st.mix.SN:
@@ -277,13 +255,13 @@ func (st *Streamer) genCoflow(cat Category) *coflow.Coflow {
 	width := 0
 	switch cat {
 	case SN, LN:
-		width = 1 + g.intn(min(NarrowWidth, maxWidth))
+		width = 1 + g.Intn(min(NarrowWidth, maxWidth))
 	case SW, LW:
 		lo := NarrowWidth + 1
 		if lo > maxWidth {
 			lo = maxWidth
 		}
-		width = lo + g.intn(maxWidth-lo+1)
+		width = lo + g.Intn(maxWidth-lo+1)
 	}
 	sizes := shortFlows
 	if cat == LN || cat == LW {
@@ -291,9 +269,9 @@ func (st *Streamer) genCoflow(cat Category) *coflow.Coflow {
 	}
 	flows := slices.Grow(st.flows[:0], width)[:width]
 	for f := range flows {
-		src := g.intn(machines)
-		dst := (src + 1 + g.intn(machines-1)) % machines
-		flows[f] = coflow.Flow{ID: f, Src: src, Dst: dst, Size: g.pareto(sizes) * 1e6}
+		src := g.Intn(machines)
+		dst := (src + 1 + g.Intn(machines-1)) % machines
+		flows[f] = coflow.Flow{ID: f, Src: src, Dst: dst, Size: sizes.draw(g) * 1e6}
 	}
 	st.flows = flows
 	return coflow.New(st.id, cat.String()+"-"+strconv.Itoa(st.id), st.now, flows)

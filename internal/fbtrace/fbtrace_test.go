@@ -9,6 +9,7 @@ import (
 
 	"ccf/internal/coflow"
 	"ccf/internal/netsim"
+	"ccf/internal/rng"
 	"ccf/internal/trace"
 )
 
@@ -117,9 +118,9 @@ func TestClassifyThresholds(t *testing.T) {
 }
 
 func TestParetoBounds(t *testing.T) {
-	g := &gen{state: 3}
+	g := rng.New(3)
 	for i := 0; i < 10_000; i++ {
-		v := g.pareto(newSizeClass(1, 100))
+		v := newSizeClass(1, 100).draw(&g)
 		if v < 1-1e-9 || v > 100+1e-9 {
 			t.Fatalf("pareto variate %g outside [1,100]", v)
 		}
@@ -127,11 +128,11 @@ func TestParetoBounds(t *testing.T) {
 }
 
 func TestExpMean(t *testing.T) {
-	g := &gen{state: 11}
+	g := rng.New(11)
 	sum := 0.0
 	const n = 50_000
 	for i := 0; i < n; i++ {
-		sum += g.exp(2.5)
+		sum += exponential(&g, 2.5)
 	}
 	if mean := sum / n; math.Abs(mean-2.5) > 0.1 {
 		t.Errorf("exponential mean = %g, want ≈ 2.5", mean)

@@ -8,35 +8,19 @@ package join
 
 import (
 	"math"
+
+	"ccf/internal/rng"
 )
 
-// Gen is a small deterministic PRNG (xorshift64*) so relation generation is
-// reproducible without math/rand's global state.
-type Gen struct{ state uint64 }
-
-// NewGen seeds a generator; seed 0 is remapped to a fixed constant.
-func NewGen(seed uint64) *Gen {
+// newGen seeds the relation generator; seed 0, whose xorshift64* orbit is
+// all zeros, is remapped to a fixed constant.
+func newGen(seed uint64) *rng.Gen {
 	if seed == 0 {
 		seed = 0x9E3779B97F4A7C15
 	}
-	return &Gen{state: seed}
+	g := rng.New(seed)
+	return &g
 }
-
-// Uint64 steps the generator.
-func (g *Gen) Uint64() uint64 {
-	x := g.state
-	x ^= x >> 12
-	x ^= x << 25
-	x ^= x >> 27
-	g.state = x
-	return x * 0x2545F4914F6CDD1D
-}
-
-// Intn returns a uniform int in [0, n).
-func (g *Gen) Intn(n int) int { return int(g.Uint64() % uint64(n)) }
-
-// Float64 returns a uniform float in [0, 1).
-func (g *Gen) Float64() float64 { return float64(g.Uint64()>>11) / float64(1<<53) }
 
 // GenConfig parameterises relation generation.
 type GenConfig struct {
@@ -58,14 +42,14 @@ func GenerateRelations(cfg GenConfig) (customer, orders *Relation) {
 	if cfg.PayloadBytes <= 0 {
 		cfg.PayloadBytes = 1000
 	}
-	g := NewGen(cfg.Seed)
+	g := newGen(cfg.Seed)
 	customer = &Relation{Name: "CUSTOMER", Tuples: make([]Tuple, cfg.Customers)}
 	for i := int64(0); i < cfg.Customers; i++ {
 		customer.Tuples[i] = Tuple{Key: i + 1, Payload: cfg.PayloadBytes}
 	}
 	var drawKey func() int64
 	if cfg.KeyZipf > 0 {
-		drawKey = zipfKeyDrawer(g, cfg.Customers, cfg.KeyZipf)
+		drawKey = zipfKeyDrawer(g, cfg.Customers, cfg.KeyZipf, 4096)
 	} else {
 		drawKey = func() int64 { return int64(g.Intn(int(cfg.Customers))) + 1 }
 	}
@@ -82,16 +66,12 @@ func GenerateRelations(cfg GenConfig) (customer, orders *Relation) {
 }
 
 // zipfKeyDrawer samples keys 1..n with popularity ∝ rank^−theta via
-// inversion on the cumulative weights (O(log n) per draw).
-func zipfKeyDrawer(g *Gen, n int64, theta float64) func() int64 {
-	// For very large key spaces, bucket the tail: exact weights for the
-	// first 4096 ranks, a single uniform tail beyond (the tail carries
-	// little mass for theta ≥ ~0.5 and heavy hitters are what matter).
-	head := n
-	const maxHead = 4096
-	if head > maxHead {
-		head = maxHead
-	}
+// inversion on the cumulative weights (O(log n) per draw). For very large
+// key spaces it buckets the tail: exact weights for the first maxHead ranks,
+// a single uniform tail beyond (the tail carries little mass for
+// theta ≥ ~0.5 and heavy hitters are what matter).
+func zipfKeyDrawer(g *rng.Gen, n int64, theta float64, maxHead int64) func() int64 {
+	head := min(n, maxHead)
 	cum := make([]float64, head)
 	var z float64
 	for r := int64(0); r < head; r++ {
@@ -139,31 +119,6 @@ func zipfKeyDrawer(g *Gen, n int64, theta float64) func() int64 {
 // reproducing the chunk-level generator's rank-aligned locality at tuple
 // granularity. The returned closure is deterministic per seed.
 func ZipfPlacer(n int, theta float64, seed uint64) func(i int, t Tuple) int {
-	w := make([]float64, n)
-	var z float64
-	for r := 0; r < n; r++ {
-		w[r] = math.Pow(float64(r+1), -theta)
-		z += w[r]
-	}
-	cum := make([]float64, n)
-	acc := 0.0
-	for r := 0; r < n; r++ {
-		acc += w[r] / z
-		cum[r] = acc
-	}
-	g := NewGen(seed)
-	return func(int, Tuple) int {
-		u := g.Float64()
-		// Binary search the cumulative weights.
-		lo, hi := 0, n-1
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if cum[mid] < u {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		return lo
-	}
+	draw := zipfKeyDrawer(newGen(seed), int64(n), theta, int64(n))
+	return func(int, Tuple) int { return int(draw()) - 1 }
 }

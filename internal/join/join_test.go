@@ -207,14 +207,14 @@ func TestZipfPlacerBiasAndRange(t *testing.T) {
 }
 
 func TestGenDeterminism(t *testing.T) {
-	a := NewGen(9)
-	b := NewGen(9)
+	a := newGen(9)
+	b := newGen(9)
 	for i := 0; i < 100; i++ {
 		if a.Uint64() != b.Uint64() {
 			t.Fatal("Gen not deterministic")
 		}
 	}
-	if NewGen(0).Uint64() == 0 {
+	if newGen(0).Uint64() == 0 {
 		t.Error("zero seed must be remapped, not produce the zero orbit")
 	}
 }

@@ -141,20 +141,6 @@ var DefBuckets = []float64{
 	0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 100,
 }
 
-// ExpBuckets returns n buckets starting at start, each factor times the
-// previous — the standard exponential ladder.
-func ExpBuckets(start, factor float64, n int) []float64 {
-	if start <= 0 || factor <= 1 || n < 1 {
-		panic("metrics: ExpBuckets needs start > 0, factor > 1, n >= 1")
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start
-		start *= factor
-	}
-	return out
-}
-
 // Label is one name/value pair. Series within a family are identified by
 // their ordered label list; register the same (name, labels) twice and you
 // get the same instrument back.

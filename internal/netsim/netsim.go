@@ -426,22 +426,3 @@ func (sc *runScratch) ensurePorts(n int) {
 	sc.inUse = make([]float64, n)
 	sc.downCnt = make([]int, n)
 }
-
-// PortBacklog sums the remaining bytes of unfinished flows on each port —
-// the network state a horizon-limited simulation leaves behind, and the
-// initial-load input the online co-optimizer feeds to placement.
-func PortBacklog(n int, coflows []*coflow.Coflow) (egress, ingress []int64) {
-	egress = make([]int64, n)
-	ingress = make([]int64, n)
-	for _, c := range coflows {
-		for _, f := range c.Flows {
-			if f.Done {
-				continue
-			}
-			r := int64(f.Remaining + 0.5)
-			egress[f.Src] += r
-			ingress[f.Dst] += r
-		}
-	}
-	return egress, ingress
-}

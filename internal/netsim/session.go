@@ -419,9 +419,8 @@ func (ss *Session) Report() *Report { return ss.rep }
 
 // BacklogInto writes the per-port remaining bytes of every unfinished flow
 // the session knows about — in flight or still queued — into the
-// caller's slices (len == fabric ports), the in-place equivalent of
-// PortBacklog. This is the network state the online co-optimizer feeds to
-// placement as the initial-load term v⁰.
+// caller's slices (len == fabric ports). This is the network state the
+// online co-optimizer feeds to placement as the initial-load term v⁰.
 func (ss *Session) BacklogInto(egress, ingress []int64) error {
 	if !ss.begun {
 		return errors.New("netsim: session not started (obtain one from Simulator.Session)")

@@ -32,6 +32,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sync"
 	"time"
@@ -67,9 +68,18 @@ func NewHandler(p *Pool, cfg HTTPConfig) http.Handler {
 	cfg = cfg.withDefaults()
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
+		// Exactly one JobSpec: a misspelt field or a second value is refused,
+		// never decided without it.
 		var spec JobSpec
-		body := http.MaxBytesReader(w, r.Body, maxJobBody)
-		if err := json.NewDecoder(body).Decode(&spec); err != nil {
+		in := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobBody))
+		in.DisallowUnknownFields()
+		err := in.Decode(&spec)
+		if err == nil {
+			if _, tail := in.Token(); tail != io.EOF {
+				err = errors.New("more than one JSON value")
+			}
+		}
+		if err != nil {
 			writeError(w, p, http.StatusBadRequest, fmt.Errorf("%w: body: %v", ErrBadJob, err))
 			return
 		}

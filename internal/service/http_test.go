@@ -14,6 +14,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -169,6 +170,41 @@ func TestHTTPBadJobIs400(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("malformed body: %d", resp.StatusCode)
+	}
+}
+
+// TestHTTPStrictJobBody pins the intake decoder: an unknown field (here a
+// misspelt handle_skew, which would otherwise be decided and journaled
+// without partial duplication) and anything after the first JSON value are
+// 400 ErrBadJob, while trailing whitespace is not.
+func TestHTTPStrictJobBody(t *testing.T) {
+	p, srv := httpTestPool(t, detConfig(t.TempDir()))
+	post := func(body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(b)
+	}
+	for _, body := range []string{
+		`{"name":"a","handleSkew":true,"gen":{"Zipf":0.5,"Skew":0.2}}`,
+		`{"name":"b","gen":{"Zipf":0.5,"Bogus":1}}`,
+		`{"name":"c","gen":{"Zipf":0.5}}{"name":"d","gen":{"Zipf":0.5}}`,
+		`{"name":"e","gen":{"Zipf":0.5}} x`,
+	} {
+		code, msg := post(body)
+		if code != http.StatusBadRequest || !strings.Contains(msg, ErrBadJob.Error()) {
+			t.Errorf("%s: %d %s, want 400 %q", body, code, msg, ErrBadJob)
+		}
+	}
+	if st := p.Stats(); st.Admitted != 0 {
+		t.Fatalf("%d refused bodies admitted", st.Admitted)
+	}
+	if code, msg := post("{\"name\":\"ok\",\"handle_skew\":true,\"gen\":{\"Zipf\":0.5}}\n\t "); code != http.StatusOK {
+		t.Fatalf("valid body with trailing whitespace: %d %s", code, msg)
 	}
 }
 

@@ -386,6 +386,3 @@ func (p *Pool) Stats() *Stats {
 
 // RetryAfter exposes the configured backoff hint for the HTTP layer.
 func (p *Pool) RetryAfter() time.Duration { return p.cfg.RetryAfter }
-
-// Nodes exposes the fabric size for the HTTP layer's error messages.
-func (p *Pool) Nodes() int { return p.cfg.Nodes }

@@ -16,6 +16,7 @@ import (
 	"fmt"
 
 	"ccf/internal/query"
+	"ccf/internal/rng"
 )
 
 // Radix separates the two halves of an encoded value: value = hi×Radix + lo
@@ -36,21 +37,6 @@ type Config struct {
 	Seed uint64
 }
 
-// gen is an xorshift64* generator: one of three private copies in the
-// repository (join.Gen and fbtrace's gen are the others).
-type gen struct{ state uint64 }
-
-func (g *gen) next() uint64 {
-	x := g.state
-	x ^= x >> 12
-	x ^= x << 25
-	x ^= x >> 27
-	g.state = x
-	return x * 0x2545F4914F6CDD1D
-}
-
-func (g *gen) intn(n int) int { return int(g.next() % uint64(n)) }
-
 // Tables bundles the generated relations.
 type Tables struct {
 	Customer *query.Table // Key=custkey, Value=0
@@ -70,26 +56,26 @@ func Generate(cfg Config) (*Tables, error) {
 	if cfg.PayloadBytes == 0 {
 		cfg.PayloadBytes = 100
 	}
-	g := &gen{state: cfg.Seed | 1}
+	g := rng.New(cfg.Seed | 1)
 	t := &Tables{
 		Customer: query.NewTable("CUSTOMER", cfg.Nodes, cfg.PayloadBytes),
 		Orders:   query.NewTable("ORDERS", cfg.Nodes, cfg.PayloadBytes),
 		Lineitem: query.NewTable("LINEITEM", cfg.Nodes, cfg.PayloadBytes),
 	}
 	for ck := int64(1); ck <= cfg.Customers; ck++ {
-		node := g.intn(cfg.Nodes)
+		node := g.Intn(cfg.Nodes)
 		t.Customer.Frags[node] = append(t.Customer.Frags[node], query.Row{Key: ck, Value: 0})
 	}
 	orderKey := int64(0)
 	for ck := int64(1); ck <= cfg.Customers; ck++ {
 		for o := 0; o < 10; o++ {
 			orderKey++
-			node := g.intn(cfg.Nodes)
+			node := g.Intn(cfg.Nodes)
 			t.Orders.Frags[node] = append(t.Orders.Frags[node], query.Row{Key: ck, Value: orderKey})
-			items := 1 + g.intn(7) // TPC-H: 1..7 lineitems per order
+			items := 1 + g.Intn(7) // TPC-H: 1..7 lineitems per order
 			for li := 0; li < items; li++ {
-				price := int64(1 + g.intn(10_000)) // < Radix
-				lnode := g.intn(cfg.Nodes)
+				price := int64(1 + g.Intn(10_000)) // < Radix
+				lnode := g.Intn(cfg.Nodes)
 				t.Lineitem.Frags[lnode] = append(t.Lineitem.Frags[lnode], query.Row{Key: orderKey, Value: price})
 			}
 		}

@@ -26,6 +26,7 @@ import (
 	"sync"
 
 	"ccf/internal/partition"
+	"ccf/internal/rng"
 )
 
 // Paper-default workload constants (§IV.A.2 and §IV.A.3).
@@ -165,15 +166,6 @@ func zipfWeights(n int, theta float64) []float64 {
 		w[r] /= z
 	}
 	return w
-}
-
-// splitmix64 is a tiny deterministic PRNG step used for jitter so the
-// generator does not depend on math/rand ordering guarantees.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }
 
 // parallelCells is the matrix size from which a fill is fanned out over
@@ -337,7 +329,7 @@ func (g *Generator) fill(cfg *Config, normalBytes int64, lo, hi int) {
 				f = weights[r]
 			}
 			if jitter > 0 {
-				h := splitmix64(rowKey ^ uint64(k)*0x9E3779B97F4A7C15)
+				h := rng.SplitMix64(rowKey ^ uint64(k)*0x9E3779B97F4A7C15)
 				f *= 1 + float64(jitter*(float64(float64(h>>11)*0x1p-52)-1))
 			}
 			tot := totLo
@@ -392,7 +384,7 @@ func rankOffset(cfg *Config, k int) int {
 	if !cfg.ShuffleRanks {
 		return 0
 	}
-	return int(splitmix64(cfg.Seed^uint64(k)) % uint64(cfg.Nodes))
+	return int(rng.SplitMix64(cfg.Seed^uint64(k)) % uint64(cfg.Nodes))
 }
 
 func largestIdx(v []int64) int {

@@ -7,6 +7,8 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+
+	"ccf/internal/rng"
 )
 
 func TestDefaultsApplied(t *testing.T) {
@@ -277,10 +279,10 @@ func TestSplitmixAvalanche(t *testing.T) {
 	// is the top 53 bits of the hash scaled by 2⁻⁵², a value in [0, 2)
 	// every platform computes exactly: it equals twice the [0, 1) uniform.
 	draw := func(h uint64) float64 { return float64(float64(h>>11) * 0x1p-52) }
-	rng := rand.New(rand.NewSource(1))
+	src := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 100; trial++ {
-		x := rng.Uint64()
-		ha, hb := splitmix64(x), splitmix64(x+1)
+		x := src.Uint64()
+		ha, hb := rng.SplitMix64(x), rng.SplitMix64(x+1)
 		a, b := draw(ha), draw(hb)
 		if a == b {
 			t.Fatalf("splitmix64 collision for adjacent seeds at %d", x)
