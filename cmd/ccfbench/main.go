@@ -94,7 +94,7 @@ func main() {
 		{"ablation-bound", true, func() error { return ablationBound(opts) }},
 		{"chaos", false, func() error { return chaosExp(*seeds, *workers) }},
 		{"recovery", false, func() error { return recoveryExp(*bandwidth, *workers) }},
-		{"telemetry", false, func() error { return telemetryExp(1, *bandwidth, *workers) }},
+		{"telemetry", false, func() error { return telemetryExp(*bandwidth, *workers) }},
 		{"service-load", false, func() error {
 			fmt.Println("service-load: daemon under steady load, overload, and kill+restart:")
 			return serviceLoadExp(*serviceJSON, *serviceDir)
@@ -169,8 +169,8 @@ func validateBenchFlags(exps []experiment, exp string, scale, bw float64, seeds,
 	if !known {
 		return fmt.Errorf("unknown experiment %q (see -exp in -help)", exp)
 	}
-	if scale <= 0 {
-		return fmt.Errorf("-scale must be positive, got %g", scale)
+	if _, _, err := workload.ScaledTuples(scale); err != nil {
+		return err
 	}
 	if bw < 0 {
 		return fmt.Errorf("-bw must be non-negative, got %g", bw)
@@ -287,10 +287,6 @@ func ablationSort(opts core.SweepOptions) error {
 		CustomerTuples: int64(opts.Scale * workload.DefaultCustomerTuples),
 		OrderTuples:    int64(opts.Scale * workload.DefaultOrderTuples),
 	}
-	if cfg.CustomerTuples == 0 {
-		cfg.CustomerTuples = workload.DefaultCustomerTuples
-		cfg.OrderTuples = workload.DefaultOrderTuples
-	}
 	w, err := workload.Generate(cfg)
 	if err != nil {
 		return err
@@ -344,14 +340,10 @@ func ablationExact() error {
 // bound of internal/bound.
 func ablationBound(opts core.SweepOptions) error {
 	fmt.Println("Ablation abl-bound: certified optimality gap at paper scale (500 nodes, p=7500, zipf=0.8, skew=20%)")
-	scale := opts.Scale
-	if scale == 0 {
-		scale = 1
-	}
 	w, err := workload.Generate(workload.Config{
 		Nodes: 500, Zipf: 0.8, Skew: 0.2,
-		CustomerTuples: int64(scale * workload.DefaultCustomerTuples),
-		OrderTuples:    int64(scale * workload.DefaultOrderTuples),
+		CustomerTuples: int64(opts.Scale * workload.DefaultCustomerTuples),
+		OrderTuples:    int64(opts.Scale * workload.DefaultOrderTuples),
 	})
 	if err != nil {
 		return err
@@ -378,14 +370,10 @@ func ablationBound(opts core.SweepOptions) error {
 func ablationHetero(opts core.SweepOptions) error {
 	fmt.Println("Ablation abl-hetero: node 0's ingress at 1/8 bandwidth (100 nodes, zipf=0.8, skew=20%)")
 	n := 100
-	scale := opts.Scale
-	if scale == 0 {
-		scale = 1
-	}
 	w, err := workload.Generate(workload.Config{
 		Nodes: n, Zipf: 0.8, Skew: 0.2,
-		CustomerTuples: int64(scale * workload.DefaultCustomerTuples),
-		OrderTuples:    int64(scale * workload.DefaultOrderTuples),
+		CustomerTuples: int64(opts.Scale * workload.DefaultCustomerTuples),
+		OrderTuples:    int64(opts.Scale * workload.DefaultOrderTuples),
 	})
 	if err != nil {
 		return err
@@ -417,18 +405,14 @@ func ablationHetero(opts core.SweepOptions) error {
 // ablationTopo: rack-aware CCF vs plain CCF on an oversubscribed leaf-spine.
 func ablationTopo(opts core.SweepOptions) error {
 	fmt.Println("Ablation abl-topo: 8 racks x 16 hosts, 4x oversubscribed core (zipf=0.8, skew=20%)")
-	scale := opts.Scale
-	if scale == 0 {
-		scale = 1
-	}
 	topo, err := topology.NewLeafSpine(8, 16, netsim.DefaultPortBandwidth, 4*netsim.DefaultPortBandwidth)
 	if err != nil {
 		return err
 	}
 	w, err := workload.Generate(workload.Config{
 		Nodes: topo.N, Zipf: 0.8, Skew: 0.2,
-		CustomerTuples: int64(scale * workload.DefaultCustomerTuples),
-		OrderTuples:    int64(scale * workload.DefaultOrderTuples),
+		CustomerTuples: int64(opts.Scale * workload.DefaultCustomerTuples),
+		OrderTuples:    int64(opts.Scale * workload.DefaultOrderTuples),
 	})
 	if err != nil {
 		return err

@@ -13,14 +13,14 @@ import (
 	"ccf/internal/core"
 )
 
-func telemetryExp(seed int64, bw float64, workers int) error {
-	cfg := core.TelemetryConfig{Seed: seed, Bandwidth: bw, Workers: workers}
-	rows, err := core.TelemetryExperiment(cfg)
+func telemetryExp(bw float64, workers int) error {
+	rows, err := core.TelemetryExperiment(core.TelemetryConfig{Bandwidth: bw, Workers: workers})
 	if err != nil {
 		return err
 	}
 	fmt.Println("Telemetry: per-scheduler utilization and stretch on one online workload")
-	fmt.Printf("(12 ports, 16 coflows, seed %d; stretch = CCT / isolated lower bound)\n", seed)
+	fmt.Printf("(%d ports, %d coflows, seed %d; stretch = CCT / isolated lower bound)\n",
+		core.TelemetryNodes, core.TelemetryCoflows, core.TelemetrySeed)
 	fmt.Printf("  %-18s %9s %8s %9s %9s %9s %9s %7s\n",
 		"scheduler", "makespan", "avgCCT", "util-avg", "util-pk", "stretch", "worst", "jain")
 	for _, r := range rows {

@@ -86,9 +86,6 @@ func main() {
 			CoOptimize:       *coopt,
 			NetworkScheduler: *netsched,
 		},
-		Logf: func(format string, args ...any) {
-			logger.Info(fmt.Sprintf(format, args...))
-		},
 		Obs: obs,
 	})
 	if err != nil {

@@ -44,20 +44,23 @@ func main() {
 	)
 	flag.Parse()
 
+	customers, orders, err := workload.ScaledTuples(*scale)
 	cfg := workload.Config{
 		Nodes: *nodes, Partitions: *parts, Zipf: *zipf, Skew: *skewFrac, Seed: *seed,
-		CustomerTuples: int64(*scale * workload.DefaultCustomerTuples),
-		OrderTuples:    int64(*scale * workload.DefaultOrderTuples),
+		CustomerTuples: customers, OrderTuples: orders,
 	}
 	coflowSet := false
 	flag.Visit(func(f *flag.Flag) { coflowSet = coflowSet || f.Name == "coflow" })
-	placed, err := placement.ByName(*placer)
+	var placed placement.Named
+	if err == nil {
+		placed, err = placement.ByName(*placer)
+	}
 	var sched coflow.Scheduler
 	if err == nil {
 		sched, err = coflow.ByName(*coflowSch)
 	}
 	if err == nil {
-		err = validateFlags(cfg, *scale, *bandwidth, *sample)
+		err = validateFlags(cfg, *bandwidth, *sample)
 	}
 	if err == nil && coflowSet && *traceFile == "" {
 		err = fmt.Errorf("-coflow needs a -trace input; a generated workload runs alone under Varys")
@@ -134,10 +137,7 @@ func exportTelemetry(rec *telemetry.Recorder, traceOut, metrics string) error {
 // message instead of letting them surface as panics or garbage output deep
 // in the pipeline: the workload config as Config.Validate checks outside
 // input, plus the knobs only the command has.
-func validateFlags(cfg workload.Config, scale, bw, sample float64) error {
-	if !(scale > 0) {
-		return fmt.Errorf("-scale must be positive, got %g", scale)
-	}
+func validateFlags(cfg workload.Config, bw, sample float64) error {
 	if !(bw >= 0) {
 		return fmt.Errorf("-bw must be non-negative, got %g", bw)
 	}

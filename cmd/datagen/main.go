@@ -35,14 +35,14 @@ func main() {
 		seed     = flag.Uint64("seed", 0, "workload seed")
 	)
 	flag.Parse()
+	customers, orders, err := workload.ScaledTuples(*scale)
 	cfg := workload.Config{
 		Nodes: *nodes, Partitions: *parts, Zipf: *zipf, Skew: *skewFrac, Seed: *seed,
-		CustomerTuples: int64(*scale * workload.DefaultCustomerTuples),
-		OrderTuples:    int64(*scale * workload.DefaultOrderTuples),
+		CustomerTuples: customers, OrderTuples: orders,
 	}
-	placed, err := placement.ByName(*placer)
-	if err == nil && !(*scale > 0) {
-		err = fmt.Errorf("-scale must be positive, got %g", *scale)
+	var placed placement.Named
+	if err == nil {
+		placed, err = placement.ByName(*placer)
 	}
 	if err == nil {
 		err = cfg.Validate()

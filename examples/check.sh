@@ -23,7 +23,9 @@
 # fix the call site, do not re-record.
 #
 # reject then runs each bad flag value the commands must refuse: exit 2 with
-# one stderr line, never a panic.
+# one stderr line, never a panic. A -scale so small that a tuple count
+# truncates to 0 is one: the workload would read 0 as "paper default" and
+# run at full size.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 bin=$(mktemp -d)
@@ -78,12 +80,15 @@ reject "$bin/ccfsim" -nodes 8 -scale 0.0001 -coflow varys
 reject "$bin/ccfsim" -trace "$bin/shuffle.trace" -coflow fair
 reject "$bin/ccfsim" -trace "$bin/shuffle.trace" -coflow sequential
 reject "$bin/ccfsim" -nodes 8 -scale 1e12
+reject "$bin/ccfsim" -nodes 8 -scale 1e-8
 reject "$bin/ccfsim" -placer random
 reject "$bin/datagen" -scale -1
 reject "$bin/datagen" -scale 0
+reject "$bin/datagen" -nodes 8 -scale 1e-8
 reject "$bin/datagen" -zipf NaN
 reject "$bin/datagen" -placer bogus
+reject "$bin/ccfbench" -exp fig5 -scale 1e-8
 reject "$bin/ccfquery" -keys 0
 reject "$bin/ccfquery" -nodes 0
 reject "$bin/ccfquery" -nodes -3
-echo "examples and CLIs: 22 outputs byte-identical to examples/testdata, 13 bad flag values rejected"
+echo "examples and CLIs: 22 outputs byte-identical to examples/testdata, 16 bad flag values rejected"

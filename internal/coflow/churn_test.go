@@ -18,15 +18,11 @@ type churnScheduler struct {
 
 func churnSchedulers(sparse bool) []churnScheduler {
 	var out []churnScheduler
-	for _, mk := range []func() Scheduler{NewVarys, NewFIFO, NewSCF, NewNCF} {
+	for _, mk := range []func() Scheduler{NewVarys, NewFIFO, NewSCF, NewNCF, NewAalo} {
 		o := mk().(*orderedMADD)
 		o.SetSparse(sparse)
-		out = append(out, churnScheduler{o.name, o, false, o.key})
+		out = append(out, churnScheduler{o.name, o, o.tieArrival, o.key})
 	}
-	a := NewAalo()
-	a.SetSparse(sparse)
-	out = append(out, churnScheduler{a.Name(), a, true,
-		func(c *Coflow, _ *allocScratch) float64 { return float64(a.queueOf(c)) }})
 	return out
 }
 

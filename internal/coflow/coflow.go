@@ -650,12 +650,14 @@ func activeFlows(active []*Coflow, s *allocScratch) []*Flow {
 type orderedMADD struct {
 	name string
 	// key computes the coflow's priority (smaller serves first; ties break
-	// by coflow ID).
+	// by coflow ID, or by arrival then ID under tieArrival).
 	key func(c *Coflow, s *allocScratch) float64
 	// dynamic marks keys that drift as bytes move, forcing a per-epoch
 	// re-key + re-sort even with unchanged membership.
 	dynamic  bool
 	backfill bool
+	// tieArrival serves equal keys FIFO (Aalo's order within a queue).
+	tieArrival bool
 
 	scratch allocScratch
 	ord     orderState
@@ -681,7 +683,7 @@ func (o *orderedMADD) Allocate(_ float64, active []*Coflow, egCap, inCap []float
 		for _, c := range o.ord.order {
 			c.schedKey = o.key(c, &o.scratch)
 		}
-		sortByKey(o.ord.order, false)
+		sortByKey(o.ord.order, o.tieArrival)
 	}
 	for _, c := range o.ord.order {
 		maddAllocate(c, egCap, inCap, &o.scratch)
@@ -741,66 +743,37 @@ func NewNCF() Scheduler {
 	}
 }
 
-// Aalo approximates the D-CLAS discretized priority queues of Aalo
-// (SIGCOMM'15): coflows are binned by bytes sent so far into queues with
-// geometrically growing thresholds; lower queues get strict priority,
-// FIFO within a queue, MADD rates, leftover capacity backfilled.
-type Aalo struct {
-	// FirstThreshold is queue 0's upper bound in bytes (Aalo default 10 MB).
-	FirstThreshold float64
-	// Multiplier grows thresholds geometrically (Aalo default 10).
-	Multiplier float64
-
-	scratch allocScratch
-	ord     orderState
-	sparse  sparseState
+// NewAalo returns Aalo's D-CLAS (SIGCOMM'15): coflows are binned by bytes
+// sent so far into discretized priority queues with geometrically growing
+// thresholds; lower queues get strict priority, FIFO within a queue, MADD
+// rates, leftover capacity backfilled.
+func NewAalo() Scheduler {
+	return &orderedMADD{
+		name:       "aalo-dclas",
+		key:        dclasQueue,
+		dynamic:    true,
+		backfill:   true,
+		tieArrival: true,
+	}
 }
 
-// NewAalo returns an Aalo scheduler with the paper defaults.
-func NewAalo() *Aalo { return &Aalo{FirstThreshold: 10e6, Multiplier: 10} }
+// D-CLAS thresholds, Aalo's defaults: queue 0 holds coflows that have sent
+// under 10 MB, and each further queue's bound is ten times the previous.
+const (
+	dclasFirstThreshold = 10e6
+	dclasMultiplier     = 10
+)
 
-// Name implements Scheduler.
-func (a *Aalo) Name() string { return "aalo-dclas" }
-
-// PriorityOrder implements Auditable: the D-CLAS queue order (queue index,
-// then arrival, then ID) the last Allocate served.
-func (a *Aalo) PriorityOrder() []*Coflow { return a.ord.order }
-
-// queueOf returns the priority queue index for a coflow.
-func (a *Aalo) queueOf(c *Coflow) int {
+// dclasQueue is Aalo's key: the index of the D-CLAS queue the coflow's
+// SentBytes fall in.
+func dclasQueue(c *Coflow, _ *allocScratch) float64 {
 	q := 0
-	th := a.FirstThreshold
+	th := dclasFirstThreshold
 	for c.SentBytes >= th && q < 32 {
-		th *= a.Multiplier
+		th *= dclasMultiplier
 		q++
 	}
-	return q
-}
-
-// Allocate implements Scheduler. The queue order persists across epochs and
-// is re-sorted only when membership changes or a coflow crosses a queue
-// threshold (queue index, then arrival, then ID is a strict total order).
-func (a *Aalo) Allocate(_ float64, active []*Coflow, egCap, inCap []float64) {
-	if a.sparse.on {
-		a.allocateSparse(active, egCap, inCap)
-		return
-	}
-	resetRates(active)
-	a.scratch.ensure(len(egCap))
-	resort := a.ord.sync(active)
-	for _, c := range a.ord.order {
-		if q := float64(a.queueOf(c)); q != c.schedKey {
-			c.schedKey = q
-			resort = true
-		}
-	}
-	if resort {
-		sortByKey(a.ord.order, true)
-	}
-	for _, c := range a.ord.order {
-		maddAllocate(c, egCap, inCap, &a.scratch)
-	}
-	waterFill(activeFlows(active, &a.scratch), egCap, inCap, &a.scratch)
+	return float64(q)
 }
 
 // PerFlowFair ignores coflow boundaries entirely and shares every port
@@ -859,8 +832,8 @@ func (SequentialByDest) Allocate(_ float64, active []*Coflow, egCap, inCap []flo
 
 // Schedulers is the one table of coflow-scheduler names, in the order the
 // chaos sweep and the telemetry experiment run them. New builds a fresh
-// instance on every call: Aalo and the ordered schedulers carry
-// per-simulation state and must never be shared between engines. Read-only.
+// instance on every call: the ordered schedulers carry per-simulation state
+// and must never be shared between engines. Read-only.
 var Schedulers = []struct {
 	Name string
 	New  func() Scheduler
@@ -869,7 +842,7 @@ var Schedulers = []struct {
 	{"fifo", NewFIFO},
 	{"scf", NewSCF},
 	{"ncf", NewNCF},
-	{"aalo", func() Scheduler { return NewAalo() }},
+	{"aalo", NewAalo},
 	{"per-flow-fair", func() Scheduler { return PerFlowFair{} }},
 	{"sequential-by-dest", func() Scheduler { return SequentialByDest{} }},
 }

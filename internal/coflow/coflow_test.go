@@ -423,18 +423,17 @@ func TestNCFPrefersNarrowest(t *testing.T) {
 }
 
 func TestAaloQueueAssignment(t *testing.T) {
-	a := NewAalo()
 	c := New(0, "q", 0, []Flow{singleFlow(0, 0, 1, 1)})
-	if q := a.queueOf(c); q != 0 {
-		t.Errorf("fresh coflow queue = %d, want 0", q)
+	if q := dclasQueue(c, nil); q != 0 {
+		t.Errorf("fresh coflow queue = %g, want 0", q)
 	}
 	c.SentBytes = 10e6
-	if q := a.queueOf(c); q != 1 {
-		t.Errorf("10 MB-sent queue = %d, want 1", q)
+	if q := dclasQueue(c, nil); q != 1 {
+		t.Errorf("10 MB-sent queue = %g, want 1", q)
 	}
 	c.SentBytes = 100e6
-	if q := a.queueOf(c); q != 2 {
-		t.Errorf("100 MB-sent queue = %d, want 2", q)
+	if q := dclasQueue(c, nil); q != 2 {
+		t.Errorf("100 MB-sent queue = %g, want 2", q)
 	}
 }
 

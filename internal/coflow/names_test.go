@@ -28,7 +28,7 @@ func TestByName(t *testing.T) {
 			t.Errorf("ByName(%q).Name() = %q, want %q", name, s.Name(), want[name])
 		}
 	}
-	// Aalo and the ordered schedulers keep per-simulation state.
+	// The five ordered schedulers keep per-simulation state.
 	for _, name := range []string{"aalo", "varys", "fifo", "scf", "ncf"} {
 		a, _ := ByName(name)
 		b, _ := ByName(name)

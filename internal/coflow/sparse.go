@@ -3,9 +3,9 @@ package coflow
 // Event-horizon (sparse) allocation: the scheduler side of
 // netsim.Simulator.EventHorizon, under which an epoch costs what *changed*
 // since the last one, not everything active (DESIGN.md §16). The five ordered
-// schedulers implement it — Varys/SEBF, FIFO, SCF and NCF through orderedMADD,
-// and Aalo; the engine runs the same event loop either way and only restricts
-// its flow passes to the granted set reported here.
+// schedulers — Varys/SEBF, FIFO, SCF, NCF and Aalo, all one orderedMADD —
+// implement it; the engine runs the same event loop either way and only
+// restricts its flow passes to the granted set reported here.
 //
 // The contract is the repository's standing one: bit-identical results to
 // the dense path. Every shortcut below is a proof-carrying no-op:
@@ -179,47 +179,13 @@ func (o *orderedMADD) allocateSparse(active []*Coflow, egCap, inCap []float64) {
 			}
 		}
 		if changed {
-			sortByKey(o.ord.order, false)
+			sortByKey(o.ord.order, o.tieArrival)
 		}
 	}
 	anyBlocked := o.sparse.serve(o.ord.order, egCap, inCap, &o.scratch)
 	if o.backfill && !anyBlocked {
 		waterFill(activeFlows(active, &o.scratch), egCap, inCap, &o.scratch)
 		o.sparse.dense = true
-	}
-}
-
-// SetSparse implements SparseAllocator.
-func (a *Aalo) SetSparse(on bool) { a.sparse.set(on) }
-
-// LastGrantDense implements SparseAllocator.
-func (a *Aalo) LastGrantDense() bool { return a.sparse.dense }
-
-// allocateSparse is the event-horizon variant of Aalo.Allocate: the D-CLAS
-// queue index of a coflow whose SentBytes did not change is recomputed from
-// its cached value, and the rest follows orderedMADD.allocateSparse.
-func (a *Aalo) allocateSparse(active []*Coflow, egCap, inCap []float64) {
-	a.sparse.reset(active)
-	a.scratch.ensure(len(egCap))
-	resort := a.ord.sync(active)
-	for _, c := range a.ord.order {
-		if c.sim.keyed && !c.sim.moved {
-			continue
-		}
-		q := float64(a.queueOf(c))
-		c.sim.moved, c.sim.keyed = false, true
-		if q != c.schedKey {
-			c.schedKey = q
-			resort = true
-		}
-	}
-	if resort {
-		sortByKey(a.ord.order, true)
-	}
-	anyBlocked := a.sparse.serve(a.ord.order, egCap, inCap, &a.scratch)
-	if !anyBlocked {
-		waterFill(activeFlows(active, &a.scratch), egCap, inCap, &a.scratch)
-		a.sparse.dense = true
 	}
 }
 

@@ -32,12 +32,18 @@ import (
 	"ccf/internal/parallel"
 )
 
+// The chaos sweep's fixed shape: each seed's workload spans chaosNodes
+// ports at chaosBandwidth bytes/sec (second-scale runs) with chaosCoflows
+// coflows.
+const (
+	chaosNodes     = 6
+	chaosCoflows   = 5
+	chaosBandwidth = 100
+)
+
 // ChaosConfig sizes the chaos sweep.
 type ChaosConfig struct {
-	Seeds     int     // fault schedules to generate (default 32)
-	Nodes     int     // fabric ports (default 6)
-	Coflows   int     // coflows per workload (default 5)
-	Bandwidth float64 // bytes/sec (default 100: second-scale runs)
+	Seeds int // fault schedules to generate (default 32)
 	// Workers bounds seed-level parallelism (1 = serial, 0 = GOMAXPROCS).
 	// Seeds are independent and aggregated in seed order, so the result —
 	// including the violation list and the float totals — is identical at
@@ -48,15 +54,6 @@ type ChaosConfig struct {
 func (c *ChaosConfig) defaults() {
 	if c.Seeds <= 0 {
 		c.Seeds = 32
-	}
-	if c.Nodes < 2 {
-		c.Nodes = 6
-	}
-	if c.Coflows <= 0 {
-		c.Coflows = 5
-	}
-	if c.Bandwidth <= 0 {
-		c.Bandwidth = 100
 	}
 }
 
@@ -129,12 +126,12 @@ type chaosSeedResult struct {
 // per-seed results are folded in seed order.
 func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 	cfg.defaults()
-	fabric, err := netsim.NewFabric(cfg.Nodes, cfg.Bandwidth)
+	fabric, err := netsim.NewFabric(chaosNodes, chaosBandwidth)
 	if err != nil {
 		return nil, err
 	}
 	outs, err := parallel.Run(cfg.Workers, cfg.Seeds, func(seed int) (chaosSeedResult, error) {
-		return runChaosSeed(cfg, fabric, seed), nil
+		return runChaosSeed(fabric, seed), nil
 	})
 	if err != nil {
 		return nil, err
@@ -154,7 +151,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 
 // runChaosSeed runs every scheduler through one seed's workload and fault
 // schedule, collecting that seed's invariant violations.
-func runChaosSeed(cfg ChaosConfig, fabric netsim.Fabric, seed int) chaosSeedResult {
+func runChaosSeed(fabric netsim.Fabric, seed int) chaosSeedResult {
 	res := chaosSeedResult{}
 	fail := func(format string, args ...any) {
 		res.violations = append(res.violations, fmt.Sprintf(format, args...))
@@ -163,8 +160,8 @@ func runChaosSeed(cfg ChaosConfig, fabric netsim.Fabric, seed int) chaosSeedResu
 	// when comparing against the fault-free run (see package comment).
 	const anomalyTol = 0.05
 	rng := rand.New(rand.NewSource(int64(seed)))
-	base := chaosWorkload(rng, cfg.Nodes, cfg.Coflows)
-	faults := chaosFaults(rng, cfg.Nodes)
+	base := chaosWorkload(rng, chaosNodes, chaosCoflows)
+	faults := chaosFaults(rng, chaosNodes)
 	var totalSize float64
 	for _, c := range base {
 		c.Completed = false // fresh workload per seed
@@ -172,19 +169,19 @@ func runChaosSeed(cfg ChaosConfig, fabric netsim.Fabric, seed int) chaosSeedResu
 	}
 	// Bandwidth lower bound of the workload: max port load / capacity.
 	lb := 0.0
-	eg := make([]float64, cfg.Nodes)
-	in := make([]float64, cfg.Nodes)
+	eg := make([]float64, chaosNodes)
+	in := make([]float64, chaosNodes)
 	for _, c := range base {
 		for _, f := range c.Flows {
 			eg[f.Src] += f.Size
 			in[f.Dst] += f.Size
 		}
 	}
-	for p := 0; p < cfg.Nodes; p++ {
-		if t := eg[p] / cfg.Bandwidth; t > lb {
+	for p := 0; p < chaosNodes; p++ {
+		if t := eg[p] / chaosBandwidth; t > lb {
 			lb = t
 		}
-		if t := in[p] / cfg.Bandwidth; t > lb {
+		if t := in[p] / chaosBandwidth; t > lb {
 			lb = t
 		}
 	}

@@ -317,7 +317,7 @@ func TestFigDefaultsApplied(t *testing.T) {
 }
 
 func TestPartitionMultiplierOption(t *testing.T) {
-	opts := SweepOptions{Scale: 0.001, PartitionMultiplier: 5}.withDefaults()
+	opts := SweepOptions{Scale: 0.001, PartitionMultiplier: 5}
 	cfg := opts.workloadConfig(20, 0.8, 0.2)
 	if cfg.Partitions != 100 {
 		t.Errorf("partitions = %d, want 5×20", cfg.Partitions)

@@ -17,19 +17,13 @@ import (
 // defaults; Scale shrinks the dataset for unit tests and CI-speed benches.
 type SweepOptions struct {
 	// Scale multiplies the tuple counts (1.0 = paper scale: 90 M + 900 M
-	// tuples ≈ 1 TB). The figure *shapes* are scale-free: traffic and time
-	// scale linearly, speedups are unchanged (a tested invariant).
+	// tuples ≈ 1 TB; 0 truncates both counts to 0, which workload.Config
+	// reads as paper scale too). The figure *shapes* are scale-free:
+	// traffic and time scale linearly, speedups are unchanged (a tested
+	// invariant).
 	Scale float64
 	// Bandwidth per port, bytes/sec (0 = CoflowSim default 128 MB/s).
 	Bandwidth float64
-	// JitterFrac perturbs chunk sizes (see workload.Config). The default is
-	// 0 — exact Zipf proportions — because the paper's uniform (zipf = 0)
-	// data still funnels Mini into node 0, which requires the per-partition
-	// argmax to stay on the first node; random jitter would break that tie
-	// structure. The robustness tests sweep nonzero jitter explicitly.
-	JitterFrac float64
-	// Seed for the jitter.
-	Seed uint64
 	// PartitionMultiplier overrides p = 15n when nonzero.
 	PartitionMultiplier int
 	// ShuffleRanks breaks zipf rank alignment (ablation abl-rank).
@@ -44,13 +38,9 @@ type SweepOptions struct {
 	Workers int
 }
 
-func (o SweepOptions) withDefaults() SweepOptions {
-	if o.Scale == 0 {
-		o.Scale = 1
-	}
-	return o
-}
-
+// workloadConfig leaves chunk sizes unjittered, in exact Zipf proportions:
+// the paper's uniform (zipf = 0) data still funnels Mini into node 0, which
+// needs each partition's argmax to stay on the first node.
 func (o SweepOptions) workloadConfig(n int, zipf, skewFrac float64) workload.Config {
 	cfg := workload.Config{
 		Nodes:          n,
@@ -59,8 +49,6 @@ func (o SweepOptions) workloadConfig(n int, zipf, skewFrac float64) workload.Con
 		CustomerTuples: int64(o.Scale * workload.DefaultCustomerTuples),
 		OrderTuples:    int64(o.Scale * workload.DefaultOrderTuples),
 		ShuffleRanks:   o.ShuffleRanks,
-		Seed:           o.Seed,
-		JitterFrac:     o.JitterFrac,
 	}
 	if o.PartitionMultiplier > 0 {
 		cfg.Partitions = o.PartitionMultiplier * n
@@ -157,7 +145,6 @@ func DefaultFig5Nodes() []int {
 // Fig5 regenerates Figure 5: Hash/Mini/CCF traffic and communication time
 // versus the number of nodes (zipf = 0.8, skew = 20%).
 func Fig5(nodes []int, opts SweepOptions) (*FigureResult, error) {
-	opts = opts.withDefaults()
 	if len(nodes) == 0 {
 		nodes = DefaultFig5Nodes()
 	}
@@ -176,7 +163,6 @@ func DefaultFig6Zipfs() []float64 { return []float64{0, 0.2, 0.4, 0.6, 0.8, 1.0}
 // Fig6 regenerates Figure 6: the three approaches versus the Zipf factor
 // (500 nodes, skew = 20%).
 func Fig6(zipfs []float64, nodes int, opts SweepOptions) (*FigureResult, error) {
-	opts = opts.withDefaults()
 	if len(zipfs) == 0 {
 		zipfs = DefaultFig6Zipfs()
 	}
@@ -194,7 +180,6 @@ func DefaultFig7Skews() []float64 { return []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5}
 // Fig7 regenerates Figure 7: the three approaches versus data skewness
 // (500 nodes, zipf = 0.8).
 func Fig7(skews []float64, nodes int, opts SweepOptions) (*FigureResult, error) {
-	opts = opts.withDefaults()
 	if len(skews) == 0 {
 		skews = DefaultFig7Skews()
 	}

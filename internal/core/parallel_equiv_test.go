@@ -51,7 +51,7 @@ func TestChaosParallelMatchesSerial(t *testing.T) {
 func TestTelemetryParallelMatchesSerial(t *testing.T) {
 	run := func(w int) []TelemetryRow {
 		t.Helper()
-		rows, err := TelemetryExperiment(TelemetryConfig{Seed: 1, Workers: w})
+		rows, err := TelemetryExperiment(TelemetryConfig{Workers: w})
 		if err != nil {
 			t.Fatal(err)
 		}

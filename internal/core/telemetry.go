@@ -17,11 +17,17 @@ import (
 	"ccf/internal/telemetry"
 )
 
-// TelemetryConfig sizes the telemetry comparison experiment.
+// The telemetry experiment's workload: TelemetryCoflows coflows over
+// TelemetryNodes ports, drawn from seed TelemetrySeed.
+const (
+	TelemetryNodes   = 12
+	TelemetryCoflows = 16
+	TelemetrySeed    = 1
+)
+
+// TelemetryConfig sets the telemetry comparison experiment's fabric speed
+// and parallelism.
 type TelemetryConfig struct {
-	Seed      int64
-	Nodes     int     // fabric ports (default 12)
-	Coflows   int     // coflows in the online workload (default 16)
 	Bandwidth float64 // bytes/sec (default 100: second-scale runs)
 	// Workers bounds scheduler-level parallelism (1 = serial, 0 =
 	// GOMAXPROCS). Rows come back in the fixed scheduler order either way.
@@ -29,12 +35,6 @@ type TelemetryConfig struct {
 }
 
 func (c *TelemetryConfig) defaults() {
-	if c.Nodes < 2 {
-		c.Nodes = 12
-	}
-	if c.Coflows <= 0 {
-		c.Coflows = 16
-	}
 	if c.Bandwidth <= 0 {
 		c.Bandwidth = 100
 	}
@@ -55,11 +55,11 @@ type TelemetryRow struct {
 // scheduler in the fixed scheduler order (deterministic output).
 func TelemetryExperiment(cfg TelemetryConfig) ([]TelemetryRow, error) {
 	cfg.defaults()
-	fabric, err := netsim.NewFabric(cfg.Nodes, cfg.Bandwidth)
+	fabric, err := netsim.NewFabric(TelemetryNodes, cfg.Bandwidth)
 	if err != nil {
 		return nil, err
 	}
-	base := chaosWorkload(rand.New(rand.NewSource(cfg.Seed)), cfg.Nodes, cfg.Coflows)
+	base := chaosWorkload(rand.New(rand.NewSource(TelemetrySeed)), TelemetryNodes, TelemetryCoflows)
 	// Schedulers are independent runs over clones of the same workload; the
 	// pool returns rows indexed by scheduler position, preserving the fixed
 	// output order at any worker count.

@@ -50,13 +50,18 @@ var releaseScheds = []struct {
 	mk   func() coflow.Scheduler
 }{
 	{"varys", coflow.NewVarys},
-	// Thresholds the stream's coflows cross, so queue demotion — a function
-	// of SentBytes — is in play.
-	{"aalo", func() coflow.Scheduler { return &coflow.Aalo{FirstThreshold: 200, Multiplier: 4} }},
+	{"aalo", coflow.NewAalo},
 	{"fifo", coflow.NewFIFO},
 	{"scf", coflow.NewSCF},
 	{"ncf", coflow.NewNCF},
 }
+
+// releaseScale multiplies the release fixtures' flow sizes and port
+// bandwidth. It is a power of two, so times and rate ratios are those of the
+// unscaled stream, and large enough that the long coflows send past Aalo's
+// 10 MB first D-CLAS threshold: queue demotion, a function of SentBytes, is
+// in play.
+const releaseScale = 1 << 14
 
 // releaseStream is a seeded stream of coflows whose lifetimes overlap: most
 // are short, every seventh is long enough to outlive dozens of younger ones
@@ -71,7 +76,7 @@ func releaseStream(seed int64, ports, n int) []*coflow.Coflow {
 		var flows []coflow.Flow
 		for fi, nf := 0, rng.Intn(5); fi < nf; fi++ {
 			src := rng.Intn(ports)
-			size := float64(1 + rng.Intn(150))
+			size := float64(1+rng.Intn(150)) * releaseScale
 			if i%7 == 3 {
 				size *= 12
 			}
@@ -88,7 +93,7 @@ func releaseStream(seed int64, ports, n int) []*coflow.Coflow {
 
 func newReleaseSim(t *testing.T, ports int, sched coflow.Scheduler, release bool) *Simulator {
 	t.Helper()
-	fab, err := NewFabric(ports, 100)
+	fab, err := NewFabric(ports, 100*releaseScale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,6 +191,9 @@ func TestReleaseAndImageAreInvisible(t *testing.T) {
 				want, err := keep.Finish()
 				if err != nil {
 					t.Fatal(err)
+				}
+				if !slices.ContainsFunc(streams[0], func(c *coflow.Coflow) bool { return c.SentBytes >= 10e6 }) {
+					t.Fatalf("seed %d: no coflow sent 10 MB: the stream never left D-CLAS queue 0", seed)
 				}
 				for _, ss := range []*Session{rel, img} {
 					got, err := ss.Finish()
@@ -317,7 +325,7 @@ func (idleSched) Allocate(_ float64, active []*coflow.Coflow, _, _ []float64) {
 func TestMaxEpochsBoundsOneCall(t *testing.T) {
 	const ports, budget, jobs = 4, 64, 400
 	job := func(i int) *coflow.Coflow {
-		return coflow.New(i, "job", float64(i), []coflow.Flow{{Src: i % ports, Dst: (i + 1) % ports, Size: 50}})
+		return coflow.New(i, "job", float64(i), []coflow.Flow{{Src: i % ports, Dst: (i + 1) % ports, Size: 50 * releaseScale}})
 	}
 	for _, mode := range []struct {
 		name          string

@@ -19,29 +19,9 @@ import (
 // return (each task receives ctx and should abort promptly on its own).
 // Error precedence matches Run — a task error at the lowest failing index
 // wins over the cancellation error, so deterministic task failures stay
-// deterministic under cancellation.
-func RunCtx[R any](ctx context.Context, workers, n int, task func(ctx context.Context, i int) (R, error)) ([]R, error) {
-	return RunWithStateCtx(ctx, workers, n,
-		func(int) struct{} { return struct{}{} },
-		func(ctx context.Context, _ struct{}, i int) (R, error) { return task(ctx, i) })
-}
-
-// ForEachCtx is RunCtx for tasks with no result value.
-func ForEachCtx(ctx context.Context, workers, n int, task func(ctx context.Context, i int) error) error {
-	_, err := RunCtx(ctx, workers, n, func(ctx context.Context, i int) (struct{}, error) {
-		return struct{}{}, task(ctx, i)
-	})
-	return err
-}
-
-// RunWithStateCtx is RunCtx with per-worker state: newState(w) is called once
-// for each of the workers actually started (w in [0, workers)), and every
-// task a worker draws receives that worker's state. On the serial path
-// newState(0) is called once and every task shares it — the same aliasing a
-// serial loop with hoisted locals has. On cancellation or error the partial
+// deterministic under cancellation. On cancellation or error the partial
 // results are discarded (nil slice).
-func RunWithStateCtx[S, R any](ctx context.Context, workers, n int,
-	newState func(worker int) S, task func(ctx context.Context, state S, i int) (R, error)) ([]R, error) {
+func RunCtx[R any](ctx context.Context, workers, n int, task func(ctx context.Context, i int) (R, error)) ([]R, error) {
 	out := make([]R, n)
 	if n == 0 {
 		return out, ctx.Err()
@@ -51,12 +31,11 @@ func RunWithStateCtx[S, R any](ctx context.Context, workers, n int,
 		workers = n
 	}
 	if workers <= 1 {
-		state := newState(0)
 		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			r, err := task(ctx, state, i)
+			r, err := task(ctx, i)
 			if err != nil {
 				return nil, err
 			}
@@ -92,24 +71,23 @@ func RunWithStateCtx[S, R any](ctx context.Context, workers, n int,
 			errIdx, outErr = i, err
 		}
 	}
-	for w := 0; w < workers; w++ {
+	for range workers {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			state := newState(w)
 			for {
 				i := claim()
 				if i < 0 {
 					return
 				}
-				r, err := task(ctx, state, i)
+				r, err := task(ctx, i)
 				if err != nil {
 					fail(i, err)
 					continue
 				}
 				out[i] = r
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	if outErr != nil {
@@ -119,4 +97,12 @@ func RunWithStateCtx[S, R any](ctx context.Context, workers, n int,
 		return nil, err
 	}
 	return out, nil
+}
+
+// ForEachCtx is RunCtx for tasks with no result value.
+func ForEachCtx(ctx context.Context, workers, n int, task func(ctx context.Context, i int) error) error {
+	_, err := RunCtx(ctx, workers, n, func(ctx context.Context, i int) (struct{}, error) {
+		return struct{}{}, task(ctx, i)
+	})
+	return err
 }

@@ -130,19 +130,3 @@ func TestForEachCtxDeadline(t *testing.T) {
 		t.Fatalf("ForEachCtx took %v after a 20ms deadline", elapsed)
 	}
 }
-
-func TestRunWithStateCtxPerWorkerState(t *testing.T) {
-	var states atomic.Int32
-	out, err := RunWithStateCtx(context.Background(), 4, 64,
-		func(worker int) int { states.Add(1); return worker },
-		func(_ context.Context, state, i int) (int, error) { return i, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 64 {
-		t.Fatalf("got %d results, want 64", len(out))
-	}
-	if n := states.Load(); n < 1 || n > 4 {
-		t.Fatalf("newState called %d times, want 1..4", n)
-	}
-}

@@ -14,8 +14,7 @@
 // run inline, in index order, on the caller's goroutine, which is the
 // byte-identical serial escape hatch (`ccfbench -workers 1`).
 //
-// Tasks must be independent: anything a task mutates must be task-local (or
-// per-worker, via RunWithStateCtx).
+// Tasks must be independent: anything a task mutates must be task-local.
 package parallel
 
 import (

@@ -1,7 +1,6 @@
 package parallel_test
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -140,36 +139,6 @@ func TestRunStopsClaimingAfterError(t *testing.T) {
 	}
 	if s := started.Load(); s > 100 {
 		t.Fatalf("%d tasks started after the first failed; pool did not stop claiming", s)
-	}
-}
-
-// TestRunWithStatePerWorker checks each worker gets exactly one state and
-// every task sees its own worker's state (the per-worker scratch contract).
-func TestRunWithStatePerWorker(t *testing.T) {
-	const n, workers = 40, 4
-	var created atomic.Int64
-	type state struct{ worker int }
-	out, err := parallel.RunWithStateCtx(context.Background(), workers, n,
-		func(w int) *state {
-			created.Add(1)
-			return &state{worker: w}
-		},
-		func(_ context.Context, s *state, i int) (int, error) {
-			if s == nil {
-				return 0, errors.New("nil state")
-			}
-			return s.worker, nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c := created.Load(); c > workers || c < 1 {
-		t.Fatalf("newState called %d times, want 1..%d", c, workers)
-	}
-	for i, w := range out {
-		if w < 0 || w >= workers {
-			t.Fatalf("task %d saw worker id %d outside [0,%d)", i, w, workers)
-		}
 	}
 }
 

@@ -48,17 +48,15 @@ type HTTPConfig struct {
 	// shard drops un-started work whose deadline passed instead of
 	// admitting jobs nobody is waiting for.
 	RequestTimeout time.Duration
-	// ControlTimeout bounds /v1/state and /v1/snapshot fan-outs (default
-	// 30s — a snapshot serializes behind in-flight decisions).
-	ControlTimeout time.Duration
 }
+
+// controlTimeout bounds the /v1/state and /v1/snapshot fan-outs: a snapshot
+// serializes behind in-flight decisions.
+const controlTimeout = 30 * time.Second
 
 func (c HTTPConfig) withDefaults() HTTPConfig {
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 5 * time.Second
-	}
-	if c.ControlTimeout <= 0 {
-		c.ControlTimeout = 30 * time.Second
 	}
 	return c
 }
@@ -121,7 +119,7 @@ func NewHandler(p *Pool, cfg HTTPConfig) http.Handler {
 		writeJSON(w, http.StatusOK, p.Stats())
 	})
 	mux.HandleFunc("GET /v1/state", func(w http.ResponseWriter, r *http.Request) {
-		ctx, cancel := context.WithTimeout(r.Context(), cfg.ControlTimeout)
+		ctx, cancel := context.WithTimeout(r.Context(), controlTimeout)
 		defer cancel()
 		states, err := p.State(ctx)
 		if err != nil {
@@ -131,7 +129,7 @@ func NewHandler(p *Pool, cfg HTTPConfig) http.Handler {
 		writeJSON(w, http.StatusOK, map[string]any{"shards": states})
 	})
 	mux.HandleFunc("POST /v1/snapshot", func(w http.ResponseWriter, r *http.Request) {
-		ctx, cancel := context.WithTimeout(r.Context(), cfg.ControlTimeout)
+		ctx, cancel := context.WithTimeout(r.Context(), controlTimeout)
 		defer cancel()
 		if err := p.SnapshotAll(ctx); err != nil {
 			writeError(w, p, http.StatusServiceUnavailable, err)

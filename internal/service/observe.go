@@ -33,7 +33,8 @@ type Observability struct {
 	// traces (GET /v1/trace). 0 disables tracing.
 	TraceDepth int
 	// Log, when non-nil, receives structured log lines: per-decision at
-	// Debug, shed/reject at Debug, fence and WAL failures at Error.
+	// Debug, shed/reject at Debug, the pool start at Info, fence and WAL
+	// failures at Error.
 	Log *slog.Logger
 }
 

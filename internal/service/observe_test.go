@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"math"
 	"net/http"
 	"strconv"
@@ -591,4 +592,87 @@ func registryCounters(t *testing.T, r *metrics.Registry, family string) map[stri
 		out[line[len(family):sp]] = v
 	}
 	return out
+}
+
+// logCapture is a slog.Handler that keeps every record, at every level.
+type logCapture struct {
+	mu   sync.Mutex
+	recs []slog.Record
+}
+
+func (h *logCapture) Enabled(context.Context, slog.Level) bool { return true }
+func (h *logCapture) WithAttrs([]slog.Attr) slog.Handler       { return h }
+func (h *logCapture) WithGroup(string) slog.Handler            { return h }
+func (h *logCapture) Handle(_ context.Context, r slog.Record) error {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.recs = append(h.recs, r.Clone())
+	return nil
+}
+
+// take returns, and forgets, the records with this level and message, each
+// as its attributes by key.
+func (h *logCapture) take(level slog.Level, msg string) []map[string]slog.Value {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	var out []map[string]slog.Value
+	kept := h.recs[:0]
+	for _, r := range h.recs {
+		if r.Level != level || r.Message != msg {
+			kept = append(kept, r)
+			continue
+		}
+		attrs := map[string]slog.Value{}
+		r.Attrs(func(a slog.Attr) bool { attrs[a.Key] = a.Value; return true })
+		out = append(out, attrs)
+	}
+	h.recs = kept
+	return out
+}
+
+// TestPoolLogsStartAndFenceOnce: the daemon's one logger gets exactly one
+// Info record when a pool comes up, carrying the shard count and the jobs
+// replayed from disk, and exactly one Error record when a failed WAL sync
+// fences a shard.
+func TestPoolLogsStartAndFenceOnce(t *testing.T) {
+	dir := t.TempDir()
+	jobs := detJobs(2, 4)
+	first := startPool(t, batchConfig(dir, 8))
+	runStream(t, first, jobs[:5])
+	if err := first.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	logs := &logCapture{}
+	cfg := batchConfig(dir, 8)
+	cfg.Obs.Log = slog.New(logs)
+	p := startPool(t, cfg)
+	up := logs.take(slog.LevelInfo, "shards up")
+	if len(up) != 1 {
+		t.Fatalf("%d Info %q records at start, want 1", len(up), "shards up")
+	}
+	if got := up[0]["shards"]; got.Kind() != slog.KindInt64 || got.Int64() != 1 {
+		t.Errorf("shards = %v, want 1", got)
+	}
+	if got := up[0]["restored_jobs"]; got.Kind() != slog.KindUint64 || got.Uint64() != 5 {
+		t.Errorf("restored_jobs = %v, want 5", got)
+	}
+
+	sh := p.shards[0]
+	injected := errors.New("injected fsync failure")
+	sh.wal.syncErr = func() error { return injected }
+	if _, err := p.Submit(context.Background(), jobs[5]); !errors.Is(err, ErrShardFailed) {
+		t.Fatalf("submit after a failed sync: %v, want ErrShardFailed", err)
+	}
+	fenced := logs.take(slog.LevelError, "shard fenced")
+	if len(fenced) != 1 {
+		t.Fatalf("%d Error %q records after one failed sync, want 1", len(fenced), "shard fenced")
+	}
+	if got := fenced[0]["error"].Any(); got == nil || !errors.Is(got.(error), injected) {
+		t.Errorf("fence record's error = %v, want the injected one", got)
+	}
+	if again := logs.take(slog.LevelInfo, "shards up"); len(again) != 0 {
+		t.Errorf("%d more %q records after start", len(again), "shards up")
+	}
+	p.Kill()
 }

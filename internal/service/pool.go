@@ -7,6 +7,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"math"
 	"os"
 	"sync/atomic"
@@ -52,8 +53,6 @@ type Config struct {
 	// same-instant OS crash may lose the tail. Decisions are only released
 	// after the append either way.
 	WALSync bool
-	// Logf, when non-nil, receives operational log lines.
-	Logf func(format string, args ...any)
 	// Obs selects the opt-in observability surfaces (the /metrics registry,
 	// per-job trace rings, structured logging). The instruments /stats reads
 	// record whatever it holds, with zero allocations per job.
@@ -91,9 +90,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = 50 * time.Millisecond
-	}
-	if c.Logf == nil {
-		c.Logf = func(string, ...any) {}
 	}
 	if _, err := networkScheduler(c.Engine.NetworkScheduler); err != nil {
 		return c, err
@@ -164,7 +160,10 @@ func (p *Pool) Start(ctx context.Context) error {
 	for _, sh := range p.shards {
 		replayed += sh.seq
 	}
-	p.cfg.Logf("service: %d shards up in %v (%d jobs restored)", len(p.shards), time.Since(begin), replayed)
+	if log := p.cfg.Obs.Log; log != nil {
+		log.LogAttrs(ctx, slog.LevelInfo, "shards up", slog.Int("shards", len(p.shards)),
+			slog.Uint64("restored_jobs", replayed), slog.Duration("elapsed", time.Since(begin)))
+	}
 	return nil
 }
 

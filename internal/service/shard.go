@@ -481,7 +481,6 @@ func (sh *shard) processBatch(batch []*request) {
 // in-memory engine is ahead of the journal at this point, so serving more
 // decisions would hand out state a restart could not reproduce.
 func (sh *shard) fence(err error) {
-	sh.cfg.Logf("service: shard %d fenced: %v", sh.id, err)
 	sh.obs.walFailures.Inc()
 	if sh.obs.log != nil {
 		sh.obs.log.LogAttrs(context.Background(), slog.LevelError, "shard fenced",

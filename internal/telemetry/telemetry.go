@@ -17,8 +17,8 @@
 // disabled path stays bit-identical to internal/refsim and at 0 allocs/op
 // (pinned by tests). With a Recorder attached, observation is read-only and
 // never perturbs results (also pinned: enabled and disabled runs produce
-// byte-identical reports); memory is bounded by the configured ring and
-// event caps, with overflow counted, never silent.
+// byte-identical reports); memory is bounded by the ring and event caps,
+// with overflow counted, never silent.
 package telemetry
 
 import (
@@ -27,8 +27,8 @@ import (
 	"ccf/internal/coflow"
 )
 
-// Config sizes a Recorder. The zero value is usable: every field has a
-// sensible default applied by NewRecorder.
+// Config sets a Recorder's sampling. The zero value records one sample per
+// scheduling epoch.
 type Config struct {
 	// Resolution is the target width, in simulated seconds, of one port
 	// utilization sample. Zero (the default) records one sample per
@@ -36,37 +36,22 @@ type Config struct {
 	// fills, adjacent samples are merged pairwise (halving the effective
 	// resolution), so the series always spans the whole run.
 	Resolution float64
-	// MaxSamples bounds the utilization ring (default 2048).
-	MaxSamples int
-	// MaxEvents bounds the lifecycle event log (default 65536). Overflow
-	// increments Summary.TruncatedEvents instead of growing further.
-	MaxEvents int
-	// MaxAudits bounds the scheduler decision audit (default 4096).
-	MaxAudits int
-	// AuditDepth is how many leading coflow IDs one audit snapshot keeps
-	// (default 8). Snapshots are recorded only when the visible prefix of
-	// the priority order changes, not every epoch.
-	AuditDepth int
 }
 
-func (c Config) withDefaults() Config {
-	if c.MaxSamples <= 0 {
-		c.MaxSamples = 2048
-	}
-	if c.MaxSamples < 2 {
-		c.MaxSamples = 2 // pair-merge needs at least two slots
-	}
-	if c.MaxEvents <= 0 {
-		c.MaxEvents = 1 << 16
-	}
-	if c.MaxAudits <= 0 {
-		c.MaxAudits = 4096
-	}
-	if c.AuditDepth <= 0 {
-		c.AuditDepth = 8
-	}
-	return c
-}
+// The Recorder's memory bounds. Overflow is counted, never silent.
+const (
+	// MaxSamples bounds the utilization ring.
+	MaxSamples = 2048
+	// MaxEvents bounds the lifecycle event log. Overflow increments
+	// Summary.TruncatedEvents instead of growing further.
+	MaxEvents = 1 << 16
+	// MaxAudits bounds the scheduler decision audit.
+	MaxAudits = 4096
+	// AuditDepth is how many leading coflow IDs one audit snapshot keeps.
+	// Snapshots are recorded only when the visible prefix of the priority
+	// order changes, not every epoch.
+	AuditDepth = 8
+)
 
 // EventKind labels one coflow lifecycle event.
 type EventKind uint8
@@ -209,7 +194,7 @@ type Recorder struct {
 
 // NewRecorder builds a Recorder with the given configuration.
 func NewRecorder(cfg Config) *Recorder {
-	return &Recorder{cfg: cfg.withDefaults()}
+	return &Recorder{cfg: cfg}
 }
 
 // BeginRun implements netsim.Probe: resets all state and precomputes each
@@ -267,7 +252,7 @@ func (r *Recorder) BeginRun(ports int, egCap, inCap []float64, coflows []*coflow
 
 // event appends a lifecycle event, honouring the bound.
 func (r *Recorder) event(t float64, id int, kind EventKind) {
-	if len(r.events) >= r.cfg.MaxEvents {
+	if len(r.events) >= MaxEvents {
 		r.truncEvents++
 		return
 	}
@@ -354,10 +339,7 @@ func (r *Recorder) EpochSample(now, dt float64, active []*coflow.Coflow, egUse, 
 	// Decision audit: record the leading AuditDepth IDs when they change.
 	if r.aud != nil {
 		order := r.aud.PriorityOrder()
-		depth := r.cfg.AuditDepth
-		if depth > len(order) {
-			depth = len(order)
-		}
+		depth := min(AuditDepth, len(order))
 		ids := r.auditScratch[:0]
 		for _, c := range order[:depth] {
 			ids = append(ids, c.ID)
@@ -365,7 +347,7 @@ func (r *Recorder) EpochSample(now, dt float64, active []*coflow.Coflow, egUse, 
 		r.auditScratch = ids
 		if !intsEqual(ids, r.lastOrder) {
 			r.lastOrder = append(r.lastOrder[:0], ids...)
-			if len(r.audits) >= r.cfg.MaxAudits {
+			if len(r.audits) >= MaxAudits {
 				r.truncAudits++
 			} else {
 				r.audits = append(r.audits, AuditSnap{T: now, Order: append([]int(nil), ids...)})
@@ -456,7 +438,7 @@ func (r *Recorder) flushCur() {
 // push appends a finished sample, pair-merging the ring when it is full so
 // the series keeps spanning the whole run at half the resolution.
 func (r *Recorder) push(s UtilSample) {
-	if len(r.samples) >= r.cfg.MaxSamples {
+	if len(r.samples) >= MaxSamples {
 		r.mergePairs()
 	}
 	r.samples = append(r.samples, s)

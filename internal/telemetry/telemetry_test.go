@@ -177,22 +177,25 @@ func TestRingDownsamplingBoundedAndExact(t *testing.T) {
 	// (pair-merging sums integrals, so total bytes recorded == bytes moved).
 	var cfs []*coflow.Coflow
 	var total float64
-	for i := 0; i < 40; i++ {
-		size := 100 + float64(i)*10
+	for i := 0; i < telemetry.MaxSamples; i++ {
+		size := 100 + float64(i%40)*10
 		cfs = append(cfs, coflow.New(i, "cf", float64(i)*0.7,
 			[]coflow.Flow{{ID: 0, Src: i % 4, Dst: (i + 1) % 4, Size: size}}))
 		total += size
 	}
 	sim := netsim.NewSimulator(mustFabric(t, 4, 100), coflow.NewVarys())
-	rec := telemetry.NewRecorder(telemetry.Config{MaxSamples: 8})
+	rec := telemetry.NewRecorder(telemetry.Config{})
 	sim.Probe = rec
 	rep, err := sim.Run(cfs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if rep.Epochs <= telemetry.MaxSamples {
+		t.Fatalf("%d epochs do not overflow the %d-sample ring", rep.Epochs, telemetry.MaxSamples)
+	}
 	samples := rec.Samples()
-	if len(samples) > 8 {
-		t.Fatalf("ring grew to %d samples, cap is 8", len(samples))
+	if len(samples) > telemetry.MaxSamples {
+		t.Fatalf("ring grew to %d samples, cap is %d", len(samples), telemetry.MaxSamples)
 	}
 	var moved, span float64
 	last := math.Inf(-1)
@@ -251,18 +254,20 @@ func TestGridResolution(t *testing.T) {
 
 func TestEventTruncationCounted(t *testing.T) {
 	var cfs []*coflow.Coflow
-	for i := 0; i < 10; i++ {
+	// Each coflow logs at least an arrival, a first byte and a completion.
+	// A port is busy 3 s of every 4, so the active set stays small.
+	for i := 0; i < telemetry.MaxEvents/3+1; i++ {
 		cfs = append(cfs, coflow.New(i, "cf", float64(i),
-			[]coflow.Flow{{ID: 0, Src: i % 4, Dst: (i + 1) % 4, Size: 500}}))
+			[]coflow.Flow{{ID: 0, Src: i % 4, Dst: (i + 1) % 4, Size: 300}}))
 	}
 	sim := netsim.NewSimulator(mustFabric(t, 4, 100), coflow.NewVarys())
-	rec := telemetry.NewRecorder(telemetry.Config{MaxEvents: 5})
+	rec := telemetry.NewRecorder(telemetry.Config{})
 	sim.Probe = rec
 	if _, err := sim.Run(cfs); err != nil {
 		t.Fatal(err)
 	}
-	if len(rec.Events()) > 5 {
-		t.Fatalf("event log grew to %d, cap is 5", len(rec.Events()))
+	if len(rec.Events()) > telemetry.MaxEvents {
+		t.Fatalf("event log grew to %d, cap is %d", len(rec.Events()), telemetry.MaxEvents)
 	}
 	if rec.Summary().TruncatedEvents == 0 {
 		t.Error("expected truncated events to be counted")

@@ -70,6 +70,17 @@ type Config struct {
 	JitterFrac float64
 }
 
+// ScaledTuples returns |CUSTOMER| and |ORDERS| at scale × the paper's sizes.
+// It refuses a scale that is not positive, or so small that a count
+// truncates to 0, which Config would read as "paper default".
+func ScaledTuples(scale float64) (customers, orders int64, err error) {
+	customers, orders = int64(scale*DefaultCustomerTuples), int64(scale*DefaultOrderTuples)
+	if !(scale > 0) || customers == 0 || orders == 0 {
+		return 0, 0, fmt.Errorf("workload: scale must be positive and keep at least one tuple per table, got %g", scale)
+	}
+	return customers, orders, nil
+}
+
 // withDefaults returns a copy with zero fields replaced by paper defaults.
 func (c Config) withDefaults() (Config, error) {
 	if c.Nodes <= 0 {
