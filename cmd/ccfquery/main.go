@@ -37,37 +37,47 @@ func main() {
 		verify  = flag.Bool("verify", true, "check the distributed result against a single-node reference")
 	)
 	flag.Parse()
-	scheds, err := parseFlags(*nodes, *rows, *keys, *placers)
+	plan, scheds, err := parseFlags(*planSrc, *nodes, *rows, *keys, *placers)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ccfquery:", err)
 		os.Exit(2)
 	}
-	if err := run(*planSrc, *nodes, *rows, *keys, scheds, *seed, *verify); err != nil {
+	if err := run(plan, *nodes, *rows, *keys, scheds, *seed, *verify); err != nil {
 		fmt.Fprintln(os.Stderr, "ccfquery:", err)
 		os.Exit(1)
 	}
 }
 
-// parseFlags rejects the flag values the table builder cannot take and
-// resolves the placer list through the placer table.
-func parseFlags(nodes, rows, keys int, placers string) ([]placement.Scheduler, error) {
+// parseFlags rejects the flag values the table builder cannot take, parses
+// the plan and checks that it reads only tables L and R, and resolves the
+// placer list through the placer table.
+func parseFlags(planSrc string, nodes, rows, keys int, placers string) (query.Node, []placement.Scheduler, error) {
 	switch {
 	case nodes < 1:
-		return nil, fmt.Errorf("-nodes must be positive, got %d", nodes)
+		return nil, nil, fmt.Errorf("-nodes must be positive, got %d", nodes)
 	case rows < 0:
-		return nil, fmt.Errorf("-rows must be non-negative, got %d", rows)
+		return nil, nil, fmt.Errorf("-rows must be non-negative, got %d", rows)
 	case keys < 1:
-		return nil, fmt.Errorf("-keys must be positive, got %d", keys)
+		return nil, nil, fmt.Errorf("-keys must be positive, got %d", keys)
+	}
+	plan, err := query.ParsePlan(planSrc)
+	if err != nil {
+		return nil, nil, err
+	}
+	// The reference evaluation over empty tables fails exactly where the
+	// plan names a table other than L and R.
+	if _, err := query.Reference(plan, map[string][]query.Row{"L": nil, "R": nil}); err != nil {
+		return nil, nil, err
 	}
 	var scheds []placement.Scheduler
 	for _, name := range strings.Split(placers, ",") {
 		p, err := placement.ByName(strings.TrimSpace(strings.ToLower(name)))
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		scheds = append(scheds, p.Scheduler)
 	}
-	return scheds, nil
+	return plan, scheds, nil
 }
 
 func buildTables(n, rows, keySpace int, seed int64) (*query.Table, *query.Table) {
@@ -94,11 +104,7 @@ func buildTables(n, rows, keySpace int, seed int64) (*query.Table, *query.Table)
 	return l, r
 }
 
-func run(planSrc string, nodes, rows, keySpace int, scheds []placement.Scheduler, seed int64, verify bool) error {
-	plan, err := query.ParsePlan(planSrc)
-	if err != nil {
-		return err
-	}
+func run(plan query.Node, nodes, rows, keySpace int, scheds []placement.Scheduler, seed int64, verify bool) error {
 	fmt.Printf("plan: %s\n", query.FormatPlan(plan))
 	fmt.Printf("cluster: %d nodes; L has %d rows, R has %d, keys 1..%d\n\n", nodes, rows, 3*rows, keySpace)
 

@@ -19,6 +19,9 @@
 # `ccfbench -exp chaos` and `-exp recovery` (the only recordings that run
 # Simulator.Failures) were recorded before capacity events and failure edges
 # became one schedule in the event loop.
+# The ccfquery_join* recordings (a join-rooted plan, distinct and the
+# non-partial aggregate over a join) were recorded before query.Exchange took
+# a join's two inputs without tagging a copy of every row.
 # A difference means a rewritten call site changed what the program computes:
 # fix the call site, do not re-record.
 #
@@ -70,6 +73,9 @@ check ccfsim_trace env -C "$bin" ./ccfsim -trace shuffle.trace
 check ccfsim_placers ccfsim_placers
 check ccfsim_coflow ccfsim_coflow
 check ccfquery_placers "$bin/ccfquery" -verify -placers hash,mini,ccf,ccf-refined,lpt
+check ccfquery_join "$bin/ccfquery" -verify -plan 'join(L, R)'
+check ccfquery_join_distinct "$bin/ccfquery" -verify -plan 'distinct(rekeymod(join(L, R), 7))'
+check ccfquery_join_aggregate "$bin/ccfquery" -verify -plan 'aggregate(rekeydiv(join(L, R), 20))'
 check datagen_placers datagen_placers
 check telemetry "$bin/ccfbench" -exp telemetry
 check chaos "$bin/ccfbench" -exp chaos
@@ -91,4 +97,7 @@ reject "$bin/ccfbench" -exp fig5 -scale 1e-8
 reject "$bin/ccfquery" -keys 0
 reject "$bin/ccfquery" -nodes 0
 reject "$bin/ccfquery" -nodes -3
-echo "examples and CLIs: 22 outputs byte-identical to examples/testdata, 16 bad flag values rejected"
+reject "$bin/ccfquery" -plan M
+reject "$bin/ccfquery" -plan 'rekeymod(L, 99999999999999999999)'
+reject "$bin/ccfquery" -plan 'join(L'
+echo "examples and CLIs: 25 outputs byte-identical to examples/testdata, 19 bad flag values rejected"

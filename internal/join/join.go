@@ -137,12 +137,6 @@ func Reference(left, right *Relation) int64 {
 	return out
 }
 
-// sided is a tuple on its way through the exchange, tagged with its relation.
-type sided struct {
-	Tuple
-	right bool
-}
-
 // Execute runs the full distributed pipeline on a loaded cluster:
 //
 //  1. optional skew detection on the right relation; tuples of hot keys leave
@@ -186,32 +180,23 @@ func Execute(c *Cluster, opts Options) (*Result, error) {
 
 	// Split the hot keys off, node by node. A hot left tuple is visible on
 	// every node after the broadcast, so each hot right tuple joins once, at
-	// home, with all of them: that part of the output needs no local join.
+	// home, with all of them: that part of the output needs no local join. A
+	// node's fragments are copied only when it holds a hot tuple.
 	nh := len(hot)
 	hotRows := make([]int64, n*nh*2) // per node and hot key: left tuples, right tuples
 	hotBytes := make([]int64, n)     // hot left bytes held by node i
-	frags, err := parallel.Run(0, n, func(i int) ([]sided, error) {
-		rows := hotRows[i*nh*2 : (i+1)*nh*2]
-		frag := make([]sided, 0, len(c.Left[i])+len(c.Right[i]))
-		for _, t := range c.Left[i] {
-			if h, ok := hot[t.Key]; ok {
+	left, right := c.Left, c.Right
+	if nh > 0 {
+		left, right = make([][]Tuple, n), make([][]Tuple, n)
+		_ = parallel.ForEach(0, n, func(i int) error { // no task fails
+			rows := hotRows[i*nh*2 : (i+1)*nh*2]
+			left[i] = splitHot(c.Left[i], hot, func(h int, t Tuple) {
 				rows[2*h]++
 				hotBytes[i] += t.Payload
-				continue
-			}
-			frag = append(frag, sided{t, false})
-		}
-		for _, t := range c.Right[i] {
-			if h, ok := hot[t.Key]; ok {
-				rows[2*h+1]++
-				continue
-			}
-			frag = append(frag, sided{t, true})
-		}
-		return frag, nil
-	})
-	if err != nil {
-		return nil, err
+			})
+			right[i] = splitHot(c.Right[i], hot, func(h int, _ Tuple) { rows[2*h+1]++ })
+			return nil
+		})
 	}
 	for h := 0; h < nh; h++ {
 		var lefts, rights int64
@@ -233,8 +218,8 @@ func Execute(c *Cluster, opts Options) (*Result, error) {
 		}
 	}
 
-	x, err := query.Exchange(opts.Scheduler, c.Part, frags,
-		func(t sided) int64 { return t.Key }, func(t sided) int64 { return t.Payload }, initial, broadcast)
+	x, err := query.Exchange(opts.Scheduler, c.Part, left, right,
+		func(t Tuple) int64 { return t.Key }, func(t Tuple) int64 { return t.Payload }, initial, broadcast)
 	if err != nil {
 		return nil, fmt.Errorf("join: %w", err)
 	}
@@ -243,7 +228,7 @@ func Execute(c *Cluster, opts Options) (*Result, error) {
 	res.TrafficBytes = int64(x.MovedBytes + 0.5)
 	res.BottleneckBytes = x.BottleneckBytes
 
-	counts, err := parallel.Run(0, n, func(d int) (int64, error) { return localHashJoin(x.Frags[d]), nil })
+	counts, err := parallel.Run(0, n, func(d int) (int64, error) { return localHashJoin(x.Sides(d)), nil })
 	if err != nil {
 		return nil, err
 	}
@@ -253,26 +238,35 @@ func Execute(c *Cluster, opts Options) (*Result, error) {
 	return res, nil
 }
 
+// splitHot returns frag without its hot tuples and calls hit with each hot
+// tuple and its index among the hot keys. A fragment without hot tuples is
+// returned as it is.
+func splitHot(frag []Tuple, hot map[int64]int, hit func(h int, t Tuple)) []Tuple {
+	first := slices.IndexFunc(frag, func(t Tuple) bool { _, ok := hot[t.Key]; return ok })
+	if first < 0 {
+		return frag
+	}
+	cold := append(make([]Tuple, 0, len(frag)-1), frag[:first]...)
+	for _, t := range frag[first:] {
+		if h, ok := hot[t.Key]; ok {
+			hit(h, t)
+		} else {
+			cold = append(cold, t)
+		}
+	}
+	return cold
+}
+
 // localHashJoin counts the matches of a node's right tuples against its left
 // ones.
-func localHashJoin(rows []sided) int64 {
-	lefts := 0
-	for _, t := range rows {
-		if !t.right {
-			lefts++
-		}
-	}
-	build := make(map[int64]int64, lefts)
-	for _, t := range rows {
-		if !t.right {
-			build[t.Key]++
-		}
+func localHashJoin(left, right []Tuple) int64 {
+	build := make(map[int64]int64, len(left))
+	for _, t := range left {
+		build[t.Key]++
 	}
 	var out int64
-	for _, t := range rows {
-		if t.right {
-			out += build[t.Key]
-		}
+	for _, t := range right {
+		out += build[t.Key]
 	}
 	return out
 }

@@ -8,20 +8,15 @@ import (
 
 // mapJoin is the build the local join replaced — key → slice of left values in
 // a Go map, the output grown by append — kept as localJoin's oracle.
-func mapJoin(rows []taggedRow) []Row {
+func mapJoin(left, right []Row) []Row {
 	build := make(map[int64][]int64)
-	for _, tr := range rows {
-		if !tr.right {
-			build[tr.row.Key] = append(build[tr.row.Key], tr.row.Value)
-		}
+	for _, row := range left {
+		build[row.Key] = append(build[row.Key], row.Value)
 	}
 	var out []Row
-	for _, tr := range rows {
-		if !tr.right {
-			continue
-		}
-		for _, lv := range build[tr.row.Key] {
-			out = append(out, Row{Key: tr.row.Key, Value: lv + tr.row.Value})
+	for _, row := range right {
+		for _, lv := range build[row.Key] {
+			out = append(out, Row{Key: row.Key, Value: lv + row.Value})
 		}
 	}
 	return out
@@ -54,28 +49,24 @@ func TestLocalJoinMatchesMapBuild(t *testing.T) {
 		default:
 			lefts, rights = rng.Intn(400), rng.Intn(400)
 		}
-		rows := make([]taggedRow, 0, lefts+rights)
-		for i := 0; i < lefts+rights; i++ {
-			tr := taggedRow{row: Row{Key: key(rng), Value: rng.Int63n(1 << 40)}, right: i >= lefts}
-			if tr.right {
-				tr.row.Key++ // half the key space matches only by accident
-				if rng.Intn(2) == 0 {
-					tr.row.Key--
-				}
-			}
-			rows = append(rows, tr)
+		left := make([]Row, lefts)
+		for i := range left {
+			left[i] = Row{Key: key(rng), Value: rng.Int63n(1 << 40)}
 		}
-		// Arrival order interleaves the sides, as after an exchange.
-		rng.Shuffle(len(rows), func(a, b int) { rows[a], rows[b] = rows[b], rows[a] })
-		if got, want := localJoin(rows), mapJoin(rows); !reflect.DeepEqual(got, want) {
+		right := make([]Row, rights)
+		for i := range right {
+			right[i] = Row{Key: key(rng) + int64(rng.Intn(2)), Value: rng.Int63n(1 << 40)} // half the key space matches only by accident
+		}
+		if got, want := localJoin(left, right), mapJoin(left, right); !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d (%d left, %d right): local join returned %v, the map build %v", seed, lefts, rights, got, want)
 		}
 	}
 }
 
-// TestGroupAndDedupMatchMaps: sumByKey against a Go map plus mapToRows (what
-// the aggregate ran before, and what Reference still runs), dedup against a
-// map[Row]bool in first-occurrence order.
+// TestGroupAndDedupMatchMaps: the combiner (groupSums) against a Go map's
+// groups in first-appearance order, the final group-by (sumByKey) against the
+// map plus mapToRows (what the aggregate ran before, and what Reference still
+// runs), dedup against a map[Row]bool in first-occurrence order.
 func TestGroupAndDedupMatchMaps(t *testing.T) {
 	for seed := int64(0); seed < 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -85,14 +76,25 @@ func TestGroupAndDedupMatchMaps(t *testing.T) {
 			rows[i] = Row{Key: key(rng), Value: rng.Int63n(5) - 2}
 		}
 		sums := make(map[int64]int64)
+		var firsts []int64
 		seen := make(map[Row]bool)
 		var distinct []Row
 		for _, row := range rows {
+			if _, ok := sums[row.Key]; !ok {
+				firsts = append(firsts, row.Key)
+			}
 			sums[row.Key] += row.Value
 			if !seen[row] {
 				seen[row] = true
 				distinct = append(distinct, row)
 			}
+		}
+		groups := []Row{}
+		for _, k := range firsts {
+			groups = append(groups, Row{Key: k, Value: sums[k]})
+		}
+		if got := groupSums(rows); !reflect.DeepEqual(got, groups) {
+			t.Fatalf("seed %d: groupSums returned %v, the map in first-appearance order %v", seed, got, groups)
 		}
 		if got, want := sumByKey(rows), mapToRows(sums); !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: sumByKey returned %v, the map %v", seed, got, want)

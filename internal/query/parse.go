@@ -100,7 +100,11 @@ func (p *planParser) integer() (int64, error) {
 	if p.pos == start {
 		return 0, fmt.Errorf("query: expected integer at offset %d, found %q", start, rest(p.src, start))
 	}
-	return strconv.ParseInt(p.src[start:p.pos], 10, 64)
+	v, err := strconv.ParseInt(p.src[start:p.pos], 10, 64)
+	if err != nil {
+		return 0, fmt.Errorf("query: integer at offset %d: %w", start, err)
+	}
+	return v, nil
 }
 
 func (p *planParser) parseExpr() (Node, error) {

@@ -99,6 +99,12 @@ func TestParseErrors(t *testing.T) {
 			t.Errorf("ParsePlan(%q) succeeded, want error", src)
 		}
 	}
+	// An integer past int64 names its offset, as every other parse error does.
+	const src = "rekeymod(L, 99999999999999999999)"
+	want := `query: integer at offset 12: strconv.ParseInt: parsing "99999999999999999999": value out of range`
+	if _, err := ParsePlan(src); err == nil || err.Error() != want {
+		t.Errorf("ParsePlan(%q): error %v, want %q", src, err, want)
+	}
 }
 
 func TestFormatPlanRoundTrip(t *testing.T) {

@@ -266,9 +266,12 @@ func (e *Executor) run(node Node, res *Result) (*Table, error) {
 
 // Shuffled is what one Exchange produced.
 type Shuffled[T any] struct {
-	// Frags[d] holds the rows sent to node d, in input order: node 0's rows
-	// as its fragment listed them, then node 1's, and so on.
+	// Frags[d] holds the rows sent to node d: the left input's rows, then the
+	// right input's. Each side lists them in input order: node 0's rows as
+	// its fragment held them, then node 1's, and so on.
 	Frags [][]T
+	// Split[d] is where Frags[d] turns from left rows to right rows.
+	Split []int
 	// Evaluation is the decision: placement, port loads, n×n flow volumes.
 	*placement.Evaluation
 	// TimeSec is the shuffle coflow's completion time alone on the fabric
@@ -276,40 +279,57 @@ type Shuffled[T any] struct {
 	TimeSec, MovedBytes float64
 }
 
-// Exchange is the tuple layer's one shuffle: it builds the chunk matrix of
-// frags (frags[i] is node i's rows; part maps key(row) to a partition and
-// size(row) is the row's bytes on the wire), decides the placement on top of
-// the initial port loads, times the resulting coflow — broadcast volumes
-// included — alone under Varys, and routes every row to its partition's
-// destination. initial and broadcast may be nil. Plain hash join, partial
-// duplication and per-key track join are parameterisations of it.
+// Sides returns the left and the right rows sent to node d.
+func (x *Shuffled[T]) Sides(d int) (left, right []T) {
+	return x.Frags[d][:x.Split[d]], x.Frags[d][x.Split[d]:]
+}
+
+// Exchange is the tuple layer's one shuffle: it builds one chunk matrix over
+// both inputs (left[i] and right[i] are node i's rows; part maps key(row) to a
+// partition and size(row) is the row's bytes on the wire), decides the
+// placement on top of the initial port loads, times the resulting coflow —
+// broadcast volumes included — alone under Varys, and routes every row to its
+// partition's destination. A join's two inputs cross the fabric as one
+// coflow; a one-input operator passes a nil right. initial and broadcast may
+// be nil. Plain hash join, partial duplication and per-key track join are
+// parameterisations of it.
 //
 // The source nodes work on the pool, before the decision and after it, so
 // part, key and size are called from several goroutines at once. part is
 // asked for a row's partition once; the index is kept for the routing pass,
-// and one outside [0, P()) is an error. Every (source, destination) pair owns
-// a range of the destination's fragment — the sources' ranges laid end to end
-// in node order — so the sources write side by side.
-func Exchange[T any](sched placement.Scheduler, part partition.Partitioner, frags [][]T,
+// and one outside [0, P()) is an error (a node's left rows are asked first).
+// Every (side, source, destination) triple owns a range of the destination's
+// fragment — the left sources' ranges laid end to end in node order, then the
+// right sources' — so the sources write side by side.
+func Exchange[T any](sched placement.Scheduler, part partition.Partitioner, left, right [][]T,
 	key, size func(T) int64, initial *partition.Loads, broadcast []int64) (*Shuffled[T], error) {
-	n, p := len(frags), part.P()
+	n, p := len(left), part.P()
+	if right == nil {
+		right = make([][]T, n)
+	} else if len(right) != n {
+		return nil, fmt.Errorf("query: right input spans %d nodes, left %d", len(right), n)
+	}
 	m, err := partition.NewChunkMatrix(n, p)
 	if err != nil {
 		return nil, err
 	}
-	parts := make([][]int32, n) // parts[i][r]: the partition of frags[i][r]
-	count := make([]int32, n*p) // count[i*p+k]: rows of node i in partition k
+	sides := [2][][]T{left, right}
+	parts := make([][]int32, n)   // parts[i][r]: the partition of node i's r-th row, left rows first
+	count := make([]int32, 2*n*p) // count[(s*n+i)*p+k]: rows of side s on node i in partition k
 	err = parallel.ForEach(0, n, func(i int) error {
-		ks, h, c := make([]int32, len(frags[i])), m.Row(i), count[i*p:(i+1)*p]
-		for r, row := range frags[i] {
-			kv := key(row)
-			k := part.Partition(kv)
-			if k < 0 || k >= p {
-				return fmt.Errorf("query: partitioner returned %d for key %d, want [0, %d)", k, kv, p)
+		ks, h := make([]int32, 0, len(left[i])+len(right[i])), m.Row(i)
+		for s, frags := range sides {
+			c := count[(s*n+i)*p : (s*n+i+1)*p]
+			for _, row := range frags[i] {
+				kv := key(row)
+				k := part.Partition(kv)
+				if k < 0 || k >= p {
+					return fmt.Errorf("query: partitioner returned %d for key %d, want [0, %d)", k, kv, p)
+				}
+				ks = append(ks, int32(k))
+				h[k] += size(row)
+				c[k]++
 			}
-			ks[r] = int32(k)
-			h[k] += size(row)
-			c[k]++
 		}
 		parts[i] = ks
 		return nil
@@ -321,41 +341,49 @@ func Exchange[T any](sched placement.Scheduler, part partition.Partitioner, frag
 	if err != nil {
 		return nil, err
 	}
-	x := &Shuffled[T]{Frags: make([][]T, n), Evaluation: ev}
+	x := &Shuffled[T]{Frags: make([][]T, n), Split: make([]int, n), Evaluation: ev}
 	if x.TimeSec, x.MovedBytes, err = netsim.RunAlone("exchange", n, ev.Volumes, 0, coflow.NewVarys(), nil); err != nil {
 		return nil, err
 	}
 	dest := ev.Placement.Dest
-	next := make([]int, n*n) // next[i*n+d]: where node i's next row for node d goes
-	for i := 0; i < n; i++ {
-		for k, c := range count[i*p : (i+1)*p] {
-			next[i*n+dest[k]] += int(c)
+	// next[j*n+d], j = s*n+i: where side s of node i puts its next row for d.
+	next := make([]int, 2*n*n)
+	for j := 0; j < 2*n; j++ {
+		for k, c := range count[j*p : (j+1)*p] {
+			next[j*n+dest[k]] += int(c)
 		}
 	}
 	for d := 0; d < n; d++ {
 		arriving := 0
-		for i := 0; i < n; i++ {
-			next[i*n+d], arriving = arriving, arriving+next[i*n+d]
+		for j := 0; j < 2*n; j++ {
+			if j == n {
+				x.Split[d] = arriving
+			}
+			next[j*n+d], arriving = arriving, arriving+next[j*n+d]
 		}
 		if arriving > 0 {
 			x.Frags[d] = make([]T, arriving)
 		}
 	}
 	eachNode(n, func(i int) {
-		at := next[i*n : (i+1)*n]
-		for r, row := range frags[i] {
-			d := dest[parts[i][r]]
-			x.Frags[d][at[d]] = row
-			at[d]++
+		r := 0
+		for s, frags := range sides {
+			at := next[(s*n+i)*n : (s*n+i+1)*n]
+			for _, row := range frags[i] {
+				d := dest[parts[i][r]]
+				x.Frags[d][at[d]] = row
+				at[d]++
+				r++
+			}
 		}
 	})
 	return x, nil
 }
 
 // shuffle is the operators' exchange: every row weighs payload bytes and the
-// network is idle. It returns the post-shuffle fragments and the stage report.
-func shuffle[T any](e *Executor, label string, frags [][]T, key func(T) int64, payload int64) ([][]T, StageReport, error) {
-	x, err := Exchange(e.cfg.Scheduler, e.part, frags, key, func(T) int64 { return payload }, nil, nil)
+// network is idle. It returns what Exchange routed and the stage report.
+func shuffle(e *Executor, label string, left, right [][]Row, payload int64) (*Shuffled[Row], StageReport, error) {
+	x, err := Exchange(e.cfg.Scheduler, e.part, left, right, rowKey, func(Row) int64 { return payload }, nil, nil)
 	if err != nil {
 		return nil, StageReport{}, fmt.Errorf("query: %s: %w", label, err)
 	}
@@ -366,45 +394,25 @@ func shuffle[T any](e *Executor, label string, frags [][]T, key func(T) int64, p
 		TimeSec:         x.TimeSec,
 		FlowVolumes:     x.Volumes,
 	}
-	for _, f := range frags {
+	for _, f := range x.Frags {
 		rep.RowsIn += int64(len(f))
 	}
-	return x.Frags, rep, nil
+	return x, rep, nil
 }
 
 func rowKey(r Row) int64 { return r.Key }
 
-// taggedRow carries a join input row plus its side.
-type taggedRow struct {
-	row   Row
-	right bool
-}
-
 func (e *Executor) join(op *JoinOp, l, r *Table, res *Result) (*Table, error) {
 	n := e.cfg.Nodes
-	// Both inputs shuffle in one coflow: combine their fragments for the
-	// chunk matrix (co-partitioning), then join locally.
-	payload := l.PayloadBytes
-	if r.PayloadBytes > payload {
-		payload = r.PayloadBytes
-	}
-	trFrags := make([][]taggedRow, n)
-	eachNode(n, func(i int) {
-		tagged := make([]taggedRow, 0, len(l.Frags[i])+len(r.Frags[i]))
-		for _, row := range l.Frags[i] {
-			tagged = append(tagged, taggedRow{row, false})
-		}
-		for _, row := range r.Frags[i] {
-			tagged = append(tagged, taggedRow{row, true})
-		}
-		trFrags[i] = tagged
-	})
-	shuffled, rep, err := shuffle(e, op.label(), trFrags, func(tr taggedRow) int64 { return tr.row.Key }, payload)
+	// Both inputs shuffle in one coflow (co-partitioning), then each node
+	// joins the left and right rows it received.
+	payload := max(l.PayloadBytes, r.PayloadBytes)
+	x, rep, err := shuffle(e, op.label(), l.Frags, r.Frags, payload)
 	if err != nil {
 		return nil, err
 	}
 	out := NewTable("join", n, l.PayloadBytes+r.PayloadBytes)
-	eachNode(n, func(i int) { out.Frags[i] = localJoin(shuffled[i]) })
+	eachNode(n, func(i int) { out.Frags[i] = localJoin(x.Sides(i)) })
 	rep.RowsOut = out.Rows()
 	res.Stages = append(res.Stages, rep)
 	return out, nil
@@ -413,32 +421,34 @@ func (e *Executor) join(op *JoinOp, l, r *Table, res *Result) (*Table, error) {
 // localJoin is one node's hash join: for every right row in arrival order,
 // the left rows of its key in arrival order. The left values sit in one
 // array, each key's as a contiguous run (count, prefix, fill), and a right
-// row probes the key index once: slot[r] remembers the run of row r's key.
-func localJoin(rows []taggedRow) []Row {
-	var index keyIndex // key → run
-	slot := make([]int32, len(rows))
-	var start []int32 // run s is vals[start[s]:start[s+1]]; holds counts until the prefix pass
-	for r, tr := range rows {
-		if tr.right {
-			continue
-		}
-		s := index.find(tr.row.Key, true)
+// row probes the key index once: slot[r] remembers the run of row r's key,
+// the left rows' slots first. The index is sized for len(left) keys up front.
+func localJoin(left, right []Row) []Row {
+	if len(left) == 0 || len(right) == 0 {
+		return nil
+	}
+	index := newKeyIndex(len(left)) // key → run
+	slot := make([]int32, len(left)+len(right))
+	start := make([]int32, 0, len(left)+1) // run s is vals[start[s]:start[s+1]]; holds counts until the prefix pass
+	for r, row := range left {
+		s := index.find(row.Key, true)
 		if int(s) == len(start) {
 			start = append(start, 0)
 		}
 		start[s]++
 		slot[r] = s
 	}
+	probe := slot[len(left):]
 	matches := 0
-	for r, tr := range rows {
-		if !tr.right {
-			continue
-		}
-		s := index.find(tr.row.Key, false)
+	for r, row := range right {
+		s := index.find(row.Key, false)
 		if s >= 0 {
 			matches += int(start[s])
 		}
-		slot[r] = s
+		probe[r] = s
+	}
+	if matches == 0 {
+		return nil
 	}
 	var lefts int32
 	for s, c := range start {
@@ -446,20 +456,15 @@ func localJoin(rows []taggedRow) []Row {
 	}
 	start = append(start, lefts)
 	vals, fill := make([]int64, lefts), slices.Clone(start)
-	for r, tr := range rows {
-		if !tr.right {
-			vals[fill[slot[r]]] = tr.row.Value
-			fill[slot[r]]++
-		}
-	}
-	if matches == 0 {
-		return nil
+	for r, row := range left {
+		vals[fill[slot[r]]] = row.Value
+		fill[slot[r]]++
 	}
 	out := make([]Row, 0, matches)
-	for r, tr := range rows {
-		if s := slot[r]; tr.right && s >= 0 {
+	for r, row := range right {
+		if s := probe[r]; s >= 0 {
 			for _, lv := range vals[start[s]:start[s+1]] {
-				out = append(out, Row{Key: tr.row.Key, Value: lv + tr.row.Value})
+				out = append(out, Row{Key: row.Key, Value: lv + row.Value})
 			}
 		}
 	}
@@ -473,14 +478,14 @@ func (e *Executor) aggregate(op *AggOp, in *Table, res *Result) (*Table, error) 
 		// Combiner: collapse each node's fragment to one row per key
 		// before any network movement.
 		frags = make([][]Row, n)
-		eachNode(n, func(i int) { frags[i] = sumByKey(in.Frags[i]) })
+		eachNode(n, func(i int) { frags[i] = groupSums(in.Frags[i]) })
 	}
-	shuffled, rep, err := shuffle(e, op.label(), frags, rowKey, in.PayloadBytes)
+	x, rep, err := shuffle(e, op.label(), frags, nil, in.PayloadBytes)
 	if err != nil {
 		return nil, err
 	}
 	out := NewTable("aggregate", n, in.PayloadBytes)
-	eachNode(n, func(i int) { out.Frags[i] = sumByKey(shuffled[i]) })
+	eachNode(n, func(i int) { out.Frags[i] = sumByKey(x.Frags[i]) })
 	rep.RowsOut = out.Rows()
 	res.Stages = append(res.Stages, rep)
 	return out, nil
@@ -491,12 +496,12 @@ func (e *Executor) distinct(op *DistinctOp, in *Table, res *Result) (*Table, err
 	// Local dedup first: free traffic reduction, same correctness.
 	pre := make([][]Row, n)
 	eachNode(n, func(i int) { pre[i] = dedup(in.Frags[i]) })
-	shuffled, rep, err := shuffle(e, op.label(), pre, rowKey, in.PayloadBytes)
+	x, rep, err := shuffle(e, op.label(), pre, nil, in.PayloadBytes)
 	if err != nil {
 		return nil, err
 	}
 	out := NewTable("distinct", n, in.PayloadBytes)
-	eachNode(n, func(i int) { out.Frags[i] = dedup(shuffled[i]) })
+	eachNode(n, func(i int) { out.Frags[i] = dedup(x.Frags[i]) })
 	rep.RowsOut = out.Rows()
 	res.Stages = append(res.Stages, rep)
 	return out, nil
@@ -521,11 +526,14 @@ func dedup(rows []Row) []Row {
 	return out
 }
 
-// sumByKey groups rows by Key, sums their Values and returns one row per key,
-// ascending.
-func sumByKey(rows []Row) []Row {
-	var index keyIndex
-	out := []Row{}
+// groupSums groups rows by Key, sums their Values and returns one row per key
+// in order of first appearance. The combiner calls it directly — its output
+// only feeds a shuffle, which copies it, so it is neither sorted nor trimmed.
+// Its storage starts at half the rows — a group-by worth running folds at
+// least two rows per key — and grows past that only when it must.
+func groupSums(rows []Row) []Row {
+	index := newKeyIndex(len(rows) / 2)
+	out := make([]Row, 0, len(rows)/2)
 	for _, row := range rows {
 		g := index.find(row.Key, true)
 		if int(g) == len(out) {
@@ -533,6 +541,12 @@ func sumByKey(rows []Row) []Row {
 		}
 		out[g].Value += row.Value
 	}
+	return out
+}
+
+// sumByKey is the final group-by: groupSums's rows, ascending by Key.
+func sumByKey(rows []Row) []Row {
+	out := groupSums(rows)
 	slices.SortFunc(out, func(a, b Row) int { return cmp.Compare(a.Key, b.Key) })
 	return slices.Clone(out) // a plan's output outlives the call: no spare capacity
 }
@@ -551,6 +565,15 @@ type keyIndex struct {
 type keySlot struct {
 	key int64
 	num int32
+}
+
+// newKeyIndex returns an index that holds keys distinct keys without growing.
+func newKeyIndex(keys int) keyIndex {
+	size := 16
+	for size < 2*keys {
+		size *= 2
+	}
+	return keyIndex{slots: make([]keySlot, size), shift: bits.LeadingZeros64(uint64(size - 1))}
 }
 
 // find returns key's number. A key not seen before gets the next number when
