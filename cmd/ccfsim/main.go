@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"ccf/internal/coflow"
@@ -138,8 +139,8 @@ func exportTelemetry(rec *telemetry.Recorder, traceOut, metrics string) error {
 // in the pipeline: the workload config as Config.Validate checks outside
 // input, plus the knobs only the command has.
 func validateFlags(cfg workload.Config, bw, sample float64) error {
-	if !(bw >= 0) {
-		return fmt.Errorf("-bw must be non-negative, got %g", bw)
+	if !(bw >= 0) || math.IsInf(bw, 1) {
+		return fmt.Errorf("-bw must be finite and non-negative, got %g", bw)
 	}
 	if !(sample >= 0) {
 		return fmt.Errorf("-sample must be non-negative, got %g", sample)

@@ -15,6 +15,11 @@ func TestNewFabricValidation(t *testing.T) {
 	if _, err := NewFabric(0, 1); err == nil {
 		t.Error("NewFabric accepted 0 ports")
 	}
+	for _, bw := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := NewFabric(4, bw); err == nil {
+			t.Errorf("NewFabric accepted bandwidth %g", bw)
+		}
+	}
 	f, err := NewFabric(4, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -36,6 +41,12 @@ func TestNewHeterogeneousFabricValidation(t *testing.T) {
 	}
 	if _, err := NewHeterogeneousFabric([]float64{1, 0}, []float64{1, 1}); err == nil {
 		t.Error("accepted zero capacity")
+	}
+	if _, err := NewHeterogeneousFabric([]float64{1, math.NaN()}, []float64{1, 1}); err == nil {
+		t.Error("accepted NaN capacity")
+	}
+	if _, err := NewHeterogeneousFabric([]float64{1, 1}, []float64{math.Inf(1), 1}); err == nil {
+		t.Error("accepted infinite capacity")
 	}
 	f, err := NewHeterogeneousFabric([]float64{1, 2}, []float64{3, 4})
 	if err != nil {

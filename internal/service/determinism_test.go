@@ -273,3 +273,16 @@ func TestRestoreRefusesMismatchedConfig(t *testing.T) {
 		t.Fatal("start with mismatched engine config succeeded")
 	}
 }
+
+// TestNewPoolRejectsBadBandwidth: a NaN bandwidth would be written into the
+// snapshot and then never equal itself on restart, and an infinite one
+// stalls the fabric, so NewPool refuses both, and a negative one, up front.
+func TestNewPoolRejectsBadBandwidth(t *testing.T) {
+	for _, bw := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+		cfg := detConfig(t.TempDir())
+		cfg.Engine.Bandwidth = bw
+		if _, err := NewPool(cfg); err == nil {
+			t.Errorf("NewPool accepted Engine.Bandwidth %g", bw)
+		}
+	}
+}

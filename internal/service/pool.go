@@ -91,6 +91,9 @@ func (c Config) withDefaults() (Config, error) {
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = 50 * time.Millisecond
 	}
+	if bw := c.Engine.Bandwidth; !(bw >= 0) || math.IsInf(bw, 1) {
+		return c, fmt.Errorf("service: Engine.Bandwidth must be finite and non-negative, got %g", bw)
+	}
 	if _, err := networkScheduler(c.Engine.NetworkScheduler); err != nil {
 		return c, err
 	}

@@ -34,6 +34,8 @@ func TestConstructorsValidate(t *testing.T) {
 		{"mismatched sizes", []float64{1}, []float64{1, 2}, true},
 		{"zero egress", []float64{1, 0}, []float64{1, 1}, true},
 		{"negative ingress", []float64{1, 1}, []float64{1, -1}, true},
+		{"NaN egress", []float64{math.NaN(), 1}, []float64{1, 1}, true},
+		{"infinite ingress", []float64{1, 1}, []float64{1, math.Inf(1)}, true},
 		{"per-port capacities", []float64{1, 8}, []float64{3, 1}, false},
 	} {
 		topo, err := NewNonBlocking(c.eg, c.in)
@@ -63,6 +65,12 @@ func TestConstructorsValidate(t *testing.T) {
 	}
 	if _, err := NewLeafSpine(2, 2, -1, 1); err == nil {
 		t.Error("NewLeafSpine accepted negative host bandwidth")
+	}
+	if _, err := NewLeafSpine(2, 2, 1, math.NaN()); err == nil {
+		t.Error("NewLeafSpine accepted a NaN uplink bandwidth")
+	}
+	if _, err := NewLeafSpine(2, 2, math.Inf(1), 1); err == nil {
+		t.Error("NewLeafSpine accepted an infinite host bandwidth")
 	}
 }
 
