@@ -292,25 +292,3 @@ func (mp ModPartitioner) Partition(key int64) int {
 
 // P implements Partitioner.
 func (mp ModPartitioner) P() int { return mp.NumPartitions }
-
-// FNVPartitioner hashes keys with FNV-1a before the modulus, decoupling
-// partition indices from key arithmetic. Used by the tuple-level join engine
-// when key distributions are adversarial for the modulus hash.
-type FNVPartitioner struct{ NumPartitions int }
-
-// Partition implements Partitioner.
-func (fp FNVPartitioner) Partition(key int64) int {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for b := 0; b < 8; b++ {
-		h ^= uint64(byte(key >> (8 * b)))
-		h *= prime64
-	}
-	return int(h % uint64(fp.NumPartitions))
-}
-
-// P implements Partitioner.
-func (fp FNVPartitioner) P() int { return fp.NumPartitions }

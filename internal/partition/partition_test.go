@@ -344,33 +344,6 @@ func TestModPartitioner(t *testing.T) {
 	}
 }
 
-func TestFNVPartitionerRange(t *testing.T) {
-	p := FNVPartitioner{NumPartitions: 13}
-	if p.P() != 13 {
-		t.Errorf("P() = %d, want 13", p.P())
-	}
-	seen := map[int]bool{}
-	for k := int64(-500); k < 500; k++ {
-		v := p.Partition(k)
-		if v < 0 || v >= 13 {
-			t.Fatalf("Partition(%d) = %d outside [0,13)", k, v)
-		}
-		seen[v] = true
-	}
-	if len(seen) != 13 {
-		t.Errorf("FNV over 1000 keys hit %d/13 partitions; want all", len(seen))
-	}
-}
-
-func TestFNVPartitionerDeterministic(t *testing.T) {
-	p := FNVPartitioner{NumPartitions: 31}
-	for k := int64(0); k < 100; k++ {
-		if p.Partition(k) != p.Partition(k) {
-			t.Fatalf("FNV partitioner not deterministic for key %d", k)
-		}
-	}
-}
-
 func TestLoadsMaxEmpty(t *testing.T) {
 	l := &Loads{}
 	if l.Max() != 0 || l.Traffic() != 0 {

@@ -52,10 +52,19 @@ func serialExchange(t *testing.T, sched placement.Scheduler, part partition.Part
 	return out, split, ev
 }
 
+// scatter is a Partitioner whose indices do not follow key arithmetic: a
+// multiplicative hash, then the modulus.
+type scatter struct{ p int }
+
+func (s scatter) Partition(key int64) int {
+	return int((uint64(key) * 0x9E3779B97F4A7C15 >> 32) % uint64(s.p))
+}
+func (s scatter) P() int { return s.p }
+
 // TestExchangeMatchesSerialRouting: on random inputs — empty fragments, empty
 // nodes at either end, one node only, a node with only right rows, an empty
-// side, no right side — under the three kinds of partitioner the repository
-// has, Exchange decides what the serial build decided and lays every
+// side, no right side — under a modulus, a hash and a per-key partitioner,
+// Exchange decides what the serial build decided and lays every
 // destination fragment out row for row as the serial append did.
 func TestExchangeMatchesSerialRouting(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
@@ -89,7 +98,7 @@ func TestExchangeMatchesSerialRouting(t *testing.T) {
 		size := func(r query.Row) int64 { return 8 + (r.Key&3)*50 }
 		for _, part := range []partition.Partitioner{
 			partition.ModPartitioner{NumPartitions: 1 + rng.Intn(40)},
-			partition.FNVPartitioner{NumPartitions: 1 + rng.Intn(40)},
+			scatter{1 + rng.Intn(40)},
 			perKey,
 		} {
 			for _, s := range []placement.Scheduler{placement.Hash{}, placement.Mini{}, placement.CCF{}} {
