@@ -33,23 +33,3 @@ func ExampleCCF() {
 	// Mini moves 6 tuples, bottleneck T = 4
 	// CCF  moves 7 tuples, bottleneck T = 3
 }
-
-// Refine improves any feasible placement by relocating one partition at a
-// time; here it repairs a pathological everything-on-node-0 plan.
-func ExampleRefine() {
-	m := partition.MustChunkMatrix(4, 4)
-	for k := 0; k < 4; k++ {
-		for i := 0; i < 4; i++ {
-			m.Set(i, k, 10)
-		}
-	}
-	start := &partition.Placement{Dest: []int{0, 0, 0, 0}}
-	res, err := placement.Refine(m, start, nil, placement.RefineOptions{})
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	fmt.Printf("T: %d -> %d in %d moves\n", res.InitialT, res.FinalT, res.Moves)
-	// Output:
-	// T: 120 -> 60 in 2 moves
-}

@@ -19,10 +19,9 @@ func TestByName(t *testing.T) {
 		{"mini", "Mini", true},
 		{"ccf", "CCF", true},
 		{"ccf-nosort", "CCF-nosort", true},
-		{"ccf-refined", "CCF-refined", true},
 		{"lpt", "LPT", false},
 	}
-	if got := Names(); got != "hash, mini, ccf, ccf-nosort, ccf-refined, lpt" {
+	if got := Names(); got != "hash, mini, ccf, ccf-nosort, lpt" {
 		t.Fatalf("Names() = %s", got)
 	}
 	m := partition.MustChunkMatrix(3, 6)
@@ -59,7 +58,7 @@ func TestByName(t *testing.T) {
 		}
 	}
 	_, err := ByName("random")
-	if want := `unknown placer "random" (want hash, mini, ccf, ccf-nosort, ccf-refined, lpt)`; err.Error() != want {
+	if want := `unknown placer "random" (want hash, mini, ccf, ccf-nosort, lpt)`; err.Error() != want {
 		t.Errorf("error = %q, want %q", err, want)
 	}
 	// The daemon resolves a placer for every job it decides.

@@ -12,9 +12,9 @@
 //     assigned to the destination that minimises the running bottleneck
 //     port load T = max(max egress, max ingress).
 //
-// Additional schedulers (LPT, CCF without the sort, CCF with local-search
-// refinement) support the ablation studies listed in DESIGN.md. Placers is
-// the one table of names the commands, the daemon and core select them by.
+// Two more schedulers, LPT and CCF without the sort, support the ablation
+// studies listed in DESIGN.md. Placers is the one table of names the
+// commands, the daemon and core select them by.
 package placement
 
 import (
@@ -397,7 +397,6 @@ var Placers = []Named{
 	{"mini", Mini{}, true},
 	{"ccf", CCF{}, true},
 	{"ccf-nosort", CCF{NoSort: true}, true},
-	{"ccf-refined", CCFRefined{}, true},
 	{"lpt", LPT{}, false},
 }
 
