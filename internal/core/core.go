@@ -11,6 +11,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"ccf/internal/coflow"
@@ -40,7 +41,7 @@ const (
 // Options configure a pipeline run.
 type Options struct {
 	// Bandwidth is the per-port bandwidth in bytes/sec; 0 uses the
-	// CoflowSim default of 128 MB/s.
+	// CoflowSim default of 128 MB/s. NaN and ±Inf are errors.
 	Bandwidth float64
 	// UseEventSim runs the flow-level event simulator instead of the
 	// closed-form bandwidth model. The two agree for a single coflow under
@@ -53,11 +54,16 @@ type Options struct {
 	Probe netsim.Probe
 }
 
-func (o Options) bandwidth() float64 {
-	if o.Bandwidth > 0 {
-		return o.Bandwidth
+// bandwidth resolves Options.Bandwidth, refusing the values netsim.NewFabric
+// refuses so the closed form and the event simulator fail alike.
+func (o Options) bandwidth() (float64, error) {
+	if math.IsNaN(o.Bandwidth) || math.IsInf(o.Bandwidth, 0) {
+		return 0, fmt.Errorf("core: bandwidth must be finite, got %g", o.Bandwidth)
 	}
-	return netsim.DefaultPortBandwidth
+	if o.Bandwidth > 0 {
+		return o.Bandwidth, nil
+	}
+	return netsim.DefaultPortBandwidth, nil
 }
 
 // Result reports one (workload, approach) execution.
@@ -96,6 +102,10 @@ func Run(w *workload.Workload, a Approach, opts Options) (*Result, error) {
 // RunScheduler is the general pipeline: optional skew pre-processing, then
 // application-level placement, then network-level (coflow) execution.
 func RunScheduler(w *workload.Workload, sched placement.Scheduler, handleSkew bool, opts Options) (*Result, error) {
+	bw, err := opts.bandwidth()
+	if err != nil {
+		return nil, err
+	}
 	matrix := w.Chunks
 	var initial *partition.Loads
 	var broadcast []int64
@@ -120,10 +130,10 @@ func RunScheduler(w *workload.Workload, sched placement.Scheduler, handleSkew bo
 		Placement:       eval.Placement,
 	}
 	if !opts.UseEventSim {
-		res.TimeSec = float64(eval.BottleneckBytes) / opts.bandwidth()
+		res.TimeSec = float64(eval.BottleneckBytes) / bw
 		return res, nil
 	}
-	res.TimeSec, _, err = netsim.RunAlone(res.Approach, matrix.N, eval.Volumes, opts.bandwidth(), coflow.NewVarys(), opts.Probe)
+	res.TimeSec, _, err = netsim.RunAlone(res.Approach, matrix.N, eval.Volumes, bw, coflow.NewVarys(), opts.Probe)
 	if err != nil {
 		return nil, err
 	}

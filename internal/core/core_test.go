@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"ccf/internal/netsim"
 	"ccf/internal/placement"
 	"ccf/internal/workload"
 )
@@ -286,6 +287,37 @@ func TestCustomBandwidthScalesTime(t *testing.T) {
 	}
 	if r := slow.TimeSec / fast.TimeSec; math.Abs(r-2) > 1e-9 {
 		t.Errorf("halving bandwidth changed time by %gx, want exactly 2x", r)
+	}
+}
+
+// TestNonFiniteBandwidthRejected: NaN and ±Inf are errors on both execution
+// paths and in the node-loss pipeline, the values netsim.NewFabric refuses;
+// 0 is the 128 MB/s default.
+func TestNonFiniteBandwidthRejected(t *testing.T) {
+	w := testWorkload(t, 6, 0.8, 0.2)
+	for _, bw := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, eventSim := range []bool{false, true} {
+			if r, err := Run(w, ApproachCCF, Options{Bandwidth: bw, UseEventSim: eventSim}); err == nil {
+				t.Errorf("Run(bw=%g, eventsim=%v) = %g s, want an error", bw, eventSim, r.TimeSec)
+			}
+		}
+		spec := NodeLossSpec{FailNode: 1, FailTime: 1e-3}
+		if _, err := RunWithNodeLoss(w, placement.CCF{}, spec, RecoverReplace, Options{Bandwidth: bw}); err == nil {
+			t.Errorf("RunWithNodeLoss(bw=%g) accepted a non-finite bandwidth", bw)
+		}
+	}
+	for _, eventSim := range []bool{false, true} {
+		zero, err := Run(w, ApproachCCF, Options{UseEventSim: eventSim})
+		if err != nil {
+			t.Fatal(err)
+		}
+		def, err := Run(w, ApproachCCF, Options{Bandwidth: netsim.DefaultPortBandwidth, UseEventSim: eventSim})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if zero.TimeSec != def.TimeSec {
+			t.Errorf("eventsim=%v: bandwidth 0 gives %g s, the default gives %g s", eventSim, zero.TimeSec, def.TimeSec)
+		}
 	}
 }
 

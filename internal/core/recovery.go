@@ -92,6 +92,10 @@ func RunWithNodeLoss(w *workload.Workload, sched placement.Scheduler, spec NodeL
 	default:
 		return nil, fmt.Errorf("core: unknown recovery policy %q", policy)
 	}
+	bw, err := opts.bandwidth()
+	if err != nil {
+		return nil, err
+	}
 	dead := spec.FailNode
 
 	eval, err := placement.Evaluate(sched, matrix, nil, nil)
@@ -102,7 +106,7 @@ func RunWithNodeLoss(w *workload.Workload, sched placement.Scheduler, spec NodeL
 	rpt := &NodeLossReport{Policy: policy, FailNode: dead, FailTime: spec.FailTime}
 
 	// Fault-free reference run.
-	rpt.CleanMakespan, _, err = netsim.RunAlone("primary", n, eval.Volumes, opts.bandwidth(), coflow.NewVarys(), nil)
+	rpt.CleanMakespan, _, err = netsim.RunAlone("primary", n, eval.Volumes, bw, coflow.NewVarys(), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -113,7 +117,7 @@ func RunWithNodeLoss(w *workload.Workload, sched placement.Scheduler, spec NodeL
 	if err != nil {
 		return nil, err
 	}
-	fabric, err := netsim.NewFabric(n, opts.bandwidth())
+	fabric, err := netsim.NewFabric(n, bw)
 	if err != nil {
 		return nil, err
 	}
