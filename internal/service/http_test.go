@@ -237,6 +237,8 @@ func TestHTTPOverloadShedsAndStaysResponsive(t *testing.T) {
 	const perClient = 25
 	var ok200, shed429, other atomic.Uint64
 	var wg sync.WaitGroup
+	var shedMu sync.Mutex
+	var shedBodies [][]byte // the specs that got a 429, resubmitted below
 
 	// The health prober gets its own connection (like a real orchestrator's
 	// kubelet would): it must not queue behind the load clients' connection
@@ -298,6 +300,9 @@ func TestHTTPOverloadShedsAndStaysResponsive(t *testing.T) {
 						t.Errorf("429 body %q", body)
 					}
 					shed429.Add(1)
+					shedMu.Lock()
+					shedBodies = append(shedBodies, b)
+					shedMu.Unlock()
 				default:
 					other.Add(1)
 				}
@@ -333,6 +338,20 @@ func TestHTTPOverloadShedsAndStaysResponsive(t *testing.T) {
 	p99 := lats[(len(lats)*99)/100]
 	if p99 >= 0.100 {
 		t.Fatalf("healthz p99 = %.1fms under overload, want < 100ms", p99*1e3)
+	}
+
+	// Shedding is backpressure, not refusal: once the load is gone, every
+	// shed job resubmitted as is gets admitted.
+	for _, b := range shedBodies {
+		resp, err := loadClient.Post(srv.URL+"/v1/jobs", "application/json", bytes.NewReader(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("resubmitted shed job: %d %s", resp.StatusCode, body)
+		}
 	}
 	t.Logf("overload: 200=%d 429=%d other=%d degraded=%d healthz p99=%.2fms",
 		ok200.Load(), shed429.Load(), other.Load(), st.Degraded, p99*1e3)
