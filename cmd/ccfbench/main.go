@@ -58,7 +58,6 @@ func main() {
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file at exit (go tool pprof)")
 
 		serviceJSON   = flag.String("servicejson", "BENCH_service.json", "output path for the service-load experiment's JSON")
-		serviceDir    = flag.String("servicedir", "", "state directory for the service-load pool (empty = fresh temp dir)")
 		serviceURL    = flag.String("serviceurl", "", "base URL of a running ccfd for the service-smoke experiment")
 		serviceJobs   = flag.Int("servicejobs", 100, "jobs the service-smoke driver submits")
 		serviceOffset = flag.Int("serviceoffset", 0, "first job index of the service-smoke stream (resume point after a restart)")
@@ -97,8 +96,8 @@ func main() {
 		{"recovery", false, func() error { return recoveryExp(*bandwidth, *workers) }},
 		{"telemetry", false, func() error { return telemetryExp(*bandwidth, *workers) }},
 		{"service-load", false, func() error {
-			fmt.Println("service-load: daemon under steady load, overload, and kill+restart:")
-			return serviceLoadExp(*serviceJSON, *serviceDir)
+			fmt.Println("service-load: group-commit batch axis (1 shard, fsync per append, -batch-max 1, 8, 64):")
+			return serviceLoadExp(*serviceJSON)
 		}},
 		{"service-smoke", false, func() error {
 			return serviceSmokeExp(*serviceURL, *serviceJobs, *serviceOffset, *serviceNodes, *smokeOut, *serviceWait)
@@ -114,7 +113,15 @@ func main() {
 	exp := flag.String("exp", "all", "experiment: all, "+strings.Join(names, ", "))
 	flag.Parse()
 
-	if err := validateBenchFlags(exps, *exp, *scale, *bandwidth, *seeds, *workers); err != nil {
+	ints := []intFlag{
+		{"seeds", *seeds, 1},
+		{"workers", *workers, 1},
+		{"servicejobs", *serviceJobs, 0},
+		{"serviceoffset", *serviceOffset, 0},
+		{"servicenodes", *serviceNodes, 1},
+		{"burstclients", *burstClients, 1},
+	}
+	if err := validateBenchFlags(exps, *exp, *scale, *bandwidth, ints); err != nil {
 		fmt.Fprintln(os.Stderr, "ccfbench:", err)
 		os.Exit(2)
 	}
@@ -159,10 +166,16 @@ func main() {
 	}
 }
 
+// intFlag is one integer flag's value and the least value it accepts.
+type intFlag struct {
+	name     string
+	val, min int
+}
+
 // validateBenchFlags rejects an -exp value the table does not list and
 // nonsensical knob values with a one-line message before any experiment
 // starts.
-func validateBenchFlags(exps []experiment, exp string, scale, bw float64, seeds, workers int) error {
+func validateBenchFlags(exps []experiment, exp string, scale, bw float64, ints []intFlag) error {
 	known := exp == "all"
 	for _, e := range exps {
 		known = known || e.name == exp
@@ -176,11 +189,10 @@ func validateBenchFlags(exps []experiment, exp string, scale, bw float64, seeds,
 	if !(bw >= 0) || math.IsInf(bw, 1) {
 		return fmt.Errorf("-bw must be finite and non-negative, got %g", bw)
 	}
-	if seeds <= 0 {
-		return fmt.Errorf("-seeds must be positive, got %d", seeds)
-	}
-	if workers < 1 {
-		return fmt.Errorf("-workers must be at least 1, got %d", workers)
+	for _, f := range ints {
+		if f.val < f.min {
+			return fmt.Errorf("-%s must be at least %d, got %d", f.name, f.min, f.val)
+		}
 	}
 	return nil
 }

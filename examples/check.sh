@@ -109,6 +109,10 @@ reject "$bin/datagen" -zipf NaN
 reject "$bin/datagen" -placer bogus
 reject "$bin/ccfbench" -exp fig5 -scale 1e-8
 reject "$bin/ccfbench" -exp recovery -bw NaN
+reject "$bin/ccfbench" -exp service-smoke -servicejobs -1
+reject "$bin/ccfbench" -exp service-smoke -serviceoffset -1
+reject "$bin/ccfbench" -exp service-smoke -servicenodes 0
+reject "$bin/ccfbench" -exp service-burst -burstclients 0
 reject "$bin/ccfquery" -keys 0
 reject "$bin/ccfquery" -nodes 0
 reject "$bin/ccfquery" -nodes -3
