@@ -264,6 +264,10 @@ func (ss *Session) admit(c *coflow.Coflow) error {
 // validateAdmit checks a coflow's flows against the fabric without mutating
 // any session or flow state, so batch admission can be all-or-nothing.
 func (ss *Session) validateAdmit(c *coflow.Coflow) error {
+	// A NaN arrival is never due and an infinite one never comes: both stall.
+	if math.IsNaN(c.Arrival) || math.IsInf(c.Arrival, 0) {
+		return fmt.Errorf("netsim: coflow %d has non-finite arrival %g", c.ID, c.Arrival)
+	}
 	ports := ss.s.fabric.Ports
 	for _, f := range c.Flows {
 		if f.Src < 0 || f.Src >= ports || f.Dst < 0 || f.Dst >= ports {
@@ -335,6 +339,9 @@ func (ss *Session) admitBatch(cs []*coflow.Coflow) error {
 func (ss *Session) Advance(to float64) error {
 	if err := ss.check(); err != nil {
 		return err
+	}
+	if math.IsNaN(to) {
+		return errors.New("netsim: session cannot Advance(NaN)")
 	}
 	if to < ss.now-1e-12 {
 		return fmt.Errorf("netsim: session cannot Advance(%g) behind current time %g", to, ss.now)

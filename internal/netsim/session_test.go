@@ -13,6 +13,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"ccf/internal/coflow"
@@ -368,5 +369,44 @@ func TestSessionLifecycleErrors(t *testing.T) {
 	}
 	if math.IsNaN(ses.Now()) {
 		t.Error("Now is NaN")
+	}
+}
+
+// TestSessionRejectsNonFiniteTimes: a NaN arrival compares false against
+// every clock and an infinite one never comes, so either used to stall the
+// loop to its epoch limit. Admit and RunInto refuse them, and Advance(NaN)
+// is an error that leaves the session usable.
+func TestSessionRejectsNonFiniteTimes(t *testing.T) {
+	fab, err := netsim.NewFabric(2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim := netsim.NewSimulator(fab, coflow.NewVarys())
+	for _, a := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		bad := coflow.New(0, "bad", a, []coflow.Flow{{ID: 0, Src: 0, Dst: 1, Size: 1}})
+		ses, err := sim.Session()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ses.Admit(bad); err == nil || !strings.Contains(err.Error(), "non-finite arrival") {
+			t.Errorf("Admit at %g: %v, want a non-finite-arrival error", a, err)
+		}
+		var rep netsim.Report
+		if err := sim.RunInto([]*coflow.Coflow{bad}, &rep); err == nil || !strings.Contains(err.Error(), "non-finite arrival") {
+			t.Errorf("RunInto at %g: %v, want a non-finite-arrival error", a, err)
+		}
+	}
+	ses, err := sim.Session()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ses.Advance(math.NaN()); err == nil {
+		t.Error("Advance(NaN) succeeded")
+	}
+	if err := ses.Admit(coflow.New(0, "ok", 1, []coflow.Flow{{ID: 0, Src: 0, Dst: 1, Size: 1}})); err != nil {
+		t.Fatalf("Admit after a refused Advance(NaN): %v", err)
+	}
+	if rep, err := ses.Finish(); err != nil || rep.Makespan <= 1 {
+		t.Errorf("Finish after a refused Advance(NaN): %+v, %v", rep, err)
 	}
 }
