@@ -4,10 +4,12 @@ package core
 // source (e.g. fbtrace.Stream) without ever materialising the workload as a
 // slice. Each pulled coflow advances the session to its arrival and admits
 // it, so the resident set is the in-flight coflows plus at most one pending
-// arrival; with ReleaseCompleted the session also drops
-// coflows as they finish, keeping memory bounded by the *concurrency* of the
-// trace rather than its length. That is what lets the Facebook trace replay
-// at 1000× density inside CI.
+// arrival; with ReleaseCompleted the session also drops coflows as they
+// finish, keeping memory bounded by the *concurrency* of the trace rather
+// than its length. That is what lets the Facebook trace replay at 1000×
+// density inside CI. An fbtrace.Streamer adds two batches of coflows drawn
+// ahead, on another core, by a producer that owns the generator alone between
+// channel handoffs, so the sequence is fbtrace.Generate's, bit for bit.
 //
 // Advancing to each arrival is exact: arrivals bound the event loop's epochs
 // anyway, so the stepwise session visits the same epoch boundaries as a

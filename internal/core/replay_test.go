@@ -8,6 +8,8 @@ package core
 // aggregation and even the averaged fields match bit for bit.
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"ccf/internal/coflow"
@@ -132,6 +134,17 @@ func TestReplayStreamValidation(t *testing.T) {
 	}}
 	if _, err := ReplayStream(2, src, ReplayOptions{}); err == nil {
 		t.Error("accepted regressing arrivals")
+	}
+	// A NaN arrival used to spin the session to its epoch limit and +Inf to
+	// fail as a dependency cycle; both are refused on sight.
+	for _, tc := range []struct {
+		arrival float64
+		want    string
+	}{{math.NaN(), "Advance(NaN)"}, {math.Inf(1), "non-finite arrival"}} {
+		src := &sliceSource{cfs: []*coflow.Coflow{coflow.New(0, "a", tc.arrival, []coflow.Flow{{ID: 0, Src: 0, Dst: 1, Size: 10}})}}
+		if _, err := ReplayStream(2, src, ReplayOptions{}); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("arrival %g: %v, want an error naming %q", tc.arrival, err, tc.want)
+		}
 	}
 }
 

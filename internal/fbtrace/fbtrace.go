@@ -138,69 +138,68 @@ func Classify(c *coflow.Coflow) Category {
 	}
 }
 
-// Generate builds the synthetic workload by draining a Stream, so the two
-// paths draw the identical RNG sequence by construction: Generate(cfg) and
+// Generate builds the synthetic workload inline. It calls the same draw as
+// the Stream's producer, from the same validated state, so the two paths
+// draw the identical RNG sequence by construction: Generate(cfg) and
 // collecting Stream(cfg) yield the same coflows in the same order.
 func Generate(cfg Config) ([]*coflow.Coflow, error) {
-	st, err := Stream(cfg)
+	gen, total, err := newGenerator(cfg)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]*coflow.Coflow, 0, st.Total())
-	for {
-		c, ok := st.Next()
-		if !ok {
-			return out, nil
-		}
-		out = append(out, c)
+	out := make([]*coflow.Coflow, total)
+	for i := range out {
+		out[i] = gen.next()
 	}
+	return out, nil
 }
 
-// Streamer yields the synthetic workload one coflow at a time, in arrival
-// order, holding O(1) state between calls: at 1000× density the trace never
-// materialises as a slice. Created by Stream.
-type Streamer struct {
+// generator draws the trace: the RNG, the arrival clock, the next coflow's
+// id and genCoflow's reused flow buffer. Exactly one goroutine owns it at a
+// time, so the sequence it draws does not depend on who draws it.
+type generator struct {
 	machines int
 	mean     float64
 	mix      Mix
 	g        rng.Gen
 	now      float64
 	id       int
-	total    int
 	flows    []coflow.Flow // genCoflow's reused draw buffer
 }
 
-// Stream validates cfg and returns a Streamer over the scaled trace. At
-// Density d the stream carries round(Coflows·d) coflows with mean
-// interarrival MeanInterarrivalSec/d; at d = 1 the sequence is exactly
-// Generate's.
-func Stream(cfg Config) (*Streamer, error) {
+// newGenerator validates cfg and returns the generator of the scaled trace
+// with the number of coflows it carries. At Density d that is
+// round(Coflows·d) coflows with mean interarrival MeanInterarrivalSec/d.
+func newGenerator(cfg Config) (*generator, int, error) {
 	if cfg.Machines < 2 {
-		return nil, fmt.Errorf("fbtrace: need at least 2 machines, got %d", cfg.Machines)
+		return nil, 0, fmt.Errorf("fbtrace: need at least 2 machines, got %d", cfg.Machines)
 	}
 	if cfg.Coflows <= 0 {
-		return nil, fmt.Errorf("fbtrace: need a positive coflow count, got %d", cfg.Coflows)
-	}
-	if cfg.MeanInterarrivalSec <= 0 {
-		cfg.MeanInterarrivalSec = 1
+		return nil, 0, fmt.Errorf("fbtrace: need a positive coflow count, got %d", cfg.Coflows)
 	}
 	density := cfg.Density
 	if density == 0 {
 		density = 1
 	}
 	if density < 0 || math.IsNaN(density) || math.IsInf(density, 0) {
-		return nil, fmt.Errorf("fbtrace: density must be positive and finite, got %g", cfg.Density)
+		return nil, 0, fmt.Errorf("fbtrace: density must be positive and finite, got %g", cfg.Density)
+	}
+	if m := cfg.MeanInterarrivalSec / density; math.IsNaN(m) || math.IsInf(m, 0) {
+		return nil, 0, fmt.Errorf("fbtrace: mean interarrival %g at density %g is not finite", cfg.MeanInterarrivalSec, density)
+	}
+	if cfg.MeanInterarrivalSec <= 0 {
+		cfg.MeanInterarrivalSec = 1
 	}
 	total := int(math.Round(float64(cfg.Coflows) * density))
 	if total <= 0 {
-		return nil, fmt.Errorf("fbtrace: density %g thins %d coflows to zero", density, cfg.Coflows)
+		return nil, 0, fmt.Errorf("fbtrace: density %g thins %d coflows to zero", density, cfg.Coflows)
 	}
 	mix := cfg.Mix
 	if mix.SN+mix.LN+mix.SW+mix.LW == 0 {
 		mix = DefaultMix()
 	}
 	if s := mix.SN + mix.LN + mix.SW + mix.LW; math.Abs(s-1) > 0.01 {
-		return nil, fmt.Errorf("fbtrace: mix sums to %g, want 1", s)
+		return nil, 0, fmt.Errorf("fbtrace: mix sums to %g, want 1", s)
 	}
 	// One splitmix64 step whitens the seed, so adjacent seeds yield
 	// unrelated streams; the guard keeps the xorshift state nonzero.
@@ -208,49 +207,118 @@ func Stream(cfg Config) (*Streamer, error) {
 	if seed == 0 {
 		seed = 0x9e3779b97f4a7c15
 	}
-	return &Streamer{
-		machines: cfg.Machines,
-		mean:     cfg.MeanInterarrivalSec / density,
-		mix:      mix,
-		g:        rng.New(seed),
-		total:    total,
-	}, nil
+	return &generator{machines: cfg.Machines, mean: cfg.MeanInterarrivalSec / density, mix: mix, g: rng.New(seed)}, total, nil
+}
+
+// next draws the next coflow in arrival order.
+func (gen *generator) next() *coflow.Coflow {
+	gen.now += exponential(&gen.g, gen.mean)
+	u := gen.g.Float64()
+	var cat Category
+	switch {
+	case u < gen.mix.SN:
+		cat = SN
+	case u < gen.mix.SN+gen.mix.LN:
+		cat = LN
+	case u < gen.mix.SN+gen.mix.LN+gen.mix.SW:
+		cat = SW
+	default:
+		cat = LW
+	}
+	c := gen.genCoflow(cat)
+	gen.id++
+	return c
+}
+
+// produce draws n coflows into ahead, then signals done. A batch starts only
+// when ahead has room for all n and no other batch runs, so no send blocks
+// and the goroutine exits even if its Streamer was dropped half-drained.
+func (gen *generator) produce(n int, ahead chan<- *coflow.Coflow, done chan<- struct{}) {
+	for range n {
+		ahead <- gen.next()
+	}
+	done <- struct{}{}
+}
+
+// aheadBatch is how many coflows one producer batch draws; ahead holds two
+// batches, so the next batch can start while up to one is still untaken.
+const aheadBatch = 16
+
+// Streamer yields the synthetic workload one coflow at a time, in arrival
+// order, drawn ahead by a producer goroutine: the caller simulates coflow k
+// while coflow k+1 is drawn on another core. It holds at most 2·aheadBatch
+// coflows and one producer, so at 1000× density the trace never
+// materialises as a slice. It needs no Close: a producer never blocks, and
+// one that outlives its Streamer finishes its batch and exits. Created by
+// Stream; not safe for concurrent use.
+type Streamer struct {
+	// gen is owned by the running batch while busy, else by the Streamer.
+	// The go statement that starts a batch hands it over; the batch's send
+	// on done, received before the next batch starts, hands it back.
+	gen              *generator
+	total            int
+	requested, taken int // coflows handed to batches so far, and out by Next
+	busy             bool
+	ahead            chan *coflow.Coflow
+	done             chan struct{}
+}
+
+// Stream validates cfg and returns a Streamer over the scaled trace. At
+// Density d the stream carries round(Coflows·d) coflows with mean
+// interarrival MeanInterarrivalSec/d; at d = 1 the sequence is exactly
+// Generate's.
+func Stream(cfg Config) (*Streamer, error) {
+	gen, total, err := newGenerator(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &Streamer{gen: gen, total: total, ahead: make(chan *coflow.Coflow, 2*aheadBatch), done: make(chan struct{}, 1)}, nil
 }
 
 // Total returns the number of coflows the stream will yield in all.
 func (st *Streamer) Total() int { return st.total }
 
 // Remaining returns the number of coflows not yet yielded.
-func (st *Streamer) Remaining() int { return st.total - st.id }
+func (st *Streamer) Remaining() int { return st.total - st.taken }
 
 // Next yields the next coflow in arrival order, or (nil, false) when the
 // stream is exhausted.
 func (st *Streamer) Next() (*coflow.Coflow, bool) {
-	if st.id >= st.total {
+	if st.taken == st.total {
 		return nil, false
 	}
-	st.now += exponential(&st.g, st.mean)
-	u := st.g.Float64()
-	var cat Category
-	switch {
-	case u < st.mix.SN:
-		cat = SN
-	case u < st.mix.SN+st.mix.LN:
-		cat = LN
-	case u < st.mix.SN+st.mix.LN+st.mix.SW:
-		cat = SW
-	default:
-		cat = LW
+	// With every requested coflow taken, the running batch, if any, has sent
+	// its last one: wait for it to finish, so that the next batch starts.
+	st.refill(st.requested == st.taken)
+	st.taken++
+	return <-st.ahead, true
+}
+
+// refill starts the next producer batch once the running one has finished
+// (waiting for it if wait is set), provided coflows remain to be requested
+// and ahead has room for a whole batch beside those not yet taken.
+func (st *Streamer) refill(wait bool) {
+	if st.busy {
+		if !wait && len(st.done) == 0 {
+			return
+		}
+		<-st.done
+		st.busy = false
 	}
-	c := st.genCoflow(cat)
-	st.id++
-	return c, true
+	if st.requested == st.total || st.requested-st.taken > aheadBatch {
+		return
+	}
+	n := min(aheadBatch, st.total-st.requested)
+	st.requested += n
+	st.busy = true
+	go st.gen.produce(n, st.ahead, st.done)
 }
 
 // genCoflow draws the next coflow, of the given category, into the reused
-// flow buffer; coflow.New copies the flows into the coflow's own block.
-func (st *Streamer) genCoflow(cat Category) *coflow.Coflow {
-	g, machines := &st.g, st.machines
+// flow buffer; coflow.New copies the flows into the coflow's own block, so
+// the coflow shares no memory with the generator once drawn.
+func (gen *generator) genCoflow(cat Category) *coflow.Coflow {
+	g, machines := &gen.g, gen.machines
 	maxWidth := machines * (machines - 1)
 	width := 0
 	switch cat {
@@ -267,14 +335,14 @@ func (st *Streamer) genCoflow(cat Category) *coflow.Coflow {
 	if cat == LN || cat == LW {
 		sizes = longFlows
 	}
-	flows := slices.Grow(st.flows[:0], width)[:width]
+	flows := slices.Grow(gen.flows[:0], width)[:width]
 	for f := range flows {
 		src := g.Intn(machines)
 		dst := (src + 1 + g.Intn(machines-1)) % machines
 		flows[f] = coflow.Flow{ID: f, Src: src, Dst: dst, Size: sizes.draw(g) * 1e6}
 	}
-	st.flows = flows
-	return coflow.New(st.id, cat.String()+"-"+strconv.Itoa(st.id), st.now, flows)
+	gen.flows = flows
+	return coflow.New(gen.id, cat.String()+"-"+strconv.Itoa(gen.id), gen.now, flows)
 }
 
 // ToTrace converts generated coflows into a CoflowSim benchmark trace. The

@@ -2,7 +2,9 @@ package fbtrace
 
 import (
 	"math"
+	"runtime"
 	"testing"
+	"time"
 )
 
 // TestStreamMatchesGenerate pins the streaming contract: at density 1 the
@@ -116,6 +118,10 @@ func TestStreamValidation(t *testing.T) {
 		{"infinite density", func(c *Config) { c.Density = math.Inf(1) }},
 		{"density thins to zero", func(c *Config) { c.Density = 1e-9 }},
 		{"bad mix", func(c *Config) { c.Mix = Mix{SN: 0.9, LN: 0.9} }},
+		{"NaN interarrival", func(c *Config) { c.MeanInterarrivalSec = math.NaN() }},
+		{"infinite interarrival", func(c *Config) { c.MeanInterarrivalSec = math.Inf(1) }},
+		{"negative infinite interarrival", func(c *Config) { c.MeanInterarrivalSec = math.Inf(-1) }},
+		{"interarrival overflows at density", func(c *Config) { c.MeanInterarrivalSec, c.Density = math.MaxFloat64, 0.5 }},
 	} {
 		cfg := good
 		tc.mutate(&cfg)
@@ -128,5 +134,69 @@ func TestStreamValidation(t *testing.T) {
 	}
 	if _, err := Stream(good); err != nil {
 		t.Errorf("baseline rejected: %v", err)
+	}
+}
+
+// TestStreamExhaustion drains streams shorter than, equal to and longer than
+// a producer batch, then checks that Next keeps returning (nil, false) and
+// never blocks once the stream is dry.
+func TestStreamExhaustion(t *testing.T) {
+	for _, n := range []int{1, aheadBatch - 1, aheadBatch, 2*aheadBatch + 1, 5 * aheadBatch} {
+		st, err := Stream(Config{Machines: 6, Coflows: n, Seed: uint64(n)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan int)
+		go func() {
+			got := 0
+			for {
+				if _, ok := st.Next(); !ok {
+					break
+				}
+				got++
+			}
+			for range 3 {
+				if c, ok := st.Next(); ok || c != nil {
+					got = -1
+				}
+			}
+			done <- got
+		}()
+		select {
+		case got := <-done:
+			if got != n {
+				t.Errorf("%d coflows: drained %d, or Next yielded after exhaustion (-1)", n, got)
+			}
+			if r := st.Remaining(); r != 0 {
+				t.Errorf("%d coflows: Remaining() = %d after exhaustion", n, r)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%d coflows: Next blocked", n)
+		}
+	}
+}
+
+// TestStreamAbandonedLeaksNoGoroutine drops Streamers half-drained, at every
+// point of a batch, and unstarted: their producers must finish and exit on
+// their own, returning the goroutine count to its baseline.
+func TestStreamAbandonedLeaksNoGoroutine(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for taken := 0; taken <= 2*aheadBatch+1; taken++ {
+		st, err := Stream(Config{Machines: 8, Coflows: 1000, Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for range taken {
+			if _, ok := st.Next(); !ok {
+				t.Fatal("stream exhausted early")
+			}
+		}
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after dropping the streams, %d before", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
