@@ -8,6 +8,7 @@ func TestAuditablePriorityOrder(t *testing.T) {
 	// bottleneck first), not the input order.
 	big := New(0, "big", 0, []Flow{singleFlow(0, 0, 1, 100)})
 	small := New(1, "small", 0, []Flow{singleFlow(0, 0, 1, 10)})
+	begun(2, big, small)
 	eg, in := capSlices(2, 1)
 
 	s := NewVarys()

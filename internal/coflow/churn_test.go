@@ -16,15 +16,21 @@ type churnScheduler struct {
 	key        func(c *Coflow, s *allocScratch) float64
 }
 
-func churnSchedulers(sparse bool) []churnScheduler {
-	var out []churnScheduler
-	for _, mk := range []func() Scheduler{NewVarys, NewFIFO, NewSCF, NewNCF, NewAalo} {
-		o := mk().(*orderedMADD)
-		o.SetSparse(sparse)
-		out = append(out, churnScheduler{o.name, o, o.tieArrival, o.key})
-	}
-	return out
+// orderedSchedulers builds the five persistent-order schedulers.
+var orderedSchedulers = []func() Scheduler{NewVarys, NewFIFO, NewSCF, NewNCF, NewAalo}
+
+func newChurnScheduler(mk func() Scheduler) churnScheduler {
+	o := mk().(*orderedMADD)
+	return churnScheduler{o.name, o, o.tieArrival, o.key}
 }
+
+// markModes are the two ways an engine marks coflows moved: only the
+// coflows it touched, as the EventHorizon loop's granted-only passes do, or
+// every active coflow on every epoch, as the full-pass loop does.
+var markModes = []struct {
+	name  string
+	every bool
+}{{"sparse", false}, {"full", true}}
 
 // churnCoflow builds a one-to-four-flow coflow with small integer sizes (so
 // bottleneck, size, width and queue keys tie often) and starts its cache.
@@ -62,70 +68,74 @@ func churnProgress(rn *rand.Rand, active []*Coflow) {
 	}
 }
 
-// TestPersistentOrderUnderChurn drives every persistent-order scheduler,
-// dense and sparse, through seeded epochs of random admissions, completions
-// and key-moving progress with up to 300 live coflows. After every Allocate
-// each coflow's key must equal a fresh recomputation and PriorityOrder must
-// equal the active set stably sorted by keyLess — the unique order, however
-// the scheduler carried it from the previous epoch.
+// TestPersistentOrderUnderChurn drives every persistent-order scheduler
+// through seeded epochs of random admissions, completions and key-moving
+// progress with up to 300 live coflows, under both marking modes. After every
+// Allocate each coflow's cached key must equal a fresh recomputation and
+// PriorityOrder must equal the active set stably sorted by keyLess — the
+// unique order, however the scheduler carried it from the previous epoch.
 func TestPersistentOrderUnderChurn(t *testing.T) {
 	const ports, epochs, maxLive = 16, 600, 300
-	for _, sparse := range []bool{false, true} {
-		for i, cs := range churnSchedulers(sparse) {
-			name := cs.name
-			if sparse {
-				name += "/sparse"
+	for i, mk := range orderedSchedulers {
+		t.Run(mk().Name(), func(t *testing.T) {
+			for _, mode := range markModes {
+				t.Run(mode.name, func(t *testing.T) {
+					cs := newChurnScheduler(mk)
+					rn := rand.New(rand.NewSource(int64(17 + i)))
+					aud := cs.sched.(Auditable)
+					s := testScratch(ports)
+					var active, want []*Coflow
+					nextID, now, peak := 0, 0.0, 0
+					for epoch := 0; epoch < epochs; epoch++ {
+						if rn.Intn(4) > 0 {
+							for n := rn.Intn(4); n > 0 && len(active) > 0; n-- {
+								j := rn.Intn(len(active))
+								active = slices.Delete(active, j, j+1)
+							}
+							for n := rn.Intn(6); n > 0 && len(active) < maxLive; n-- {
+								active = append(active, churnCoflow(rn, nextID, now, ports))
+								nextID++
+							}
+						}
+						if len(active) > 0 {
+							churnProgress(rn, active)
+						}
+						if mode.every {
+							for _, c := range active {
+								c.MarkSimMoved()
+							}
+						}
+						peak = max(peak, len(active))
+						eg, in := capSlices(ports, 1e9)
+						cs.sched.Allocate(now, active, eg, in)
+						for _, c := range active {
+							if k := cs.key(c, s); k != c.schedKey {
+								t.Fatalf("epoch %d: coflow %d key %v, fresh key %v", epoch, c.ID, c.schedKey, k)
+							}
+						}
+						want = append(want[:0], active...)
+						slices.SortStableFunc(want, func(a, b *Coflow) int {
+							if keyLess(a, b, cs.tieArrival) {
+								return -1
+							}
+							if keyLess(b, a, cs.tieArrival) {
+								return 1
+							}
+							return 0
+						})
+						if got := aud.PriorityOrder(); !slices.Equal(got, want) {
+							t.Fatalf("epoch %d: priority order of %d coflows differs from the sorted active set", epoch, len(active))
+						}
+						if rn.Intn(3) == 0 {
+							now += float64(rn.Intn(3))
+						}
+					}
+					if peak < maxLive*2/3 {
+						t.Fatalf("churn peaked at %d live coflows", peak)
+					}
+				})
 			}
-			t.Run(name, func(t *testing.T) {
-				rn := rand.New(rand.NewSource(int64(17 + i)))
-				aud := cs.sched.(Auditable)
-				s := testScratch(ports)
-				var active, want []*Coflow
-				nextID, now, peak := 0, 0.0, 0
-				for epoch := 0; epoch < epochs; epoch++ {
-					if rn.Intn(4) > 0 {
-						for n := rn.Intn(4); n > 0 && len(active) > 0; n-- {
-							j := rn.Intn(len(active))
-							active = slices.Delete(active, j, j+1)
-						}
-						for n := rn.Intn(6); n > 0 && len(active) < maxLive; n-- {
-							active = append(active, churnCoflow(rn, nextID, now, ports))
-							nextID++
-						}
-					}
-					if len(active) > 0 {
-						churnProgress(rn, active)
-					}
-					peak = max(peak, len(active))
-					eg, in := capSlices(ports, 1e9)
-					cs.sched.Allocate(now, active, eg, in)
-					for _, c := range active {
-						if k := cs.key(c, s); k != c.schedKey {
-							t.Fatalf("epoch %d: coflow %d key %v, fresh key %v", epoch, c.ID, c.schedKey, k)
-						}
-					}
-					want = append(want[:0], active...)
-					slices.SortStableFunc(want, func(a, b *Coflow) int {
-						if keyLess(a, b, cs.tieArrival) {
-							return -1
-						}
-						if keyLess(b, a, cs.tieArrival) {
-							return 1
-						}
-						return 0
-					})
-					if got := aud.PriorityOrder(); !slices.Equal(got, want) {
-						t.Fatalf("epoch %d: priority order of %d coflows differs from the sorted active set", epoch, len(active))
-					}
-					if rn.Intn(3) == 0 {
-						now += float64(rn.Intn(3))
-					}
-				}
-				if peak < maxLive*2/3 {
-					t.Fatalf("churn peaked at %d live coflows", peak)
-				}
-			})
-		}
+		})
 	}
 }
 
@@ -161,32 +171,31 @@ func (fx *churnFixture) step() {
 
 // TestAllocateChurnZeroAllocs pins zero heap allocations per Allocate that
 // follows one admission and one completion, for every persistent-order
-// scheduler, dense and sparse.
+// scheduler.
 func TestAllocateChurnZeroAllocs(t *testing.T) {
 	const ports, live = 16, 200
-	for _, sparse := range []bool{false, true} {
-		for _, cs := range churnSchedulers(sparse) {
-			fx := newChurnFixture(live, ports)
-			eg, in := capSlices(ports, 1e9)
-			run := func() {
-				fx.step()
-				churnProgress(fx.rn, fx.active)
-				for p := range eg {
-					eg[p], in[p] = 1e9, 1e9
-				}
-				cs.sched.Allocate(0, fx.active, eg, in)
+	for _, mk := range orderedSchedulers {
+		cs := newChurnScheduler(mk)
+		fx := newChurnFixture(live, ports)
+		eg, in := capSlices(ports, 1e9)
+		run := func() {
+			fx.step()
+			churnProgress(fx.rn, fx.active)
+			for p := range eg {
+				eg[p], in[p] = 1e9, 1e9
 			}
-			for i := 0; i < 4*live; i++ { // every coflow seen, every buffer grown
-				run()
-			}
-			if n := testing.AllocsPerRun(200, run); n != 0 {
-				t.Errorf("%s (sparse %v): %v allocs per churned Allocate, want 0", cs.name, sparse, n)
-			}
+			cs.sched.Allocate(0, fx.active, eg, in)
+		}
+		for i := 0; i < 4*live; i++ { // every coflow seen, every buffer grown
+			run()
+		}
+		if n := testing.AllocsPerRun(200, run); n != 0 {
+			t.Errorf("%s: %v allocs per churned Allocate, want 0", cs.name, n)
 		}
 	}
 }
 
-// BenchmarkAllocateChurn times sparse Varys with one admission and one
+// BenchmarkAllocateChurn times Varys with one admission and one
 // completion per Allocate, the membership change an online coflow stream
 // makes nearly every epoch, at several live-set sizes.
 func BenchmarkAllocateChurn(b *testing.B) {
@@ -195,7 +204,6 @@ func BenchmarkAllocateChurn(b *testing.B) {
 		b.Run(fmt.Sprintf("live=%d", live), func(b *testing.B) {
 			fx := newChurnFixture(live, ports)
 			s := NewVarys()
-			s.(SparseAllocator).SetSparse(true)
 			eg, in := capSlices(ports, 1e9)
 			b.ReportAllocs()
 			b.ResetTimer()

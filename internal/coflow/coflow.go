@@ -13,8 +13,10 @@
 // of the paper is millions of epochs), so the schedulers are allocation-free
 // at steady state: dense per-port scratch buffers instead of per-epoch maps
 // (see allocScratch), per-coflow live-flow caches maintained incrementally
-// as flows complete (see Coflow.BeginSim), and persistent priority orders
-// that are only re-sorted when membership or keys change. The pre-optimized
+// as flows complete (see Coflow.BeginSim), and one incremental allocator for
+// the five ordered schedulers that re-keys only the coflows that moved and
+// re-sorts only when membership or keys change (sparse.go). The schedulers
+// serve only coflows whose cache a simulation started. The pre-optimized
 // implementation is retained in internal/refsim and the two are pinned
 // bit-identical by the equivalence tests in internal/netsim.
 package coflow
@@ -78,19 +80,18 @@ type Coflow struct {
 // maps this replaced — and egCnt/inCnt the per-port live-flow counts that
 // make completion updates O(1) per flow.
 type simCache struct {
-	valid            bool
 	live             []*Flow // non-done flows, preserving Flows order
 	egPorts, inPorts []int   // ports with ≥1 live flow (unordered)
 	egCnt, inCnt     []int   // per-port live-flow counts, len ≥ fabric ports
 
-	// Sparse-mode (event-horizon) bookkeeping; see sparse.go. moved marks
-	// that the coflow's progress state changed since its priority key was
-	// last computed; keyed marks schedKey as a valid cache of that key;
-	// granted marks that the last sparse Allocate assigned this coflow
-	// nonzero rates; blockEg/blockIn memoize the last port the coflow was
-	// found blocked on (-1 when none), so re-checking a still-blocked coflow
-	// is O(1) instead of O(ports touched). listed is orderState.sync's
-	// "in the active set" mark, set and cleared within one call.
+	// Incremental-allocation bookkeeping; see sparse.go. moved marks that
+	// the coflow's progress state changed since its priority key was last
+	// computed; keyed marks schedKey as a valid cache of that key; granted
+	// marks that the last Allocate assigned this coflow nonzero rates;
+	// blockEg/blockIn memoize the last port the coflow was found blocked on
+	// (-1 when none), so re-checking a still-blocked coflow is O(1) instead
+	// of O(ports touched). listed is orderState.sync's "in the active set"
+	// mark, set and cleared within one call.
 	moved, keyed, granted, listed bool
 	blockEg, blockIn              int
 }
@@ -98,11 +99,11 @@ type simCache struct {
 // BeginSim (re)builds the live-flow cache for a simulation over a fabric of
 // the given port count. The event engine calls it once per run after
 // resetting flow state; from then on the cache is kept consistent by calling
-// RefreshSim after marking flows Done. Code that flips Flow.Done by hand
-// without RefreshSim invalidates the cache — the schedulers fall back to
-// scanning Flows only for coflows that never entered a simulation.
+// RefreshSim after marking flows Done. The schedulers, RefreshSim,
+// Reactivate, LiveFlows and Finished read only the cache, so a coflow must
+// have begun a simulation before it reaches any of them, and code that flips
+// Flow.Done by hand without RefreshSim leaves the cache stale.
 func (c *Coflow) BeginSim(ports int) {
-	c.sim.valid = true
 	c.sim.moved = true
 	c.sim.keyed = false
 	c.sim.granted = false
@@ -141,9 +142,6 @@ func (c *Coflow) BeginSim(ports int) {
 // coflows that had completions), so a burst of simultaneous completions
 // costs one compaction pass, not one per flow.
 func (c *Coflow) RefreshSim() {
-	if !c.sim.valid {
-		return
-	}
 	w := 0
 	for _, f := range c.sim.live {
 		if !f.Done {
@@ -174,9 +172,6 @@ func (c *Coflow) RefreshSim() {
 // also the only place the engine's flow passes find a resurrected flow: it is
 // visited at the end of its coflow.
 func (c *Coflow) Reactivate(f *Flow) {
-	if !c.sim.valid {
-		return
-	}
 	c.sim.moved = true
 	c.sim.live = append(c.sim.live, f)
 	if c.sim.egCnt[f.Src] == 0 {
@@ -213,29 +208,14 @@ func removePort(ports []int, p int) []int {
 	return ports
 }
 
-// LiveFlows returns the cached non-done flows in Flows order, or nil when no
-// simulation cache is active. The returned slice is owned by the coflow:
+// LiveFlows returns the cached non-done flows in Flows order, or nil before
+// the coflow's first BeginSim. The returned slice is owned by the coflow:
 // read-only, and invalidated by the next RefreshSim.
-func (c *Coflow) LiveFlows() []*Flow {
-	if !c.sim.valid {
-		return nil
-	}
-	return c.sim.live
-}
+func (c *Coflow) LiveFlows() []*Flow { return c.sim.live }
 
-// Finished reports whether every flow of the coflow is done. O(1) under an
-// active simulation cache, O(flows) otherwise.
-func (c *Coflow) Finished() bool {
-	if c.sim.valid {
-		return len(c.sim.live) == 0
-	}
-	for _, f := range c.Flows {
-		if !f.Done {
-			return false
-		}
-	}
-	return true
-}
+// Finished reports, in O(1), whether every flow the live-flow cache tracks
+// is done. Valid only after BeginSim.
+func (c *Coflow) Finished() bool { return len(c.sim.live) == 0 }
 
 // New builds a coflow from flow volumes. Zero-size flows are dropped. Only
 // ID, Src, Dst and Size are read; the surviving flows are counted first and
@@ -355,8 +335,7 @@ func (c *Coflow) Bottleneck(n int) float64 {
 // floats round identically) and the max over final per-port sums equals the
 // running max over prefix sums because remaining bytes are non-negative.
 func (c *Coflow) bottleneckScratch(s *allocScratch) float64 {
-	flows, egPorts, inPorts := c.demandInto(s)
-	_ = flows
+	_, egPorts, inPorts := c.demandInto(s)
 	var g float64
 	for _, p := range egPorts {
 		if s.egNeed[p] > g {
@@ -373,48 +352,25 @@ func (c *Coflow) bottleneckScratch(s *allocScratch) float64 {
 }
 
 // demandInto accumulates the coflow's per-port remaining-byte demand into
-// the dense scratch buffers and returns the live flows plus the touched port
-// sets. With an active sim cache the port sets come straight from the cache
-// (exactly the key sets the old demand maps had); otherwise they are
-// discovered with the scratch counters. Callers must clearDemand the
-// returned port sets before the scratch is used again.
+// the dense scratch buffers and returns the live flows plus the port sets,
+// straight from the live-flow cache (exactly the key sets the old demand
+// maps had). Callers must clearDemand the returned port sets before the
+// scratch is used again.
 func (c *Coflow) demandInto(s *allocScratch) (flows []*Flow, egPorts, inPorts []int) {
-	if c.sim.valid {
-		for _, f := range c.sim.live {
-			s.egNeed[f.Src] += f.Remaining
-			s.inNeed[f.Dst] += f.Remaining
-		}
-		return c.sim.live, c.sim.egPorts, c.sim.inPorts
-	}
-	egT, inT := s.egTouched[:0], s.inTouched[:0]
-	for _, f := range c.Flows {
-		if f.Done {
-			continue
-		}
-		if s.egCnt[f.Src] == 0 {
-			egT = append(egT, f.Src)
-		}
-		s.egCnt[f.Src]++
+	for _, f := range c.sim.live {
 		s.egNeed[f.Src] += f.Remaining
-		if s.inCnt[f.Dst] == 0 {
-			inT = append(inT, f.Dst)
-		}
-		s.inCnt[f.Dst]++
 		s.inNeed[f.Dst] += f.Remaining
 	}
-	s.egTouched, s.inTouched = egT, inT
-	return c.Flows, egT, inT
+	return c.sim.live, c.sim.egPorts, c.sim.inPorts
 }
 
 // clearDemand zeroes exactly the scratch entries demandInto touched.
 func clearDemand(s *allocScratch, egPorts, inPorts []int) {
 	for _, p := range egPorts {
 		s.egNeed[p] = 0
-		s.egCnt[p] = 0
 	}
 	for _, p := range inPorts {
 		s.inNeed[p] = 0
-		s.inCnt[p] = 0
 	}
 }
 
@@ -612,20 +568,12 @@ func freezeTightest(flows []*Flow, st []fillState, egCap, inCap []float64) {
 	}
 }
 
-// activeFlows flattens the non-done flows of the active coflows into the
+// activeFlows flattens the live flows of the active coflows into the
 // scratch flow buffer, preserving (coflow, flow) order.
 func activeFlows(active []*Coflow, s *allocScratch) []*Flow {
 	out := s.flows[:0]
 	for _, c := range active {
-		if c.sim.valid {
-			out = append(out, c.sim.live...)
-			continue
-		}
-		for _, f := range c.Flows {
-			if !f.Done {
-				out = append(out, f)
-			}
-		}
+		out = append(out, c.sim.live...)
 	}
 	s.flows = shrink(s.flows, out)
 	return out
@@ -642,18 +590,18 @@ func activeFlows(active []*Coflow, s *allocScratch) []*Flow {
 //
 // The serving order persists across epochs. Policies with static keys
 // (arrival time, width) re-sort only when the active-set membership changes;
-// dynamic policies (Γ, remaining bytes) recompute keys once per epoch — not
-// once per comparison, as the pre-optimized code did. A membership change
-// keeps the survivors in their previous order and appends the arrivals
-// (orderState.sync), so the insertion sort only moves arrivals and drifted
-// keys.
+// dynamic policies (Γ, remaining bytes, bytes sent) recompute the keys of the
+// coflows the engine marked moved, once per epoch — not once per comparison,
+// as the pre-optimized code did. A membership change keeps the survivors in
+// their previous order and appends the arrivals (orderState.sync), so the
+// insertion sort only moves arrivals and drifted keys.
 type orderedMADD struct {
 	name string
 	// key computes the coflow's priority (smaller serves first; ties break
 	// by coflow ID, or by arrival then ID under tieArrival).
 	key func(c *Coflow, s *allocScratch) float64
 	// dynamic marks keys that drift as bytes move, forcing a per-epoch
-	// re-key + re-sort even with unchanged membership.
+	// re-key of the moved coflows even with unchanged membership.
 	dynamic  bool
 	backfill bool
 	// tieArrival serves equal keys FIFO (Aalo's order within a queue).
@@ -661,8 +609,8 @@ type orderedMADD struct {
 
 	scratch allocScratch
 	ord     orderState
-	// sparse holds the event-horizon bookkeeping (see sparse.go); its zero
-	// value keeps Allocate on the dense path above.
+	// sparse holds the grant bookkeeping of the incremental Allocate (see
+	// sparse.go, where Allocate lives).
 	sparse sparseState
 }
 
@@ -671,27 +619,6 @@ func (o *orderedMADD) Name() string { return o.name }
 // PriorityOrder implements Auditable: the persistent serving order the last
 // Allocate used (SEBF's Γ order, FIFO's arrival order, ...).
 func (o *orderedMADD) PriorityOrder() []*Coflow { return o.ord.order }
-
-func (o *orderedMADD) Allocate(_ float64, active []*Coflow, egCap, inCap []float64) {
-	if o.sparse.on {
-		o.allocateSparse(active, egCap, inCap)
-		return
-	}
-	resetRates(active)
-	o.scratch.ensure(len(egCap))
-	if o.ord.sync(active) || o.dynamic {
-		for _, c := range o.ord.order {
-			c.schedKey = o.key(c, &o.scratch)
-		}
-		sortByKey(o.ord.order, o.tieArrival)
-	}
-	for _, c := range o.ord.order {
-		maddAllocate(c, egCap, inCap, &o.scratch)
-	}
-	if o.backfill {
-		waterFill(activeFlows(active, &o.scratch), egCap, inCap, &o.scratch)
-	}
-}
 
 // NewVarys returns the Varys scheduler: Smallest Effective Bottleneck First
 // ordering with MADD allocation and work-conserving backfill (SIGCOMM'14).
@@ -720,14 +647,11 @@ func NewSCF() Scheduler {
 	return &orderedMADD{
 		name: "scf",
 		key: func(c *Coflow, _ *allocScratch) float64 {
-			if c.sim.valid {
-				var r float64
-				for _, f := range c.sim.live {
-					r += f.Remaining
-				}
-				return r
+			var r float64
+			for _, f := range c.sim.live {
+				r += f.Remaining
 			}
-			return c.RemainingBytes()
+			return r
 		},
 		dynamic:  true,
 		backfill: true,

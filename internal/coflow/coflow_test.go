@@ -195,6 +195,14 @@ func TestCCTErrorsWhenIncomplete(t *testing.T) {
 	}
 }
 
+// begun starts the live-flow caches of hand-built coflows over an n-port
+// fabric, as a simulation does before they reach a scheduler.
+func begun(n int, cs ...*Coflow) {
+	for _, c := range cs {
+		c.BeginSim(n)
+	}
+}
+
 func testScratch(n int) *allocScratch {
 	s := new(allocScratch)
 	s.ensure(n)
@@ -216,6 +224,7 @@ func TestMADDFinishesFlowsTogether(t *testing.T) {
 		singleFlow(1, 0, 2, 4),
 		singleFlow(2, 2, 1, 2),
 	})
+	begun(3, c)
 	eg, in := capSlices(3, 1)
 	tau := maddAllocate(c, eg, in, testScratch(3))
 	// Bottleneck: egress 0 carries 12 at capacity 1 ⇒ τ = 12.
@@ -235,6 +244,7 @@ func TestMADDFinishesFlowsTogether(t *testing.T) {
 
 func TestMADDBlockedPort(t *testing.T) {
 	c := New(0, "m", 0, []Flow{singleFlow(0, 0, 1, 8)})
+	begun(2, c)
 	eg, in := capSlices(2, 1)
 	eg[0] = 0
 	tau := maddAllocate(c, eg, in, testScratch(2))
@@ -253,6 +263,7 @@ func TestWaterFillSingleBottleneck(t *testing.T) {
 		singleFlow(1, 0, 2, 10),
 		singleFlow(2, 0, 3, 10),
 	})
+	begun(4, c)
 	eg, in := capSlices(4, 3)
 	s := testScratch(4)
 	waterFill(activeFlows([]*Coflow{c}, s), eg, in, s)
@@ -276,6 +287,7 @@ func TestWaterFillMaxMin(t *testing.T) {
 		singleFlow(1, 0, 2, 10),
 		singleFlow(2, 3, 2, 10),
 	})
+	begun(4, c)
 	eg, in := capSlices(4, 1)
 	s := testScratch(4)
 	waterFill(activeFlows([]*Coflow{c}, s), eg, in, s)
@@ -294,6 +306,7 @@ func TestWaterFillUnevenLevels(t *testing.T) {
 		singleFlow(1, 0, 2, 10),
 		singleFlow(2, 3, 4, 10),
 	})
+	begun(5, c)
 	eg, in := capSlices(5, 1)
 	s := testScratch(5)
 	waterFill(activeFlows([]*Coflow{c}, s), eg, in, s)
@@ -316,6 +329,7 @@ func TestWaterFillRespectsCapacitiesProperty(t *testing.T) {
 			flows = append(flows, singleFlow(i, src, dst, 1+float64(rng.Intn(100))))
 		}
 		c := New(0, "p", 0, flows)
+		begun(n, c)
 		eg, in := capSlices(n, 1)
 		s := testScratch(n)
 		waterFill(activeFlows([]*Coflow{c}, s), eg, in, s)
@@ -367,6 +381,7 @@ func TestVarysPrioritisesSmallBottleneck(t *testing.T) {
 	// so A's rate must be 0 and B's must be full.
 	a := New(0, "A", 0, []Flow{singleFlow(0, 0, 1, 100)})
 	b := New(1, "B", 0, []Flow{singleFlow(0, 0, 1, 10)})
+	begun(2, a, b)
 	eg, in := capSlices(2, 1)
 	NewVarys().Allocate(0, []*Coflow{a, b}, eg, in)
 	if b.Flows[0].Rate < 1-1e-9 {
@@ -382,6 +397,7 @@ func TestVarysBackfillsDisjointPorts(t *testing.T) {
 	// rate thanks to work conservation.
 	a := New(0, "A", 0, []Flow{singleFlow(0, 2, 3, 100)})
 	b := New(1, "B", 0, []Flow{singleFlow(0, 0, 1, 10)})
+	begun(4, a, b)
 	eg, in := capSlices(4, 1)
 	NewVarys().Allocate(0, []*Coflow{a, b}, eg, in)
 	if a.Flows[0].Rate < 1-1e-9 {
@@ -392,6 +408,7 @@ func TestVarysBackfillsDisjointPorts(t *testing.T) {
 func TestFIFOOrdersByArrival(t *testing.T) {
 	late := New(0, "late", 5, []Flow{singleFlow(0, 0, 1, 10)})
 	early := New(1, "early", 1, []Flow{singleFlow(0, 0, 1, 100)})
+	begun(2, late, early)
 	eg, in := capSlices(2, 1)
 	NewFIFO().Allocate(6, []*Coflow{late, early}, eg, in)
 	if early.Flows[0].Rate < 1-1e-9 {
@@ -405,6 +422,7 @@ func TestFIFOOrdersByArrival(t *testing.T) {
 func TestSCFPrefersSmallest(t *testing.T) {
 	big := New(0, "big", 0, []Flow{singleFlow(0, 0, 1, 100)})
 	small := New(1, "small", 0, []Flow{singleFlow(0, 0, 1, 1)})
+	begun(2, big, small)
 	eg, in := capSlices(2, 1)
 	NewSCF().Allocate(0, []*Coflow{big, small}, eg, in)
 	if small.Flows[0].Rate < 1-1e-9 {
@@ -415,6 +433,7 @@ func TestSCFPrefersSmallest(t *testing.T) {
 func TestNCFPrefersNarrowest(t *testing.T) {
 	wide := New(0, "wide", 0, []Flow{singleFlow(0, 0, 1, 10), singleFlow(1, 2, 1, 10)})
 	narrow := New(1, "narrow", 0, []Flow{singleFlow(0, 0, 1, 1000)})
+	begun(3, wide, narrow)
 	eg, in := capSlices(3, 1)
 	NewNCF().Allocate(0, []*Coflow{wide, narrow}, eg, in)
 	if narrow.Flows[0].Rate < 1-1e-9 {
@@ -441,6 +460,7 @@ func TestAaloPrioritisesFreshCoflows(t *testing.T) {
 	old := New(0, "old", 0, []Flow{singleFlow(0, 0, 1, 1e9)})
 	old.SentBytes = 200e6 // deep queue
 	fresh := New(1, "fresh", 0, []Flow{singleFlow(0, 0, 1, 1e6)})
+	begun(2, old, fresh)
 	eg, in := capSlices(2, 1)
 	NewAalo().Allocate(0, []*Coflow{old, fresh}, eg, in)
 	if fresh.Flows[0].Rate < 1-1e-9 {
@@ -451,6 +471,7 @@ func TestAaloPrioritisesFreshCoflows(t *testing.T) {
 func TestPerFlowFairIgnoresCoflows(t *testing.T) {
 	a := New(0, "A", 0, []Flow{singleFlow(0, 0, 1, 1e9)})
 	b := New(1, "B", 0, []Flow{singleFlow(0, 0, 1, 1)})
+	begun(2, a, b)
 	eg, in := capSlices(2, 1)
 	PerFlowFair{}.Allocate(0, []*Coflow{a, b}, eg, in)
 	if math.Abs(a.Flows[0].Rate-0.5) > 1e-9 || math.Abs(b.Flows[0].Rate-0.5) > 1e-9 {
@@ -464,6 +485,7 @@ func TestSequentialByDestServesLowestDestination(t *testing.T) {
 		singleFlow(1, 1, 2, 10),
 		singleFlow(2, 0, 1, 10),
 	})
+	begun(3, c)
 	eg, in := capSlices(3, 1)
 	SequentialByDest{}.Allocate(0, []*Coflow{c}, eg, in)
 	// Destination 1 is lowest: only flow 2 (0→1) runs.
@@ -493,6 +515,7 @@ func TestAllSchedulersRespectCapacities(t *testing.T) {
 			c.SentBytes = float64(rng.Intn(2)) * 20e6
 			cfs = append(cfs, c)
 		}
+		begun(n, cfs...)
 		eg, in := capSlices(n, 1)
 		s.Allocate(0, cfs, eg, in)
 		egUse := make([]float64, n)

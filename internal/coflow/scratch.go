@@ -23,8 +23,8 @@ import (
 // Not safe for concurrent use.
 type allocScratch struct {
 	// need accumulates per-port remaining bytes (maddAllocate, Bottleneck
-	// keys); cnt counts flows per port (waterFill levels, and doubles as the
-	// "port already touched" marker everywhere).
+	// keys); cnt counts unfrozen flows per port (waterFill levels, and
+	// doubles as its "port already touched" marker).
 	egNeed, inNeed []float64
 	egCnt, inCnt   []int
 	// touched lists the ports with a non-zero cnt entry so clearing is

@@ -1,20 +1,20 @@
 package coflow
 
-// Event-horizon (sparse) allocation: the scheduler side of
-// netsim.Simulator.EventHorizon, under which an epoch costs what *changed*
-// since the last one, not everything active (DESIGN.md §16). The five ordered
-// schedulers — Varys/SEBF, FIFO, SCF, NCF and Aalo, all one orderedMADD —
-// implement it; the engine runs the same event loop either way and only
-// restricts its flow passes to the granted set reported here.
+// Incremental allocation: orderedMADD.Allocate, the one allocator behind the
+// five ordered schedulers — Varys/SEBF, FIFO, SCF, NCF and Aalo — costs what
+// *changed* since the last epoch, not everything active (DESIGN.md §16), and
+// reports the coflows it granted so the engine can restrict its own flow
+// passes to them (netsim.Simulator.EventHorizon).
 //
-// The contract is the repository's standing one: bit-identical results to
-// the dense path. Every shortcut below is a proof-carrying no-op:
+// Every shortcut below is a proof-carrying no-op against the from-scratch
+// epoch (re-key everything, sort, MADD every coflow, backfill), which
+// internal/refsim keeps frozen as the reference:
 //
 //   - priority keys are cached per coflow and recomputed only when the
 //     engine marked the coflow moved (bytes advanced, a flow completed or
 //     was reactivated, a failure voided progress). A clean coflow's key is
 //     a pure function of unchanged state, so the cached float is the bit
-//     the dense re-key would have produced;
+//     a full re-key would have produced;
 //   - the persistent order is re-sorted only when membership changed or a
 //     recomputed key differs from its cached value. Sorting an
 //     already-sorted slice is the identity permutation, so skipping it is
@@ -31,40 +31,37 @@ package coflow
 //     without granting — a pure no-op on rates and capacities;
 //   - rate resets walk only the coflows granted rates by the previous
 //     Allocate (writing 0 over 0 is the identity). When the backfill ran,
-//     every active coflow was granted, and the reset falls back to the
-//     dense pass. Done flows dropped from the live cache may keep a stale
-//     Rate that the dense reset would have zeroed; no reader observes done
-//     flows' rates (the engine and telemetry iterate live flows only).
+//     every active coflow was granted, and the reset zeroes every flow of
+//     the active set. Done flows dropped from the live cache may keep a
+//     stale Rate that a full reset would have zeroed; no reader observes
+//     done flows' rates (the engine and telemetry iterate live flows only).
 //
-// The engine's half of the contract: call MarkSimMoved on every coflow
-// whose progress state changes, and read SimGranted/LastGrantDense to
-// restrict its own flow passes to rate-carrying coflows.
+// The engine's half of the contract: start every coflow's cache (BeginSim)
+// before it reaches Allocate, call MarkSimMoved on every coflow whose
+// progress state changes — marking one that did not move only recomputes
+// the key it already had — and, to restrict its flow passes to rate-carrying
+// coflows, read SimGranted/LastGrantDense.
 
-// SparseAllocator is implemented by schedulers that support sparse
-// allocation. netsim.Session turns it on (Simulator.EventHorizon) only for
-// schedulers that implement this interface; for the rest the flag is inert.
+// SparseAllocator is implemented by schedulers that report which coflows
+// their last Allocate granted rates. netsim.Session restricts its flow
+// passes to those coflows (Simulator.EventHorizon) only for schedulers that
+// implement this interface; for the rest the flag is inert.
 type SparseAllocator interface {
 	Scheduler
-	// SetSparse toggles sparse allocation. While on, the engine must mark
-	// moved coflows (MarkSimMoved); in return, after each Allocate either
-	// LastGrantDense reports true or exactly the coflows with SimGranted
-	// carry nonzero rates. Off restores the dense path and discards the
-	// sparse bookkeeping.
-	SetSparse(on bool)
 	// LastGrantDense reports whether the last Allocate's backfill granted
 	// rates across the whole active set (so the engine must scan every live
-	// flow rather than just the granted coflows).
+	// flow rather than just the granted coflows). When it reports false,
+	// exactly the coflows with SimGranted carry nonzero rates.
 	LastGrantDense() bool
 }
 
 // MarkSimMoved records that the coflow's progress state (remaining bytes,
 // live-flow set, or sent bytes) changed, invalidating any cached priority
-// key. The event engine calls it on every coflow its advance pass visits;
-// only sparse allocation reads the mark.
+// key. The event engine calls it on every coflow its advance pass visits.
 func (c *Coflow) MarkSimMoved() { c.sim.moved = true }
 
-// SimGranted reports whether the last sparse Allocate granted this coflow
-// nonzero rates. Meaningful only between sparse Allocate calls.
+// SimGranted reports whether the last Allocate granted this coflow nonzero
+// rates. Meaningful only between Allocate calls.
 func (c *Coflow) SimGranted() bool { return c.sim.granted }
 
 // blockedOn reports whether maddAllocate would find one of the coflow's
@@ -95,11 +92,10 @@ func (c *Coflow) blockedOn(egCap, inCap []float64) bool {
 	return false
 }
 
-// sparseState is the per-scheduler half of the event-horizon bookkeeping:
-// the coflows granted rates by the last Allocate (for the O(granted) rate
-// reset) and whether the backfill went dense.
+// sparseState is the per-scheduler half of the incremental bookkeeping: the
+// coflows granted rates by the last Allocate (for the O(granted) rate reset)
+// and whether the backfill went dense.
 type sparseState struct {
-	on      bool
 	granted []*Coflow
 	dense   bool
 }
@@ -108,6 +104,8 @@ type sparseState struct {
 // coflows' live flows, or the dense reset when the backfill granted
 // everywhere. Identical to resetRates where observable — flows outside the
 // granted set already carry rate 0 (writing 0 over 0 is the identity).
+// A session zeroes every rate when it stages or restores a coflow, so a new
+// run starts from that state.
 func (sp *sparseState) reset(active []*Coflow) {
 	if sp.dense {
 		sp.dense = false
@@ -123,14 +121,6 @@ func (sp *sparseState) reset(active []*Coflow) {
 			}
 		}
 	}
-	clear(sp.granted)
-	sp.granted = sp.granted[:0]
-}
-
-// set toggles sparse mode, discarding stale grant state on any transition.
-func (sp *sparseState) set(on bool) {
-	sp.on = on
-	sp.dense = false
 	clear(sp.granted)
 	sp.granted = sp.granted[:0]
 }
@@ -151,17 +141,13 @@ func (sp *sparseState) serve(order []*Coflow, egCap, inCap []float64, s *allocSc
 	return anyBlocked
 }
 
-// SetSparse implements SparseAllocator.
-func (o *orderedMADD) SetSparse(on bool) { o.sparse.set(on) }
-
 // LastGrantDense implements SparseAllocator.
 func (o *orderedMADD) LastGrantDense() bool { return o.sparse.dense }
 
-// allocateSparse is the event-horizon variant of orderedMADD.Allocate:
-// same epoch structure, with the re-key restricted to moved coflows, the
-// sort to changed keys, the MADD pass skipping blocked coflows, and the
-// backfill skipped when provably a no-op.
-func (o *orderedMADD) allocateSparse(active []*Coflow, egCap, inCap []float64) {
+// Allocate re-keys the coflows that moved, re-sorts when membership or a key
+// changed, serves the order with MADD rates skipping blocked coflows, and
+// backfills unless the backfill is provably a no-op (see the file comment).
+func (o *orderedMADD) Allocate(_ float64, active []*Coflow, egCap, inCap []float64) {
 	o.sparse.reset(active)
 	o.scratch.ensure(len(egCap))
 	memb := o.ord.sync(active)

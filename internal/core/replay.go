@@ -32,12 +32,11 @@ type CoflowSource interface {
 
 // ReplayOptions configure a streaming replay.
 type ReplayOptions struct {
-	// Bandwidth per port (bytes/sec); 0 = CoflowSim default.
-	Bandwidth float64
 	// Scheduler orders the concurrent coflows; nil = Varys.
 	Scheduler coflow.Scheduler
-	// EventHorizon selects the scheduler's sparse allocation path
-	// (netsim.Simulator.EventHorizon); results are bit-identical either way.
+	// EventHorizon restricts the loop's flow passes to the coflows the
+	// scheduler granted (netsim.Simulator.EventHorizon); results are
+	// bit-identical either way.
 	EventHorizon bool
 	// ReleaseCompleted drops finished coflows from the live session
 	// (netsim.Simulator.ReleaseCompleted).
@@ -59,14 +58,15 @@ type ReplayReport struct {
 	PeakResident int
 }
 
-// ReplayStream pulls the source dry through one live session and returns the
+// ReplayStream pulls the source dry through one live session over a
+// machines-port fabric at netsim.DefaultPortBandwidth and returns the
 // aggregate report. The source must yield arrivals in non-decreasing order
 // (fbtrace streams do); a regression is reported as an error.
 func ReplayStream(machines int, src CoflowSource, opts ReplayOptions) (*ReplayReport, error) {
 	if src == nil {
 		return nil, errors.New("core: replay needs a coflow source")
 	}
-	fabric, err := netsim.NewFabric(machines, opts.Bandwidth)
+	fabric, err := netsim.NewFabric(machines, 0)
 	if err != nil {
 		return nil, err
 	}

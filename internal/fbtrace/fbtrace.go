@@ -45,7 +45,8 @@ func DefaultMix() Mix { return Mix{SN: 0.52, LN: 0.16, SW: 0.15, LW: 0.17} }
 type Config struct {
 	Machines int // fabric width; mapper/reducer locations in [0, Machines)
 	Coflows  int
-	// MeanInterarrivalSec spaces Poisson arrivals; 0 = 1 second.
+	// MeanInterarrivalSec spaces Poisson arrivals; 0 = 1 second, and a
+	// negative or non-finite value is an error.
 	MeanInterarrivalSec float64
 	Mix                 Mix // zero value = DefaultMix
 	Seed                uint64
@@ -187,7 +188,10 @@ func newGenerator(cfg Config) (*generator, int, error) {
 	if m := cfg.MeanInterarrivalSec / density; math.IsNaN(m) || math.IsInf(m, 0) {
 		return nil, 0, fmt.Errorf("fbtrace: mean interarrival %g at density %g is not finite", cfg.MeanInterarrivalSec, density)
 	}
-	if cfg.MeanInterarrivalSec <= 0 {
+	if cfg.MeanInterarrivalSec < 0 {
+		return nil, 0, fmt.Errorf("fbtrace: mean interarrival must not be negative, got %g", cfg.MeanInterarrivalSec)
+	}
+	if cfg.MeanInterarrivalSec == 0 {
 		cfg.MeanInterarrivalSec = 1
 	}
 	total := int(math.Round(float64(cfg.Coflows) * density))

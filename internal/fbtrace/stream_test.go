@@ -121,6 +121,7 @@ func TestStreamValidation(t *testing.T) {
 		{"NaN interarrival", func(c *Config) { c.MeanInterarrivalSec = math.NaN() }},
 		{"infinite interarrival", func(c *Config) { c.MeanInterarrivalSec = math.Inf(1) }},
 		{"negative infinite interarrival", func(c *Config) { c.MeanInterarrivalSec = math.Inf(-1) }},
+		{"negative interarrival", func(c *Config) { c.MeanInterarrivalSec = -0.5 }},
 		{"interarrival overflows at density", func(c *Config) { c.MeanInterarrivalSec, c.Density = math.MaxFloat64, 0.5 }},
 	} {
 		cfg := good

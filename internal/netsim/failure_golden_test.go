@@ -16,7 +16,7 @@ package netsim_test
 // the end of its coflow's live list); nothing a decision or a CCT reads depends
 // on them. They are stored beside the digest, compared to 1e-12 relative, and
 // checked against byte conservation. Flow.Rate is scheduler scratch, not an
-// outcome (a sparse allocator leaves a done flow's last rate behind), and is
+// outcome (the allocator leaves a done flow's last rate behind), and is
 // left out.
 //
 // Regenerate with: go test ./internal/netsim/ -run TestFailureGolden -update

@@ -1,18 +1,19 @@
 package netsim_test
 
 // Event-horizon equivalence: a run with Simulator.EventHorizon set must be
-// *bit-identical* to the same run without it. The flag selects the
-// scheduler's sparse Allocate and lets the event loop visit only the coflows
-// it granted; every shortcut is a proof-carrying no-op (ungranted flows
+// *bit-identical* to the same run without it. The flag lets the event loop
+// visit only the coflows the scheduler granted, and the full passes mark
+// every active coflow moved where the granted-only passes mark the ones they
+// advanced; every shortcut is a proof-carrying no-op (ungranted flows
 // contribute +0.0 to port sums, never bound dt and move no bytes; cached
-// priority keys are pure functions of unchanged state; a skipped blocked
-// coflow would have been granted nothing), so the comparison is exact equality
-// on every Report and per-flow field — no epsilons — across the seed ×
-// scheduler matrix, with dependency DAGs and with failure schedules whose
-// edges straddle the completion epochs. Both sides run the one event loop, so
-// what this pins is the scheduler's sparse path and the granted-set
-// restriction; the loop itself is pinned by refsim (equiv_test.go) and, under
-// Failures, by the golden in failure_golden_test.go.
+// priority keys are pure functions of unchanged state), so the comparison is
+// exact equality on every Report and per-flow field — no epsilons — across
+// the seed × scheduler matrix, with dependency DAGs and with failure
+// schedules whose edges straddle the completion epochs. Both sides run the
+// one event loop and the one allocator, so what this pins is the granted-set
+// restriction and the two ways of marking; the loop and the allocator are
+// pinned by refsim (equiv_test.go) and, under Failures, by the golden in
+// failure_golden_test.go.
 
 import (
 	"fmt"
@@ -126,10 +127,11 @@ func TestEventHorizonMatchesDenseUnderFailures(t *testing.T) {
 	}
 }
 
-// TestEventHorizonReusedSchedulerClearsSparse pins the Session.begin
-// contract: a scheduler instance moved from an event-horizon simulator to a
-// plain one must drop the sparse bookkeeping (and vice versa), matching a
-// fresh dense run exactly — the sparse twin of the shard-config reuse test.
+// TestEventHorizonReusedSchedulerClearsSparse pins scheduler reuse across
+// flag settings: a scheduler instance moved from an event-horizon simulator
+// to a plain one carries its order and grant bookkeeping from the last run
+// into the next, and must still match a fresh flag-off run exactly — the
+// EventHorizon twin of the shard-config reuse test.
 func TestEventHorizonReusedSchedulerClearsSparse(t *testing.T) {
 	for _, pair := range schedPairs {
 		pair := pair

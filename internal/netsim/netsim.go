@@ -172,13 +172,15 @@ type Simulator struct {
 	// to internal/refsim. A non-nil probe must never mutate simulator state;
 	// the telemetry equivalence test pins that observing does not perturb.
 	Probe Probe
-	// EventHorizon selects sparse allocation for schedulers implementing
-	// coflow.SparseAllocator (it does nothing for the others): the scheduler
-	// re-keys only the coflows that moved and skips blocked ones, and the
-	// event loop's flow passes visit only the coflows it granted rates, so an
-	// epoch costs what changed rather than everything active. Results are
-	// bit-identical either way (pinned by the horizon equivalence suite and
-	// the failure golden), with Deps and Failures included. See DESIGN.md §16.
+	// EventHorizon restricts the event loop's flow passes to the coflows the
+	// scheduler granted rates, for schedulers implementing
+	// coflow.SparseAllocator (it does nothing for the others); off, the
+	// passes visit every live flow. The allocator is the same either way —
+	// it re-keys only the coflows that moved and skips blocked ones — so
+	// with the flag on an epoch costs what changed rather than everything
+	// active. Results are bit-identical either way (pinned by the horizon
+	// equivalence suite and the failure golden), with Deps and Failures
+	// included. See DESIGN.md §16.
 	EventHorizon bool
 	// ReleaseCompleted lets a session reduce completed coflows to four-word
 	// tombstones (release.go) so a long-lived stream runs in memory bounded
@@ -350,7 +352,7 @@ func (s *Simulator) applyPortDown(e edge, now float64, active []*coflow.Coflow, 
 				rep.WastedBytes += prog
 				f.Remaining = f.Size
 				// Voided progress changes the coflow's remaining-byte state, so
-				// sparse-mode priority-key caches must be invalidated.
+				// the allocator's priority-key cache must be invalidated.
 				c.MarkSimMoved()
 				bumpRestart(rep, c.ID)
 				restarted = true

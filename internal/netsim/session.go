@@ -75,8 +75,8 @@ type Session struct {
 	err      error
 
 	// sparse is set at begin when the simulator opts in (EventHorizon) and the
-	// scheduler implements coflow.SparseAllocator: the scheduler then runs its
-	// sparse Allocate and the loop's flow passes trust its granted set.
+	// scheduler implements coflow.SparseAllocator: the loop's flow passes then
+	// visit only the coflows its last Allocate granted.
 	sparse bool
 	sa     coflow.SparseAllocator
 	// release mirrors Simulator.ReleaseCompleted for this session. Released
@@ -183,13 +183,8 @@ func (ss *Session) begin(s *Simulator, rep *Report) error {
 		sc.egFac[p], sc.inFac[p], sc.downCnt[p] = 1, 1, 0
 		sc.setPort(&s.fabric, p)
 	}
-	// The toggle is propagated unconditionally so a scheduler reused on a
-	// simulator without EventHorizon drops its sparse bookkeeping.
 	ss.sa, _ = s.sched.(coflow.SparseAllocator)
 	ss.sparse = s.EventHorizon && ss.sa != nil
-	if ss.sa != nil {
-		ss.sa.SetSparse(ss.sparse)
-	}
 	ss.release = s.ReleaseCompleted
 	if ss.release {
 		if len(s.Failures) > 0 {
@@ -486,7 +481,8 @@ func (ss *Session) epochLimit() int {
 // steady state. Three of its stanzas do less than a full scan, each exactly
 // (DESIGN.md §16): admission reads only the arrived prefix of the sorted
 // queue, the retirement scan runs only when a coflow can have finished, and
-// with a sparse allocator the flow passes visit only the coflows it granted.
+// under EventHorizon the flow passes visit only the coflows the scheduler
+// granted.
 func (ss *Session) loop(stop float64) error {
 	s := ss.s
 	sc := &s.scratch
@@ -654,10 +650,11 @@ func (ss *Session) loop(stop float64) error {
 
 		// One fused pass over the live flows in (active coflow, live flow)
 		// order: validate rates, accumulate per-port usage, and find the time
-		// to the next completion. After a sparse Allocate only the granted
-		// coflows carry rates, so only they are visited: a flow left out has
-		// rate 0, which adds +0.0 to sums that start at +0 and never see a
-		// negative term (no bit changes), never bounds dt, and moves no bytes.
+		// to the next completion. Under EventHorizon only the coflows the
+		// scheduler granted, which alone carry rates, are visited: a flow left
+		// out has rate 0, which adds +0.0 to sums that start at +0 and never
+		// see a negative term (no bit changes), never bounds dt, and moves no
+		// bytes.
 		// The granted coflows are visited in the full pass's order, so every
 		// sum below rounds as the full pass rounds it.
 		every := !ss.sparse || ss.sa.LastGrantDense()
@@ -730,7 +727,7 @@ func (ss *Session) loop(stop float64) error {
 			s.Probe.EpochSample(now, dt, active, egUse, inUse, egEff, inEff)
 		}
 
-		// Advance over the same coflows. Each is marked moved for a sparse
+		// Advance over the same coflows. Each is marked moved for the
 		// allocator's key cache (marking one that did not move only recomputes
 		// the key it already had); one that lost a flow compacts its live-flow
 		// cache once, after its flows, and arms the retirement scan.
