@@ -28,13 +28,13 @@ import (
 )
 
 // Flow is one point-to-point transfer within a coflow, the 3-tuple
-// [src, dst, volume] of the paper plus simulation state.
+// [src, dst, volume] of the paper plus simulation state. It holds no
+// pointers, so the GC never scans a coflow's flow block.
 type Flow struct {
-	ID     int
-	Coflow *Coflow
-	Src    int     // egress port index
-	Dst    int     // ingress port index
-	Size   float64 // bytes
+	ID   int
+	Src  int     // egress port index
+	Dst  int     // ingress port index
+	Size float64 // bytes
 
 	Remaining float64 // bytes left to transfer
 	Rate      float64 // current rate, bytes/sec; set by schedulers
@@ -74,14 +74,13 @@ type Coflow struct {
 }
 
 // simCache caches which flows of a coflow are still moving bytes and which
-// ports they touch, so schedulers don't rescan (and the old map-based paths
-// don't re-hash) the full flow list every epoch. egPorts/inPorts hold
-// exactly the ports with at least one live flow — the key sets of the demand
-// maps this replaced — and egCnt/inCnt the per-port live-flow counts that
-// make completion updates O(1) per flow.
+// ports they touch, so schedulers don't rescan the full flow list every
+// epoch. egPorts/inPorts hold exactly the ports with at least one live
+// flow, and egCnt/inCnt the per-port live-flow counts that make completion
+// updates O(1) per flow; all four are carved from one []int.
 type simCache struct {
-	live             []*Flow // non-done flows, preserving Flows order
-	egPorts, inPorts []int   // ports with ≥1 live flow (unordered)
+	live             []*Flow // non-done flows, preserving Flows order; cap ≥ len(Flows)
+	egPorts, inPorts []int   // ports with ≥1 live flow (unordered); cap = len(egCnt)
 	egCnt, inCnt     []int   // per-port live-flow counts, len ≥ fabric ports
 
 	// Incremental-allocation bookkeeping; see sparse.go. moved marks that
@@ -102,24 +101,25 @@ type simCache struct {
 // RefreshSim after marking flows Done. The schedulers, RefreshSim,
 // Reactivate, LiveFlows and Finished read only the cache, so a coflow must
 // have begun a simulation before it reaches any of them, and code that flips
-// Flow.Done by hand without RefreshSim leaves the cache stale.
+// Flow.Done by hand without RefreshSim leaves the cache stale. The caches
+// are sized once (see simCache), so only a first BeginSim allocates.
 func (c *Coflow) BeginSim(ports int) {
 	c.sim.moved = true
 	c.sim.keyed = false
 	c.sim.granted = false
 	c.sim.blockEg, c.sim.blockIn = -1, -1
-	c.sim.live = c.sim.live[:0]
-	c.sim.egPorts = c.sim.egPorts[:0]
-	c.sim.inPorts = c.sim.inPorts[:0]
-	if len(c.sim.egCnt) < ports {
-		c.sim.egCnt = make([]int, ports)
-		c.sim.inCnt = make([]int, ports)
-	} else {
-		for i := range c.sim.egCnt {
-			c.sim.egCnt[i] = 0
-			c.sim.inCnt[i] = 0
-		}
+	if cap(c.sim.live) < len(c.Flows) {
+		c.sim.live = make([]*Flow, 0, len(c.Flows))
 	}
+	c.sim.live = c.sim.live[:0]
+	if len(c.sim.egCnt) < ports {
+		buf := make([]int, 4*ports)
+		c.sim.egCnt, c.sim.inCnt = buf[:ports:ports], buf[ports:2*ports:2*ports]
+		c.sim.egPorts, c.sim.inPorts = buf[2*ports:2*ports:3*ports], buf[3*ports:3*ports:4*ports]
+	}
+	clear(c.sim.egCnt)
+	clear(c.sim.inCnt)
+	c.sim.egPorts, c.sim.inPorts = c.sim.egPorts[:0], c.sim.inPorts[:0]
 	for _, f := range c.Flows {
 		if f.Done {
 			continue
@@ -219,7 +219,7 @@ func (c *Coflow) Finished() bool { return len(c.sim.live) == 0 }
 
 // New builds a coflow from flow volumes. Zero-size flows are dropped. Only
 // ID, Src, Dst and Size are read; the surviving flows are counted first and
-// carved from one allocation, so flows may be a caller's reused buffer.
+// carved from one pointer-free block, so flows may be a caller's reused buffer.
 func New(id int, name string, arrival float64, flows []Flow) *Coflow {
 	c := &Coflow{ID: id, Name: name, Arrival: arrival}
 	count := 0
@@ -240,7 +240,7 @@ func New(id int, name string, arrival float64, flows []Flow) *Coflow {
 			continue
 		}
 		nf := &block[k]
-		*nf = Flow{ID: f.ID, Coflow: c, Src: f.Src, Dst: f.Dst, Size: f.Size, Remaining: f.Size}
+		*nf = Flow{ID: f.ID, Src: f.Src, Dst: f.Dst, Size: f.Size, Remaining: f.Size}
 		c.Flows[k] = nf
 		k++
 	}
@@ -275,7 +275,7 @@ func FromVolumes(id int, name string, arrival float64, n int, vol []int64) (*Cof
 				continue
 			}
 			f := &flows[fid]
-			*f = Flow{ID: fid, Coflow: c, Src: i, Dst: j, Size: float64(v), Remaining: float64(v)}
+			*f = Flow{ID: fid, Src: i, Dst: j, Size: float64(v), Remaining: float64(v)}
 			c.Flows[fid] = f
 			fid++
 		}

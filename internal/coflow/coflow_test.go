@@ -23,9 +23,6 @@ func TestNewDropsZeroFlows(t *testing.T) {
 	if c.Flows[0].Remaining != 10 {
 		t.Errorf("Remaining = %g, want 10", c.Flows[0].Remaining)
 	}
-	if c.Flows[0].Coflow != c {
-		t.Error("flow not linked to its coflow")
-	}
 }
 
 // perFlowNew is the one-heap-Flow-per-flow build New replaced, kept as its
@@ -36,7 +33,7 @@ func perFlowNew(id int, name string, arrival float64, flows []Flow) *Coflow {
 		if f.Size <= 0 {
 			continue
 		}
-		c.Flows = append(c.Flows, &Flow{ID: f.ID, Coflow: c, Src: f.Src, Dst: f.Dst, Size: f.Size, Remaining: f.Size})
+		c.Flows = append(c.Flows, &Flow{ID: f.ID, Src: f.Src, Dst: f.Dst, Size: f.Size, Remaining: f.Size})
 	}
 	return c
 }
@@ -65,7 +62,7 @@ func TestNewMatchesPerFlowBuild(t *testing.T) {
 		}
 		for i, wf := range want.Flows {
 			gf := got.Flows[i]
-			if gf.Coflow != got || gf.ID != wf.ID || gf.Src != wf.Src || gf.Dst != wf.Dst ||
+			if gf.ID != wf.ID || gf.Src != wf.Src || gf.Dst != wf.Dst ||
 				math.Float64bits(gf.Size) != math.Float64bits(wf.Size) ||
 				math.Float64bits(gf.Remaining) != math.Float64bits(wf.Remaining) ||
 				gf.Rate != 0 || gf.Done {
@@ -145,7 +142,7 @@ func TestFromVolumesFlowsAndAllocations(t *testing.T) {
 	}
 	for id, f := range c.Flows {
 		v := float64(vol[want[id].src*n+want[id].dst])
-		if f.ID != id || f.Coflow != c || f.Src != want[id].src || f.Dst != want[id].dst ||
+		if f.ID != id || f.Src != want[id].src || f.Dst != want[id].dst ||
 			f.Size != v || f.Remaining != v || f.Done || f.Rate != 0 {
 			t.Fatalf("flow %d = %+v, want %d→%d of %g bytes", id, *f, want[id].src, want[id].dst, v)
 		}

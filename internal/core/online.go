@@ -601,17 +601,22 @@ func RunOnlineReference(jobs []OnlineJob, opts OnlineOptions) (*OnlineReport, er
 	return out, nil
 }
 
-// cloneCoflows deep-copies coflows so horizon probes do not disturb the
-// originals (the simulator resets state on Run, but the probe must not race
-// with the final run's IDs or share Flow pointers).
+// cloneCoflows deep-copies coflows, with their weights and with progress
+// reset, so horizon probes do not disturb the originals (the simulator resets
+// state on Run, but the probe must not race with the final run's IDs or share
+// Flow pointers). Each clone's flows are carved from one block, as in
+// coflow.New.
 func cloneCoflows(in []*coflow.Coflow) []*coflow.Coflow {
 	out := make([]*coflow.Coflow, len(in))
 	for i, c := range in {
-		nc := &coflow.Coflow{ID: c.ID, Name: c.Name, Arrival: c.Arrival}
-		for _, f := range c.Flows {
-			nc.Flows = append(nc.Flows, &coflow.Flow{
-				ID: f.ID, Coflow: nc, Src: f.Src, Dst: f.Dst, Size: f.Size, Remaining: f.Size,
-			})
+		nc := &coflow.Coflow{ID: c.ID, Name: c.Name, Arrival: c.Arrival, Weight: c.Weight}
+		if len(c.Flows) > 0 {
+			block := make([]coflow.Flow, len(c.Flows))
+			nc.Flows = make([]*coflow.Flow, len(c.Flows))
+			for j, f := range c.Flows {
+				block[j] = coflow.Flow{ID: f.ID, Src: f.Src, Dst: f.Dst, Size: f.Size, Remaining: f.Size}
+				nc.Flows[j] = &block[j]
+			}
 		}
 		out[i] = nc
 	}

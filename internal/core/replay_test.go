@@ -161,3 +161,23 @@ func (s *sliceSource) Next() (*coflow.Coflow, bool) {
 	s.i++
 	return c, true
 }
+
+// BenchmarkReplayStream replays the streamed trace of the replay_trace
+// benchmark workload (64 machines, 12 coflows densified ×100, Varys, the
+// event-horizon loop, completed coflows released) through ReplayStream; one
+// op is one full replay, its B/op and allocs/op the replay's allocation,
+// generator included.
+func BenchmarkReplayStream(b *testing.B) {
+	cfg := fbtrace.Config{Machines: 64, Coflows: 12, MeanInterarrivalSec: 1, Seed: 42, Density: 100}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		st, err := fbtrace.Stream(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := ReplayStream(cfg.Machines, st, ReplayOptions{
+			Scheduler: coflow.NewVarys(), EventHorizon: true, ReleaseCompleted: true}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -241,7 +241,7 @@ func (ss *Session) load(img []byte) error {
 		c.Flows = make([]*coflow.Flow, nf)
 		for j := range flows {
 			f := &flows[j]
-			*f = coflow.Flow{ID: j, Coflow: c, Src: r.u32(), Dst: r.u32(), Size: r.f64(), Remaining: r.f64()}
+			*f = coflow.Flow{ID: j, Src: r.u32(), Dst: r.u32(), Size: r.f64(), Remaining: r.f64()}
 			if d := r.take(1); d != nil {
 				if d[0] > 1 {
 					return fmt.Errorf("resident %d flow %d: done flag %d", i, j, d[0])

@@ -234,7 +234,7 @@ func TestImageRefusals(t *testing.T) {
 		t.Fatal(err)
 	}
 	neg := coflow.New(0, "neg", 0, nil)
-	neg.Flows = []*coflow.Flow{{Coflow: neg, Src: 0, Dst: 1, Size: -1}}
+	neg.Flows = []*coflow.Flow{{Src: 0, Dst: 1, Size: -1}}
 	if err := ss.Admit(neg); err == nil {
 		t.Error("a releasing session admitted a negative-size flow")
 	}

@@ -14,9 +14,6 @@ import (
 // session, then a narrower one, and checks that every coflow the session let
 // go is garbage: no scheduler buffer (priority order, membership snapshot,
 // granted set, flow lists) may keep one reachable from its spare capacity.
-// The flows are built without the Flow.Coflow back pointer, because a
-// finalizer never runs on an object that reaches itself; nothing in the
-// simulator reads that pointer.
 func TestReleasedCoflowsAreCollectable(t *testing.T) {
 	const ports, wide, narrow = 8, 200, 40
 	scheds := []struct {

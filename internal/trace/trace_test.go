@@ -238,7 +238,7 @@ func perFlowCoflows(tr *Trace) []*coflow.Coflow {
 				if ml == r.Loc || per <= 0 {
 					continue
 				}
-				c.Flows = append(c.Flows, &coflow.Flow{ID: fid, Coflow: c, Src: ml, Dst: r.Loc, Size: per, Remaining: per})
+				c.Flows = append(c.Flows, &coflow.Flow{ID: fid, Src: ml, Dst: r.Loc, Size: per, Remaining: per})
 				fid++
 			}
 		}
@@ -260,7 +260,7 @@ func sameCoflows(t *testing.T, got, want []*coflow.Coflow) {
 		}
 		for k, wf := range w.Flows {
 			gf := g.Flows[k]
-			if gf.Coflow != g || gf.ID != wf.ID || gf.Src != wf.Src || gf.Dst != wf.Dst ||
+			if gf.ID != wf.ID || gf.Src != wf.Src || gf.Dst != wf.Dst ||
 				math.Float64bits(gf.Size) != math.Float64bits(wf.Size) ||
 				math.Float64bits(gf.Remaining) != math.Float64bits(wf.Remaining) {
 				t.Fatalf("coflow %d flow %d: %+v, want %+v", i, k, *gf, *wf)
