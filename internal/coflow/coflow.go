@@ -461,111 +461,97 @@ func maddAllocate(c *Coflow, egCap, inCap []float64, s *allocScratch) float64 {
 
 // waterFill distributes the residual capacity max-min fairly across the
 // given flows (progressive filling). Rates are added on top of any rates
-// already assigned and deducted from the capacities.
+// already assigned and deducted from the capacities. flows is the caller's
+// scratch: the flows not yet frozen are kept as its prefix, compacted in
+// place in their original order, so its contents are undefined on return.
+//
+// Each level grants every unfrozen flow the common increment α, the least
+// residual ÷ unfrozen count over the ports in use, then freezes the flows on
+// saturated ports. The per-port counts are built once and decremented as
+// flows freeze, so a level costs O(unfrozen flows + ports in use). The grant
+// and freeze passes visit the unfrozen flows in their original order, so
+// every sum rounds as it would in a walk over all of them.
 func waterFill(flows []*Flow, egCap, inCap []float64, s *allocScratch) {
-	if cap(s.fill) < len(flows) {
-		s.fill = make([]fillState, len(flows))
-	}
-	st := s.fill[:len(flows)]
-	unfrozen := 0
-	for i, f := range flows {
-		st[i].frozen = f.Done
-		if !f.Done {
-			unfrozen++
+	egT, inT := s.egTouched[:0], s.inTouched[:0]
+	live := flows[:0]
+	for _, f := range flows {
+		if f.Done {
+			continue
 		}
-	}
-	for unfrozen > 0 {
-		// Count unfrozen flows per port (dense counters; the touched
-		// lists make the clear O(ports in use)).
-		egT, inT := s.egTouched[:0], s.inTouched[:0]
-		for i, f := range flows {
-			if st[i].frozen {
-				continue
-			}
-			if s.egCnt[f.Src] == 0 {
-				egT = append(egT, f.Src)
-			}
-			s.egCnt[f.Src]++
-			if s.inCnt[f.Dst] == 0 {
-				inT = append(inT, f.Dst)
-			}
-			s.inCnt[f.Dst]++
+		live = append(live, f)
+		if s.egCnt[f.Src] == 0 {
+			egT = append(egT, f.Src)
 		}
-		// The common increment is limited by the tightest port.
+		s.egCnt[f.Src]++
+		if s.inCnt[f.Dst] == 0 {
+			inT = append(inT, f.Dst)
+		}
+		s.inCnt[f.Dst]++
+	}
+	for len(live) > 0 {
 		alpha := math.Inf(1)
-		for _, p := range egT {
-			if a := egCap[p] / float64(s.egCnt[p]); a < alpha {
-				alpha = a
-			}
-		}
-		for _, p := range inT {
-			if a := inCap[p] / float64(s.inCnt[p]); a < alpha {
-				alpha = a
-			}
-		}
-		for _, p := range egT {
-			s.egCnt[p] = 0
-		}
-		for _, p := range inT {
-			s.inCnt[p] = 0
-		}
-		s.egTouched, s.inTouched = egT, inT
+		egT, alpha = tightest(egT, egCap, s.egCnt, alpha)
+		inT, alpha = tightest(inT, inCap, s.inCnt, alpha)
 		if math.IsInf(alpha, 1) || alpha <= 0 {
-			// No capacity left anywhere: freeze everyone.
-			for i := range st {
-				st[i].frozen = true
-			}
-			break
+			break // no capacity left anywhere: grant nothing more
 		}
-		// Grant alpha to every unfrozen flow.
-		for i, f := range flows {
-			if st[i].frozen {
-				continue
-			}
+		for _, f := range live {
 			f.Rate += alpha
 			egCap[f.Src] -= alpha
 			inCap[f.Dst] -= alpha
 		}
 		// Freeze flows on saturated ports.
 		const eps = 1e-12
-		newUnfrozen := 0
-		for i, f := range flows {
-			if st[i].frozen {
+		w := 0
+		for _, f := range live {
+			if egCap[f.Src] <= eps || inCap[f.Dst] <= eps {
+				s.egCnt[f.Src]--
+				s.inCnt[f.Dst]--
 				continue
 			}
-			if egCap[f.Src] <= eps || inCap[f.Dst] <= eps {
-				st[i].frozen = true
-			} else {
-				newUnfrozen++
-			}
+			live[w] = f
+			w++
 		}
-		if newUnfrozen == unfrozen {
+		if w == len(live) {
 			// Defensive: guarantee progress even with degenerate float
-			// behaviour by freezing the flow on the fullest port.
-			freezeTightest(flows, st, egCap, inCap)
-			newUnfrozen = unfrozen - 1
+			// behaviour by freezing the first flow on the fullest port.
+			best, bestCap := 0, math.Inf(1)
+			for i, f := range live {
+				if c := math.Min(egCap[f.Src], inCap[f.Dst]); c < bestCap {
+					best, bestCap = i, c
+				}
+			}
+			s.egCnt[live[best].Src]--
+			s.inCnt[live[best].Dst]--
+			w = best + copy(live[best:], live[best+1:])
 		}
-		unfrozen = newUnfrozen
+		live = live[:w]
 	}
+	for _, p := range egT {
+		s.egCnt[p] = 0
+	}
+	for _, p := range inT {
+		s.inCnt[p] = 0
+	}
+	s.egTouched, s.inTouched = egT, inT
 }
 
-// fillState tracks per-flow water-filling progress.
-type fillState struct{ frozen bool }
-
-func freezeTightest(flows []*Flow, st []fillState, egCap, inCap []float64) {
-	best, bestCap := -1, math.Inf(1)
-	for i, f := range flows {
-		if st[i].frozen {
+// tightest drops the ports left without unfrozen flows from ports, keeping
+// the rest in order, and lowers alpha to the least residual ÷ unfrozen count
+// among them.
+func tightest(ports []int, capacity []float64, cnt []int, alpha float64) ([]int, float64) {
+	w := 0
+	for _, p := range ports {
+		if cnt[p] == 0 {
 			continue
 		}
-		c := math.Min(egCap[f.Src], inCap[f.Dst])
-		if c < bestCap {
-			best, bestCap = i, c
+		ports[w] = p
+		w++
+		if a := capacity[p] / float64(cnt[p]); a < alpha {
+			alpha = a
 		}
 	}
-	if best >= 0 {
-		st[best].frozen = true
-	}
+	return ports[:w], alpha
 }
 
 // activeFlows flattens the live flows of the active coflows into the
@@ -739,17 +725,12 @@ func (SequentialByDest) Allocate(_ float64, active []*Coflow, egCap, inCap []flo
 			cur = f.Dst
 		}
 	}
-	if cur == -1 {
-		scratchPool.Put(s)
-		return
-	}
-	subset := s.subset[:0]
+	subset := flows[:0]
 	for _, f := range flows {
 		if f.Dst == cur {
 			subset = append(subset, f)
 		}
 	}
-	s.subset = shrink(s.subset, subset)
 	waterFill(subset, egCap, inCap, s)
 	scratchPool.Put(s)
 }

@@ -23,18 +23,16 @@ import (
 // Not safe for concurrent use.
 type allocScratch struct {
 	// need accumulates per-port remaining bytes (maddAllocate, Bottleneck
-	// keys); cnt counts unfrozen flows per port (waterFill levels, and
-	// doubles as its "port already touched" marker).
+	// keys); cnt counts unfrozen flows per port (waterFill, and doubles as
+	// its "port already touched" marker).
 	egNeed, inNeed []float64
 	egCnt, inCnt   []int
 	// touched lists the ports with a non-zero cnt entry so clearing is
 	// O(ports touched), not O(ports).
 	egTouched, inTouched []int
-	// fill holds waterFill's per-flow freeze state.
-	fill []fillState
-	// flows and subset are reusable flow-list buffers (activeFlows, and
-	// SequentialByDest's destination filter).
-	flows, subset []*Flow
+	// flows is the reusable flow-list buffer activeFlows fills; the
+	// destination filter and waterFill compact it in place.
+	flows []*Flow
 }
 
 // ensure sizes the per-port buffers for a fabric of n ports, growing (never

@@ -120,15 +120,22 @@ func TestCapacityEventDuplicateTimestamps(t *testing.T) {
 
 func TestCapacityEventValidation(t *testing.T) {
 	c := mkCoflow(0, 0, [3]float64{0, 1, 10})
-	fab, _ := NewFabric(2, 1)
+	fab, _ := NewFabric(2, 2)
 	sim := NewSimulator(fab, coflow.NewVarys())
 	sim.Events = []CapacityEvent{{Time: 0, Port: 9, EgressFactor: 1, IngressFactor: 1}}
 	if _, err := sim.Run([]*coflow.Coflow{c}); err == nil {
 		t.Error("accepted an event on a non-existent port")
 	}
-	sim.Events = []CapacityEvent{{Time: 0, Port: 0, EgressFactor: -1, IngressFactor: 1}}
-	if _, err := sim.Run([]*coflow.Coflow{c}); err == nil {
-		t.Error("accepted a negative factor")
+	for _, ev := range []CapacityEvent{
+		{Time: 0, Port: 0, EgressFactor: -1, IngressFactor: 1},
+		{Time: 1, Port: 0, EgressFactor: math.NaN(), IngressFactor: 1},
+		{Time: 1, Port: 1, EgressFactor: 1, IngressFactor: math.Inf(1)},
+		{Time: 1, Port: 1, EgressFactor: 1, IngressFactor: math.MaxFloat64},
+	} {
+		sim.Events = []CapacityEvent{ev}
+		if _, err := sim.Run([]*coflow.Coflow{c}); err == nil {
+			t.Errorf("accepted %+v", ev)
+		}
 	}
 }
 

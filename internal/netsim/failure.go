@@ -53,7 +53,8 @@ func (p RetransmitPolicy) String() string {
 // PortFailure schedules one port outage: both the egress and ingress port
 // of machine Port lose all capacity at time Down and regain their
 // configured capacity at Up. Up <= Down means the port never recovers
-// (permanent node loss). Overlapping failures of the same port compose: the
+// (permanent node loss); a Down that is negative, NaN or +Inf is an error.
+// Overlapping failures of the same port compose: the
 // port is up only when no scheduled outage covers the current time.
 type PortFailure struct {
 	Port int

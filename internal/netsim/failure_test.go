@@ -120,6 +120,8 @@ func TestFailureValidation(t *testing.T) {
 		{Port: 5, Down: 1, Up: 2},
 		{Port: -1, Down: 1, Up: 2},
 		{Port: 0, Down: -3, Up: 2},
+		{Port: 0, Down: math.Inf(1), Up: 2},
+		{Port: 0, Down: math.Inf(1)},
 	} {
 		sim := NewSimulator(fab, coflow.NewVarys())
 		sim.Failures = []PortFailure{pf}

@@ -149,8 +149,9 @@ type Simulator struct {
 	// Events injects capacity changes (degradations, repairs) at given
 	// times — the failure-injection hook. Events and the edges of Failures
 	// apply as one time-sorted schedule (same-instant edges in input order,
-	// events before failures); the event loop never steps across an edge,
-	// and a NaN time is an error.
+	// events before failures); the event loop never steps across an edge.
+	// A NaN time is an error, and so is a factor that leaves a port's
+	// capacity negative, NaN or infinite.
 	Events []CapacityEvent
 	// Deps declares coflow dependencies by ID: a coflow becomes eligible
 	// only once all listed predecessor coflows have completed (and its own

@@ -150,8 +150,11 @@ func (ss *Session) begin(s *Simulator, rep *Report) error {
 		if ev.Port < 0 || ev.Port >= ports {
 			return fmt.Errorf("netsim: capacity event targets port %d outside fabric of %d ports", ev.Port, ports)
 		}
-		if ev.EgressFactor < 0 || ev.IngressFactor < 0 {
-			return fmt.Errorf("netsim: capacity event at t=%g has negative factor", ev.Time)
+		// Refuse a NaN, negative or infinite factor, and a finite one whose
+		// effective capacity (setPort's product) overflows.
+		eg, in := s.fabric.EgressCap[ev.Port]*ev.EgressFactor, s.fabric.IngressCap[ev.Port]*ev.IngressFactor
+		if !(ev.EgressFactor >= 0 && ev.IngressFactor >= 0 && eg <= math.MaxFloat64 && in <= math.MaxFloat64) {
+			return fmt.Errorf("netsim: capacity event at t=%g gives port %d a negative or non-finite capacity (factors %g, %g)", ev.Time, ev.Port, ev.EgressFactor, ev.IngressFactor)
 		}
 		if math.IsNaN(ev.Time) {
 			return fmt.Errorf("netsim: capacity event on port %d has NaN time", ev.Port)
@@ -167,6 +170,9 @@ func (ss *Session) begin(s *Simulator, rep *Report) error {
 		}
 		if math.IsNaN(pf.Down) || math.IsNaN(pf.Up) {
 			return fmt.Errorf("netsim: failure of port %d has NaN down or up time (down=%g up=%g)", pf.Port, pf.Down, pf.Up)
+		}
+		if math.IsInf(pf.Down, 1) {
+			return fmt.Errorf("netsim: failure of port %d never goes down (down=%g)", pf.Port, pf.Down)
 		}
 		edges = append(edges, edge{time: pf.Down, port: pf.Port, fail: i})
 		if !pf.Permanent() {
