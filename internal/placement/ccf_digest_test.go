@@ -24,10 +24,20 @@ import (
 	"ccf/internal/workload"
 )
 
-func TestCCFServeBacklogDigest(t *testing.T) {
+// backlogCase is one instance of the serve_backlog family.
+type backlogCase struct {
+	m       *partition.ChunkMatrix
+	initial *partition.Loads
+}
+
+// serveBacklogCases returns the 16 instances TestCCFServeBacklogDigest hashes,
+// in its order — seeds 1 … 8, each against an idle network and then against
+// the recorded backlog — and the recorded digest.
+func serveBacklogCases(tb testing.TB) ([]backlogCase, string) {
+	tb.Helper()
 	raw, err := os.ReadFile("testdata/ccf_serve_backlog.json")
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	var golden struct {
 		BacklogEgress  []int64 `json:"backlog_egress"`
@@ -35,13 +45,13 @@ func TestCCFServeBacklogDigest(t *testing.T) {
 		Digest         string  `json:"digest"`
 	}
 	if err := json.Unmarshal(raw, &golden); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	const n, p = 64, 960
 	if len(golden.BacklogEgress) != n || len(golden.BacklogIngress) != n {
-		t.Fatalf("recorded backlog spans %d/%d ports, want %d", len(golden.BacklogEgress), len(golden.BacklogIngress), n)
+		tb.Fatalf("recorded backlog spans %d/%d ports, want %d", len(golden.BacklogEgress), len(golden.BacklogIngress), n)
 	}
-	h := fnv.New64a()
+	var cases []backlogCase
 	for seed := uint64(1); seed <= 8; seed++ {
 		customers := int64(5000 * seed) // 5 k … 40 k: jobs below and above the stream's median
 		w, err := workload.Generate(workload.Config{
@@ -49,7 +59,7 @@ func TestCCFServeBacklogDigest(t *testing.T) {
 			Zipf: workload.DefaultZipf, Skew: workload.DefaultSkew, Seed: seed, JitterFrac: 0.05,
 		})
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		plan := skew.PartialDuplication(w)
 		for _, backlog := range []bool{false, true} {
@@ -63,18 +73,43 @@ func TestCCFServeBacklogDigest(t *testing.T) {
 					initial.Ingress[i] += golden.BacklogIngress[i]
 				}
 			}
-			pl, err := CCF{}.Place(plan.Adjusted, initial)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var word [8]byte
-			for _, d := range pl.Dest {
-				binary.LittleEndian.PutUint64(word[:], uint64(d))
-				h.Write(word[:])
-			}
+			cases = append(cases, backlogCase{plan.Adjusted, initial})
 		}
 	}
-	if got := fmt.Sprintf("%016x", h.Sum64()); got != golden.Digest {
-		t.Errorf("Dest digest over 8 seeds × {idle, backlog} = %s, recorded %s", got, golden.Digest)
+	return cases, golden.Digest
+}
+
+func TestCCFServeBacklogDigest(t *testing.T) {
+	cases, digest := serveBacklogCases(t)
+	h := fnv.New64a()
+	for _, c := range cases {
+		pl, err := CCF{}.Place(c.m, c.initial)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var word [8]byte
+		for _, d := range pl.Dest {
+			binary.LittleEndian.PutUint64(word[:], uint64(d))
+			h.Write(word[:])
+		}
+	}
+	if got := fmt.Sprintf("%016x", h.Sum64()); got != digest {
+		t.Errorf("Dest digest over 8 seeds × {idle, backlog} = %s, recorded %s", got, digest)
+	}
+}
+
+// BenchmarkCCFPlace times one CCF.Place at 64 × 960, cycling through the 16
+// instances of TestCCFServeBacklogDigest: half carry only the job's broadcast
+// loads, half sit on the recorded backlog, where the candidate scan stops
+// early. Place keeps neither argument, so the instances are reused as they are.
+func BenchmarkCCFPlace(b *testing.B) {
+	cases, _ := serveBacklogCases(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c := cases[i%len(cases)]
+		if _, err := (CCF{}).Place(c.m, c.initial); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -12,6 +12,10 @@
 //     assigned to the destination that minimises the running bottleneck
 //     port load T = max(max egress, max ingress).
 //
+// PlaceOnLinks runs the same Algorithm 1 over a link table — per-host
+// capacities and, optionally, racks with capacitated uplinks and downlinks
+// (the paper's footnote 4); topology.RackAwareCCF lays a topology out as one.
+//
 // Two more schedulers, LPT and CCF without the sort, support the ablation
 // studies listed in DESIGN.md. Placers is the one table of names the
 // commands, the daemon and core select them by.
@@ -84,7 +88,7 @@ func (Mini) Place(m *partition.ChunkMatrix, _ *partition.Loads) (*partition.Plac
 //
 // Two things keep the constant small. The ingress top-2 is carried from one
 // partition to the next — a commit raises exactly one ingress port, so the
-// update is O(1) — and the candidate scan stops early (see Place).
+// update is O(1) — and the candidate scan stops early (see place).
 type CCF struct {
 	// NoSort disables the descending sort of line 1 (ablation abl-sort).
 	NoSort bool
@@ -151,34 +155,132 @@ func visitOrder(m *partition.ChunkMatrix, sorted bool) (tot []int64, order []int
 	return tot, order
 }
 
-// top2 returns the largest value of v and an index holding it (the lowest),
-// and the largest among the other entries; −1 stands in for a missing or
-// negative value, as in every top-2 scan of this package.
-func top2(v []int64) (first, second int64, at int) {
-	first, second, at = -1, -1, -1
-	for i, x := range v {
-		if x > first {
-			second, first, at = first, x, i
-		} else if x > second {
-			second = x
+// Links is a link table for Algorithm 1 (the paper's footnote 4): every term
+// of T is a link's load divided by that link's capacity. Host i sends on a link
+// of capacity Egress[i] and receives on one of capacity Ingress[i]. With RackOf
+// set, host i sits in rack RackOf[i], and a flow between racks also crosses
+// the sender's rack uplink and the receiver's rack downlink, of capacities
+// Up[r] and Down[r]. Capacities are positive, in any one unit; +Inf makes a
+// link's term zero.
+type Links struct {
+	Egress, Ingress []float64
+	RackOf          []int
+	Up, Down        []float64
+}
+
+// check reports a table that does not describe n hosts.
+func (l *Links) check(n int) error {
+	racks := len(l.Up)
+	ok := len(l.Egress) == n && len(l.Ingress) == n && len(l.Down) == racks &&
+		(l.RackOf == nil) == (racks == 0) && (l.RackOf == nil || len(l.RackOf) == n)
+	for _, r := range l.RackOf {
+		ok = ok && r >= 0 && r < racks
+	}
+	for _, c := range slices.Concat(l.Egress, l.Ingress, l.Up, l.Down) {
+		ok = ok && c > 0
+	}
+	if !ok {
+		return fmt.Errorf("placement: link table does not describe %d hosts in racks with positive capacities", n)
+	}
+	return nil
+}
+
+// PlaceOnLinks runs Algorithm 1, partitions sorted as in line 1, scoring every
+// candidate against the link table l. A nil table is the paper's non-blocking
+// switch, where PlaceOnLinks places exactly as CCF{}.
+func PlaceOnLinks(m *partition.ChunkMatrix, initial *partition.Loads, l *Links) (*partition.Placement, error) {
+	if l != nil {
+		if err := l.check(m.N); err != nil {
+			return nil, err
 		}
 	}
-	return first, second, at
+	return place(m, initial, l, true)
+}
+
+// key is a link's term of T: its load over its capacity, or the load itself
+// when caps is nil. Below 2⁵³ bytes the conversion is exact, so on the switch
+// keys order as the loads do.
+func key(load int64, caps []float64, i int) float64 {
+	x := float64(load)
+	if caps != nil {
+		x /= caps[i]
+	}
+	return x
+}
+
+// top2 is a running maximum v1, held by i1 (the first index to reach it), and
+// v2, the largest value at any other index. −1 stands in for a missing value
+// and for any value below it: every top-2 of this package starts from none.
+type top2 struct {
+	v1, v2 float64
+	i1     int
+}
+
+var none = top2{-1, -1, -1}
+
+func (t top2) add(i int, v float64) top2 {
+	if v > t.v1 {
+		return top2{v, t.v1, i}
+	}
+	if v > t.v2 {
+		t.v2 = v
+	}
+	return t
+}
+
+// except returns the largest value at any index other than i.
+func (t top2) except(i int) float64 {
+	if i == t.i1 {
+		return t.v2
+	}
+	return t.v1
+}
+
+// topOf returns the top-2 of the keys of loads[i] + plus[i], or of loads[i]
+// when plus is nil. It stays out of line: inlined into place, whose loop keeps
+// a dozen slices live, its loop index went to the stack and BenchmarkCCFPlace
+// ran ≈ 10 % slower.
+//
+//go:noinline
+func topOf(loads, plus []int64, caps []float64) top2 {
+	t := none
+	for i, v := range loads {
+		if plus != nil {
+			v += plus[i]
+		}
+		t = t.add(i, key(v, caps, i))
+	}
+	return t
 }
 
 // Place implements Scheduler.
 func (c CCF) Place(m *partition.ChunkMatrix, initial *partition.Loads) (*partition.Placement, error) {
+	return place(m, initial, nil, !c.NoSort)
+}
+
+// place is Algorithm 1 over the link table l (nil: the switch), visiting the
+// partitions sorted by line 1 or in index order.
+func place(m *partition.ChunkMatrix, initial *partition.Loads, l *Links, sorted bool) (*partition.Placement, error) {
 	n, p := m.N, m.P
 	egress, ingress, err := loadsFrom(initial, n)
 	if err != nil {
 		return nil, err
 	}
-	tot, order := visitOrder(m, !c.NoSort)
+	var egCap, inCap, upCap, downCap []float64
+	var rackOf []int
+	if l != nil {
+		egCap, inCap, rackOf, upCap, downCap = l.Egress, l.Ingress, l.RackOf, l.Up, l.Down
+	}
+	// Rack r's uplink and downlink loads, and Σ_{i in r} h_ik for the
+	// current partition; all empty without rack terms.
+	racks := len(upCap)
+	rbuf := make([]int64, 3*racks)
+	up, down, rackCol := rbuf[:racks:racks], rbuf[racks:2*racks:2*racks], rbuf[2*racks:]
+	tot, order := visitOrder(m, sorted)
 
-	// Top-2 of ingress_j over all j: in1 is the largest load and in1j a port
-	// holding it, in2 the largest among the other ports. Maintained by the
-	// commit below instead of rescanned per partition.
-	in1, in2, in1j := top2(ingress)
+	// The top-2 of the ingress keys, maintained by the commit below instead
+	// of rescanned per partition.
+	in := topOf(ingress, nil, inCap)
 
 	pl := partition.NewPlacement(p)
 	col := make([]int64, n) // h_ik for the current partition
@@ -194,51 +296,68 @@ func (c CCF) Place(m *partition.ChunkMatrix, initial *partition.Loads) (*partiti
 		for i, idx := 0, k; i < n; i, idx = i+1, idx+p {
 			col[i] = m.H[idx]
 		}
-		var e1, e2 int64 = -1, -1
-		e1i := -1
-		for i, h := range col {
-			ev := egress[i] + h
-			if ev > e1 {
-				e2, e1, e1i = e1, ev, i
-			} else if ev > e2 {
-				e2 = ev
+		eg := topOf(egress, col, egCap)
+		// The rack links: assigning k to a host of rack r adds rack s's
+		// share of the column to every uplink s ≠ r and the rest of the
+		// partition to r's downlink.
+		ul, dl := none, none
+		if racks > 0 {
+			clear(rackCol)
+			for i, h := range col {
+				rackCol[rackOf[i]] += h
 			}
+			ul, dl = topOf(up, rackCol, upCap), topOf(down, nil, downCap)
 		}
 
 		// Evaluate T_d for candidate destinations d in O(1) each, lowest T
-		// first and the lowest index among equals. Every d other than e1i and
-		// in1j costs at least floor — its egress side sees e1, its ingress
-		// side in1 — so once some d costs no more than floor, no ordinary port
-		// behind it can win (equal at best, and the tie goes to the lower
-		// index): only e1i and in1j, if they lie behind d, are still looked
-		// at. Against a standing backlog the first such d is usually 0 or 1.
-		floor := max(e1, in1)
+		// first and the lowest index among equals. Every d other than eg.i1
+		// and in.i1 costs at least floor — its egress side sees eg.v1, its
+		// ingress side in.v1, and its rack's uplink and downlink sides at
+		// least the runners-up ul.v2 and dl.v2 — so once some d costs no more
+		// than floor, no ordinary port behind it can win (equal at best, and
+		// the tie goes to the lower index): only eg.i1 and in.i1, if they lie
+		// behind d, are still looked at. Against a standing backlog the first
+		// such d is usually 0 or 1.
+		floor := max(eg.v1, in.v1, ul.v2, dl.v2)
 		bestD := -1
-		var bestT int64
+		var bestT float64
 		for d := 0; d < n; {
-			eMax := e1
-			if d == e1i {
-				eMax = e2
+			t := eg.except(d)
+			if v := key(egress[d], egCap, d); v > t { // d's own egress is unchanged
+				t = v
 			}
-			if egress[d] > eMax { // d's own egress is unchanged
-				eMax = egress[d]
+			if v := in.except(d); v > t {
+				t = v
 			}
-			iOther := in1
-			if d == in1j {
-				iOther = in2
+			if v := key(ingress[d]+tk-col[d], inCap, d); v > t {
+				t = v
 			}
-			t := max(eMax, iOther, ingress[d]+tk-col[d])
+			if racks > 0 {
+				r := rackOf[d]
+				if v := ul.except(r); v > t {
+					t = v
+				}
+				if v := key(up[r], upCap, r); v > t {
+					t = v
+				}
+				if v := dl.except(r); v > t {
+					t = v
+				}
+				if v := key(down[r]+tk-rackCol[r], downCap, r); v > t {
+					t = v
+				}
+			}
 			if bestD == -1 || t < bestT {
 				bestD, bestT = d, t
 			}
 			d++
 			if t <= floor {
 				next := n
-				if e1i >= d {
-					next = e1i
+				if eg.i1 >= d {
+					next = eg.i1
 				}
-				if in1j >= d && in1j < next {
-					next = in1j
+				if in.i1 >= d && in.i1 < next {
+					next = in.i1
 				}
 				d = next
 			}
@@ -256,17 +375,22 @@ func (c CCF) Place(m *partition.ChunkMatrix, initial *partition.Loads) (*partiti
 		}
 		egress[bestD] -= col[bestD]
 		grow := tk - col[bestD]
-		iv := ingress[bestD] + grow
-		ingress[bestD] = iv
-		switch {
+		ingress[bestD] += grow
+		switch iv := key(ingress[bestD], inCap, bestD); {
 		case grow < 0:
-			in1, in2, in1j = top2(ingress)
-		case bestD == in1j:
-			in1 = iv
-		case iv > in1:
-			in2, in1, in1j = in1, iv, bestD
-		case iv > in2:
-			in2 = iv
+			in = topOf(ingress, nil, inCap)
+		case bestD == in.i1:
+			in.v1 = iv
+		default:
+			in = in.add(bestD, iv)
+		}
+		if racks > 0 {
+			rd := rackOf[bestD]
+			for r, h := range rackCol {
+				up[r] += h
+			}
+			up[rd] -= rackCol[rd]
+			down[rd] += tk - rackCol[rd]
 		}
 	}
 	return pl, nil

@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -177,7 +178,8 @@ func TestCCFMatchesReferenceImplementation(t *testing.T) {
 // loads < 30 on n ≤ 7 almost never reach: the candidate scan's early exit
 // (some port already carries far more than the job adds), the ingress top-2
 // carried across partitions (rescanned when a negative chunk shrinks a port),
-// and ties at every comparison. Each family is checked against the textbook
+// ties at every comparison, and loads at the top of the range where the
+// scan's float64 keys are exact. Each family is checked against the textbook
 // loop with the sort on and off.
 func TestCCFMatchesReferenceOnHardRegimes(t *testing.T) {
 	for _, fam := range hardRegimes() {
@@ -302,6 +304,14 @@ func hardRegimes() []regime {
 			}
 			base := int64(rng.Intn(3)-1) * 2000
 			return m, loads(n, func(int) (int64, int64) { return base + int64(rng.Intn(30)), base + int64(rng.Intn(30)) })
+		}},
+		{"loads near 2^52", func(rng *rand.Rand) (*partition.ChunkMatrix, *partition.Loads) {
+			// The scan compares float64(load), exact below 2⁵³ bytes: ports
+			// that carry 2⁵² bytes and differ by a byte must still differ.
+			n, p := 1+rng.Intn(16), 1+rng.Intn(64)
+			return randomMatrix(rng, n, p, 100), loads(n, func(int) (int64, int64) {
+				return 1<<52 - int64(rng.Intn(30)), 1<<52 - int64(rng.Intn(30))
+			})
 		}},
 		{"mixed scales", func(rng *rand.Rand) (*partition.ChunkMatrix, *partition.Loads) {
 			// Chunks and loads of comparable size: the floor is reached late
@@ -529,6 +539,52 @@ func TestSchedulerNames(t *testing.T) {
 	for s, want := range cases {
 		if got := s.Name(); got != want {
 			t.Errorf("Name() = %q, want %q", got, want)
+		}
+	}
+}
+
+func TestPlaceOnLinks(t *testing.T) {
+	// A nil table and a table of unit host capacities are the switch: the
+	// keys are the loads themselves, so the placement is CCF{}'s.
+	rng := rand.New(rand.NewSource(4))
+	for i := 0; i < 200; i++ {
+		n := 1 + rng.Intn(10)
+		m := randomMatrix(rng, n, 1+rng.Intn(30), 100)
+		want, err := CCF{}.Place(m, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ones := make([]float64, n)
+		for j := range ones {
+			ones[j] = 1
+		}
+		for _, l := range []*Links{nil, {Egress: ones, Ingress: ones}} {
+			got, err := PlaceOnLinks(m, nil, l)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got.Dest, want.Dest) {
+				t.Fatalf("instance %d, table %v: Dest %v, CCF %v", i, l, got.Dest, want.Dest)
+			}
+		}
+	}
+	// A table that does not describe the matrix's hosts is an error.
+	m := partition.MustChunkMatrix(2, 3)
+	two := []float64{1, 1}
+	for name, l := range map[string]*Links{
+		"short egress":      {Egress: []float64{1}, Ingress: two},
+		"short ingress":     {Egress: two, Ingress: []float64{1}},
+		"zero capacity":     {Egress: []float64{1, 0}, Ingress: two},
+		"NaN capacity":      {Egress: two, Ingress: []float64{math.NaN(), 1}},
+		"racks, no hosts":   {Egress: two, Ingress: two, Up: []float64{1}, Down: []float64{1}},
+		"hosts, no racks":   {Egress: two, Ingress: two, RackOf: []int{0, 0}},
+		"short RackOf":      {Egress: two, Ingress: two, RackOf: []int{0}, Up: []float64{1}, Down: []float64{1}},
+		"rack out of range": {Egress: two, Ingress: two, RackOf: []int{0, 1}, Up: []float64{1}, Down: []float64{1}},
+		"up/down mismatch":  {Egress: two, Ingress: two, RackOf: []int{0, 0}, Up: []float64{1}, Down: []float64{1, 1}},
+		"negative uplink":   {Egress: two, Ingress: two, RackOf: []int{0, 0}, Up: []float64{-1}, Down: []float64{1}},
+	} {
+		if _, err := PlaceOnLinks(m, nil, l); err == nil {
+			t.Errorf("%s: accepted", name)
 		}
 	}
 }

@@ -13,10 +13,11 @@
 // The package is the home of the capacity-aware cost and placer: the exact
 // single-coflow CCT under MADD over links (SingleCoflowCCT, PlacementCCT) and
 // RackAwareCCF — the paper's Algorithm 1 with every term divided by its
-// link's capacity and extended with rack-uplink/downlink terms, which stays
-// O(p·(n + racks)) thanks to the same top-2 bookkeeping as the base placer.
-// On a NewNonBlocking topology it is Algorithm 1 under per-port capacities,
-// and on equal capacities it places exactly as placement.CCF.
+// link's capacity and extended with rack-uplink/downlink terms. It lays the
+// topology out as a placement.Links table and runs placement.PlaceOnLinks,
+// the kernel placement.CCF runs, in O(p·(n + racks + log p)). On a
+// NewNonBlocking topology it is Algorithm 1 under per-port capacities, and
+// on equal capacities it places exactly as placement.CCF.
 package topology
 
 import (

@@ -306,6 +306,132 @@ func TestRackAwareMatchesReference(t *testing.T) {
 	}
 }
 
+// TestRackAwareMatchesReferenceOnHardRegimes is the property above on the
+// instance families where the shared placer's shortcuts do their work, as
+// placement's TestCCFMatchesReferenceOnHardRegimes checks them on the switch:
+// the candidate scan's early exit (host loads far above what a job adds), the
+// ingress top-2 carried across partitions (rescanned when a negative chunk
+// shrinks a port), tied maxima, and the egress, ingress and uplink argmaxes
+// before, at and after the index where the scan first stops. Even seeds draw
+// a one-rack table with per-port capacities, odd ones a leaf-spine fabric of
+// up to 5 × 5 hosts.
+func TestRackAwareMatchesReferenceOnHardRegimes(t *testing.T) {
+	loads := func(n int, f func(i int) (eg, in int64)) *partition.Loads {
+		l := &partition.Loads{Egress: make([]int64, n), Ingress: make([]int64, n)}
+		for i := 0; i < n; i++ {
+			l.Egress[i], l.Ingress[i] = f(i)
+		}
+		return l
+	}
+	chunks := func(rng *rand.Rand, n, p, below int) *partition.ChunkMatrix {
+		m := partition.MustChunkMatrix(n, p)
+		for i := range m.H {
+			m.H[i] = int64(rng.Intn(below))
+		}
+		return m
+	}
+	for _, fam := range []struct {
+		name  string
+		equal bool // one capacity for every link
+		gen   func(rng *rand.Rand, topo *Topology) (*partition.ChunkMatrix, *partition.Loads)
+	}{
+		{"standing backlog", false, func(rng *rand.Rand, topo *Topology) (*partition.ChunkMatrix, *partition.Loads) {
+			return chunks(rng, topo.N, 1+rng.Intn(64), 100), loads(topo.N, func(int) (int64, int64) {
+				return 1e6 + int64(rng.Intn(30)), 1e6 + int64(rng.Intn(30))
+			})
+		}},
+		{"ties everywhere", true, func(rng *rand.Rand, topo *Topology) (*partition.ChunkMatrix, *partition.Loads) {
+			// One chunk size and one load on equal capacities: e1 = e2,
+			// in1 = in2, equal rack terms, and equal T on every candidate.
+			m := partition.MustChunkMatrix(topo.N, 1+rng.Intn(64))
+			chunk, load := int64(rng.Intn(3)), int64(rng.Intn(2)*1000)
+			for i := range m.H {
+				m.H[i] = chunk
+			}
+			return m, loads(topo.N, func(int) (int64, int64) { return load, load })
+		}},
+		{"stop index against the special links", false, func(rng *rand.Rand, topo *Topology) (*partition.ChunkMatrix, *partition.Loads) {
+			// Host a holds the egress maximum and host b the ingress maximum;
+			// hosts before s sit just under it, so the scan first stops at s.
+			// The hosts of rack q hold ten times the chunks, so on a
+			// leaf-spine its uplink leads the rack terms; a, b and q fall
+			// before, at and after s and s's rack.
+			n := topo.N
+			a, b, stop, q := rng.Intn(n), rng.Intn(n), rng.Intn(n), rng.Intn(topo.Racks())
+			m := chunks(rng, n, 1+rng.Intn(40), 100)
+			for i := 0; i < n; i++ {
+				if topo.RackOf(i) == q {
+					for k := range m.Row(i) {
+						m.Row(i)[k] *= 10
+					}
+				}
+			}
+			top := int64(1e4 + 50*(rng.Intn(3)-1))
+			return m, loads(n, func(i int) (eg, in int64) {
+				eg, in = int64(rng.Intn(30)), int64(rng.Intn(30))
+				if i == a {
+					eg = 1e4 + int64(rng.Intn(5))
+				}
+				if i == b {
+					in = top
+				} else if i < stop {
+					in = top - int64(rng.Intn(40))
+				}
+				return eg, in
+			})
+		}},
+		{"negative chunks", false, func(rng *rand.Rand, topo *Topology) (*partition.ChunkMatrix, *partition.Loads) {
+			// Ingress ports shrink (the carried top-2 is rescanned) and every
+			// load can sit below the −1 sentinel.
+			m := chunks(rng, topo.N, 1+rng.Intn(64), 100)
+			shift := int64(rng.Intn(120))
+			for i := range m.H {
+				if rng.Intn(4) == 0 {
+					m.H[i] -= shift
+				}
+			}
+			base := int64(rng.Intn(3)-1) * 2000
+			return m, loads(topo.N, func(int) (int64, int64) { return base + int64(rng.Intn(30)), base + int64(rng.Intn(30)) })
+		}},
+	} {
+		t.Run(fam.name, func(t *testing.T) {
+			for seed := int64(0); seed < 400; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				capOf := func(lo, hi float64) float64 {
+					if fam.equal {
+						return 4
+					}
+					return lo + (hi-lo)*rng.Float64()
+				}
+				var topo *Topology
+				var err error
+				if seed%2 == 0 {
+					n := 1 + rng.Intn(16)
+					eg, in := make([]float64, n), make([]float64, n)
+					for i := range eg {
+						eg[i], in[i] = capOf(1, 10), capOf(1, 10)
+					}
+					topo, err = NewNonBlocking(eg, in)
+				} else {
+					topo, err = NewLeafSpine(1+rng.Intn(5), 1+rng.Intn(5), capOf(1, 10), capOf(0.5, 20))
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				m, initial := fam.gen(rng, topo)
+				got, err := RackAwareCCF{Topo: topo}.Place(m, initial)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := linkReference(topo, m, initial); !slices.Equal(got.Dest, want.Dest) {
+					t.Fatalf("seed %d, %d hosts in %d racks: Place = %v, reference = %v\nh = %v\ninitial = %+v",
+						seed, topo.N, topo.Racks(), got.Dest, want.Dest, m.H, initial)
+				}
+			}
+		})
+	}
+}
+
 func TestRackAwareReducesToCCFWithoutOversubscription(t *testing.T) {
 	// On a one-rack topology with equal capacities the rack terms are zero
 	// and every host term is load ÷ the same R, so the link-level greedy
