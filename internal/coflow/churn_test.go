@@ -2,6 +2,7 @@ package coflow
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -137,6 +138,174 @@ func TestPersistentOrderUnderChurn(t *testing.T) {
 			}
 		})
 	}
+}
+
+// blockedFullScan is the blocked test as a full scan of the coflow's port
+// sets, without the memo or the saturated-port list: maddAllocate's blocked
+// condition, read directly.
+func blockedFullScan(c *Coflow, egCap, inCap []float64) bool {
+	for _, p := range c.sim.egPorts {
+		if egCap[p] <= 0 {
+			return true
+		}
+	}
+	for _, p := range c.sim.inPorts {
+		if inCap[p] <= 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// twin copies a coflow's flows and progress into a fresh coflow with its
+// own cache, for an oracle that must not share scheduler state.
+func twin(c *Coflow, ports int) *Coflow {
+	t := &Coflow{ID: c.ID, Arrival: c.Arrival, Weight: c.Weight, SentBytes: c.SentBytes}
+	block := make([]Flow, len(c.Flows))
+	for i, f := range c.Flows {
+		block[i] = *f
+		t.Flows = append(t.Flows, &block[i])
+	}
+	t.BeginSim(ports)
+	return t
+}
+
+// fullScanAllocate is the from-scratch epoch with the full-scan blocked test:
+// zero every rate, key every coflow afresh, sort by keyLess, serve each
+// coflow MADD rates unless blockedFullScan, and backfill when none was
+// blocked. It reports which coflows it granted and whether it backfilled.
+func fullScanAllocate(cs churnScheduler, active []*Coflow, egCap, inCap []float64, s *allocScratch) (granted []bool, dense bool) {
+	resetRates(active)
+	for _, c := range active {
+		c.schedKey = cs.key(c, s)
+	}
+	order := slices.Clone(active)
+	slices.SortStableFunc(order, func(a, b *Coflow) int {
+		if keyLess(a, b, cs.tieArrival) {
+			return -1
+		}
+		if keyLess(b, a, cs.tieArrival) {
+			return 1
+		}
+		return 0
+	})
+	served := map[*Coflow]bool{}
+	anyBlocked := false
+	for _, c := range order {
+		if blockedFullScan(c, egCap, inCap) {
+			anyBlocked = true
+			continue
+		}
+		maddAllocate(c, egCap, inCap, s)
+		served[c] = true
+	}
+	if cs.sched.(*orderedMADD).backfill && !anyBlocked {
+		waterFill(activeFlows(active, s), egCap, inCap, s)
+		dense = true
+	}
+	for _, c := range active {
+		granted = append(granted, served[c])
+	}
+	return granted, dense
+}
+
+// TestBlockedTestMatchesFullScan drives every persistent-order scheduler
+// through churned epochs whose capacities have down ports (0 on entry to
+// Allocate) that come and go, so memoized blocking ports are freed, and
+// whose saturated-port lists are at times longer than a coflow's port set.
+// After every Allocate the grants, the live flows' rates, the residual
+// capacities and LastGrantDense must equal fullScanAllocate's over twins of
+// the active set, bit for bit.
+func TestBlockedTestMatchesFullScan(t *testing.T) {
+	const ports, epochs, maxLive = 16, 400, 120
+	for i, mk := range orderedSchedulers {
+		t.Run(mk().Name(), func(t *testing.T) {
+			cs := newChurnScheduler(mk)
+			sp := cs.sched.(SparseAllocator)
+			rn := rand.New(rand.NewSource(int64(71 + i)))
+			s := testScratch(ports)
+			var active []*Coflow
+			nextID, now := 0, 0.0
+			var blocked, memoFreed, satLonger int
+			for epoch := 0; epoch < epochs; epoch++ {
+				for n := rn.Intn(3); n > 0 && len(active) > 0; n-- {
+					j := rn.Intn(len(active))
+					active = slices.Delete(active, j, j+1)
+				}
+				for n := rn.Intn(4); n > 0 && len(active) < maxLive; n-- {
+					active = append(active, churnCoflow(rn, nextID, now, ports))
+					nextID++
+				}
+				if len(active) == 0 {
+					continue
+				}
+				churnProgress(rn, active)
+				eg, in := capSlices(ports, 1e9)
+				for _, side := range [][]float64{eg, in} {
+					for n := rn.Intn(4); n > 0; n-- {
+						side[rn.Intn(ports)] = 0 // a down port
+					}
+				}
+				downEg, downIn := 0, 0
+				for p := range eg {
+					downEg += b2i(eg[p] <= 0)
+					downIn += b2i(in[p] <= 0)
+				}
+				for _, c := range active {
+					if h := c.sim.blockEg; h >= 0 && (c.sim.egCnt[h] == 0 || eg[h] > 0) {
+						memoFreed++
+					}
+					if h := c.sim.blockIn; h >= 0 && (c.sim.inCnt[h] == 0 || in[h] > 0) {
+						memoFreed++
+					}
+					if downEg > len(c.sim.egPorts) || downIn > len(c.sim.inPorts) {
+						satLonger++
+					}
+				}
+				twins := make([]*Coflow, len(active))
+				for k, c := range active {
+					twins[k] = twin(c, ports)
+				}
+				egW, inW := slices.Clone(eg), slices.Clone(in)
+				granted, dense := fullScanAllocate(cs, twins, egW, inW, s)
+
+				cs.sched.Allocate(now, active, eg, in)
+				for k, c := range active {
+					if c.SimGranted() != granted[k] {
+						t.Fatalf("epoch %d: coflow %d granted %v, full scan %v", epoch, c.ID, c.SimGranted(), granted[k])
+					}
+					blocked += b2i(!granted[k])
+					for j, f := range c.Flows {
+						if g := twins[k].Flows[j]; !f.Done && math.Float64bits(f.Rate) != math.Float64bits(g.Rate) {
+							t.Fatalf("epoch %d: coflow %d flow %d rate %v, full scan %v", epoch, c.ID, f.ID, f.Rate, g.Rate)
+						}
+					}
+				}
+				for p := range eg {
+					if math.Float64bits(eg[p]) != math.Float64bits(egW[p]) || math.Float64bits(in[p]) != math.Float64bits(inW[p]) {
+						t.Fatalf("epoch %d: port %d residual (%v, %v), full scan (%v, %v)", epoch, p, eg[p], in[p], egW[p], inW[p])
+					}
+				}
+				if sp.LastGrantDense() != dense {
+					t.Fatalf("epoch %d: LastGrantDense %v, full scan backfilled %v", epoch, sp.LastGrantDense(), dense)
+				}
+				if rn.Intn(3) == 0 {
+					now += float64(rn.Intn(3))
+				}
+			}
+			if blocked == 0 || memoFreed == 0 || satLonger == 0 {
+				t.Fatalf("churn covered %d blocked coflows, %d freed memos, %d saturated lists longer than a port set; want each > 0",
+					blocked, memoFreed, satLonger)
+			}
+		})
+	}
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // churnFixture is a live set plus a pool of spare coflows that a churn step

@@ -28,7 +28,8 @@ type allocScratch struct {
 	egNeed, inNeed []float64
 	egCnt, inCnt   []int
 	// touched lists the ports with a non-zero cnt entry so clearing is
-	// O(ports touched), not O(ports).
+	// O(ports touched), not O(ports). Before the backfill, the serving
+	// pass borrows them as its saturated-port lists (sparseState.serve).
 	egTouched, inTouched []int
 	// flows is the reusable flow-list buffer activeFlows fills; the
 	// destination filter and waterFill compact it in place.

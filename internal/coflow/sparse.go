@@ -24,6 +24,16 @@ package coflow
 //     (the early break over the same port sets) has no state effects, so
 //     not calling it at all is exact. The last blocking port is memoized,
 //     making the re-check O(1) while the port stays saturated;
+//   - past the memo, the blocked test may scan the saturated ports instead
+//     of the coflow's port set. serve lists every port with capacity ≤ 0
+//     when it starts and, after each grant, adds the served coflow's ports
+//     the grant drove to ≤ 0. That keeps the list exactly {p : cap[p] ≤ 0}
+//     without duplicates: the served coflow was not blocked, so all its
+//     ports were above 0 before the grant; a grant changes only its own
+//     ports; and grants only subtract. "Some port of the coflow is on the
+//     list" (egCnt[p] > 0, the port-set membership) is then the same
+//     boolean as "some port of the set has capacity ≤ 0", so each side
+//     walks whichever of the two is shorter;
 //   - the work-conserving backfill is skipped whenever any coflow was
 //     blocked: that coflow's live flows sit unfrozen on a port with
 //     capacity ≤ 0, MADD grants only ever subtract capacity, so
@@ -69,27 +79,48 @@ func (c *Coflow) SimGranted() bool { return c.sim.granted }
 // over the same cached port sets — without touching scratch state. The
 // blocking port is memoized (validated against the live port counts, since
 // completions can drop a port from the set) so steady-state re-checks of a
-// still-blocked coflow cost O(1).
-func (c *Coflow) blockedOn(egCap, inCap []float64) bool {
+// still-blocked coflow cost O(1). Past the memo, each side walks whichever
+// is shorter: the saturated ports satEg/satIn (exactly the ports with
+// capacity ≤ 0, kept by serve), asking whether the coflow has a live flow
+// there, or the coflow's port set, asking whether its capacity is ≤ 0.
+func (c *Coflow) blockedOn(egCap, inCap []float64, satEg, satIn []int) bool {
 	if h := c.sim.blockEg; h >= 0 && c.sim.egCnt[h] > 0 && egCap[h] <= 0 {
 		return true
 	}
 	if h := c.sim.blockIn; h >= 0 && c.sim.inCnt[h] > 0 && inCap[h] <= 0 {
 		return true
 	}
-	for _, p := range c.sim.egPorts {
-		if egCap[p] <= 0 {
-			c.sim.blockEg = p
-			return true
-		}
+	if p := blockingPort(c.sim.egPorts, c.sim.egCnt, egCap, satEg); p >= 0 {
+		c.sim.blockEg = p
+		return true
 	}
-	for _, p := range c.sim.inPorts {
-		if inCap[p] <= 0 {
-			c.sim.blockIn = p
-			return true
-		}
+	if p := blockingPort(c.sim.inPorts, c.sim.inCnt, inCap, satIn); p >= 0 {
+		c.sim.blockIn = p
+		return true
 	}
 	return false
+}
+
+// blockingPort returns a port of ports (a coflow's port set on one side,
+// with its live-flow counts cnt) whose capacity is ≤ 0, or -1 if there is
+// none; sat must list exactly the side's ports with capacity ≤ 0. cnt spans
+// the ports the coflow's cache was begun with, which a caller may have
+// sized below the capacity slice.
+func blockingPort(ports, cnt []int, capacity []float64, sat []int) int {
+	if len(sat) < len(ports) {
+		for _, p := range sat {
+			if p < len(cnt) && cnt[p] > 0 {
+				return p
+			}
+		}
+		return -1
+	}
+	for _, p := range ports {
+		if capacity[p] <= 0 {
+			return p
+		}
+	}
+	return -1
 }
 
 // sparseState is the per-scheduler half of the incremental bookkeeping: the
@@ -128,17 +159,42 @@ func (sp *sparseState) reset(active []*Coflow) {
 // serve runs the MADD pass over the priority order with the blocked-coflow
 // skip, recording grants. Returns whether any coflow was blocked (which
 // makes the work-conserving backfill a guaranteed no-op; see file comment).
+// It lists the saturated ports once, then adds those each grant saturates.
+// The lists borrow s's touched-port buffers, which hold every port without
+// reallocating (each list has no duplicates); their owner, waterFill, runs
+// after serve and starts them empty.
 func (sp *sparseState) serve(order []*Coflow, egCap, inCap []float64, s *allocScratch) (anyBlocked bool) {
+	satEg, satIn := saturated(s.egTouched[:0], egCap), saturated(s.inTouched[:0], inCap)
 	for _, c := range order {
-		if c.blockedOn(egCap, inCap) {
+		if c.blockedOn(egCap, inCap, satEg, satIn) {
 			anyBlocked = true
 			continue
 		}
 		maddAllocate(c, egCap, inCap, s)
 		c.sim.granted = true
 		sp.granted = append(sp.granted, c)
+		for _, p := range c.sim.egPorts {
+			if egCap[p] <= 0 {
+				satEg = append(satEg, p)
+			}
+		}
+		for _, p := range c.sim.inPorts {
+			if inCap[p] <= 0 {
+				satIn = append(satIn, p)
+			}
+		}
 	}
 	return anyBlocked
+}
+
+// saturated appends to sat the ports whose capacity is ≤ 0.
+func saturated(sat []int, capacity []float64) []int {
+	for p, c := range capacity {
+		if c <= 0 {
+			sat = append(sat, p)
+		}
+	}
+	return sat
 }
 
 // LastGrantDense implements SparseAllocator.

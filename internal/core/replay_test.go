@@ -9,8 +9,10 @@ package core
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"ccf/internal/coflow"
 	"ccf/internal/fbtrace"
@@ -180,4 +182,49 @@ func BenchmarkReplayStream(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// timedSource hands out pre-drawn coflows and records the engine's time per
+// coflow: from one Next's return to the next call, the advance and admit of
+// the coflow just handed over (the replay_trace benchmark's op).
+type timedSource struct {
+	sliceSource
+	lat []float64 // µs per coflow
+	out time.Time // when the previous Next returned
+}
+
+func (s *timedSource) Next() (*coflow.Coflow, bool) {
+	if !s.out.IsZero() {
+		s.lat = append(s.lat, float64(time.Since(s.out).Nanoseconds())/1e3)
+	}
+	c, ok := s.sliceSource.Next()
+	s.out = time.Now()
+	return c, ok
+}
+
+// BenchmarkReplayEngine replays BenchmarkReplayStream's trace drawn by
+// fbtrace.Generate before the timer, so the op is the engine alone — no
+// producer on another core. It reports the engine's per-coflow time, p50 and
+// p90 over every coflow of every op, in µs.
+func BenchmarkReplayEngine(b *testing.B) {
+	cfg := fbtrace.Config{Machines: 64, Coflows: 12, MeanInterarrivalSec: 1, Seed: 42, Density: 100}
+	var lat []float64
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		cfs, err := fbtrace.Generate(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		src := &timedSource{sliceSource: sliceSource{cfs: cfs}, lat: lat}
+		b.StartTimer()
+		if _, err := ReplayStream(cfg.Machines, src, ReplayOptions{
+			Scheduler: coflow.NewVarys(), EventHorizon: true, ReleaseCompleted: true}); err != nil {
+			b.Fatal(err)
+		}
+		lat = src.lat
+	}
+	slices.Sort(lat)
+	b.ReportMetric(lat[len(lat)/2], "p50-us/coflow")
+	b.ReportMetric(lat[len(lat)*9/10], "p90-us/coflow")
 }

@@ -68,11 +68,44 @@ func exponential(g *rng.Gen, mean float64) float64 {
 }
 
 // sizeClass is a bounded Pareto flow-size range in MB with its bounds
-// raised to the shape parameter once, so a draw costs one math.Pow.
+// raised to the shape parameter once, so a draw costs one powInvAlpha.
 type sizeClass struct{ la, ha float64 }
 
 // paretoAlpha is the shape of the flow-size tail.
 const paretoAlpha = 1.1
+
+// powFrac is the fractional exponent math's portable pow applies through
+// Exp∘Log when raising to y = −1/paretoAlpha: Modf(|y|)'s fraction, which
+// exceeds ½ and so is taken less one (the integer part becomes 1). y is
+// rounded to float64 first, as pow receives it; the subtraction is then
+// exact.
+const powFrac = -float64(-1/paretoAlpha) - 1
+
+// powInvAlpha returns math.Pow(x, −1/paretoAlpha) bit for bit by performing
+// the portable pow's float operations for that exponent (math.Pow is the
+// portable pow on every GOARCH but s390x): with (x1, xe) = Frexp(x),
+// a1 = Exp(powFrac·Log(x))·x1 and the result is Ldexp(1/a1, −xe). Frexp and
+// Ldexp become exponent-field arithmetic; an x that is not a positive normal
+// goes to math.Pow, and a result that would not be normal to math.Ldexp
+// (none is for 1 < paretoAlpha < 2, the range these operations assume: a
+// finite x gives at least 2^(−1024/paretoAlpha)).
+func powInvAlpha(x float64) float64 {
+	const expMask = 0x7ff << 52
+	b := math.Float64bits(x)
+	e := int(b >> 52) // the sign bit makes a negative x read ≥ 0x800
+	if e == 0 || e >= 0x7ff {
+		return math.Pow(x, -1/paretoAlpha)
+	}
+	xe := e - 1022                                    // Frexp's exponent
+	x1 := math.Float64frombits(b&^expMask | 1022<<52) // Frexp's fraction, in [½, 1)
+	a := 1 / (math.Exp(powFrac*math.Log(x)) * x1)
+	ab := math.Float64bits(a)
+	re := int(ab>>52) - xe // a is positive, so no sign bit
+	if re <= 0 || re >= 0x7ff {
+		return math.Ldexp(a, -xe)
+	}
+	return math.Float64frombits(ab&^expMask | uint64(re)<<52)
+}
 
 func newSizeClass(loMB, hiMB float64) sizeClass {
 	return sizeClass{la: math.Pow(loMB, paretoAlpha), ha: math.Pow(hiMB, paretoAlpha)}
@@ -88,7 +121,7 @@ var (
 // architecture fuses them into a multiply-subtract.
 func (sc sizeClass) draw(g *rng.Gen) float64 {
 	u := g.Float64()
-	return math.Pow(-(float64(u*sc.ha)-float64(u*sc.la)-sc.ha)/(sc.ha*sc.la), -1/paretoAlpha)
+	return powInvAlpha(-(float64(u*sc.ha) - float64(u*sc.la) - sc.ha) / (sc.ha * sc.la))
 }
 
 // Category of a generated coflow.

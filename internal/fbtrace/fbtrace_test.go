@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -297,5 +298,45 @@ func TestGeneratePropertyAlwaysValid(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestParetoDrawMatchesPow: powInvAlpha is math.Pow(x, −1/paretoAlpha) bit
+// for bit — over the draws both size classes make, over positive normals
+// from the whole exponent range, and at the edges, where it falls back.
+func TestParetoDrawMatchesPow(t *testing.T) {
+	if runtime.GOARCH == "s390x" {
+		t.Skip("math.Pow is assembly on s390x, not the portable pow the kernel follows")
+	}
+	check := func(x float64) {
+		t.Helper()
+		got, want := powInvAlpha(x), math.Pow(x, -1/paretoAlpha)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("powInvAlpha(%b) = %b, math.Pow gives %b", x, got, want)
+		}
+	}
+	g := rng.New(48)
+	for i := 0; i < 10_000_000; i++ {
+		sc := shortFlows
+		if i&1 == 1 {
+			sc = longFlows
+		}
+		u := g.Float64()
+		check(-(float64(u*sc.ha) - float64(u*sc.la) - sc.ha) / (sc.ha * sc.la))
+	}
+	for i := 0; i < 2_000_000; i++ {
+		mant := g.Uint64() & (1<<52 - 1)
+		exp := 1 + g.Uint64()%0x7fe // every normal exponent field, 1 to 0x7fe
+		check(math.Float64frombits(exp<<52 | mant))
+	}
+	// No finite x has a subnormal result; the largest finite comes nearest,
+	// and the smallest normal gives the largest result.
+	for _, x := range []float64{
+		1, math.SmallestNonzeroFloat64 * (1 << 52), math.MaxFloat64,
+		math.Nextafter(1, 0), math.Nextafter(1, 2), 0.1, 5, 1000,
+		math.SmallestNonzeroFloat64, math.SmallestNonzeroFloat64 * (1<<52 - 1),
+		0, math.Copysign(0, -1), -1, math.Inf(1), math.Inf(-1), math.NaN(),
+	} {
+		check(x)
 	}
 }

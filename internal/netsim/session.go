@@ -278,6 +278,10 @@ func (ss *Session) validateAdmit(c *coflow.Coflow) error {
 		if f.Src == f.Dst {
 			return fmt.Errorf("netsim: flow %d of coflow %d is a self-loop at port %d", f.ID, c.ID, f.Src)
 		}
+		// A NaN size never compares done and an infinite one never drains.
+		if math.IsNaN(f.Size) || math.IsInf(f.Size, 0) {
+			return fmt.Errorf("netsim: flow %d of coflow %d has non-finite size %g", f.ID, c.ID, f.Size)
+		}
 		// A tombstone stands for flows that all ended at +0 remaining bytes;
 		// a negative (or -0) size is born done with that size left over.
 		if ss.release && math.Signbit(f.Size) {

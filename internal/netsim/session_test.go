@@ -410,3 +410,35 @@ func TestSessionRejectsNonFiniteTimes(t *testing.T) {
 		t.Errorf("Finish after a refused Advance(NaN): %+v, %v", rep, err)
 	}
 }
+
+// TestSessionRejectsNonFiniteSizes: a NaN size never compares done and an
+// infinite one never drains, so either used to stall the loop to its epoch
+// limit. Admit and RunInto refuse them. coflow.New keeps NaN and +Inf sizes
+// and drops −Inf with the other sizes ≤ 0, so that one is built by hand.
+func TestSessionRejectsNonFiniteSizes(t *testing.T) {
+	fab, err := netsim.NewFabric(2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim := netsim.NewSimulator(fab, coflow.NewVarys())
+	for _, size := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		bad := &coflow.Coflow{ID: 7, Name: "bad", Flows: []*coflow.Flow{
+			{ID: 0, Src: 0, Dst: 1, Size: 1, Remaining: 1},
+			{ID: 1, Src: 1, Dst: 0, Size: size, Remaining: size},
+		}}
+		ses, err := sim.Session()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ses.Admit(bad); err == nil || !strings.Contains(err.Error(), "non-finite size") {
+			t.Errorf("Admit of size %g: %v, want a non-finite-size error", size, err)
+		}
+		var rep netsim.Report
+		if err := sim.RunInto([]*coflow.Coflow{bad}, &rep); err == nil || !strings.Contains(err.Error(), "non-finite size") {
+			t.Errorf("RunInto of size %g: %v, want a non-finite-size error", size, err)
+		}
+		if rep, err := ses.Finish(); err != nil || rep.Makespan != 0 {
+			t.Errorf("Finish after a refused Admit: %+v, %v", rep, err)
+		}
+	}
+}

@@ -11,8 +11,8 @@ import (
 // FuzzParse asserts Parse's robustness contract: any input either parses or
 // returns an error — never a panic, and never memory proportional to forged
 // counts rather than actual input. An accepted trace lists each job's
-// reducers once each, in ascending order, with no -0 size, and Write then
-// Parse gives it back unchanged. The seeds include the crashers the
+// reducers once each, in ascending order, with no -0 size, expands into
+// flows of finite size, and Write then Parse gives it back unchanged. The seeds include the crashers the
 // fuzzer originally found: a negative reducer count (panicked make) and a
 // huge forged reducer count (preallocation OOM shape).
 func FuzzParse(f *testing.F) {
@@ -34,6 +34,7 @@ func FuzzParse(f *testing.F) {
 	f.Add("2 1\n0 0 1 0 1 1:NaN\n")           // NaN megabytes
 	f.Add("2 1\n0 0 1 0 2 1:1e308 1:1e308\n") // duplicates summing past MaxFloat64
 	f.Add("4 1\n0 0 1 0 3 3:1 1:2 3:4\n")     // out-of-order duplicates
+	f.Add("4 1\n0 0 1 0 1 1:1e303\n")         // finite megabytes, +Inf bytes
 	f.Add("2 1\n0 0 1 0 1 1:-0\n")            // negative zero
 	f.Add("3\u00a01\n0 0\u0085 1 0 1 1:1\n")  // Unicode spaces
 	f.Add("2 1")                              // truncated job list
@@ -69,8 +70,15 @@ func FuzzParse(f *testing.F) {
 				}
 			}
 		}
-		// Expansion and round-trip must not panic on accepted input.
-		_ = tr.Coflows()
+		// Expansion must not panic on accepted input, and gives only
+		// finite flow sizes.
+		for _, c := range tr.Coflows() {
+			for _, fl := range c.Flows {
+				if math.IsNaN(fl.Size) || math.IsInf(fl.Size, 0) {
+					t.Fatalf("coflow %d flow %d has non-finite size %g", c.ID, fl.ID, fl.Size)
+				}
+			}
+		}
 		var buf bytes.Buffer
 		if err := Write(&buf, tr); err != nil {
 			t.Fatalf("Write of parsed trace failed: %v", err)

@@ -104,6 +104,11 @@ func TestParseErrorMessages(t *testing.T) {
 		{"4 1\n0 0 1 0 3 3:1e308 3:1e308\n", "trace: job 0 reducer 3 has non-finite size +Inf"},
 		{"4 1\n0 0 1 0 4 3:1e308 2:1e308 2:1e308 3:1e308\n", "trace: job 0 reducer 2 has non-finite size +Inf"},
 		{"4 1\n0 0 1 0 4 2:1e308 3:1e308 3:1e308 2:1e308\n", "trace: job 0 reducer 3 has non-finite size +Inf"},
+		// Bytes (MB × 10⁶) must be finite too, checked on the summed entries
+		// once the job's reducers are all read.
+		{"4 1\n0 0 1 0 1 1:1e303\n", "trace: job 0 reducer 1 has 1e+303 MB, more bytes than a float64 holds"},
+		{"4 1\n0 0 1 0 3 2:1e302 1:5 2:1e302\n", "trace: job 0 reducer 2 has 2e+302 MB, more bytes than a float64 holds"},
+		{"4 1\n0 0 1 0 2 2:1e303 x:1\n", `trace: job 0 reducer location "x": strconv.Atoi: parsing "x": invalid syntax`},
 		{"4 1\n1 0 1 0 1 1:5 extra", "trace: 1 trailing tokens after 1 jobs"},
 		{"4 1\n0 0 1 0 1 1:5\nextra 7\n# x\n8\n", "trace: 3 trailing tokens after 1 jobs"},
 	}

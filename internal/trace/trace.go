@@ -200,7 +200,9 @@ func Parse(r io.Reader) (*Trace, error) {
 // parseReducers reads job id's nr reducer entries. Entries for one machine
 // are summed in input order from +0, so "1:-0" reads as 0, and every running
 // sum must stay finite: an error is the first one in input order, as if each
-// entry were checked against its machine's running sum as it is read.
+// entry were checked against its machine's running sum as it is read. Once
+// every entry is read and summed, each machine's total must also be finite
+// in bytes (MB × 10⁶).
 func parseReducers(toks *tokens, id, nr, racks int) ([]Reducer, error) {
 	// Cap the preallocation hint by the entries on the current line: a
 	// forged count must not let make() reserve attacker-chosen memory
@@ -258,10 +260,20 @@ func parseReducers(toks *tokens, id, nr, racks int) ([]Reducer, error) {
 		ascending = ascending && (len(rs) == 0 || loc > rs[len(rs)-1].Loc)
 		rs = append(rs, Reducer{Loc: loc, MB: mb})
 	}
-	if ascending {
-		return rs, nil
+	if !ascending {
+		var err error
+		if rs, err = sumReducers(id, rs); err != nil {
+			return nil, err
+		}
 	}
-	return sumReducers(id, rs)
+	// Coflows turns megabytes into bytes; a reducer whose bytes overflow
+	// would become flows of +Inf bytes that never finish.
+	for _, r := range rs {
+		if math.IsInf(r.MB*1e6, 0) {
+			return nil, fmt.Errorf("trace: job %d reducer %d has %g MB, more bytes than a float64 holds", id, r.Loc, r.MB)
+		}
+	}
+	return rs, nil
 }
 
 // sumReducers returns rs's entries summed per machine, in input order from

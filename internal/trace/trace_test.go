@@ -62,6 +62,8 @@ func TestParseErrors(t *testing.T) {
 		"NaN size":          "4 1\n1 0 1 1 1 0:NaN",
 		"infinite size":     "4 1\n1 0 1 1 1 0:+Inf",
 		"overflowing sum":   "4 1\n1 0 1 0 2 1:1e308 1:1e308",
+		"overflowing bytes": "4 1\n0 0 1 1 1 0:1e303",
+		"summed bytes":      "4 1\n0 0 1 1 2 0:1e302 0:1e302",
 	}
 	for name, in := range cases {
 		if _, err := Parse(strings.NewReader(in)); err == nil {
