@@ -160,7 +160,7 @@ func blockedFullScan(c *Coflow, egCap, inCap []float64) bool {
 // twin copies a coflow's flows and progress into a fresh coflow with its
 // own cache, for an oracle that must not share scheduler state.
 func twin(c *Coflow, ports int) *Coflow {
-	t := &Coflow{ID: c.ID, Arrival: c.Arrival, Weight: c.Weight, SentBytes: c.SentBytes}
+	t := &Coflow{ID: c.ID, Arrival: c.Arrival, SentBytes: c.SentBytes}
 	block := make([]Flow, len(c.Flows))
 	for i, f := range c.Flows {
 		block[i] = *f

@@ -49,12 +49,7 @@ type Coflow struct {
 	ID      int
 	Name    string
 	Arrival float64 // seconds
-	// Weight scales this coflow's contribution to weighted completion-time
-	// metrics (Report.WeightedAvgCCT and the weighted-CCT schedulers built on
-	// it). Zero means the default weight 1, so every existing construction
-	// path keeps its outputs byte-identical.
-	Weight float64
-	Flows  []*Flow
+	Flows   []*Flow
 
 	// SentBytes accumulates bytes transferred so far; Aalo's D-CLAS uses it
 	// to infer priority without prior knowledge.

@@ -230,12 +230,3 @@ func (o *orderedMADD) Allocate(_ float64, active []*Coflow, egCap, inCap []float
 		o.sparse.dense = true
 	}
 }
-
-// EffectiveWeight returns the coflow's weight with the zero value mapped to
-// the default weight 1 (see the Weight field).
-func (c *Coflow) EffectiveWeight() float64 {
-	if c.Weight > 0 {
-		return c.Weight
-	}
-	return 1
-}

@@ -601,15 +601,14 @@ func RunOnlineReference(jobs []OnlineJob, opts OnlineOptions) (*OnlineReport, er
 	return out, nil
 }
 
-// cloneCoflows deep-copies coflows, with their weights and with progress
-// reset, so horizon probes do not disturb the originals (the simulator resets
-// state on Run, but the probe must not race with the final run's IDs or share
-// Flow pointers). Each clone's flows are carved from one block, as in
-// coflow.New.
+// cloneCoflows deep-copies coflows, with progress reset, so horizon probes
+// do not disturb the originals (the simulator resets state on Run, but the
+// probe must not race with the final run's IDs or share Flow pointers). Each
+// clone's flows are carved from one block, as in coflow.New.
 func cloneCoflows(in []*coflow.Coflow) []*coflow.Coflow {
 	out := make([]*coflow.Coflow, len(in))
 	for i, c := range in {
-		nc := &coflow.Coflow{ID: c.ID, Name: c.Name, Arrival: c.Arrival, Weight: c.Weight}
+		nc := &coflow.Coflow{ID: c.ID, Name: c.Name, Arrival: c.Arrival}
 		if len(c.Flows) > 0 {
 			block := make([]coflow.Flow, len(c.Flows))
 			nc.Flows = make([]*coflow.Flow, len(c.Flows))

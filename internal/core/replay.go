@@ -47,7 +47,7 @@ type ReplayOptions struct {
 type ReplayReport struct {
 	Coflows        int     // coflows pulled from the source
 	AvgCCT         float64 // seconds, unweighted mean over completed coflows
-	WeightedAvgCCT float64 // Σw·CCT / Σw over completed coflows
+	WeightedAvgCCT float64 // = AvgCCT: every coflow weighs 1; kept until bench/ stops reading it
 	MaxCCT         float64
 	Makespan       float64
 	TotalBytes     float64
@@ -111,7 +111,7 @@ func ReplayStream(machines int, src CoflowSource, opts ReplayOptions) (*ReplayRe
 		return nil, err
 	}
 	out.AvgCCT = rep.AvgCCT
-	out.WeightedAvgCCT = rep.WeightedAvgCCT
+	out.WeightedAvgCCT = rep.AvgCCT
 	out.MaxCCT = rep.MaxCCT
 	out.Makespan = rep.Makespan
 	out.TotalBytes = rep.TotalBytes

@@ -19,12 +19,10 @@ package netsim
 //
 //	u64 ×4   clock bits, loop iterations, epochs, total-bytes bits
 //	u64      T, then T tombstones of u64 ×4: id, arrival, completion, flows
-//	u64      W, then W weights of u64 ×2: id, weight (non-default ones only)
 //	u64 ×2   R resident coflows, A of them active; then per resident, in
 //	         admission order:
-//	  u64 ×7   rank (tombstones admitted before it), slot (0 = queued, k =
-//	           k-th in the active list), id, arrival, reserved (0),
-//	           weight, sent-bytes bits
+//	  u64 ×5   rank (tombstones admitted before it), slot (0 = queued, k =
+//	           k-th in the active list), id, arrival, sent-bytes bits
 //	  u64      name length, then the name
 //	  u64      F, then F flows of u32 src, u32 dst, u64 size bits,
 //	           u64 remaining bits, u8 done
@@ -34,7 +32,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"ccf/internal/coflow"
 )
@@ -47,8 +44,7 @@ var ErrImage = errors.New("netsim: session image malformed")
 // the bytes that are actually there.
 const (
 	imageTombBytes     = 4 * 8
-	imageWeightBytes   = 2 * 8
-	imageResidentBytes = 9 * 8 // an unnamed coflow without flows
+	imageResidentBytes = 7 * 8 // an unnamed coflow without flows
 	imageFlowBytes     = 4 + 4 + 8 + 8 + 1
 )
 
@@ -81,17 +77,6 @@ func (ss *Session) AppendImage(b []byte) ([]byte, error) {
 		b = be.AppendUint64(b, uint64(t.flows))
 	}
 
-	ids := make([]int, 0, len(ss.relWeights))
-	for id := range ss.relWeights {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	b = be.AppendUint64(b, uint64(len(ids)))
-	for _, id := range ids {
-		b = be.AppendUint64(b, uint64(id))
-		b = be.AppendUint64(b, math.Float64bits(ss.relWeights[id]))
-	}
-
 	slot := make(map[*coflow.Coflow]int, len(ss.active))
 	for k, c := range ss.active {
 		slot[c] = k + 1
@@ -103,8 +88,6 @@ func (ss *Session) AppendImage(b []byte) ([]byte, error) {
 		b = be.AppendUint64(b, uint64(slot[c]))
 		b = be.AppendUint64(b, uint64(c.ID))
 		b = be.AppendUint64(b, math.Float64bits(c.Arrival))
-		b = be.AppendUint64(b, 0) // reserved
-		b = be.AppendUint64(b, math.Float64bits(c.Weight))
 		b = be.AppendUint64(b, math.Float64bits(c.SentBytes))
 		b = be.AppendUint64(b, uint64(len(c.Name)))
 		b = append(b, c.Name...)
@@ -218,10 +201,6 @@ func (ss *Session) load(img []byte) error {
 		ss.tombs = append(ss.tombs, t)
 		rep.CCTs[t.id] = t.completion - t.arrival
 	}
-	for i, nw := 0, r.records("weight count", imageWeightBytes); i < nw; i++ {
-		id := r.id()
-		ss.relWeights[id] = r.f64()
-	}
 
 	nres := r.records("resident count", imageResidentBytes)
 	active := append(ss.active[:0], make([]*coflow.Coflow, r.count("active count", nres))...)
@@ -232,9 +211,7 @@ func (ss *Session) load(img []byte) error {
 			return fmt.Errorf("resident %d: rank %d after %d", i, rank, ss.rank[i-1])
 		}
 		slot := r.count("active slot", len(active))
-		c := &coflow.Coflow{ID: r.id(), Arrival: r.f64()}
-		r.count("reserved word", 0)
-		c.Weight, c.SentBytes = r.f64(), r.f64()
+		c := &coflow.Coflow{ID: r.id(), Arrival: r.f64(), SentBytes: r.f64()}
 		c.Name = string(r.take(r.count("name length", len(r.b))))
 		nf := r.records("flow count", imageFlowBytes)
 		flows := make([]coflow.Flow, nf)

@@ -98,9 +98,8 @@ type Report struct {
 	// AvgCCT and MaxCCT aggregate over coflows.
 	AvgCCT float64
 	MaxCCT float64
-	// WeightedAvgCCT is the weight-averaged CCT, Σ wᵢ·CCTᵢ / Σ wᵢ over
-	// completed coflows (coflow.Coflow.Weight, zero meaning 1). With all
-	// weights at the default it equals AvgCCT up to summation rounding.
+	// WeightedAvgCCT equals AvgCCT: every coflow weighs 1; kept until bench/
+	// stops reading it.
 	WeightedAvgCCT float64
 	// TotalBytes moved across the network, including bytes whose progress
 	// a failure later voided — the wire traffic. For a run that finishes,
@@ -267,6 +266,8 @@ func NewSimulator(f Fabric, s coflow.Scheduler) *Simulator {
 // Run simulates the given coflows to completion and fills in per-flow
 // EndTime, per-coflow Completion, and the aggregate report. Coflows may
 // arrive at different times; flows within a coflow start at its arrival.
+// A coflow Session.Admit would refuse (a negative or -0 flow size, say)
+// fails the whole run before any flow state is touched.
 func (s *Simulator) Run(coflows []*coflow.Coflow) (*Report, error) {
 	rep := &Report{}
 	if err := s.RunInto(coflows, rep); err != nil {

@@ -11,11 +11,7 @@ package netsim
 // and pinned by the service's goldens, which is why 32 bytes per retired
 // coflow stay behind instead of nothing.
 
-import (
-	"math"
-
-	"ccf/internal/coflow"
-)
+import "math"
 
 // tombstone is what a released coflow leaves in the session.
 type tombstone struct {
@@ -36,14 +32,6 @@ type leavingTomb struct {
 // compacts; with the half-of-resident rule below it makes a release
 // amortised O(1) per coflow.
 const releaseSlack = 32
-
-// keepWeight retains a completing coflow's weight for finalizeReleased. Only
-// non-default weights are kept: an absent entry reads as 1.
-func (ss *Session) keepWeight(c *coflow.Coflow) {
-	if w := c.EffectiveWeight(); w != 1 {
-		ss.relWeights[c.ID] = w
-	}
-}
 
 // releaseCompleted reduces completed coflows to tombstones once more than
 // releaseSlack of them, and more than half the resident list, are complete.

@@ -66,7 +66,7 @@ const releaseScale = 1 << 14
 // releaseStream is a seeded stream of coflows whose lifetimes overlap: most
 // are short, every seventh is long enough to outlive dozens of younger ones
 // (so tombstones are spliced in out of completion order), some carry no
-// flows, some a weight.
+// flows.
 func releaseStream(seed int64, ports, n int) []*coflow.Coflow {
 	rng := rand.New(rand.NewSource(seed))
 	out := make([]*coflow.Coflow, n)
@@ -82,11 +82,7 @@ func releaseStream(seed int64, ports, n int) []*coflow.Coflow {
 			}
 			flows = append(flows, coflow.Flow{ID: fi, Src: src, Dst: (src + 1 + rng.Intn(ports-1)) % ports, Size: size})
 		}
-		c := coflow.New(i, fmt.Sprintf("c%03d", i), at, flows)
-		if i%5 == 0 {
-			c.Weight = 1 + float64(i%3)
-		}
-		out[i] = c
+		out[i] = coflow.New(i, fmt.Sprintf("c%03d", i), at, flows)
 	}
 	return out
 }
@@ -215,6 +211,31 @@ func TestReleaseAndImageAreInvisible(t *testing.T) {
 	}
 }
 
+// TestNegativeSizeRefused: a flow of negative or -0 size is refused by Run
+// and by Admit, whether or not the session releases completed coflows.
+func TestNegativeSizeRefused(t *testing.T) {
+	const ports = 4
+	for _, size := range []float64{-1, math.Copysign(0, -1)} {
+		neg := func() []*coflow.Coflow {
+			c := coflow.New(0, "neg", 0, nil)
+			c.Flows = []*coflow.Flow{{Src: 0, Dst: 1, Size: size}}
+			return []*coflow.Coflow{c}
+		}
+		for _, release := range []bool{false, true} {
+			if _, err := newReleaseSim(t, ports, coflow.NewVarys(), release).Run(neg()); err == nil {
+				t.Errorf("size %g, release %v: Run accepted it", size, release)
+			}
+			ss, err := newReleaseSim(t, ports, coflow.NewVarys(), release).Session()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ss.Admit(neg()[0]); err == nil {
+				t.Errorf("size %g, release %v: Admit accepted it", size, release)
+			}
+		}
+	}
+}
+
 // TestImageRefusals: what cannot be imaged or loaded says so, typed.
 func TestImageRefusals(t *testing.T) {
 	const ports = 4
@@ -230,15 +251,6 @@ func TestImageRefusals(t *testing.T) {
 	}
 
 	ss, err := newReleaseSim(t, ports, coflow.NewVarys(), true).Session()
-	if err != nil {
-		t.Fatal(err)
-	}
-	neg := coflow.New(0, "neg", 0, nil)
-	neg.Flows = []*coflow.Flow{{Src: 0, Dst: 1, Size: -1}}
-	if err := ss.Admit(neg); err == nil {
-		t.Error("a releasing session admitted a negative-size flow")
-	}
-	ss, err = newReleaseSim(t, ports, coflow.NewVarys(), true).Session()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,24 +279,21 @@ func TestImageRefusals(t *testing.T) {
 	if err := load(append(slices.Clone(good), 0), ports); !errors.Is(err, ErrImage) {
 		t.Errorf("trailing byte: %v, want ErrImage", err)
 	}
-	// The word after the first resident's arrival (past the header,
-	// tombstones, weights, resident and active counts, rank, slot and id)
-	// is reserved: images carry 0 there, and a load refuses anything else.
+	// The first resident's active slot (past the header, tombstones,
+	// resident and active counts and its rank) names a place in the active
+	// list; one past its end is refused.
 	be := binary.BigEndian
 	off := 4 * 8
 	off += 8 + int(be.Uint64(good[off:]))*imageTombBytes
-	off += 8 + int(be.Uint64(good[off:]))*imageWeightBytes
 	if be.Uint64(good[off:]) == 0 {
 		t.Fatal("no resident coflow to check")
 	}
-	off += 2*8 + 4*8
-	if w := be.Uint64(good[off:]); w != 0 {
-		t.Fatalf("reserved word = %#x, want 0", w)
-	}
+	nactive := be.Uint64(good[off+8:])
+	off += 2*8 + 8
 	forged := slices.Clone(good)
-	be.PutUint64(forged[off:], math.Float64bits(15))
+	be.PutUint64(forged[off:], nactive+1)
 	if err := load(forged, ports); !errors.Is(err, ErrImage) {
-		t.Errorf("reserved word %#x: %v, want ErrImage", be.Uint64(forged[off:]), err)
+		t.Errorf("active slot %d of %d: %v, want ErrImage", nactive+1, nactive, err)
 	}
 	// Every truncation fails typed, and a forged count (any word raised to
 	// 2⁶²) never sizes an allocation: it is refused against the bytes left.

@@ -83,14 +83,12 @@ type Session struct {
 	// coflows leave `all` for `tombs` (release.go); rank[i] counts the
 	// tombstones that precede all[i] in admission order, which is what lets
 	// Digest walk both lists as the one admission sequence a never-releasing
-	// session holds. relWeights keeps the non-default weights of completed
-	// coflows for the finalize aggregates (their CCTs live on in rep.CCTs).
-	// Storage is reused across sessions; the flag gates releasing.
-	release    bool
-	rank       []int
-	tombs      []tombstone
-	leaving    []leavingTomb
-	relWeights map[int]float64
+	// session holds. Storage is reused across sessions; the flag gates
+	// releasing.
+	release bool
+	rank    []int
+	tombs   []tombstone
+	leaving []leavingTomb
 }
 
 // Session begins a resumable simulation session on the simulator, abandoning
@@ -119,16 +117,15 @@ func (ss *Session) begin(s *Simulator, rep *Report) error {
 	ports := s.fabric.Ports
 	sc := &s.scratch
 	*ss = Session{
-		s:          s,
-		ownRep:     ss.ownRep,
-		pending:    ss.pending[:0],
-		active:     ss.active[:0],
-		all:        ss.all[:0],
-		rank:       ss.rank[:0],
-		tombs:      ss.tombs[:0],
-		leaving:    ss.leaving[:0],
-		relWeights: ss.relWeights,
-		begun:      true,
+		s:       s,
+		ownRep:  ss.ownRep,
+		pending: ss.pending[:0],
+		active:  ss.active[:0],
+		all:     ss.all[:0],
+		rank:    ss.rank[:0],
+		tombs:   ss.tombs[:0],
+		leaving: ss.leaving[:0],
+		begun:   true,
 	}
 	if rep == nil {
 		rep = &ss.ownRep
@@ -192,15 +189,8 @@ func (ss *Session) begin(s *Simulator, rep *Report) error {
 	ss.sa, _ = s.sched.(coflow.SparseAllocator)
 	ss.sparse = s.EventHorizon && ss.sa != nil
 	ss.release = s.ReleaseCompleted
-	if ss.release {
-		if len(s.Failures) > 0 {
-			return errors.New("netsim: ReleaseCompleted is incompatible with Failures (recovery accounting needs the full coflow set)")
-		}
-		if ss.relWeights == nil {
-			ss.relWeights = make(map[int]float64)
-		} else {
-			clear(ss.relWeights)
-		}
+	if ss.release && len(s.Failures) > 0 {
+		return errors.New("netsim: ReleaseCompleted is incompatible with Failures (recovery accounting needs the full coflow set)")
 	}
 
 	*rep = Report{CCTs: rep.CCTs, Restarts: rep.Restarts, Failures: rep.Failures[:0]}
@@ -246,6 +236,9 @@ func (ss *Session) latch(err error) error {
 // same treatment a dependency-released coflow gets). Admitting c after
 // advancing past c.Arrival therefore changes c's effective arrival; the
 // online engine always admits at the arrival instant, where the two agree.
+// Every session, releasing or not, refuses a non-finite arrival and a flow
+// that leaves the fabric, loops to its own port, or has a NaN, infinite,
+// negative or -0 size; Run refuses the same coflows.
 func (ss *Session) Admit(c *coflow.Coflow) error {
 	if err := ss.check(); err != nil {
 		return err
@@ -282,11 +275,10 @@ func (ss *Session) validateAdmit(c *coflow.Coflow) error {
 		if math.IsNaN(f.Size) || math.IsInf(f.Size, 0) {
 			return fmt.Errorf("netsim: flow %d of coflow %d has non-finite size %g", f.ID, c.ID, f.Size)
 		}
-		// A tombstone stands for flows that all ended at +0 remaining bytes;
-		// a negative (or -0) size is born done with that size left over.
-		if ss.release && math.Signbit(f.Size) {
-			return fmt.Errorf("netsim: flow %d of coflow %d has negative size %g, which a ReleaseCompleted session cannot retire",
-				f.ID, c.ID, f.Size)
+		// A negative (or -0) size would be born done with that size left
+		// over, where a tombstone stands for flows that all ended at +0.
+		if math.Signbit(f.Size) {
+			return fmt.Errorf("netsim: flow %d of coflow %d has negative size %g", f.ID, c.ID, f.Size)
 		}
 	}
 	return nil
@@ -594,9 +586,6 @@ func (ss *Session) loop(stop float64) error {
 							return err
 						}
 						rep.CCTs[c.ID] = cct
-						if ss.release {
-							ss.keepWeight(c)
-						}
 						if s.Probe != nil {
 							s.Probe.CoflowCompleted(now, c)
 						}
@@ -787,16 +776,12 @@ func (ss *Session) finalize(coflows []*coflow.Coflow) {
 		ss.finalizeReleased()
 		return
 	}
-	var wsum float64
 	for _, c := range coflows {
 		cct, ok := rep.CCTs[c.ID]
 		if !ok {
 			continue
 		}
 		rep.AvgCCT += cct
-		w := c.EffectiveWeight()
-		rep.WeightedAvgCCT += float64(w * cct)
-		wsum += w
 		if cct > rep.MaxCCT {
 			rep.MaxCCT = cct
 		}
@@ -804,9 +789,7 @@ func (ss *Session) finalize(coflows []*coflow.Coflow) {
 	if len(rep.CCTs) > 0 {
 		rep.AvgCCT /= float64(len(rep.CCTs))
 	}
-	if wsum > 0 {
-		rep.WeightedAvgCCT /= wsum
-	}
+	rep.WeightedAvgCCT = rep.AvgCCT
 	if len(rep.Failures) > 0 {
 		finalizeFailures(rep, coflows)
 	}
@@ -820,8 +803,8 @@ func (ss *Session) finalize(coflows []*coflow.Coflow) {
 // coflow objects are gone, so the CCT sums run over rep.CCTs in ascending
 // coflow-ID order (deterministic, and equal to the input-order sum whenever
 // IDs are assigned in arrival order — the trace replay and online engine
-// convention) with the non-default weights kept at completion. Failures are
-// excluded from releasing sessions at begin, so no recovery pass runs.
+// convention). Failures are excluded from releasing sessions at begin, so no
+// recovery pass runs.
 func (ss *Session) finalizeReleased() {
 	rep := ss.rep
 	ids := make([]int, 0, len(rep.CCTs))
@@ -829,16 +812,9 @@ func (ss *Session) finalizeReleased() {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
-	var wsum float64
 	for _, id := range ids {
 		cct := rep.CCTs[id]
 		rep.AvgCCT += cct
-		w, ok := ss.relWeights[id]
-		if !ok {
-			w = 1
-		}
-		rep.WeightedAvgCCT += float64(w * cct)
-		wsum += w
 		if cct > rep.MaxCCT {
 			rep.MaxCCT = cct
 		}
@@ -846,9 +822,7 @@ func (ss *Session) finalizeReleased() {
 	if len(ids) > 0 {
 		rep.AvgCCT /= float64(len(ids))
 	}
-	if wsum > 0 {
-		rep.WeightedAvgCCT /= wsum
-	}
+	rep.WeightedAvgCCT = rep.AvgCCT
 	if ss.s.Probe != nil {
 		ss.s.Probe.EndRun(ss.now)
 	}

@@ -29,9 +29,11 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"net/http"
 	"sync"
@@ -257,18 +259,13 @@ func writeError(w http.ResponseWriter, p *Pool, code int, err error) {
 }
 
 // shedJitter maps (shard, seq) onto [0, 1) with FNV-1a over both values'
-// bytes — allocation-free and well spread even for adjacent shard IDs.
+// little-endian bytes — allocation-free and well spread even for adjacent
+// shard IDs.
 func shedJitter(shard int, seq uint64) float64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, x := range [2]uint64{uint64(shard), seq} {
-		for i := 0; i < 8; i++ {
-			h ^= (x >> (8 * i)) & 0xff
-			h *= prime64
-		}
-	}
-	return float64(h%1024) / 1024
+	var b [16]byte
+	binary.LittleEndian.PutUint64(b[:8], uint64(shard))
+	binary.LittleEndian.PutUint64(b[8:], seq)
+	h := fnv.New64a()
+	h.Write(b[:])
+	return float64(h.Sum64()%1024) / 1024
 }

@@ -8,7 +8,7 @@ package service
 //
 //	offset  size  field
 //	0       7     magic "CCFSNAP"
-//	7       1     version (0x02)
+//	7       1     version (0x03)
 //	8       8     payload length, big-endian
 //	16      n     payload
 //	16+n    4     CRC-32 (IEEE) of the payload, big-endian
@@ -22,7 +22,8 @@ package service
 // and restored in time proportional to live work; restore loads it, checks
 // the job count and the recorded digest, and replays only the WAL suffix.
 // Version 1 files (a JSON history of every job spec, restored by replaying
-// all of them) are refused with ErrSnapshotVersion.
+// all of them) and version 2 files (an image that also carried per-coflow
+// weights) are refused with ErrSnapshotVersion.
 //
 // Writes are atomic: temp file in the same directory, fsync, rename — and,
 // when the WAL is synchronous, an fsync of the directory so the rename is on
@@ -81,7 +82,7 @@ var (
 
 const (
 	snapMagic   = "CCFSNAP"
-	snapVersion = 0x02
+	snapVersion = 0x03
 	// snapMaxPayload bounds the decoded payload (a length-prefix of a
 	// corrupted header must not drive a giant allocation).
 	snapMaxPayload = 1 << 30

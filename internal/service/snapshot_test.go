@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"hash/crc32"
 	"os"
@@ -88,7 +89,7 @@ func TestSnapshotDecodeRejectsDamage(t *testing.T) {
 		{"trailing garbage", func(b []byte) []byte { return append(b, 0xAA) }, ErrSnapshotFormat},
 		{"bad magic", func(b []byte) []byte { b[0] = 'X'; return b }, ErrSnapshotFormat},
 		{"future version", func(b []byte) []byte { b[7] = 0x7F; return b }, ErrSnapshotVersion},
-		// The spec-history format this one replaced: refused, not migrated.
+		// The spec-history format: refused, not migrated.
 		{"version 1", func(b []byte) []byte { b[7] = 0x01; return b }, ErrSnapshotVersion},
 		{"flipped payload byte", func(b []byte) []byte { b[20] ^= 0x40; return b }, ErrSnapshotChecksum},
 		{"flipped crc byte", func(b []byte) []byte { b[len(b)-1] ^= 0x01; return b }, ErrSnapshotChecksum},
@@ -108,6 +109,35 @@ func TestSnapshotDecodeRejectsDamage(t *testing.T) {
 				t.Fatalf("error = %v, want errors.Is(…, %v)", err, tc.want)
 			}
 		})
+	}
+}
+
+// snapshotV2 is a version-2 file as that encoder wrote it: shard 0 of a
+// 2-node varys engine, one job admitted and still queued. Its engine image
+// has the weight section (W = 0) and resident records of seven words before
+// the name — rank, slot, id, arrival, a reserved 0, weight 0, sent bytes.
+const snapshotV2 = "434346534e41500200000000000000f200000000000000020000000000000001" +
+	"8087d14627a00993000000000000000001057661727973000000000000000000" +
+	"0000000000000100000000000000000000000000000000000000000000000000" +
+	"0000000000000000000000000000000000000000000000000000000000000100" +
+	"0000000000000000000000000000000000000000000000000000000000000000" +
+	"0000000000000000000000000000000000000000000000000000000000000000" +
+	"000000000000016100000000000000020000000000000001403e000000000000" +
+	"403e000000000000000000000100000000403e000000000000403e0000000000" +
+	"0000f243598d"
+
+// TestSnapshotVersion2Refused: a version-2 file with an intact checksum is
+// refused as a version mismatch, not decoded under the current layout.
+func TestSnapshotVersion2Refused(t *testing.T) {
+	b, err := hex.DecodeString(snapshotV2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(b) - 4; crc32.ChecksumIEEE(b[16:n]) != binary.BigEndian.Uint32(b[n:]) || b[7] != 2 {
+		t.Fatal("fixture is not an intact version-2 frame")
+	}
+	if s, err := DecodeSnapshot(b); s != nil || !errors.Is(err, ErrSnapshotVersion) {
+		t.Fatalf("got %+v, %v; want ErrSnapshotVersion", s, err)
 	}
 }
 
