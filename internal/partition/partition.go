@@ -260,7 +260,9 @@ func FlowVolumesInto(vol []int64, m *ChunkMatrix, pl *Placement) ([]int64, error
 	dest := pl.Dest[:m.P]
 	for i := 0; i < n; i++ {
 		out := vol[i*n : (i+1)*n]
-		for k, v := range m.Row(i) {
+		row := m.Row(i)
+		dest := dest[:len(row)] // Row(i) has P entries; resliced so dest[k] carries no bounds check
+		for k, v := range row {
 			out[dest[k]] += v
 		}
 		out[i] = 0 // chunks already at their destination do not move

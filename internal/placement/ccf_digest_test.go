@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"math/rand"
 	"os"
 	"testing"
 
@@ -98,18 +99,51 @@ func TestCCFServeBacklogDigest(t *testing.T) {
 	}
 }
 
-// BenchmarkCCFPlace times one CCF.Place at 64 × 960, cycling through the 16
-// instances of TestCCFServeBacklogDigest: half carry only the job's broadcast
-// loads, half sit on the recorded backlog, where the candidate scan stops
-// early. Place keeps neither argument, so the instances are reused as they are.
+// BenchmarkCCFPlace times one CCF.Place per op on three shapes. 64x960 cycles
+// through the 16 instances of TestCCFServeBacklogDigest: half carry only the
+// job's broadcast loads, half sit on the recorded backlog, where the candidate
+// scan stops early. 12x180 is query_join's exchange shape: 8 generated
+// instances, skew-adjusted the same way, on an idle network. 8x8 is
+// serve_edge's jobs: 16 matrices of 1 … 65 MB chunks on an idle network.
+// Place keeps neither argument, so the instances are reused as they are.
 func BenchmarkCCFPlace(b *testing.B) {
-	cases, _ := serveBacklogCases(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c := cases[i%len(cases)]
-		if _, err := (CCF{}).Place(c.m, c.initial); err != nil {
+	backlog, _ := serveBacklogCases(b)
+	edge := make([]backlogCase, 16)
+	src := rand.New(rand.NewSource(1))
+	for c := range edge {
+		m, err := partition.NewChunkMatrix(8, 8)
+		if err != nil {
 			b.Fatal(err)
 		}
+		for i := range m.H {
+			m.H[i] = 1e6 + src.Int63n(64e6)
+		}
+		edge[c] = backlogCase{m: m}
+	}
+	var exchange []backlogCase
+	for seed := uint64(1); seed <= 8; seed++ {
+		w, err := workload.Generate(workload.Config{
+			Nodes: 12, Partitions: 180, CustomerTuples: 4000, OrderTuples: 40_000, PayloadBytes: 500,
+			Zipf: workload.DefaultZipf, Skew: workload.DefaultSkew, Seed: seed, JitterFrac: 0.05,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		plan := skew.PartialDuplication(w)
+		exchange = append(exchange, backlogCase{plan.Adjusted, plan.Initial})
+	}
+	for _, shape := range []struct {
+		name  string
+		cases []backlogCase
+	}{{"64x960", backlog}, {"12x180", exchange}, {"8x8", edge}} {
+		b.Run(shape.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c := shape.cases[i%len(shape.cases)]
+				if _, err := (CCF{}).Place(c.m, c.initial); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -122,12 +122,17 @@ func loadsFrom(initial *partition.Loads, n int) (egress, ingress []int64, err er
 // Σ_i h_ik and the order Algorithm 1 visits the partitions in. Line 1 sorts
 // them by their largest chunk, descending, so large chunks (to which T is
 // most sensitive) are placed first; partitions with equal largest chunks keep
-// their index order, which makes the key a total order — any sort gives the
-// permutation a stable one would. With sorted false the order is 0 … p−1.
+// their index order. With sorted false the order is 0 … p−1.
 func visitOrder(m *partition.ChunkMatrix, sorted bool) (tot []int64, order []int) {
 	p := m.P
-	buf := make([]int64, 2*p)
-	tot, largest := buf[:p:p], buf[p:]
+	// tot and the largest chunks (then the sort keys); the order. A radix
+	// sort's spare keys and indices follow in each buffer.
+	spare := 0
+	if sorted && p >= radixMin {
+		spare = p
+	}
+	buf, obuf := make([]int64, 2*p+spare), make([]int, p+spare)
+	tot, largest := buf[:p:p], buf[p:2*p:2*p]
 	copy(largest, m.Row(0))
 	for i := 0; i < m.N; i++ {
 		for k, v := range m.Row(i)[:p] {
@@ -137,22 +142,75 @@ func visitOrder(m *partition.ChunkMatrix, sorted bool) (tot []int64, order []int
 			}
 		}
 	}
-	order = make([]int, p)
+	order = obuf[:p:p]
 	for k := range order {
 		order[k] = k
 	}
 	if sorted {
-		slices.SortFunc(order, func(a, b int) int {
-			if la, lb := largest[a], largest[b]; la != lb {
-				if la > lb {
-					return -1
-				}
-				return 1
-			}
-			return a - b
-		})
+		sortDescending(largest, order, buf[2*p:], obuf[p:])
 	}
 	return tot, order
+}
+
+// radixMin is the length below which sortDescending sorts by insertion: a
+// radix pass costs a 256-entry histogram and its prefix sum whatever the
+// length.
+const radixMin = 64
+
+// sortDescending sorts order, which holds 0 … len(v)−1, by v[k] descending and
+// k ascending among equal values, overwriting v with the sort keys; keys and
+// idx are scratch of v's length, unused below radixMin. The key of v[k] is its
+// bits with every bit but the sign flipped: as unsigned integers the keys
+// ascend as the values descend, so a stable ascending sort of the keys yields
+// the order. It is an LSD radix sort, one pass per byte, skipping each byte
+// all keys share.
+func sortDescending(v []int64, order []int, keys []int64, idx []int) {
+	for k, x := range v {
+		v[k] = int64(uint64(x) ^ (1<<63 - 1))
+	}
+	if len(v) < radixMin {
+		insertionSort(v, order)
+		return
+	}
+	var or, and uint64 = 0, ^uint64(0)
+	for _, u := range v {
+		or, and = or|uint64(u), and&uint64(u)
+	}
+	src, dst := v, keys[:len(v)]
+	srcIdx, dstIdx := order[:len(v)], idx[:len(v)]
+	for shift := uint(0); shift < 64; shift += 8 {
+		if (or^and)>>shift&0xff == 0 {
+			continue // every key has this byte
+		}
+		var start [256]int
+		for _, u := range src {
+			start[uint64(u)>>shift&0xff]++
+		}
+		at := 0
+		for b, c := range start {
+			start[b], at = at, at+c
+		}
+		for j, u := range src {
+			b := uint64(u) >> shift & 0xff
+			dst[start[b]], dstIdx[start[b]] = u, srcIdx[j]
+			start[b]++
+		}
+		src, dst, srcIdx, dstIdx = dst, src, dstIdx, srcIdx
+	}
+	copy(order, srcIdx) // a no-op after an even number of passes
+}
+
+// insertionSort sorts keys ascending, stably, moving idx along with them.
+func insertionSort(keys []int64, idx []int) {
+	idx = idx[:len(keys)]
+	for j := 1; j < len(keys); j++ {
+		u, k := uint64(keys[j]), idx[j]
+		i := j
+		for ; i > 0 && uint64(keys[i-1]) > u; i-- {
+			keys[i], idx[i] = keys[i-1], idx[i-1]
+		}
+		keys[i], idx[i] = int64(u), k
+	}
 }
 
 // Links is a link table for Algorithm 1 (the paper's footnote 4): every term

@@ -180,11 +180,13 @@ func zipfWeights(n int, theta float64) []float64 {
 }
 
 // parallelCells is the matrix size from which a fill is fanned out over
-// GOMAXPROCS goroutines. Measured on two cores: at 64×1024 the fan-out loses
-// (0.41 ms inline, 0.50 ms on two goroutines), at 128×2048 it starts to pay
-// (2.0 → 1.6 ms) and at 512×7680 it is 1.8×. A daemon shard generating one
-// 64×960 matrix per job stays inline; the paper-scale figures (1 000 ×
-// 15 000) are far above the line.
+// GOMAXPROCS goroutines. Measured with the row kernels on two idle cores
+// (serve_backlog's generator config, median of 5 runs, inline → two
+// goroutines): 64×1024 0.24 → 0.16 ms, 128×2048 1.18 → 0.63 ms, 512×7680
+// 15.4 → 8.3 ms. The fan-out pays from 64×1024 on idle cores, but a daemon
+// runs one shard per core, so the second core is the other shard's: the line
+// stays above ccfd's 64×960 matrices, which fill inline. The paper-scale
+// figures (1 000 × 15 000) are far above it.
 const parallelCells = 1 << 18
 
 // Generator builds workloads into storage it keeps between calls: the chunk
@@ -307,13 +309,18 @@ func grow[T any](s []T, n int) []T {
 
 // fill splits normalBytes/p bytes (the first normalBytes%p partitions get one
 // more) of each partition in [lo, hi) over the nodes. It walks the matrix
-// row by row — node outer, partition inner, so the writes are sequential —
-// and carries each partition's running sum, largest cell and its first holder
-// in g.sum, g.peak and g.arg.
+// row by row — node outer, partition inner, so the writes are sequential.
+// Each row is written by a cell kernel (cells, or shuffledCells under
+// ShuffleRanks), called once for the partitions holding one byte more and once
+// for the rest, and then read by a second loop that carries each partition's
+// running sum, largest cell and its first holder in g.sum, g.peak and g.arg.
+// Split in two, neither loop keeps more live values than there are registers:
+// fused, the hash state and the loop index went to the stack on every cell.
 func (g *Generator) fill(cfg *Config, normalBytes int64, lo, hi int) {
 	n, p := g.m.N, g.m.P
 	perPartition := normalBytes / int64(p)
-	remainder := int(normalBytes % int64(p)) // partitions below it hold one byte more
+	remainder := int(normalBytes % int64(p))  // partitions below it hold one byte more
+	split := min(max(remainder, lo), hi) - lo // row[:split] holds them
 	totHi, totLo := float64(perPartition+1), float64(perPartition)
 	weights, jitter, shuffle := g.weights, cfg.JitterFrac, cfg.ShuffleRanks
 	sum, peak, arg, off := g.sum[lo:hi], g.peak[lo:hi], g.arg[lo:hi], g.off[lo:hi]
@@ -325,30 +332,17 @@ func (g *Generator) fill(cfg *Config, normalBytes int64, lo, hi int) {
 	}
 	for i := 0; i < n; i++ {
 		row := g.m.H[i*p+lo : i*p+hi]
-		// Resliced to row's length so the compiler drops the bounds checks below.
-		sum, peak, arg, off := sum[:len(row)], peak[:len(row)], arg[:len(row)], off[:len(row)]
-		f0 := weights[i]
 		rowKey := cfg.Seed ^ uint64(i)<<32
-		for j := range row {
-			k := lo + j
-			f := f0
-			if shuffle {
-				r := i + off[j]
-				if r >= n {
-					r -= n
-				}
-				f = weights[r]
-			}
-			if jitter > 0 {
-				h := rng.SplitMix64(rowKey ^ uint64(k)*0x9E3779B97F4A7C15)
-				f *= 1 + float64(jitter*(float64(float64(h>>11)*0x1p-52)-1))
-			}
-			tot := totLo
-			if k < remainder {
-				tot = totHi
-			}
-			v := int64(f * tot)
-			row[j] = v
+		if shuffle {
+			shuffledCells(row[:split], lo, i, weights, off[:split], totHi, jitter, rowKey)
+			shuffledCells(row[split:], lo+split, i, weights, off[split:], totLo, jitter, rowKey)
+		} else {
+			cells(row[:split], lo, weights[i], totHi, jitter, rowKey)
+			cells(row[split:], lo+split, weights[i], totLo, jitter, rowKey)
+		}
+		// Resliced to row's length so the compiler drops the bounds checks below.
+		sum, peak, arg := sum[:len(row)], peak[:len(row)], arg[:len(row)]
+		for j, v := range row {
 			sum[j] += v
 			if v > peak[j] {
 				peak[j], arg[j] = v, i
@@ -385,6 +379,45 @@ func (g *Generator) fill(cfg *Config, normalBytes int64, lo, hi int) {
 			g.m.Add(big, k, -take)
 			rem += take
 		}
+	}
+}
+
+// jitterScale is cell (i, k)'s factor 1 + JitterFrac·u, u ∈ [−1, 1) hashed from
+// the seed, the node (in rowKey) and the partition k.
+func jitterScale(rowKey uint64, k int, jitter float64) float64 {
+	h := rng.SplitMix64(rowKey ^ uint64(k)*0x9E3779B97F4A7C15)
+	return 1 + float64(jitter*(float64(float64(h>>11)*0x1p-52)-1))
+}
+
+// cells writes one node's cells for partitions k, k+1, …: its Zipf share f of
+// tot bytes, scaled by the cell's jitter when jitter > 0, truncated.
+func cells(row []int64, k int, f, tot, jitter float64, rowKey uint64) {
+	if !(jitter > 0) {
+		v := int64(f * tot)
+		for j := range row {
+			row[j] = v
+		}
+		return
+	}
+	for j := range row {
+		row[j] = int64(f * jitterScale(rowKey, k+j, jitter) * tot)
+	}
+}
+
+// shuffledCells is cells under ShuffleRanks: node i's share of partition k+j
+// is the weight of rank (i + off[j]) mod n.
+func shuffledCells(row []int64, k, i int, weights []float64, off []int, tot, jitter float64, rowKey uint64) {
+	off = off[:len(row)]
+	for j := range row {
+		r := i + off[j]
+		if r >= len(weights) {
+			r -= len(weights)
+		}
+		f := weights[r]
+		if jitter > 0 {
+			f *= jitterScale(rowKey, k+j, jitter)
+		}
+		row[j] = int64(f * tot)
 	}
 }
 
