@@ -35,7 +35,7 @@ func TestDecidePathAllocationBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var gen workload.Generator
+	var jobs jobStore
 	specs := make([]JobSpec, warmup+3*window)
 	for i := range specs {
 		// ≈ 220 MB per job, 0.1 s apart, on 128 MB/s ports: a standing backlog
@@ -50,7 +50,7 @@ func TestDecidePathAllocationBudget(t *testing.T) {
 		}
 	}
 	decide := func(spec *JobSpec) {
-		job, err := materialize(spec, nodes, &gen)
+		job, err := materialize(spec, nodes, &jobs)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,8 +15,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"ccf/internal/workload"
 )
 
 func FuzzSnapshotRestore(f *testing.F) {
@@ -134,7 +132,7 @@ func FuzzSnapshotRestore(f *testing.F) {
 			if spec.Arrival == nil {
 				spec.Arrival = new(float64)
 			}
-			if _, err := materialize(&spec, base.Nodes, new(workload.Generator)); err != nil && !errors.Is(err, ErrBadJob) {
+			if _, err := materialize(&spec, base.Nodes, new(jobStore)); err != nil && !errors.Is(err, ErrBadJob) {
 				t.Fatalf("materialize of a validated spec: untyped error: %v", err)
 			}
 		}

@@ -63,23 +63,27 @@ func (c HTTPConfig) withDefaults() HTTPConfig {
 	return c
 }
 
+// decodeStrict decodes exactly one JSON value from r into v: a misspelt
+// field or a second value is refused, never decided without it.
+func decodeStrict(r io.Reader, v any) error {
+	in := json.NewDecoder(r)
+	in.DisallowUnknownFields()
+	if err := in.Decode(v); err != nil {
+		return err
+	}
+	if _, tail := in.Token(); tail != io.EOF {
+		return errors.New("more than one JSON value")
+	}
+	return nil
+}
+
 // NewHandler builds the daemon's HTTP mux over a pool.
 func NewHandler(p *Pool, cfg HTTPConfig) http.Handler {
 	cfg = cfg.withDefaults()
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		// Exactly one JobSpec: a misspelt field or a second value is refused,
-		// never decided without it.
 		var spec JobSpec
-		in := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobBody))
-		in.DisallowUnknownFields()
-		err := in.Decode(&spec)
-		if err == nil {
-			if _, tail := in.Token(); tail != io.EOF {
-				err = errors.New("more than one JSON value")
-			}
-		}
-		if err != nil {
+		if err := decodeStrict(http.MaxBytesReader(w, r.Body, maxJobBody), &spec); err != nil {
 			writeError(w, p, http.StatusBadRequest, fmt.Errorf("%w: body: %v", ErrBadJob, err))
 			return
 		}

@@ -73,8 +73,9 @@ type JobSpec struct {
 	// expanded matrix).
 	Gen *workload.Config `json:"gen,omitempty"`
 	// Chunks is an explicit chunk matrix: Chunks[i][k] = bytes of partition
-	// k on node i. len(Chunks) must equal the pool's node count.
-	Chunks [][]int64 `json:"chunks,omitempty"`
+	// k on node i. len(Chunks) must equal the pool's node count. It is the
+	// last field: appendRecord writes it after the rest of the spec.
+	Chunks ChunkRows `json:"chunks,omitempty"`
 }
 
 // RouteKey returns the shard-routing key (Key, falling back to Name).
@@ -174,12 +175,20 @@ func networkScheduler(name string) (coflow.Scheduler, error) {
 	return coflow.ByName(name)
 }
 
+// jobStore is the storage a shard builds its jobs in: a generator for
+// generated workloads, a chunk matrix and a workload for explicit ones. A
+// materialized job lives in it until the shard's next one, which is all the
+// engine needs — Submit keeps nothing of a job's workload.
+type jobStore struct {
+	gen workload.Generator
+	m   partition.ChunkMatrix
+	w   workload.Workload
+}
+
 // materialize expands a resolved spec (Arrival non-nil) into the engine's
-// job form. Generation is deterministic in the spec, so journal replay
-// reproduces the exact job the live path admitted. A generated workload is
-// built in gen's storage: it is valid until gen's next job, which is all the
-// engine needs — Submit keeps nothing of a job's matrix.
-func materialize(spec *JobSpec, nodes int, gen *workload.Generator) (core.OnlineJob, error) {
+// job form, built in st. Generation is deterministic in the spec, so journal
+// replay reproduces the exact job the live path admitted.
+func materialize(spec *JobSpec, nodes int, st *jobStore) (core.OnlineJob, error) {
 	if spec.Arrival == nil {
 		return core.OnlineJob{}, fmt.Errorf("service: internal: materialize before arrival resolution")
 	}
@@ -189,20 +198,22 @@ func materialize(spec *JobSpec, nodes int, gen *workload.Generator) (core.Online
 	}
 	var w *workload.Workload
 	if spec.Gen != nil {
-		w, err = gen.Generate(*spec.Gen)
+		w, err = st.gen.Generate(*spec.Gen)
 		if err != nil {
 			return core.OnlineJob{}, fmt.Errorf("%w: gen: %v", ErrBadJob, err)
 		}
 	} else {
 		p := len(spec.Chunks[0])
-		m, err := partition.NewChunkMatrix(nodes, p)
-		if err != nil {
-			return core.OnlineJob{}, fmt.Errorf("%w: %v", ErrBadJob, err)
+		if nodes <= 0 || p <= 0 {
+			return core.OnlineJob{}, fmt.Errorf("%w: chunk matrix is %d×%d", ErrBadJob, nodes, p)
 		}
+		st.m = partition.ChunkMatrix{N: nodes, P: p, H: slices.Grow(st.m.H[:0], nodes*p)[:nodes*p]}
+		clear(st.m.H)
 		for i, row := range spec.Chunks {
-			copy(m.Row(i), row)
+			copy(st.m.Row(i), row)
 		}
-		w = &workload.Workload{Chunks: m, SkewPartition: -1}
+		st.w = workload.Workload{Chunks: &st.m, SkewPartition: -1}
+		w = &st.w
 	}
 	return core.OnlineJob{
 		Name:          spec.Name,

@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"ccf/internal/core"
-	"ccf/internal/workload"
 )
 
 // Submission failure modes, mapped to HTTP statuses by the handler.
@@ -102,12 +101,12 @@ type shard struct {
 	seq, snapSeq uint64
 	// specs holds the effective records of the jobs the current batch
 	// admitted, in admission order — what its group commit journals; imgBuf
-	// is the reusable engine-image buffer of snapshot(); gen holds the one
-	// chunk matrix every generated job of this shard is built in, live from
-	// materialize to the end of that job's Submit. Run-loop-owned.
+	// is the reusable engine-image buffer of snapshot(); jobs holds the
+	// storage every job of this shard is built in, live from materialize to
+	// the end of that job's Submit. Run-loop-owned.
 	specs  []JobSpec
 	imgBuf []byte
-	gen    workload.Generator
+	jobs   jobStore
 
 	// mu serialises queue sends against the close in drain/kill: senders
 	// hold RLock, the closer holds Lock, so no send can hit a closed
@@ -218,7 +217,7 @@ func (sh *shard) restore() error {
 // replayJob re-admits one journaled record. The effective arrival was
 // resolved before journaling, so replay bypasses lifting entirely.
 func (sh *shard) replayJob(spec *JobSpec) error {
-	job, err := materialize(spec, sh.cfg.Nodes, &sh.gen)
+	job, err := materialize(spec, sh.cfg.Nodes, &sh.jobs)
 	if err != nil {
 		return err
 	}
@@ -376,7 +375,7 @@ func (sh *shard) processBatch(batch []*request) {
 			spec.Arrival = &now
 			lifted = true
 		}
-		job, err := materialize(&spec, sh.cfg.Nodes, &sh.gen)
+		job, err := materialize(&spec, sh.cfg.Nodes, &sh.jobs)
 		if err != nil {
 			obs.rejected.Inc()
 			obs.jobFailed(&spec, sh.id, "rejected", err)

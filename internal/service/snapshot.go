@@ -59,6 +59,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 
 	"ccf/internal/core"
 	"ccf/internal/netsim"
@@ -350,19 +351,36 @@ func openWAL(path string, sync bool) (*walWriter, error) {
 	return &walWriter{f: f, sync: sync}, nil
 }
 
-// appendRecord marshals one WAL line into buf.
+// appendRecord appends one WAL line to buf, {"seq":…,"crc":…,"job":…}\n,
+// where job is json.Marshal's encoding of spec and crc its IEEE checksum.
+// Only the spec without its chunk rows goes through Marshal: the rows are
+// written where Marshal would have put them, before its closing brace
+// (Chunks is JobSpec's last field and omitted when empty). The checksum
+// precedes the job, so the job is written first and the head slid in front.
 func appendRecord(buf []byte, seq uint64, spec *JobSpec) ([]byte, error) {
-	job, err := json.Marshal(spec)
+	rest := *spec
+	rest.Chunks = nil
+	job, err := json.Marshal(&rest)
 	if err != nil {
 		return nil, err
 	}
-	rec := walRecord{Seq: seq, CRC: crc32.ChecksumIEEE(job), Job: job}
-	line, err := json.Marshal(&rec)
-	if err != nil {
-		return nil, err
+	start := len(buf)
+	buf = append(buf, job[:len(job)-1]...)
+	if len(spec.Chunks) > 0 {
+		buf = spec.Chunks.appendJSON(append(buf, `,"chunks":`...))
 	}
-	buf = append(buf, line...)
-	return append(buf, '\n'), nil
+	buf = append(buf, '}')
+	var head [64]byte // 51 bytes at most: three keys, a uint64, a uint32
+	h := append(head[:0], `{"seq":`...)
+	h = strconv.AppendUint(h, seq, 10)
+	h = append(h, `,"crc":`...)
+	h = strconv.AppendUint(h, uint64(crc32.ChecksumIEEE(buf[start:])), 10)
+	h = append(h, `,"job":`...)
+	end := len(buf)
+	buf = append(buf, h...)
+	copy(buf[start+len(h):], buf[start:end])
+	copy(buf[start:], h)
+	return append(buf, "}\n"...), nil
 }
 
 // AppendBatch group-commits a batch under firstSeq, firstSeq+1, …: every

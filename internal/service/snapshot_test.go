@@ -33,7 +33,7 @@ func testSnapshot(t testing.TB) *Snapshot {
 			Zipf:           0.8,
 			Seed:           uint64(7 + i),
 		}}
-		job, err := materialize(spec, 4, new(workload.Generator))
+		job, err := materialize(spec, 4, new(jobStore))
 		if err != nil {
 			t.Fatal(err)
 		}

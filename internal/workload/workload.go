@@ -253,12 +253,15 @@ func (g *Generator) Generate(cfg Config) (*Workload, error) {
 	if workers == 1 {
 		g.fill(&cfg, normalBytes, 0, p)
 	} else {
+		// The workers share a copy: were the closure to capture cfg, cfg
+		// would move to the heap on the inline path as well.
+		shared := cfg
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func(lo, hi int) {
 				defer wg.Done()
-				g.fill(&cfg, normalBytes, lo, hi)
+				g.fill(&shared, normalBytes, lo, hi)
 			}(p*w/workers, p*(w+1)/workers)
 		}
 		wg.Wait()

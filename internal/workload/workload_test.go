@@ -357,3 +357,27 @@ func TestGeneratorReuse(t *testing.T) {
 		}
 	}
 }
+
+// TestGenerateZeroAllocs pins that a reused Generator fills a daemon-sized
+// matrix (64 × 960, serve_backlog's config, inline: below parallelCells)
+// without allocating — its config included, which only the fan-out path may
+// move to the heap.
+func TestGenerateZeroAllocs(t *testing.T) {
+	for _, shuffle := range []bool{false, true} {
+		cfg := Config{Nodes: 64, Partitions: 960, CustomerTuples: 20_000, OrderTuples: 200_000, PayloadBytes: 1000,
+			Zipf: DefaultZipf, Skew: DefaultSkew, JitterFrac: 0.05, ShuffleRanks: shuffle}
+		var g Generator
+		if _, err := g.Generate(cfg); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			cfg.Seed++
+			if _, err := g.Generate(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("ShuffleRanks %v: Generate on a reused Generator makes %.1f allocations per call, want 0", shuffle, allocs)
+		}
+	}
+}
