@@ -67,12 +67,11 @@ func recoveryExp(bw float64, workers int) error {
 		if err != nil {
 			return row{}, err
 		}
-		probe, err := core.RunWithNodeLoss(w, placement.CCF{},
-			core.NodeLossSpec{FailNode: 3, FailTime: 1e-3}, core.RecoverReplace, opts)
+		clean, err := core.RunScheduler(w, placement.CCF{}, false, core.Options{Bandwidth: bw, UseEventSim: true})
 		if err != nil {
 			return row{}, err
 		}
-		spec := core.NodeLossSpec{FailNode: 3, FailTime: probe.CleanMakespan / 4}
+		spec := core.NodeLossSpec{FailNode: 3, FailTime: clean.TimeSec / 4}
 		rep, err := core.RunWithNodeLoss(w, placement.CCF{}, spec, core.RecoverReplace, opts)
 		if err != nil {
 			return row{}, err

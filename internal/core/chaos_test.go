@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"ccf/internal/placement"
@@ -104,8 +105,10 @@ func TestNodeLossValidation(t *testing.T) {
 	if _, err := RunWithNodeLoss(w, pickRecoverySched(), NodeLossSpec{FailNode: 99, FailTime: 1}, RecoverReplace, opts); err == nil {
 		t.Error("out-of-range fail node accepted")
 	}
-	if _, err := RunWithNodeLoss(w, pickRecoverySched(), NodeLossSpec{FailNode: 0, FailTime: 0}, RecoverReplace, opts); err == nil {
-		t.Error("non-positive fail time accepted")
+	for _, ft := range []float64{0, math.NaN(), math.Inf(1)} {
+		if _, err := RunWithNodeLoss(w, pickRecoverySched(), NodeLossSpec{FailNode: 0, FailTime: ft}, RecoverReplace, opts); err == nil {
+			t.Errorf("fail time %g accepted", ft)
+		}
 	}
 	if _, err := RunWithNodeLoss(w, pickRecoverySched(), NodeLossSpec{FailNode: 0, FailTime: 1}, RecoveryPolicy("bogus"), opts); err == nil {
 		t.Error("unknown policy accepted")

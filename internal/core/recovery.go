@@ -6,10 +6,10 @@ package core
 // is lost, and every partition destined to it must be re-placed across the
 // survivors. The recovery policy decides how:
 //
-//   - RecoverReplace re-runs CCF over the residual chunk matrix, restricted
-//     to surviving nodes and seeded with the survivors' remaining backlog
-//     as initial loads — placement and network state co-optimized, exactly
-//     the paper's Algorithm 1 applied to the degraded cluster.
+//   - RecoverReplace re-runs CCF over the residual chunk matrix, seeded
+//     with the survivors' remaining backlog as initial loads — placement
+//     and network state co-optimized, exactly the paper's Algorithm 1
+//     applied to the degraded cluster.
 //   - RecoverRetryInPlace is the naive baseline: each orphaned partition is
 //     reassigned hash-style over the survivors, oblivious to both chunk
 //     locality and the backlog the failure left behind.
@@ -19,6 +19,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"ccf/internal/coflow"
 	"ccf/internal/netsim"
@@ -32,8 +33,9 @@ import (
 type RecoveryPolicy string
 
 const (
-	// RecoverReplace co-optimizes: CCF over the residual matrix restricted
-	// to survivors, with the survivors' backlog as initial loads.
+	// RecoverReplace co-optimizes: CCF over the residual matrix, the dead
+	// node a zero-capacity host, with the survivors' backlog as initial
+	// loads.
 	RecoverReplace RecoveryPolicy = "replace"
 	// RecoverRetryInPlace reassigns orphaned partitions hash-style over
 	// the survivors, ignoring chunk locality and backlog.
@@ -84,8 +86,8 @@ func RunWithNodeLoss(w *workload.Workload, sched placement.Scheduler, spec NodeL
 	if spec.FailNode < 0 || spec.FailNode >= n {
 		return nil, fmt.Errorf("core: fail node %d outside cluster of %d", spec.FailNode, n)
 	}
-	if spec.FailTime <= 0 {
-		return nil, fmt.Errorf("core: fail time must be positive, got %g", spec.FailTime)
+	if !(spec.FailTime > 0) || math.IsInf(spec.FailTime, 1) {
+		return nil, fmt.Errorf("core: fail time must be positive and finite, got %g", spec.FailTime)
 	}
 	switch policy {
 	case RecoverReplace, RecoverRetryInPlace:
@@ -170,10 +172,6 @@ func RunWithNodeLoss(w *workload.Workload, sched placement.Scheduler, spec NodeL
 		}
 	}
 
-	alive := make([]bool, n)
-	for i := range alive {
-		alive[i] = i != dead
-	}
 	var newPl *partition.Placement
 	switch policy {
 	case RecoverReplace:
@@ -187,8 +185,16 @@ func RunWithNodeLoss(w *workload.Workload, sched placement.Scheduler, spec NodeL
 				backlog.Ingress[j] += v
 			}
 		}
-		r := placement.Restricted{Inner: placement.CCF{}, Allowed: alive}
-		newPl, err = r.Place(residual, backlog)
+		// The dead node is a host of capacity 0: Algorithm 1 leaves it out
+		// of the candidates, and with unit capacities on the survivors it
+		// orders them exactly as CCF{} does.
+		caps := make([]float64, n)
+		for i := range caps {
+			if i != dead {
+				caps[i] = 1
+			}
+		}
+		newPl, err = placement.PlaceOnLinks(residual, backlog, &placement.Links{Egress: caps, Ingress: caps})
 		if err != nil {
 			return nil, err
 		}

@@ -218,27 +218,46 @@ func insertionSort(keys []int64, idx []int) {
 // of capacity Egress[i] and receives on one of capacity Ingress[i]. With RackOf
 // set, host i sits in rack RackOf[i], and a flow between racks also crosses
 // the sender's rack uplink and the receiver's rack downlink, of capacities
-// Up[r] and Down[r]. Capacities are positive, in any one unit; +Inf makes a
-// link's term zero.
+// Up[r] and Down[r]. Capacities are in any one unit; +Inf makes a link's term
+// zero. Rack links are positive. A host link may have capacity 0 (a dead
+// host): it adds no term to T and must carry nothing, so a host that cannot
+// receive is never a destination, and one that cannot send may hold no chunk
+// and no initial egress load.
 type Links struct {
 	Egress, Ingress []float64
 	RackOf          []int
 	Up, Down        []float64
 }
 
-// check reports a table that does not describe n hosts.
-func (l *Links) check(n int) error {
-	racks := len(l.Up)
+// check reports a table that does not describe m's hosts, or a zero-capacity
+// host link that would carry load: a chunk or initial egress load on a host
+// that cannot send, initial ingress load on one that cannot receive, or
+// partitions with no host to receive them. egress and ingress are the initial
+// loads.
+func (l *Links) check(m *partition.ChunkMatrix, egress, ingress []int64) error {
+	n, racks := m.N, len(l.Up)
 	ok := len(l.Egress) == n && len(l.Ingress) == n && len(l.Down) == racks &&
 		(l.RackOf == nil) == (racks == 0) && (l.RackOf == nil || len(l.RackOf) == n)
 	for _, r := range l.RackOf {
 		ok = ok && r >= 0 && r < racks
 	}
-	for _, c := range slices.Concat(l.Egress, l.Ingress, l.Up, l.Down) {
+	for _, c := range slices.Concat(l.Egress, l.Ingress) {
+		ok = ok && c >= 0
+	}
+	for _, c := range slices.Concat(l.Up, l.Down) {
 		ok = ok && c > 0
 	}
 	if !ok {
-		return fmt.Errorf("placement: link table does not describe %d hosts in racks with positive capacities", n)
+		return fmt.Errorf("placement: link table does not describe %d hosts in racks with non-negative capacities", n)
+	}
+	for i := range n {
+		if l.Egress[i] == 0 && (egress[i] != 0 || slices.ContainsFunc(m.Row(i), func(h int64) bool { return h != 0 })) ||
+			l.Ingress[i] == 0 && ingress[i] != 0 {
+			return fmt.Errorf("placement: host %d has load on a link of capacity 0", i)
+		}
+	}
+	if slices.Max(l.Ingress) == 0 {
+		return fmt.Errorf("placement: no host can receive")
 	}
 	return nil
 }
@@ -247,11 +266,6 @@ func (l *Links) check(n int) error {
 // candidate against the link table l. A nil table is the paper's non-blocking
 // switch, where PlaceOnLinks places exactly as CCF{}.
 func PlaceOnLinks(m *partition.ChunkMatrix, initial *partition.Loads, l *Links) (*partition.Placement, error) {
-	if l != nil {
-		if err := l.check(m.N); err != nil {
-			return nil, err
-		}
-	}
 	return place(m, initial, l, true)
 }
 
@@ -327,6 +341,9 @@ func place(m *partition.ChunkMatrix, initial *partition.Loads, l *Links, sorted 
 	var egCap, inCap, upCap, downCap []float64
 	var rackOf []int
 	if l != nil {
+		if err := l.check(m, egress, ingress); err != nil {
+			return nil, err
+		}
 		egCap, inCap, rackOf, upCap, downCap = l.Egress, l.Ingress, l.RackOf, l.Up, l.Down
 	}
 	// Rack r's uplink and downlink loads, and Σ_{i in r} h_ik for the
@@ -380,6 +397,13 @@ func place(m *partition.ChunkMatrix, initial *partition.Loads, l *Links, sorted 
 		bestD := -1
 		var bestT float64
 		for d := 0; d < n; {
+			// Never a host that cannot receive: its ingress term is +Inf, but
+			// NaN for an empty partition, which ties every candidate and
+			// would go to the dead host at a lower index.
+			if inCap != nil && inCap[d] == 0 {
+				d++
+				continue
+			}
 			t := eg.except(d)
 			if v := key(egress[d], egCap, d); v > t { // d's own egress is unchanged
 				t = v

@@ -568,23 +568,43 @@ func TestPlaceOnLinks(t *testing.T) {
 			}
 		}
 	}
-	// A table that does not describe the matrix's hosts is an error.
+	// A table that does not describe the matrix's hosts is an error, and so
+	// is a zero-capacity host link that would carry load. Host 1 holds a
+	// chunk.
 	m := partition.MustChunkMatrix(2, 3)
+	m.Set(1, 0, 5)
 	two := []float64{1, 1}
-	for name, l := range map[string]*Links{
-		"short egress":      {Egress: []float64{1}, Ingress: two},
-		"short ingress":     {Egress: two, Ingress: []float64{1}},
-		"zero capacity":     {Egress: []float64{1, 0}, Ingress: two},
-		"NaN capacity":      {Egress: two, Ingress: []float64{math.NaN(), 1}},
-		"racks, no hosts":   {Egress: two, Ingress: two, Up: []float64{1}, Down: []float64{1}},
-		"hosts, no racks":   {Egress: two, Ingress: two, RackOf: []int{0, 0}},
-		"short RackOf":      {Egress: two, Ingress: two, RackOf: []int{0}, Up: []float64{1}, Down: []float64{1}},
-		"rack out of range": {Egress: two, Ingress: two, RackOf: []int{0, 1}, Up: []float64{1}, Down: []float64{1}},
-		"up/down mismatch":  {Egress: two, Ingress: two, RackOf: []int{0, 0}, Up: []float64{1}, Down: []float64{1, 1}},
-		"negative uplink":   {Egress: two, Ingress: two, RackOf: []int{0, 0}, Up: []float64{-1}, Down: []float64{1}},
+	egress := &partition.Loads{Egress: []int64{4, 0}, Ingress: []int64{0, 0}}
+	ingress := &partition.Loads{Egress: []int64{0, 0}, Ingress: []int64{4, 0}}
+	for _, c := range []struct {
+		name    string
+		l       *Links
+		initial *partition.Loads
+	}{
+		{"short egress", &Links{Egress: []float64{1}, Ingress: two}, nil},
+		{"short ingress", &Links{Egress: two, Ingress: []float64{1}}, nil},
+		{"negative capacity", &Links{Egress: []float64{1, -1}, Ingress: two}, nil},
+		{"NaN capacity", &Links{Egress: two, Ingress: []float64{math.NaN(), 1}}, nil},
+		{"racks, no hosts", &Links{Egress: two, Ingress: two, Up: []float64{1}, Down: []float64{1}}, nil},
+		{"hosts, no racks", &Links{Egress: two, Ingress: two, RackOf: []int{0, 0}}, nil},
+		{"short RackOf", &Links{Egress: two, Ingress: two, RackOf: []int{0}, Up: []float64{1}, Down: []float64{1}}, nil},
+		{"rack out of range", &Links{Egress: two, Ingress: two, RackOf: []int{0, 1}, Up: []float64{1}, Down: []float64{1}}, nil},
+		{"up/down mismatch", &Links{Egress: two, Ingress: two, RackOf: []int{0, 0}, Up: []float64{1}, Down: []float64{1, 1}}, nil},
+		{"negative uplink", &Links{Egress: two, Ingress: two, RackOf: []int{0, 0}, Up: []float64{-1}, Down: []float64{1}}, nil},
+		{"zero uplink", &Links{Egress: two, Ingress: two, RackOf: []int{0, 0}, Up: []float64{0}, Down: []float64{1}}, nil},
+		{"zero egress holds a chunk", &Links{Egress: []float64{1, 0}, Ingress: two}, nil},
+		{"zero egress has egress load", &Links{Egress: []float64{0, 1}, Ingress: two}, egress},
+		{"zero ingress has ingress load", &Links{Egress: two, Ingress: []float64{0, 1}}, ingress},
+		{"no receiver", &Links{Egress: two, Ingress: []float64{0, 0}}, nil},
 	} {
-		if _, err := PlaceOnLinks(m, nil, l); err == nil {
-			t.Errorf("%s: accepted", name)
+		if _, err := PlaceOnLinks(m, c.initial, c.l); err == nil {
+			t.Errorf("%s: accepted", c.name)
+		}
+	}
+	// The same zero-capacity links carrying nothing are a dead host.
+	for _, l := range []*Links{{Egress: []float64{0, 1}, Ingress: two}, {Egress: two, Ingress: []float64{0, 1}}} {
+		if pl, err := PlaceOnLinks(m, nil, l); err != nil || (l.Ingress[0] == 0 && slices.Contains(pl.Dest, 0)) {
+			t.Errorf("table %+v: Dest %v, err %v", l, pl, err)
 		}
 	}
 }

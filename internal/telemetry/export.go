@@ -207,23 +207,15 @@ type Span struct {
 	Args  map[string]any
 }
 
-// Instant is a point event on a span track.
-type Instant struct {
-	Name string
-	T    float64 // seconds
-	Args map[string]any
-}
-
 // SpanTrack is one (pid, tid) thread of spans — the unit the service layer
-// uses to export per-job lifecycle traces. Spans and Instants must each be
-// in ascending time order; the exporter merges the two streams so emitted
-// timestamps stay monotone within the track (the property CI validates).
+// uses to export per-job lifecycle traces. Spans must be in ascending Start
+// order, so emitted timestamps stay monotone within the track (the property
+// CI validates).
 type SpanTrack struct {
 	Pid, Tid int
 	Process  string // process_name metadata, first track per pid wins
 	Thread   string // thread_name metadata
 	Spans    []Span
-	Instants []Instant
 }
 
 // WriteSpanTrace writes the tracks as a Chrome trace-event JSON document
@@ -248,26 +240,10 @@ func WriteSpanTrace(w io.Writer, tracks []SpanTrack) error {
 				return err
 			}
 		}
-		// Two-pointer merge keeps the emitted timestamps monotone even when
-		// instants fall between spans.
-		si, ii := 0, 0
-		for si < len(tr.Spans) || ii < len(tr.Instants) {
-			if ii >= len(tr.Instants) || (si < len(tr.Spans) && tr.Spans[si].Start <= tr.Instants[ii].T) {
-				sp := tr.Spans[si]
-				si++
-				if err := enc.emit(traceEvent{
-					Name: sp.Name, Ph: "X", Ts: sp.Start * usec, Dur: sp.Dur * usec,
-					Pid: tr.Pid, Tid: tr.Tid, Args: sp.Args,
-				}); err != nil {
-					return err
-				}
-				continue
-			}
-			in := tr.Instants[ii]
-			ii++
+		for _, sp := range tr.Spans {
 			if err := enc.emit(traceEvent{
-				Name: in.Name, Ph: "i", Ts: in.T * usec,
-				Pid: tr.Pid, Tid: tr.Tid, S: "t", Args: in.Args,
+				Name: sp.Name, Ph: "X", Ts: sp.Start * usec, Dur: sp.Dur * usec,
+				Pid: tr.Pid, Tid: tr.Tid, Args: sp.Args,
 			}); err != nil {
 				return err
 			}
